@@ -20,6 +20,8 @@ the 1/z factor and the anchor stays representable.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
 from .core import CriticalTimeResult, Method, ModelParams, _require_finite, psi
 from .errors import DegenerateBound, DomainError, QuadratureFailure
@@ -31,6 +33,8 @@ __all__ = [
     "solve_anchor",
     "u_integral",
     "v_integral",
+    "u_integral_batch",
+    "v_integral_batch",
     "bounds_u",
     "bounds_v",
     "asymptotic_u",
@@ -178,6 +182,77 @@ def v_integral(
         0, rho, x, params.beta, rho, psiv, abs_tol, rel_tol, max_intervals
     )
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
+
+
+def _batch_quad(good, need, kind, lo, hi, beta, rho, psiv, total, err):
+    """Add the batched quadrature over [lo, hi] to *total* and *err* at the
+    nodes that are still *good* and *need* it; clear *good* where it did not
+    converge."""
+    k = np.flatnonzero(good & need)
+    status, value, e = kernels._adaptive_gk_batch(
+        kind, lo[k], hi[k], beta, rho, psiv[k],
+        QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS,
+    )
+    total[k] += value
+    err[k] += e
+    good[k] = status == kernels.QUAD_OK
+
+
+def u_integral_batch(params: ModelParams, xs, ys):
+    """:func:`u_integral` at many nodes at once, with numpy.
+
+    Runs the same anchor solve and quadratures with the default tolerances,
+    in lock-step over the nodes. Returns (ok, value, err) arrays. A node is
+    ok when it lies in the interior of u's domain (x > 0, y >= mu, and not
+    y == mu with x <= rho) and its anchor and quadratures succeeded. Any
+    other node needs the scalar :func:`u_integral`, which returns the edge
+    value or raises the typed error there.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    rho, mu, beta = params.rho, params.mu, params.beta
+    ok = (x > 0.0) & (y >= mu) & ~((y == mu) & (x <= rho))
+    ok &= np.isfinite(x) & np.isfinite(y)
+    value = np.zeros(x.shape)
+    err = np.zeros(x.shape)
+    idx = np.flatnonzero(ok)
+    xi = x[idx]
+    # per-node logs and exps through math, as the scalar route takes them
+    log_x = kernels._math_each(math.log, xi)
+    psiv = xi + y[idx] - rho * log_x
+    good, log_a = kernels._anchor_log_batch(rho, mu, psiv)
+    split_l = math.log(SPLIT_Z)
+    deep = log_a < split_l
+    # left piece in log space below the split, the rest in z space
+    ls = np.minimum(split_l, log_x)
+    z_lo = kernels._math_each(math.exp, np.where(deep, ls, log_a))
+    total = np.zeros(idx.size)
+    e = np.zeros(idx.size)
+    _batch_quad(good, deep, 1, log_a, ls, beta, rho, psiv, total, e)
+    _batch_quad(good, z_lo < xi, 0, z_lo, xi, beta, rho, psiv, total, e)
+    ok[idx] = good
+    value[idx] = np.maximum(total, 0.0)
+    err[idx] = e
+    return ok, value, err
+
+
+def v_integral_batch(params: ModelParams, xs, ys):
+    """:func:`v_integral` at many nodes at once, with numpy.
+
+    Returns (ok, value, err) arrays. A node is ok when x > rho, y > 0 and
+    its quadrature converged; any other node needs the scalar
+    :func:`v_integral`.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    rho = params.rho
+    ok = (x > rho) & (y > 0.0) & np.isfinite(x) & np.isfinite(y)
+    value = np.zeros(x.shape)
+    err = np.zeros(x.shape)
+    psiv = x + y - rho * kernels._math_each(math.log, np.where(ok, x, 1.0))
+    _batch_quad(ok, True, 0, np.full(x.shape, rho), x, params.beta, rho, psiv, value, err)
+    np.maximum(value, 0.0, out=value)
+    return ok, value, err
 
 
 @dataclass(frozen=True)

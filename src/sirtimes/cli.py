@@ -27,9 +27,7 @@ from .gridrun import (
     CSV_HEADER,
     GridRow,
     GridSpec,
-    _asym_cell,
-    _bounds_cells_u,
-    _bounds_cells_v,
+    _side_cells,
     eval_u,
     eval_v,
     rows_to_csv,
@@ -54,7 +52,12 @@ def _add_common(sub):
     sub.add_argument("--mu", type=float, default=None, help="detection threshold (default 1)")
     sub.add_argument("--rel-tol", type=float, default=None, help="ODE relative tolerance")
     sub.add_argument("--abs-tol", type=float, default=None, help="ODE absolute tolerance")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads for grids")
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads for ODE-route grids; parallel only with numba",
+    )
     sub.add_argument("--config", default=None, help="JSON or key=value settings file")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument(
@@ -230,15 +233,6 @@ def _emit(settings, rows, text_lines):
             print(line)
 
 
-def _result_row(params, kind, x, y, res):
-    if kind == "u":
-        lower, upper = _bounds_cells_u(params, x, y) if y >= params.mu else (None, None)
-    else:
-        lower, upper = _bounds_cells_v(params, x, y)
-    asym = _asym_cell(params, kind, x, y)
-    return GridRow(x, y, res.value, res.method.value, res.err_estimate, lower, upper, asym)
-
-
 def cmd_compute(args):
     settings = _settings(args)
     params = _params_from(settings)
@@ -257,7 +251,10 @@ def cmd_compute(args):
         for method in methods:
             res = evaluate(params, args.x, args.y, method, icfg)
             values[method] = res.value
-            rows.append(_result_row(params, kind, args.x, args.y, res))
+            cells = _side_cells(params, kind, args.x, args.y)
+            rows.append(
+                GridRow(args.x, args.y, res.value, res.method.value, res.err_estimate, *cells)
+            )
             lines.append(
                 f"  {res.method.value:<12} {res.value:.17g}   "
                 f"err {res.err_estimate:.3g}"

@@ -2,9 +2,11 @@
 output and event refinement, adaptive Gauss-Kronrod 7/15 quadrature for the
 time integrals, and the log-space anchor root solve.
 
-Everything here is nopython-compilable; wrappers in :mod:`sirtimes.ode` and
-:mod:`sirtimes.analytic` validate inputs and turn status codes into
-exceptions. Kernels return status tuples instead of raising.
+The scalar kernels are nopython-compilable; wrappers in :mod:`sirtimes.ode`
+and :mod:`sirtimes.analytic` validate inputs and turn status codes into
+exceptions. Kernels return status tuples instead of raising. At the end of
+the module, plain numpy twins of the quadrature and anchor kernels run the
+same algorithms over whole grids at once.
 """
 
 import math
@@ -667,3 +669,239 @@ def _anchor_log(rho, mu, psiv):
             break
         L = Ln
     return True, L
+
+
+# --- numpy twins for whole grids -------------------------------------------
+#
+# The functions below run the scalar algorithms above over many independent
+# problems at once, in lock-step, with numpy arrays. They are never jitted.
+# Each keeps the scalar kernel's order of floating-point operations. numpy's
+# log and exp can differ from math's in the last bit; wherever a result
+# could follow that bit (the anchor's sign tests and Newton steps, the
+# z-space integrand where it loses digits) the twins call math instead, so
+# they agree with the scalar kernels to a few units in the last place.
+
+
+def _math_each(fn, values):
+    """*fn* from :mod:`math` applied to each element of *values*."""
+    return np.array([fn(v) for v in values.tolist()])
+
+
+def _quad_f_batch(kind, z, beta, rho, psiv):
+    """Elementwise :func:`_quad_f`. Returns (values, ok) arrays; a value is
+    0.0 wherever ok is False.
+
+    In z space, g = rho*ln z - z + psi loses digits where it is small
+    against its terms (near the anchor when mu is small), so a last-bit
+    difference in the log would show; there g is recomputed with math.log.
+    """
+    # in-place steps keep the (panels, 15) temporaries few
+    with np.errstate(all="ignore"):
+        if kind == 0:
+            rl = np.log(z)
+            rl *= rho
+            g = rl - z
+            g += psiv
+            scale = np.abs(rl)
+            scale += z
+            scale += np.abs(psiv)
+            scale *= 1e-2
+            close = (z > 0.0) & (np.abs(g) <= scale)
+            if close.any():
+                zc = z[close]
+                psic = np.broadcast_to(psiv, z.shape)[close]
+                g[close] = rho * _math_each(math.log, zc) - zc + psic
+            ok = (z > 0.0) & (g > 0.0)
+            f = beta * z
+        else:
+            g = rho * z
+            g -= np.exp(z)
+            g += psiv
+            ok = g > 0.0
+            f = np.full(z.shape, beta)
+        f *= g
+        np.divide(1.0, f, out=f)
+    f[~ok] = 0.0
+    return f, ok
+
+
+def _gk15_batch(kind, a, b, beta, rho, psiv):
+    """:func:`_gk15` on the intervals [a[k], b[k]], each with its own psi.
+    Returns (value, err, ok) arrays."""
+    c = 0.5 * (a + b)
+    hl = 0.5 * (b - a)
+    dx = hl[:, None] * _XGK
+    # columns 2j and 2j+1 hold c -/+ dx_j, column 14 the centre
+    z = np.empty((a.size, 15))
+    z[:, 0:14:2] = c[:, None] - dx
+    z[:, 1:14:2] = c[:, None] + dx
+    z[:, 14] = c
+    fv, ok = _quad_f_batch(kind, z, beta, rho, psiv[:, None])
+    fc = fv[:, 14]
+    resk = _WGK_C * fc
+    resg = _WG_C * fc
+    resabs = _WGK_C * np.abs(fc)
+    for j in range(7):
+        f1 = fv[:, 2 * j]
+        f2 = fv[:, 2 * j + 1]
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (np.abs(f1) + np.abs(f2))
+        if j % 2 == 1:
+            resg += _WG[(j - 1) // 2] * (f1 + f2)
+    reskh = 0.5 * resk
+    resasc = _WGK_C * np.abs(fc - reskh)
+    for j in range(7):
+        resasc += _WGK[j] * (np.abs(fv[:, 2 * j] - reskh) + np.abs(fv[:, 2 * j + 1] - reskh))
+    value = resk * hl
+    resabs *= np.abs(hl)
+    resasc *= np.abs(hl)
+    err = np.abs((resk - resg) * hl)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    with np.errstate(all="ignore"):
+        err = np.where(scaled, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+    err = np.maximum(err, 50.0 * _EPS * resabs)
+    return value, err, ok.all(axis=1)
+
+
+def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
+    """:func:`_adaptive_gk` over the integrals on [lo[k], hi[k]] in lock-step.
+
+    Each round takes every integral that is still running, applies the
+    scalar convergence test, and bisects that integral's own worst interval.
+    An integral leaves the round as soon as it ends, with the status, value
+    and error the scalar kernel would return (a non-finite total or error
+    ends it as QUAD_NOCONV). Returns (status, value, err) arrays.
+    """
+    n = lo.size
+    status = np.full(n, QUAD_OK)
+    value = np.zeros(n)
+    err = np.zeros(n)
+    run = np.flatnonzero(hi > lo)
+    if not run.size:
+        return status, value, err
+    v, e, ok = _gk15_batch(kind, lo[run], hi[run], beta, rho, psiv[run])
+    status[run[~ok]] = QUAD_BADFUN
+    idx = run[ok]
+    p = psiv[idx]
+    # one row per running integral, one column per interval; unused columns
+    # hold zeros, which change neither the sums nor the argmax
+    cap = min(8, max_iv)
+    al = np.zeros((idx.size, cap))
+    bl = np.zeros((idx.size, cap))
+    vl = np.zeros((idx.size, cap))
+    el = np.zeros((idx.size, cap))
+    al[:, 0] = lo[idx]
+    bl[:, 0] = hi[idx]
+    vl[:, 0] = v[ok]
+    el[:, 0] = e[ok]
+    cnt = np.ones(idx.size, dtype=np.int64)
+    while idx.size:
+        # cumsum adds left to right, as the scalar loop does
+        total = np.cumsum(vl, axis=1)[:, -1]
+        errtot = np.cumsum(el, axis=1)[:, -1]
+        rows = np.arange(idx.size)
+        worst = np.argmax(el, axis=1)
+        a0 = al[rows, worst]
+        b0 = bl[rows, worst]
+        m = 0.5 * (a0 + b0)
+        end = np.full(idx.size, -1)
+        end[(m <= a0) | (m >= b0)] = QUAD_NOCONV
+        end[cnt >= max_iv] = QUAD_NOCONV
+        end[errtot <= np.maximum(atol, rtol * np.abs(total))] = QUAD_OK
+        end[~(np.isfinite(total) & np.isfinite(errtot))] = QUAD_NOCONV
+        g = np.flatnonzero(end < 0)
+        if g.size:
+            k = g.size
+            vs, es, oks = _gk15_batch(
+                kind,
+                np.concatenate((a0[g], m[g])),
+                np.concatenate((m[g], b0[g])),
+                beta,
+                rho,
+                np.concatenate((p[g], p[g])),
+            )
+            bad = ~(oks[:k] & oks[k:])
+            end[g[bad]] = QUAD_BADFUN
+            keep = ~bad
+            g = g[keep]
+            w = worst[g]
+            c = cnt[g]
+            bl[g, w] = m[g]
+            vl[g, w] = vs[:k][keep]
+            el[g, w] = es[:k][keep]
+            al[g, c] = m[g]
+            bl[g, c] = b0[g]
+            vl[g, c] = vs[k:][keep]
+            el[g, c] = es[k:][keep]
+            cnt[g] += 1
+        done = end >= 0
+        if done.any():
+            out = idx[done]
+            status[out] = end[done]
+            value[out] = total[done]
+            err[out] = errtot[done]
+            live = ~done
+            idx, p, cnt = idx[live], p[live], cnt[live]
+            al, bl, vl, el = al[live], bl[live], vl[live], el[live]
+        if idx.size and cnt.max() >= cap:
+            grow = min(cap, max_iv - cap)
+            al, bl, vl, el = (np.pad(t, ((0, 0), (0, grow))) for t in (al, bl, vl, el))
+            cap += grow
+    return status, value, err
+
+
+def _anchor_h(m, rho, mu, p):
+    """Sign function e^m + mu - rho*m - p of the anchor solve, rounded as
+    the scalar kernel rounds it. numpy's exp is used first; only values too
+    close to 0 for its last-bit difference to be ruled out are recomputed
+    with math.exp (the band is about 500 times the worst such difference)."""
+    e = np.exp(m)
+    h = e + mu - rho * m - p
+    close = np.flatnonzero(np.abs(h) <= 1e-12 * (e + mu + np.abs(rho * m) + np.abs(p)))
+    if close.size:
+        mc = m[close]
+        h[close] = _math_each(math.exp, mc) + mu - rho * mc - p[close]
+    return h
+
+
+def _anchor_log_batch(rho, mu, psiv):
+    """:func:`_anchor_log` over an array of psi values: a vectorized sign
+    bracket, a bisection that stops each root at its own tolerance, and the
+    same three guarded Newton steps. Every root equals the scalar kernel's
+    bit for bit. Returns (ok, L) arrays."""
+    lhi = math.log(rho)
+    hhi = rho + mu - rho * lhi - psiv
+    at_min = hhi >= 0.0
+    ok = ~at_min | (hhi <= 1e-9 * np.maximum(1.0, np.abs(psiv)))
+    L = np.full(psiv.shape, lhi)
+    sel = np.flatnonzero(~at_min)
+    p = psiv[sel]
+    with np.errstate(all="ignore"):
+        llo = np.minimum(lhi - 1.0, -p / rho - 10.0)
+        for _ in range(200):
+            widen = ~(_anchor_h(llo, rho, mu, p) > 0.0)
+            if not widen.any():
+                break
+            llo = np.where(widen, lhi - 2.0 * (lhi - llo), llo)
+        a = llo
+        b = np.full(p.shape, lhi)
+        for _ in range(200):
+            act = ~(b - a <= _EPS * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b)))
+            if not act.any():
+                break
+            m = 0.5 * (a + b)
+            pos = _anchor_h(m, rho, mu, p) > 0.0
+            a = np.where(act & pos, m, a)
+            b = np.where(act & ~pos, m, b)
+        Lv = 0.5 * (a + b)
+        live = np.ones(p.shape, dtype=bool)
+        for _ in range(3):
+            e = _math_each(math.exp, Lv)
+            hL = e + mu - rho * Lv - p
+            dL = e - rho
+            live &= dL != 0.0
+            Ln = Lv - hL / dL
+            live &= ~((Ln < a) | (Ln > b))
+            Lv = np.where(live, Ln, Lv)
+    L[sel] = Lv
+    return ok, L
