@@ -27,6 +27,7 @@ from .gridrun import (
     CSV_HEADER,
     GridRow,
     GridSpec,
+    _cell,
     _side_cells,
     eval_u,
     eval_v,
@@ -52,12 +53,6 @@ def _add_common(sub):
     sub.add_argument("--mu", type=float, default=None, help="detection threshold (default 1)")
     sub.add_argument("--rel-tol", type=float, default=None, help="ODE relative tolerance")
     sub.add_argument("--abs-tol", type=float, default=None, help="ODE absolute tolerance")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for ODE-route grids; parallel only with numba",
-    )
     sub.add_argument("--config", default=None, help="JSON or key=value settings file")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument(
@@ -150,7 +145,6 @@ def _load_config_file(path):
 
 
 _FLOAT_KEYS = ("beta", "gamma", "mu", "rel_tol", "abs_tol")
-_INT_KEYS = ("threads",)
 _STR_KEYS = ("out", "format")
 
 
@@ -159,7 +153,7 @@ def _settings(args):
     cfg = {}
     if getattr(args, "config", None):
         cfg = _load_config_file(args.config)
-        unknown = set(cfg) - set(_FLOAT_KEYS) - set(_INT_KEYS) - set(_STR_KEYS)
+        unknown = set(cfg) - set(_FLOAT_KEYS) - set(_STR_KEYS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
@@ -172,17 +166,6 @@ def _settings(args):
                 merged[key] = float(cfg[key])
             except (TypeError, ValueError):
                 raise DomainError(f"config key {key!r} must be a number, got {cfg[key]!r}")
-        else:
-            merged[key] = None
-    for key in _INT_KEYS:
-        cli = getattr(args, key, None)
-        if cli is not None:
-            merged[key] = int(cli)
-        elif key in cfg:
-            try:
-                merged[key] = int(cfg[key])
-            except (TypeError, ValueError):
-                raise DomainError(f"config key {key!r} must be an integer, got {cfg[key]!r}")
         else:
             merged[key] = None
     for key in _STR_KEYS:
@@ -233,6 +216,34 @@ def _emit(settings, rows, text_lines):
             print(line)
 
 
+def _emit_table(settings, header, records, text_lines, key=None):
+    """Write records (dicts) to --out, or the text to stdout.
+
+    CSV has the *header* columns; a missing or None cell is empty and a
+    number has 17 significant digits. JSON is the list of records or, with
+    *key*, an object from each record's *key* cell to the rest of the
+    record (null when nothing else is there).
+    """
+    if not settings["out"]:
+        for line in text_lines:
+            print(line)
+        return
+    with open(settings["out"], "w", encoding="utf-8") as fh:
+        if (settings["format"] or "csv") == "json":
+            payload = records
+            if key is not None:
+                payload = {
+                    rec[key]: {k: v for k, v in rec.items() if k != key} or None
+                    for rec in records
+                }
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            fh.write(",".join(header) + "\n")
+            for rec in records:
+                fh.write(",".join(_cell(rec.get(k)) for k in header) + "\n")
+
+
 def cmd_compute(args):
     settings = _settings(args)
     params = _params_from(settings)
@@ -275,9 +286,7 @@ def cmd_grid(args):
     x_lo, x_hi, nx = _parse_range(args.x)
     y_lo, y_hi, ny = _parse_range(args.y)
     spec = GridSpec(x_lo, x_hi, nx, y_lo, y_hi, ny, args.spacing)
-    result = run_grid(
-        params, spec, args.time, args.method, icfg, threads=settings["threads"]
-    )
+    result = run_grid(params, spec, args.time, args.method, icfg)
     fmt = settings["format"] or "csv"
     payload = rows_to_csv(result.rows) if fmt == "csv" else rows_to_json(result.rows)
     if settings["out"]:
@@ -301,12 +310,12 @@ def cmd_bounds(args):
         f"bounds at (x, y) = ({x:g}, {y:g})   "
         f"[beta={params.beta:g} gamma={params.gamma:g} mu={params.mu:g}]"
     ]
-    payload = {}
+    records = []
     for kind in kinds:
         if kind == "u":
             if y < params.mu:
                 lines.append("  u: not defined (y < mu)")
-                payload["u"] = None
+                records.append({"time": "u"})
                 continue
             b = bounds_u(params, x, y)
             sub = (
@@ -318,52 +327,30 @@ def cmd_bounds(args):
                 f"  u: lower {b.lower:.17g}   crude_upper {b.crude_upper:.17g}   "
                 f"subcritical_upper {sub}"
             )
-            payload["u"] = {
+            records.append({
+                "time": "u",
                 "lower": b.lower,
                 "crude_upper": b.crude_upper,
                 "subcritical_upper": b.subcritical_upper,
-            }
+            })
         else:
             if x <= params.rho:
                 lines.append(f"  v: 0 at or below x = gamma/beta = {params.rho:g}")
-                payload["v"] = None
+                records.append({"time": "v"})
                 continue
             b = bounds_v(params, x, y)
             lines.append(
                 f"  v: lower {b.lower:.17g}   upper {b.upper:.17g}   "
                 f"crude_upper {b.crude_upper:.17g}"
             )
-            payload["v"] = {
+            records.append({
+                "time": "v",
                 "lower": b.lower,
                 "upper": b.upper,
                 "crude_upper": b.crude_upper,
-            }
-    if settings["out"]:
-        fmt = settings["format"] or "csv"
-        with open(settings["out"], "w", encoding="utf-8") as fh:
-            if fmt == "json":
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write("time,lower,upper,crude_upper,subcritical_upper\n")
-                for kind in kinds:
-                    d = payload.get(kind)
-                    if d is None:
-                        fh.write(f"{kind},,,,\n")
-                        continue
-                    cells = [
-                        kind,
-                        format(d["lower"], ".17g"),
-                        format(d["upper"], ".17g") if "upper" in d else "",
-                        format(d["crude_upper"], ".17g"),
-                        format(d["subcritical_upper"], ".17g")
-                        if d.get("subcritical_upper") is not None
-                        else "",
-                    ]
-                    fh.write(",".join(cells) + "\n")
-    else:
-        for line in lines:
-            print(line)
+            })
+    header = ("time", "lower", "upper", "crude_upper", "subcritical_upper")
+    _emit_table(settings, header, records, lines, key="time")
     return EXIT_OK
 
 
@@ -415,25 +402,7 @@ def cmd_asymptotics(args):
         ratio = exact / asym if asym != 0.0 else math.nan
         records.append({"r": r, "x": x, "y": y, "exact": exact, "asymptotic": asym, "ratio": ratio})
         lines.append(f"{r:>12g} {exact:>24.17g} {asym:>24.17g} {ratio:>20.12f}")
-    if settings["out"]:
-        fmt = settings["format"] or "csv"
-        with open(settings["out"], "w", encoding="utf-8") as fh:
-            if fmt == "json":
-                json.dump(records, fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write("r,x,y,exact,asymptotic,ratio\n")
-                for rec in records:
-                    fh.write(
-                        ",".join(
-                            format(rec[k], ".17g")
-                            for k in ("r", "x", "y", "exact", "asymptotic", "ratio")
-                        )
-                        + "\n"
-                    )
-    else:
-        for line in lines:
-            print(line)
+    _emit_table(settings, ("r", "x", "y", "exact", "asymptotic", "ratio"), records, lines)
     return EXIT_OK
 
 

@@ -1,15 +1,14 @@
 """Deterministic grid sweeps over initial conditions, with CSV/JSON output.
 
-Rows are assembled into a preallocated list by node index, so the output is
-byte-identical regardless of thread count or completion order. The integral
-route evaluates a grid's interior nodes in one batched numpy pass. Floats are
-written with 17 significant digits, which round-trips IEEE doubles exactly.
+Rows come out row-major (y outer, x inner). The integral route evaluates a
+grid's interior nodes in one batched numpy pass; the ODE route evaluates
+node by node. Floats are written with 17 significant digits, which
+round-trips IEEE doubles exactly.
 """
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ class GridSpec:
     """A rectangular grid of initial conditions.
 
     ``spacing`` is "linear" or "log"; log spacing requires positive minima.
-    Endpoints are included; counts must be at least 2.
+    Endpoints are included; counts must be integers of at least 2.
     """
 
     x_min: float
@@ -71,6 +70,12 @@ class GridSpec:
             object.__setattr__(self, name, value)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DomainError("grid ranges must satisfy min < max")
+        for name in ("nx", "ny"):
+            count = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(count))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {count!r}") from None
         if self.nx < 2 or self.ny < 2:
             raise DomainError("grid needs at least 2 points per axis")
         if self.spacing not in ("linear", "log"):
@@ -270,41 +275,19 @@ def _integral_rows(params, time_kind, nodes):
     return rows
 
 
-def _ode_rows(params, time_kind, nodes, config, threads):
-    """Rows of the ODE route, one :func:`build_row` per node on a thread pool."""
-    rows: list[GridRow | None] = [None] * len(nodes)
-
-    def work(idx: int) -> None:
-        x, y = nodes[idx]
-        rows[idx] = build_row(params, time_kind, "ode", x, y, config)
-
-    nthreads = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if nthreads == 1:
-        for idx in range(len(nodes)):
-            work(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(work, range(len(nodes))))
-    return rows
-
-
 def run_grid(
     params: ModelParams,
     spec: GridSpec,
     time_kind: str,
     method: str = "integral",
     config: IntegratorConfig | None = None,
-    threads: int | None = None,
 ) -> GridResult:
     """Evaluate the grid row-major (y outer, x inner).
 
     The integral route evaluates every interior node at once with numpy,
     whether or not numba is present, and sends the rest through the
-    per-node :func:`build_row`. The ODE route evaluates node by node on
-    ``threads`` worker threads (default: one per CPU); ``threads`` has no
-    effect on the integral route. Threads run in parallel only when numba
-    is present, since its kernels release the GIL; on the plain-Python path
-    they take turns. Results are identical for any thread count.
+    per-node :func:`build_row`. The ODE route evaluates node by node with
+    :func:`build_row`; ``config`` applies to it only.
     """
     if time_kind not in ("u", "v"):
         raise DomainError(f"time_kind must be 'u' or 'v', got {time_kind!r}")
@@ -316,7 +299,7 @@ def run_grid(
     if method == "integral":
         rows = _integral_rows(params, time_kind, nodes)
     else:
-        rows = _ode_rows(params, time_kind, nodes, config, threads)
+        rows = [build_row(params, time_kind, "ode", x, y, config) for x, y in nodes]
     return GridResult(params, spec, time_kind, method, tuple(rows))
 
 

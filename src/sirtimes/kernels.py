@@ -2,6 +2,12 @@
 output and event refinement, adaptive Gauss-Kronrod 7/15 quadrature for the
 time integrals, and the log-space anchor root solve.
 
+All ODE work goes through one stepping loop, :func:`_dp5`. It watches the
+first downward crossings of I through mu (u) and of S through rho (v), and
+:func:`_locate` refines either one on the dense output. The caller picks a
+mode: stop at one crossing, with a time cap (the hitting times), or run to
+a fixed end and keep every step (trajectories).
+
 The scalar kernels are nopython-compilable; wrappers in :mod:`sirtimes.ode`
 and :mod:`sirtimes.analytic` validate inputs and turn status codes into
 exceptions. Kernels return status tuples instead of raising. At the end of
@@ -15,10 +21,16 @@ import numpy as np
 
 from ._jit import maybe_jit
 
-# status codes for the ODE kernels
+# status codes for the ODE kernel
 ODE_OK = 0
 ODE_STALL = 1
 ODE_CAP = 2
+
+# the ODE kernel's watched crossings, as rows of its event array and as its
+# stop argument; PATH asks for the whole path instead of stopping
+EV_S = 0  # S falls through rho: the peak time v
+EV_I = 1  # I falls through mu: the threshold time u
+PATH = -1
 
 # status codes for the quadrature kernel
 QUAD_OK = 0
@@ -296,53 +308,118 @@ def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
 
 
 @maybe_jit
-def _hit_time(beta, gamma, s0, i0, comp, level, t_cap, rtol, atol, max_step, ev_tol):
-    """Integrate from (s0, i0) until component *comp* (0 = S, 1 = I) crosses
-    *level* downward. The caller guarantees the watched component starts
-    strictly above the level and that the crossing occurs before t_cap.
+def _locate(k, t, s, i, h, comp, level, g0, g1, ev_tol, ev):
+    """Refine the downward crossing of component *comp* through *level*
+    inside the accepted step of size h from (t, s, i), whose stages are in
+    k; g0 > 0 and g1 <= 0 are the watched component minus the level at the
+    step's ends. Stores (1, t, S, I, time half-width) in row *comp* of ev."""
+    qs0, qs1, qs2, qs3 = _dense_coeffs(k, 0)
+    qi0, qi1, qi2, qi3 = _dense_coeffs(k, 1)
+    if comp == EV_I:
+        y0, q0, q1, q2, q3 = i, qi0, qi1, qi2, qi3
+    else:
+        y0, q0, q1, q2, q3 = s, qs0, qs1, qs2, qs3
+    tol_t = ev_tol * max(1.0, t + h)
+    theta, hw = _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_t / h)
+    ev[comp, 0] = 1.0
+    ev[comp, 1] = t + theta * h
+    ev[comp, 2] = _dense_eval(s, h, qs0, qs1, qs2, qs3, theta)
+    ev[comp, 3] = _dense_eval(i, h, qi0, qi1, qi2, qi3, theta)
+    ev[comp, 4] = hw * h
 
-    Returns (status, t_event, s_event, i_event, err_estimate, t_reached)."""
+
+@maybe_jit
+def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol):
+    """Integrate from (s0, i0) at t = 0, watching the first downward
+    crossing of I through mu (row EV_I of the event array) and of S through
+    rho (row EV_S).
+
+    stop = PATH runs to t_end, clips the last step to it, and keeps every
+    accepted step and its stages so callers can evaluate the dense
+    interpolant anywhere; t_end <= 0 returns the initial state alone.
+    stop = EV_I or EV_S watches that crossing only and returns at it; the
+    caller guarantees the component starts strictly above its level. t_end
+    is then a cap that ends the run with ODE_CAP, and steps are not clipped.
+
+    Returns (status, t_reached, ev, ts, ys, ks). A row of the 2x5 array ev
+    is (found, t, S, I, err) of its crossing; t_reached is the event time
+    when stop mode finds its event, else where the run ended. ts, ys and ks
+    are the accepted step times, states and stages (the initial state alone
+    in stop mode)."""
+    path = stop == PATH
+    cap = 512 if path else 1
+    ts = np.empty(cap)
+    ys = np.empty((cap, 2))
+    ks = np.empty((cap, 7, 2))
+    ts[0] = 0.0
+    ys[0, 0] = s0
+    ys[0, 1] = i0
+    n = 0
+    ev = np.zeros((2, 5))
+    i_found = False
+    s_found = False
+    status = ODE_OK
+
     t = 0.0
     s = s0
     i = i0
     k = np.empty((7, 2))
     k[0, 0] = -beta * s * i
     k[0, 1] = (beta * s - gamma) * i
-    if comp == 1:
-        g_prev = i - level
-    else:
-        g_prev = s - level
-    h = _initial_step(beta, gamma, s, i, t_cap, max_step, rtol, atol)
+    gi_prev = i - mu
+    gs_prev = s - rho
+    h = _initial_step(beta, gamma, s, i, t_end, max_step, rtol, atol)
     while True:
-        if t >= t_cap:
-            return ODE_CAP, 0.0, s, i, 0.0, t
+        if t >= t_end:
+            if not path:
+                status = ODE_CAP
+            break
         if h < 1e-15 * max(1.0, abs(t)):
-            return ODE_STALL, 0.0, s, i, 0.0, t
+            status = ODE_STALL
+            break
+        last = path and t + h >= t_end
+        if last:
+            h = t_end - t
         s1, i1, err = _try_step(beta, gamma, s, i, h, k, rtol, atol)
         if not (err <= 1.0):
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
-        if comp == 1:
-            g_new = i1 - level
-        else:
-            g_new = s1 - level
-        if g_prev > 0.0 and g_new <= 0.0:
-            y0 = i if comp == 1 else s
-            q0, q1, q2, q3 = _dense_coeffs(k, comp)
-            tol_t = ev_tol * max(1.0, t + h)
-            theta, hw = _refine_crossing(
-                y0, h, q0, q1, q2, q3, level, g_prev, g_new, tol_t / h
-            )
-            qs0, qs1, qs2, qs3 = _dense_coeffs(k, 0)
-            qi0, qi1, qi2, qi3 = _dense_coeffs(k, 1)
-            se = _dense_eval(s, h, qs0, qs1, qs2, qs3, theta)
-            ie = _dense_eval(i, h, qi0, qi1, qi2, qi3, theta)
-            te = t + theta * h
-            return ODE_OK, te, se, ie, hw * h, te
-        t += h
+
+        gi_new = i1 - mu
+        gs_new = s1 - rho
+        if stop != EV_S and not i_found and gi_prev > 0.0 and gi_new <= 0.0:
+            _locate(k, t, s, i, h, EV_I, mu, gi_prev, gi_new, ev_tol, ev)
+            i_found = True
+        if stop != EV_I and not s_found and gs_prev > 0.0 and gs_new <= 0.0:
+            _locate(k, t, s, i, h, EV_S, rho, gs_prev, gs_new, ev_tol, ev)
+            s_found = True
+        if not path and (i_found or s_found):
+            t = ev[stop, 1]
+            break
+
+        t = t_end if last else t + h
+        if path:
+            if n + 1 >= cap:
+                cap2 = cap * 2
+                ts2 = np.empty(cap2)
+                ys2 = np.empty((cap2, 2))
+                ks2 = np.empty((cap2, 7, 2))
+                ts2[: n + 1] = ts[: n + 1]
+                ys2[: n + 1] = ys[: n + 1]
+                ks2[:n] = ks[:n]
+                ts = ts2
+                ys = ys2
+                ks = ks2
+                cap = cap2
+            ks[n] = k
+            n += 1
+            ts[n] = t
+            ys[n, 0] = s1
+            ys[n, 1] = i1
         s = s1
         i = i1
-        g_prev = g_new
+        gi_prev = gi_new
+        gs_prev = gs_new
         k[0, 0] = k[6, 0]
         k[0, 1] = k[6, 1]
         if err == 0.0:
@@ -351,171 +428,7 @@ def _hit_time(beta, gamma, s0, i0, comp, level, t_cap, rtol, atol, max_step, ev_
             factor = min(10.0, max(0.9, 0.9 * err ** -0.2))
         h = min(h * factor, max_step)
 
-
-@maybe_jit
-def _integrate_path(beta, gamma, s0, i0, t_end, rtol, atol, max_step, mu, rho, ev_tol):
-    """Integrate on [0, t_end], keeping every accepted step and its stages so
-    callers can evaluate the dense interpolant anywhere. Also records the
-    first downward crossing of I through mu and of S through rho.
-
-    Returns (status, ts, ys, ks,
-             u_found, u_t, u_s, u_i, u_err,
-             v_found, v_t, v_s, v_i, v_err,
-             t_reached)."""
-    cap = 512
-    ts = np.empty(cap)
-    ys = np.empty((cap, 2))
-    ks = np.empty((cap, 7, 2))
-    ts[0] = 0.0
-    ys[0, 0] = s0
-    ys[0, 1] = i0
-    n = 0
-
-    u_found = False
-    u_t = 0.0
-    u_s = 0.0
-    u_i = 0.0
-    u_err = 0.0
-    v_found = False
-    v_t = 0.0
-    v_s = 0.0
-    v_i = 0.0
-    v_err = 0.0
-
-    if t_end <= 0.0:
-        return (
-            ODE_OK,
-            ts[: n + 1].copy(),
-            ys[: n + 1].copy(),
-            ks[:n].copy(),
-            u_found,
-            u_t,
-            u_s,
-            u_i,
-            u_err,
-            v_found,
-            v_t,
-            v_s,
-            v_i,
-            v_err,
-            0.0,
-        )
-
-    t = 0.0
-    s = s0
-    i = i0
-    k = np.empty((7, 2))
-    k[0, 0] = -beta * s * i
-    k[0, 1] = (beta * s - gamma) * i
-    gu_prev = i - mu
-    gv_prev = s - rho
-    h = _initial_step(beta, gamma, s, i, t_end, max_step, rtol, atol)
-    done = False
-    while not done:
-        if h < 1e-15 * max(1.0, abs(t)):
-            return (
-                ODE_STALL,
-                ts[: n + 1].copy(),
-                ys[: n + 1].copy(),
-                ks[:n].copy(),
-                u_found,
-                u_t,
-                u_s,
-                u_i,
-                u_err,
-                v_found,
-                v_t,
-                v_s,
-                v_i,
-                v_err,
-                t,
-            )
-        last = False
-        if t + h >= t_end:
-            h = t_end - t
-            last = True
-        s1, i1, err = _try_step(beta, gamma, s, i, h, k, rtol, atol)
-        if not (err <= 1.0):
-            h *= max(0.2, 0.9 * err ** -0.2)
-            continue
-
-        gu_new = i1 - mu
-        if not u_found and gu_prev > 0.0 and gu_new <= 0.0:
-            q0, q1, q2, q3 = _dense_coeffs(k, 1)
-            tol_t = ev_tol * max(1.0, t + h)
-            theta, hw = _refine_crossing(
-                i, h, q0, q1, q2, q3, mu, gu_prev, gu_new, tol_t / h
-            )
-            qs0, qs1, qs2, qs3 = _dense_coeffs(k, 0)
-            u_found = True
-            u_t = t + theta * h
-            u_s = _dense_eval(s, h, qs0, qs1, qs2, qs3, theta)
-            u_i = _dense_eval(i, h, q0, q1, q2, q3, theta)
-            u_err = hw * h
-        gv_new = s1 - rho
-        if not v_found and gv_prev > 0.0 and gv_new <= 0.0:
-            q0, q1, q2, q3 = _dense_coeffs(k, 0)
-            tol_t = ev_tol * max(1.0, t + h)
-            theta, hw = _refine_crossing(
-                s, h, q0, q1, q2, q3, rho, gv_prev, gv_new, tol_t / h
-            )
-            qi0, qi1, qi2, qi3 = _dense_coeffs(k, 1)
-            v_found = True
-            v_t = t + theta * h
-            v_s = _dense_eval(s, h, q0, q1, q2, q3, theta)
-            v_i = _dense_eval(i, h, qi0, qi1, qi2, qi3, theta)
-            v_err = hw * h
-
-        if n + 1 >= cap:
-            cap2 = cap * 2
-            ts2 = np.empty(cap2)
-            ys2 = np.empty((cap2, 2))
-            ks2 = np.empty((cap2, 7, 2))
-            ts2[: n + 1] = ts[: n + 1]
-            ys2[: n + 1] = ys[: n + 1]
-            ks2[:n] = ks[:n]
-            ts = ts2
-            ys = ys2
-            ks = ks2
-            cap = cap2
-        ks[n] = k
-        n += 1
-        t = t_end if last else t + h
-        ts[n] = t
-        ys[n, 0] = s1
-        ys[n, 1] = i1
-        s = s1
-        i = i1
-        gu_prev = gu_new
-        gv_prev = gv_new
-        k[0, 0] = k[6, 0]
-        k[0, 1] = k[6, 1]
-        if last:
-            done = True
-        else:
-            if err == 0.0:
-                factor = 10.0
-            else:
-                factor = min(10.0, max(0.9, 0.9 * err ** -0.2))
-            h = min(h * factor, max_step)
-
-    return (
-        ODE_OK,
-        ts[: n + 1].copy(),
-        ys[: n + 1].copy(),
-        ks[:n].copy(),
-        u_found,
-        u_t,
-        u_s,
-        u_i,
-        u_err,
-        v_found,
-        v_t,
-        v_s,
-        v_i,
-        v_err,
-        t_end,
-    )
+    return status, t, ev, ts[: n + 1].copy(), ys[: n + 1].copy(), ks[:n].copy()
 
 
 @maybe_jit

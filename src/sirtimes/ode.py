@@ -106,6 +106,9 @@ class Trajectory:
         ts = self._ts
         if t < ts[0] or t > ts[-1]:
             raise DomainError(f"t={t!r} outside the solved window [0, {ts[-1]!r}]")
+        if len(ts) == 1:
+            # t_end = 0: the window holds the initial state alone
+            return self.samples[0]
         j = int(np.searchsorted(ts, t, side="right")) - 1
         if j >= len(ts) - 1:
             j = len(ts) - 2
@@ -137,6 +140,24 @@ def _check_initial(x: float, y: float) -> tuple[float, float]:
     return x, y
 
 
+def _run(params, x, y, t_end, stop, cfg):
+    """The ODE kernel from (x, y) with *stop* as in :func:`kernels._dp5`."""
+    return kernels._dp5(
+        params.beta,
+        params.gamma,
+        x,
+        y,
+        params.mu,
+        params.rho,
+        t_end,
+        stop,
+        cfg.rel_tol,
+        cfg.abs_tol,
+        cfg.max_step,
+        cfg.event_time_tol,
+    )
+
+
 def integrate(
     params: ModelParams,
     x: float,
@@ -149,57 +170,33 @@ def integrate(
     t_end = _require_finite("t_end", t_end)
     if t_end < 0.0:
         raise DomainError(f"t_end must be >= 0, got {t_end!r}")
-    cfg = config or _DEFAULT_CONFIG
-    (
-        status,
-        ts,
-        states,
-        stages,
-        u_found,
-        u_t,
-        u_s,
-        u_i,
-        u_err,
-        v_found,
-        v_t,
-        v_s,
-        v_i,
-        v_err,
-        t_reached,
-    ) = kernels._integrate_path(
-        params.beta,
-        params.gamma,
-        x,
-        y,
-        t_end,
-        cfg.rel_tol,
-        cfg.abs_tol,
-        cfg.max_step,
-        params.mu,
-        params.rho,
-        cfg.event_time_tol,
+    status, t_reached, ev, ts, states, stages = _run(
+        params, x, y, t_end, kernels.PATH, config or _DEFAULT_CONFIG
     )
     if status == kernels.ODE_STALL:
         raise IntegrationStall(t_reached)
-    events = []
-    if u_found:
-        events.append(
-            Event(
-                EventKind.I_REACHES_MU,
-                SirState(max(u_s, 0.0), max(u_i, 0.0), u_t),
-                u_err,
-            )
+    events = [
+        Event(kind, SirState(max(e[2], 0.0), max(e[3], 0.0), e[1]), float(e[4]))
+        for kind, e in (
+            (EventKind.I_REACHES_MU, ev[kernels.EV_I]),
+            (EventKind.S_REACHES_RHO, ev[kernels.EV_S]),
         )
-    if v_found:
-        events.append(
-            Event(
-                EventKind.S_REACHES_RHO,
-                SirState(max(v_s, 0.0), max(v_i, 0.0), v_t),
-                v_err,
-            )
-        )
+        if e[0]
+    ]
     events.sort(key=lambda e: e.t)
     return Trajectory(params, SirState(x, y, 0.0), ts, states, stages, events)
+
+
+def _hitting_time(params, x, y, row, cap, config):
+    """Integrate until the crossing *row* of the ODE kernel, or raise."""
+    cfg = config or _DEFAULT_CONFIG
+    status, t_reached, ev, _, _, _ = _run(params, x, y, cap, row, cfg)
+    if status == kernels.ODE_STALL:
+        raise IntegrationStall(t_reached)
+    if status == kernels.ODE_CAP:
+        raise TimeCapExceeded(cap, t_reached)
+    te = float(ev[row, 1])
+    return CriticalTimeResult(max(te, 0.0), Method.ODE_EVENT, _event_err(ev[row, 4], te, cfg))
 
 
 def hitting_time_u(
@@ -215,26 +212,8 @@ def hitting_time_u(
     x, y = _check_initial(x, y)
     if y <= params.mu:
         return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
-    cfg = config or _DEFAULT_CONFIG
     cap = (x + y) / (params.gamma * params.mu) * _CAP_SLACK
-    status, te, se, ie, err, t_reached = kernels._hit_time(
-        params.beta,
-        params.gamma,
-        x,
-        y,
-        1,
-        params.mu,
-        cap,
-        cfg.rel_tol,
-        cfg.abs_tol,
-        cfg.max_step,
-        cfg.event_time_tol,
-    )
-    if status == kernels.ODE_STALL:
-        raise IntegrationStall(t_reached)
-    if status == kernels.ODE_CAP:
-        raise TimeCapExceeded(cap, t_reached)
-    return CriticalTimeResult(max(te, 0.0), Method.ODE_EVENT, _event_err(err, te, cfg))
+    return _hitting_time(params, x, y, kernels.EV_I, cap, config)
 
 
 def hitting_time_v(
@@ -257,23 +236,5 @@ def hitting_time_v(
         raise NeverReached(
             f"S is constant at x={x!r} > rho={rho!r} with no infection present"
         )
-    cfg = config or _DEFAULT_CONFIG
     cap = (math.log(x) - math.log(rho)) / (params.beta * y) * _CAP_SLACK
-    status, te, se, ie, err, t_reached = kernels._hit_time(
-        params.beta,
-        params.gamma,
-        x,
-        y,
-        0,
-        rho,
-        cap,
-        cfg.rel_tol,
-        cfg.abs_tol,
-        cfg.max_step,
-        cfg.event_time_tol,
-    )
-    if status == kernels.ODE_STALL:
-        raise IntegrationStall(t_reached)
-    if status == kernels.ODE_CAP:
-        raise TimeCapExceeded(cap, t_reached)
-    return CriticalTimeResult(max(te, 0.0), Method.ODE_EVENT, _event_err(err, te, cfg))
+    return _hitting_time(params, x, y, kernels.EV_S, cap, config)

@@ -1,8 +1,12 @@
 """Checked-in reference values of u and v on both README reference surfaces
-and at the boundary cases, held to 1e-12 relative.
+and at the boundary cases, held to 1e-12 relative, for both routes.
 
-``golden_values.json`` holds about 200 (x, y, u, v) nodes. They were written
-by the scalar per-node integral route before the grid runner was batched:
+``golden_values.json`` holds about 200 (x, y, u, v) nodes per route. The
+integral-route nodes were written by the scalar per-node integral route
+before the grid runner was batched; the ODE-route nodes, and the event
+times and sample counts of ``integrate`` at three states, were written
+before the two Dormand-Prince loops were merged into one. Both routes are
+regenerated by
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -11,10 +15,10 @@ anchors (below ``SPLIT_Z``, so the log-space left piece runs). Together they
 cover x = 0, x = rho, and y = mu on both sides of rho. A stored u or v is
 the ``run_grid`` value at that node; None marks a row with no value.
 
-Each value is checked twice: through ``run_grid`` (the batched grid path)
-and through ``u_integral``/``v_integral`` (the scalar per-node path) wherever
-those are defined. Regenerating the file moves the reference; do it only
-on purpose.
+Each integral value is checked twice: through ``run_grid`` (the batched grid
+path) and through ``u_integral``/``v_integral`` (the scalar per-node path)
+wherever those are defined. Regenerating the file moves the reference; do
+it only on purpose.
 """
 
 import json
@@ -23,7 +27,15 @@ import os
 
 import pytest
 
-from sirtimes import GridSpec, ModelParams, run_grid, solve_anchor, u_integral, v_integral
+from sirtimes import (
+    GridSpec,
+    ModelParams,
+    integrate,
+    run_grid,
+    solve_anchor,
+    u_integral,
+    v_integral,
+)
 from sirtimes.analytic import SPLIT_Z
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_values.json")
@@ -38,6 +50,16 @@ CASES = [
     # anchors from about e^-10 (y = mu) down to about e^-42
     ("deep_anchor", (2.0, 3.0, 1.0), (20.0, 60.0, 3, 1.0, 10.0, 3)),
 ]
+# node lists per route in the file
+ROUTE_KEYS = {"integral": "nodes", "ode": "ode_nodes"}
+
+# ((beta, gamma, mu), x, y, t_end) for integrate: both events, one event
+# (pure decay), and a window that ends before either event
+PATHS = [
+    ((2.0, 3.0, 1.0), 4.0, 2.0, 2.0),
+    ((2.0, 3.0, 1.0), 0.0, 5.0, 1.0),
+    ((3.0, 3.0, 1.0), 10.0, 0.5, 0.05),
+]
 
 
 def _case_grid(case):
@@ -49,16 +71,24 @@ def _generate():
     cases = []
     for case in CASES:
         params, spec = _case_grid(case)
-        u_rows = run_grid(params, spec, "u", "integral", threads=1).rows
-        v_rows = run_grid(params, spec, "v", "integral", threads=1).rows
-        nodes = [[ru.x, ru.y, ru.value, rv.value] for ru, rv in zip(u_rows, v_rows)]
-        cases.append({"name": case[0], "params": case[1], "grid": case[2], "nodes": nodes})
-    return {"rel_tol": REL_TOL, "cases": cases}
+        entry = {"name": case[0], "params": case[1], "grid": case[2]}
+        for route, key in ROUTE_KEYS.items():
+            u_rows = run_grid(params, spec, "u", route).rows
+            v_rows = run_grid(params, spec, "v", route).rows
+            entry[key] = [[ru.x, ru.y, ru.value, rv.value] for ru, rv in zip(u_rows, v_rows)]
+        cases.append(entry)
+    paths = []
+    for pv, x, y, t_end in PATHS:
+        traj = integrate(ModelParams(*pv), x, y, t_end)
+        events = [[e.kind.value, e.t] for e in traj.events]
+        paths.append({"params": pv, "state": [x, y, t_end],
+                      "samples": len(traj.samples), "events": events})
+    return {"rel_tol": REL_TOL, "cases": cases, "paths": paths}
 
 
 def _load():
     with open(GOLDEN_PATH) as fh:
-        return {c["name"]: c for c in json.load(fh)["cases"]}
+        return json.load(fh)
 
 
 def _close(value, ref):
@@ -70,8 +100,13 @@ def _close(value, ref):
 
 
 @pytest.fixture(scope="module")
-def golden():
+def golden_file():
     return _load()
+
+
+@pytest.fixture(scope="module")
+def golden(golden_file):
+    return {c["name"]: c for c in golden_file["cases"]}
 
 
 def test_golden_file_matches_cases(golden):
@@ -81,23 +116,33 @@ def test_golden_file_matches_cases(golden):
         assert tuple(golden[name]["params"]) == params
         assert tuple(golden[name]["grid"]) == grid
         total += len(golden[name]["nodes"])
+        assert len(golden[name]["ode_nodes"]) == len(golden[name]["nodes"])
     assert 180 <= total <= 240
+
+
+def _grid_mismatches(golden, case, kind, route):
+    params, spec = _case_grid(case)
+    col = 2 if kind == "u" else 3
+    rows = run_grid(params, spec, kind, route).rows
+    nodes = golden[case[0]][ROUTE_KEYS[route]]
+    assert len(rows) == len(nodes)
+    return [
+        (r.x, r.y, r.value, node[col])
+        for r, node in zip(rows, nodes)
+        if (r.x, r.y) != (node[0], node[1]) or not _close(r.value, node[col])
+    ]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("kind", ["u", "v"])
 def test_golden_through_run_grid(golden, case, kind):
-    params, spec = _case_grid(case)
-    col = 2 if kind == "u" else 3
-    rows = run_grid(params, spec, kind, "integral").rows
-    nodes = golden[case[0]]["nodes"]
-    assert len(rows) == len(nodes)
-    bad = [
-        (r.x, r.y, r.value, node[col])
-        for r, node in zip(rows, nodes)
-        if (r.x, r.y) != (node[0], node[1]) or not _close(r.value, node[col])
-    ]
-    assert not bad
+    assert not _grid_mismatches(golden, case, kind, "integral")
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("kind", ["u", "v"])
+def test_golden_ode_through_run_grid(golden, case, kind):
+    assert not _grid_mismatches(golden, case, kind, "ode")
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
@@ -134,15 +179,33 @@ def test_golden_covers_boundary_cases(golden):
     assert any(solve_anchor(params, x, y).log_a < math.log(SPLIT_Z) for x, y, *_ in deep)
 
 
+def test_golden_integrate_events_and_samples(golden_file):
+    stored = golden_file["paths"]
+    assert [(tuple(p["params"]), *p["state"]) for p in stored] == PATHS
+    for (pv, x, y, t_end), ref in zip(PATHS, stored):
+        traj = integrate(ModelParams(*pv), x, y, t_end)
+        assert len(traj.samples) == ref["samples"]
+        assert [e.kind.value for e in traj.events] == [kind for kind, _ in ref["events"]]
+        assert all(_close(e.t, t) for e, (_, t) in zip(traj.events, ref["events"]))
+    assert sorted({len(p["events"]) for p in stored}) == [0, 1, 2]
+
+
 def _dump(data):
     # one node per line, so a diff of the file shows which nodes moved
     lines = ["{", f' "rel_tol": {json.dumps(data["rel_tol"])},', ' "cases": [']
     for k, case in enumerate(data["cases"]):
         lines.append(f'  {{"name": {json.dumps(case["name"])}, "params": {json.dumps(case["params"])},')
-        lines.append(f'   "grid": {json.dumps(case["grid"])}, "nodes": [')
-        nodes = case["nodes"]
-        lines += [f"    {json.dumps(n)}" + ("," if j + 1 < len(nodes) else "") for j, n in enumerate(nodes)]
-        lines.append("  ]}" + ("," if k + 1 < len(data["cases"]) else ""))
+        lines.append(f'   "grid": {json.dumps(case["grid"])},')
+        for key in ROUTE_KEYS.values():
+            nodes = case[key]
+            lines.append(f'   "{key}": [')
+            lines += [f"    {json.dumps(n)}" + ("," if j + 1 < len(nodes) else "") for j, n in enumerate(nodes)]
+            lines.append("   ]" + ("," if key == "nodes" else ""))
+        lines.append("  }" + ("," if k + 1 < len(data["cases"]) else ""))
+    lines.append(" ],")
+    lines.append(' "paths": [')
+    paths = data["paths"]
+    lines += [f"  {json.dumps(p)}" + ("," if j + 1 < len(paths) else "") for j, p in enumerate(paths)]
     lines += [" ]", "}"]
     return "\n".join(lines) + "\n"
 

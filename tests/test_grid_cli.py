@@ -1,5 +1,5 @@
-"""Grid sweeps and the command-line interface: determinism across thread
-counts, status handling, exit codes, and config-file merging."""
+"""Grid sweeps and the command-line interface: determinism across runs,
+status handling, exit codes, config-file merging, and exact output bytes."""
 
 import json
 import math
@@ -31,6 +31,10 @@ def test_gridspec_validation():
         GridSpec(0.0, 1.0, 5, 0.0, 1.0, 5, spacing="cubic")
     with pytest.raises(DomainError):
         GridSpec(0.0, 1.0, 5, 0.5, 1.0, 5, spacing="log")
+    with pytest.raises(DomainError):
+        GridSpec(0.0, 1.0, 2.5, 0.0, 1.0, 2)
+    with pytest.raises(DomainError):
+        GridSpec(0.0, 1.0, 2, 0.0, 1.0, "3")
 
 
 def test_gridspec_axes():
@@ -51,12 +55,12 @@ def test_grid_row_major_order(p23):
     ]
 
 
-def test_grid_deterministic_across_threads(p23):
+def test_grid_deterministic_across_runs(p23):
     spec = GridSpec(0.1, 6.0, 13, 1.01, 5.0, 9)
-    base = rows_to_csv(run_grid(p23, spec, "u", "integral", threads=1).rows)
-    again = rows_to_csv(run_grid(p23, spec, "u", "integral", threads=1).rows)
-    threaded = rows_to_csv(run_grid(p23, spec, "u", "integral", threads=3).rows)
-    assert base == again == threaded
+    for method in ("integral", "ode"):
+        base = rows_to_csv(run_grid(p23, spec, "u", method).rows)
+        again = rows_to_csv(run_grid(p23, spec, "u", method).rows)
+        assert base == again
 
 
 def test_grid_methods_agree(p23):
@@ -227,6 +231,106 @@ def test_cli_bounds_csv(tmp_path):
     assert len(lines) == 3
 
 
+# exact --out bytes of bounds and asymptotics (beta=2, gamma=3), CSV then JSON
+TABLE_OUTPUTS = [
+    (
+        ['bounds', '--x', '5', '--y', '2'],
+        (
+            'time,lower,upper,crude_upper,subcritical_upper\n'
+            'u,0.34320647239371938,,2.3333333333333335,\n'
+            'v,0.18215724726764904,0.20560210239187868,0.30099320108148397,\n'
+        ),
+        (
+            '{\n'
+            '  "u": {\n'
+            '    "lower": 0.3432064723937194,\n'
+            '    "crude_upper": 2.3333333333333335,\n'
+            '    "subcritical_upper": null\n'
+            '  },\n'
+            '  "v": {\n'
+            '    "lower": 0.18215724726764904,\n'
+            '    "upper": 0.20560210239187868,\n'
+            '    "crude_upper": 0.300993201081484\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['bounds', '--x', '1', '--y', '2'],
+        (
+            'time,lower,upper,crude_upper,subcritical_upper\n'
+            'u,0.060773852264651533,,1,0.69314718055994529\n'
+            'v,,,,\n'
+        ),
+        (
+            '{\n'
+            '  "u": {\n'
+            '    "lower": 0.06077385226465153,\n'
+            '    "crude_upper": 1.0,\n'
+            '    "subcritical_upper": 0.6931471805599453\n'
+            '  },\n'
+            '  "v": null\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['asymptotics', '--time', 'u', '--ray', 'x=y', '--r', '10:100:2'],
+        (
+            'r,x,y,exact,asymptotic,ratio\n'
+            '10,5,5,0.81870492465022959,0.76752836433134863,1.0666770932478367\n'
+            '100,50,50,1.5386223126117204,1.5350567286626973,1.0023227701507353\n'
+        ),
+        (
+            '[\n'
+            '  {\n'
+            '    "r": 10.0,\n'
+            '    "x": 5.0,\n'
+            '    "y": 5.0,\n'
+            '    "exact": 0.8187049246502296,\n'
+            '    "asymptotic": 0.7675283643313486,\n'
+            '    "ratio": 1.0666770932478367\n'
+            '  },\n'
+            '  {\n'
+            '    "r": 100.0,\n'
+            '    "x": 50.0,\n'
+            '    "y": 50.0,\n'
+            '    "exact": 1.5386223126117204,\n'
+            '    "asymptotic": 1.5350567286626973,\n'
+            '    "ratio": 1.0023227701507353\n'
+            '  }\n'
+            ']\n'
+        ),
+    ),
+    (
+        ['asymptotics', '--time', 'v', '--ray', 'y=1', '--r', '20'],
+        (
+            'r,x,y,exact,asymptotic,ratio\n'
+            '20,19,1,0.15167546209971527,0.14747958386871771,1.0284505700445468\n'
+        ),
+        (
+            '[\n'
+            '  {\n'
+            '    "r": 20.0,\n'
+            '    "x": 19.0,\n'
+            '    "y": 1.0,\n'
+            '    "exact": 0.15167546209971527,\n'
+            '    "asymptotic": 0.1474795838687177,\n'
+            '    "ratio": 1.0284505700445468\n'
+            '  }\n'
+            ']\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, csv_text, json_text", TABLE_OUTPUTS)
+def test_cli_table_out_bytes(tmp_path, argv, csv_text, json_text):
+    for fmt, expected in (("csv", csv_text), ("json", json_text)):
+        out = tmp_path / f"table.{fmt}"
+        assert main([*argv, *P23, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
+
 def test_cli_asymptotics_ray(capsys):
     code = main(["asymptotics", *P23, "--time", "u", "--ray", "x=0",
                  "--r", "10,100"])
@@ -240,7 +344,7 @@ def test_fallback_path_matches_jit_bitwise(tmp_path, p23):
     # the pure-Python kernels must produce byte-identical output to the
     # compiled ones; a subprocess is needed because the flag is read at import
     spec = GridSpec(0.5, 5.0, 7, 0.5, 4.0, 5)
-    here = rows_to_csv(run_grid(p23, spec, "u", "integral", threads=1).rows)
+    here = rows_to_csv(run_grid(p23, spec, "u", "integral").rows)
     env = dict(os.environ, SIRTIMES_NO_JIT="1")
     probe = subprocess.run(
         [sys.executable, "-c", "import sirtimes; print(sirtimes.JIT_ENABLED)"],
@@ -250,7 +354,7 @@ def test_fallback_path_matches_jit_bitwise(tmp_path, p23):
     cp = subprocess.run(
         [sys.executable, "-m", "sirtimes.cli", "grid", *P23,
          "--x", "0.5:5:7", "--y", "0.5:4:5", "--time", "u",
-         "--method", "integral", "--threads", "1"],
+         "--method", "integral"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert cp.returncode == 0, cp.stderr

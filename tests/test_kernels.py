@@ -146,8 +146,8 @@ def test_initial_step_finite():
 
 def test_hit_time_cap_status():
     # the event sits near t = 0.73; a cap of 0.1 must trip the status code
-    status, te, se, ie, err, t_reached = kernels._hit_time(
-        2.0, 3.0, 4.0, 2.0, 1, 1.0, 0.1, 1e-10, 1e-12, math.inf, 1e-12
-    )
+    status, t_reached = kernels._dp5(
+        2.0, 3.0, 4.0, 2.0, 1.0, 1.5, 0.1, kernels.EV_I, 1e-10, 1e-12, math.inf, 1e-12
+    )[:2]
     assert status == kernels.ODE_CAP
     assert t_reached >= 0.1

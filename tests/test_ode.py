@@ -74,6 +74,14 @@ def test_eval_outside_window(p23):
         traj.eval(1.01)
 
 
+def test_zero_window_is_initial_state_only(p23):
+    traj = integrate(p23, 4.0, 2.0, 0.0)
+    assert [(s.s, s.i, s.t) for s in traj.samples] == [(4.0, 2.0, 0.0)]
+    assert traj.events == ()
+    assert traj.t_end == 0.0
+    assert traj.eval(0.0) == traj.samples[0]
+
+
 def test_events_recorded_in_order(p23):
     traj = integrate(p23, 4.0, 2.0, 2.0)
     kinds = [e.kind for e in traj.events]
@@ -181,6 +189,9 @@ def test_stall_on_impossible_tolerances(p23):
     with pytest.raises(IntegrationStall) as exc:
         hitting_time_u(p23, 4.0, 2.0, cfg)
     assert exc.value.t_reached >= 0.0
+    with pytest.raises(IntegrationStall) as exc:
+        integrate(p23, 4.0, 2.0, 1.0, cfg)
+    assert 0.0 <= exc.value.t_reached < 1.0
 
 
 @settings(deadline=None, max_examples=60)
