@@ -6,25 +6,24 @@ metric, and reports pass/fail with the metric in the detail string. The
 battery runs on the two reference configurations used throughout the
 package: the threshold surface set (beta=2, gamma=3, mu=1) and the peak
 surface set (beta=3, gamma=3).
+
+The cross-method and bounds-sandwich checks read the reference surfaces
+from :func:`run_grid`, each built once per process and route: the
+cross-method checks compare the ODE values with the integral values node by
+node, and the sandwich checks compare each integral value with the row's
+bound cells. A node that failed, or lacks a bound, counts as a violation.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (
-    asymptotic_u,
-    asymptotic_v,
-    bounds_u,
-    bounds_v,
-    solve_anchor,
-    u_integral,
-    v_integral,
-)
+from .analytic import asymptotic_u, asymptotic_v, solve_anchor, u_integral, v_integral
 from .core import ModelParams, exact_u_at_x0, psi
-from .gridrun import GridSpec
+from .gridrun import GridSpec, critical_time, run_grid
 from .ode import hitting_time_u, hitting_time_v, integrate
 from .pde import (
     check_boundary_u,
@@ -166,45 +165,58 @@ def check_boundary_v_zero(quick=False):
     )
 
 
-def _cross_method(params, grid, which, quick):
-    if which == "u":
-        by_ode, by_int = hitting_time_u, (lambda p, x, y: u_integral(p, x, y))
+@functools.cache
+def _surface(kind, method, quick):
+    """The reference surface of *kind* on *method*'s route, built by
+    :func:`run_grid`: an array with one row per node holding the value and
+    the lower and upper bound cells (NaN where the node failed or the cell
+    is empty), and the seconds the build took."""
+    if kind == "u":
+        params, grid = U_PARAMS, (U_GRID_QUICK if quick else U_GRID)
     else:
-        by_ode, by_int = hitting_time_v, (lambda p, x, y: v_integral(p, x, y))
-    xs = grid.xs()
-    ys = grid.ys()
-    # warm the kernels so the budget measures the sweep, not compilation
-    by_ode(params, float(xs[-1]), float(ys[-1]))
-    by_int(params, float(xs[-1]), float(ys[-1]))
-    worst = 0.0
+        params, grid = V_PARAMS, (V_GRID_QUICK if quick else V_GRID)
+    # warm the kernels so the time measures the sweep, not compilation
+    critical_time(params, kind, float(grid.xs()[-1]), float(grid.ys()[-1]), method)
     t0 = time.perf_counter()
-    for y in ys:
-        for x in xs:
-            a = by_ode(params, float(x), float(y)).value
-            b = by_int(params, float(x), float(y)).value
-            worst = max(worst, abs(a - b) / max(1.0, b))
+    rows = run_grid(params, grid, kind, method).rows
     elapsed = time.perf_counter() - t0
-    n = len(xs) * len(ys)
+    # only these cells are kept, so the surfaces stay small for the process
+    return np.array([(r.value, r.lower, r.upper) for r in rows], dtype=float), elapsed
+
+
+def _worst(gaps):
+    """Largest gap as a float, a NaN gap (a failed node) counting as inf."""
+    return float(np.where(np.isnan(gaps), math.inf, gaps).max())
+
+
+def _cross_method(kind, quick):
+    # integral first: the ODE rows then reuse memory the batch freed, which
+    # keeps the battery's peak memory lower
+    by_int, int_s = _surface(kind, "integral", quick)
+    by_ode, ode_s = _surface(kind, "ode", quick)
+    elapsed = ode_s + int_s
+    a, b = by_ode[:, 0], by_int[:, 0]
+    worst = _worst(np.abs(a - b) / np.maximum(1.0, b))
+    n = len(by_int)
     ok = worst <= CROSS_METHOD_TOL and (quick or elapsed <= CROSS_METHOD_BUDGET_S)
     detail = (
         f"max discrepancy {worst:.3e} (tol {CROSS_METHOD_TOL:g}) over {n} nodes, "
-        f"{elapsed:.2f}s single-threaded (budget {CROSS_METHOD_BUDGET_S:.0f}s)"
+        f"surfaces built in {elapsed:.2f}s single-threaded "
+        f"(budget {CROSS_METHOD_BUDGET_S:.0f}s)"
     )
-    return ok, detail, worst, elapsed, n
+    return _outcome(
+        f"cross_method_{kind}", ok, detail, worst=worst, elapsed=elapsed, nodes=n
+    )
 
 
 def check_cross_method_u(quick=False):
     """ODE event route and integral route agree on the threshold surface."""
-    grid = U_GRID_QUICK if quick else U_GRID
-    ok, detail, worst, elapsed, n = _cross_method(U_PARAMS, grid, "u", quick)
-    return _outcome("cross_method_u", ok, detail, worst=worst, elapsed=elapsed, nodes=n)
+    return _cross_method("u", quick)
 
 
 def check_cross_method_v(quick=False):
     """ODE event route and integral route agree on the peak-time surface."""
-    grid = V_GRID_QUICK if quick else V_GRID
-    ok, detail, worst, elapsed, n = _cross_method(V_PARAMS, grid, "v", quick)
-    return _outcome("cross_method_v", ok, detail, worst=worst, elapsed=elapsed, nodes=n)
+    return _cross_method("v", quick)
 
 
 def _pde_order(params, points, which, quick):
@@ -247,56 +259,31 @@ def check_pde_order_v(quick=False):
     return _outcome("pde_order_v", ok, detail, orders=orders, worst_resid=worst)
 
 
-def check_bounds_sandwich_u(quick=False):
-    """Closed-form bounds sandwich the computed u across the reference grid."""
-    grid = U_GRID_QUICK if quick else U_GRID
-    violations = 0
-    worst = -math.inf
-    for y in grid.ys():
-        for x in grid.xs():
-            x = float(x)
-            y = float(y)
-            u = u_integral(U_PARAMS, x, y).value
-            b = bounds_u(U_PARAMS, x, y)
-            gap = max(b.lower - u, u - b.crude_upper)
-            if b.subcritical_upper is not None:
-                gap = max(gap, u - b.subcritical_upper)
-            worst = max(worst, gap)
-            if gap > BOUND_SLACK:
-                violations += 1
+def _bounds_sandwich(kind, quick):
+    value, lower, upper = _surface(kind, "integral", quick)[0].T
+    gaps = np.maximum(lower - value, value - upper)
+    violations = int(np.count_nonzero(~(gaps <= BOUND_SLACK)))
+    worst = _worst(gaps)
     return _outcome(
-        "bounds_sandwich_u",
+        f"bounds_sandwich_{kind}",
         violations == 0,
         f"{violations} violations, worst overshoot {worst:.3e} "
         f"(slack {BOUND_SLACK:g})",
         violations=violations,
         worst=worst,
     )
+
+
+def check_bounds_sandwich_u(quick=False):
+    """Closed-form bounds sandwich the computed u across the reference grid:
+    the lower bound below, the least of the crude and subcritical upper
+    bounds above."""
+    return _bounds_sandwich("u", quick)
 
 
 def check_bounds_sandwich_v(quick=False):
     """Chord/tangent and crude bounds sandwich the computed v."""
-    grid = V_GRID_QUICK if quick else V_GRID
-    violations = 0
-    worst = -math.inf
-    for y in grid.ys():
-        for x in grid.xs():
-            x = float(x)
-            y = float(y)
-            v = v_integral(V_PARAMS, x, y).value
-            b = bounds_v(V_PARAMS, x, y)
-            gap = max(b.lower - v, v - b.upper, v - b.crude_upper)
-            worst = max(worst, gap)
-            if gap > BOUND_SLACK:
-                violations += 1
-    return _outcome(
-        "bounds_sandwich_v",
-        violations == 0,
-        f"{violations} violations, worst overshoot {worst:.3e} "
-        f"(slack {BOUND_SLACK:g})",
-        violations=violations,
-        worst=worst,
-    )
+    return _bounds_sandwich("v", quick)
 
 
 def check_ordering_v_le_u(quick=False):

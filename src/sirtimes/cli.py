@@ -13,8 +13,8 @@ import json
 import math
 import sys
 
-from .analytic import asymptotic_u, asymptotic_v, bounds_u, bounds_v, u_integral, v_integral
-from .core import ModelParams, exact_u_at_x0
+from .analytic import asymptotic_u, asymptotic_v, bounds_u, bounds_v
+from .core import ModelParams
 from .errors import (
     DomainError,
     IntegrationStall,
@@ -24,16 +24,15 @@ from .errors import (
     TimeCapExceeded,
 )
 from .gridrun import (
-    CSV_HEADER,
+    GRID_FIELDS,
     GridRow,
     GridSpec,
-    _cell,
     _side_cells,
-    eval_u,
-    eval_v,
-    rows_to_csv,
-    rows_to_json,
+    critical_time,
+    row_records,
     run_grid,
+    table_to_csv,
+    table_to_json,
 )
 from .ode import IntegratorConfig
 
@@ -46,6 +45,8 @@ EXIT_NUMERIC = 3
 EXIT_NEVER_REACHED = 4
 EXIT_GRID_ROW_FAILED = 5
 
+_FORMATS = ("csv", "json")
+
 
 def _add_common(sub):
     sub.add_argument("--beta", type=float, default=None, help="infection rate")
@@ -56,7 +57,7 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="JSON or key=value settings file")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument(
-        "--format", choices=("csv", "json"), default=None, help="output format (default csv)"
+        "--format", choices=_FORMATS, default=None, help="output format (default csv)"
     )
 
 
@@ -171,6 +172,12 @@ def _settings(args):
     for key in _STR_KEYS:
         cli = getattr(args, key, None)
         merged[key] = cli if cli is not None else cfg.get(key)
+    if merged["out"] is not None and not isinstance(merged["out"], str):
+        raise DomainError(f"config key 'out' must be a file name, got {merged['out']!r}")
+    if merged["format"] is None:
+        merged["format"] = "csv"
+    elif merged["format"] not in _FORMATS:
+        raise DomainError(f"format must be one of {_FORMATS}, got {merged['format']!r}")
     return merged
 
 
@@ -204,44 +211,33 @@ def _parse_range(text):
     return lo, hi, n
 
 
-def _emit(settings, rows, text_lines):
-    """Write rows to --out in the chosen format, or the text to stdout."""
-    fmt = settings["format"] or "csv"
-    if settings["out"]:
-        payload = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-        with open(settings["out"], "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        for line in text_lines:
-            print(line)
+def _emit_table(settings, header, records, text_lines=None, key=None):
+    """Write records (dicts) to --out in the chosen format. Without --out,
+    print the text lines, or write the table to stdout when there are none.
 
-
-def _emit_table(settings, header, records, text_lines, key=None):
-    """Write records (dicts) to --out, or the text to stdout.
-
-    CSV has the *header* columns; a missing or None cell is empty and a
-    number has 17 significant digits. JSON is the list of records or, with
-    *key*, an object from each record's *key* cell to the rest of the
-    record (null when nothing else is there).
+    CSV has the *header* columns; a missing cell is empty. JSON is the
+    list of records or, with *key*, an object from each record's *key* cell
+    to the rest of the record (null when nothing else is there).
     """
-    if not settings["out"]:
+    if not settings["out"] and text_lines is not None:
         for line in text_lines:
             print(line)
         return
-    with open(settings["out"], "w", encoding="utf-8") as fh:
-        if (settings["format"] or "csv") == "json":
-            payload = records
-            if key is not None:
-                payload = {
-                    rec[key]: {k: v for k, v in rec.items() if k != key} or None
-                    for rec in records
-                }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            for rec in records:
-                fh.write(",".join(_cell(rec.get(k)) for k in header) + "\n")
+    if settings["format"] == "json":
+        payload = records
+        if key is not None:
+            payload = {
+                rec[key]: {k: v for k, v in rec.items() if k != key} or None
+                for rec in records
+            }
+        text = table_to_json(payload)
+    else:
+        text = table_to_csv(header, ([rec.get(k) for k in header] for rec in records))
+    if settings["out"]:
+        with open(settings["out"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_compute(args):
@@ -253,14 +249,13 @@ def cmd_compute(args):
     rows = []
     lines = []
     for kind in kinds:
-        evaluate = eval_u if kind == "u" else eval_v
         lines.append(
             f"{kind} at (x, y) = ({args.x:g}, {args.y:g})   "
             f"[beta={params.beta:g} gamma={params.gamma:g} mu={params.mu:g}]"
         )
         values = {}
         for method in methods:
-            res = evaluate(params, args.x, args.y, method, icfg)
+            res = critical_time(params, kind, args.x, args.y, method, icfg)
             values[method] = res.value
             cells = _side_cells(params, kind, args.x, args.y)
             rows.append(
@@ -275,7 +270,7 @@ def cmd_compute(args):
                 1.0, values["integral"]
             )
             lines.append(f"  relative discrepancy: {disc:.3e}")
-    _emit(settings, rows, lines)
+    _emit_table(settings, GRID_FIELDS, row_records(rows), lines)
     return EXIT_OK
 
 
@@ -287,13 +282,7 @@ def cmd_grid(args):
     y_lo, y_hi, ny = _parse_range(args.y)
     spec = GridSpec(x_lo, x_hi, nx, y_lo, y_hi, ny, args.spacing)
     result = run_grid(params, spec, args.time, args.method, icfg)
-    fmt = settings["format"] or "csv"
-    payload = rows_to_csv(result.rows) if fmt == "csv" else rows_to_json(result.rows)
-    if settings["out"]:
-        with open(settings["out"], "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit_table(settings, GRID_FIELDS, row_records(result.rows))
     if result.failed:
         bad = sum(1 for r in result.rows if r.status != "ok")
         print(f"{bad} grid nodes failed; see the status column", file=sys.stderr)
@@ -391,14 +380,8 @@ def cmd_asymptotics(args):
     lines = [f"{'x+y':>12} {'exact':>24} {'asymptotic':>24} {'ratio':>20}"]
     records = []
     for r, (x, y) in zip(rs, states):
-        if args.time == "u":
-            exact = (
-                exact_u_at_x0(params, y) if x == 0.0 else u_integral(params, x, y).value
-            )
-            asym = asymptotic_u(params, x, y)
-        else:
-            exact = v_integral(params, x, y).value
-            asym = asymptotic_v(params, x, y)
+        exact = critical_time(params, args.time, x, y, "integral").value
+        asym = (asymptotic_u if args.time == "u" else asymptotic_v)(params, x, y)
         ratio = exact / asym if asym != 0.0 else math.nan
         records.append({"r": r, "x": x, "y": y, "exact": exact, "asymptotic": asym, "ratio": ratio})
         lines.append(f"{r:>12g} {exact:>24.17g} {asym:>24.17g} {ratio:>20.12f}")

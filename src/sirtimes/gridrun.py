@@ -32,14 +32,20 @@ __all__ = [
     "GridRow",
     "GridResult",
     "CSV_HEADER",
-    "eval_u",
-    "eval_v",
+    "GRID_FIELDS",
+    "critical_time",
+    "row_records",
     "run_grid",
+    "table_to_csv",
+    "table_to_json",
     "write_csv",
     "write_json",
 ]
 
-CSV_HEADER = "x,y,value,method,err_estimate,lower,upper,asymptotic,status"
+GRID_FIELDS = (
+    "x", "y", "value", "method", "err_estimate", "lower", "upper", "asymptotic", "status"
+)
+CSV_HEADER = ",".join(GRID_FIELDS)
 
 STATUS_OK = "ok"
 STATUS_NEVER_REACHED = "never_reached"
@@ -153,40 +159,36 @@ def _is_interior(params: ModelParams, time_kind: str, x: float, y: float) -> boo
         return False
 
 
-def eval_u(
+def _check_route(time_kind: str, method: str) -> None:
+    if time_kind not in ("u", "v"):
+        raise DomainError(f"time_kind must be 'u' or 'v', got {time_kind!r}")
+    if method not in ("ode", "integral"):
+        raise DomainError(f"method must be 'ode' or 'integral', got {method!r}")
+
+
+def critical_time(
     params: ModelParams,
+    kind: str,
     x: float,
     y: float,
     method: str,
     config: IntegratorConfig | None = None,
 ) -> CriticalTimeResult:
-    """Threshold time at one node by the requested route.
+    """u (``kind`` "u") or v (``kind`` "v") at one node by the requested route.
 
-    The integral route sends x = 0 to the closed form and tags nodes that
-    are zero by definition as BoundaryZero.
+    The ODE route is :func:`hitting_time_u`/:func:`hitting_time_v`, and
+    ``config`` applies to it only. The integral route tags nodes that are
+    zero by definition as BoundaryZero, sends u at x = 0 to the closed form,
+    raises NeverReached for v at y = 0, and otherwise runs the quadrature.
     """
+    _check_route(kind, method)
     if method == "ode":
-        return hitting_time_u(params, x, y, config)
-    if method != "integral":
-        raise DomainError(f"method must be 'ode' or 'integral', got {method!r}")
-    edge = _integral_edge(params, "u", x, y)
-    return edge if edge is not None else u_integral(params, x, y)
-
-
-def eval_v(
-    params: ModelParams,
-    x: float,
-    y: float,
-    method: str,
-    config: IntegratorConfig | None = None,
-) -> CriticalTimeResult:
-    """Peak time at one node by the requested route."""
-    if method == "ode":
-        return hitting_time_v(params, x, y, config)
-    if method != "integral":
-        raise DomainError(f"method must be 'ode' or 'integral', got {method!r}")
-    edge = _integral_edge(params, "v", x, y)
-    return edge if edge is not None else v_integral(params, x, y)
+        hitting_time = hitting_time_u if kind == "u" else hitting_time_v
+        return hitting_time(params, x, y, config)
+    edge = _integral_edge(params, kind, x, y)
+    if edge is not None:
+        return edge
+    return (u_integral if kind == "u" else v_integral)(params, x, y)
 
 
 def _bounds_cells_u(params, x, y):
@@ -239,10 +241,7 @@ def build_row(
     """Evaluate one node, never raising: failures land in the status field."""
     lower, upper, asym = _side_cells(params, time_kind, x, y)
     try:
-        if time_kind == "u":
-            r = eval_u(params, x, y, method, config)
-        else:
-            r = eval_v(params, x, y, method, config)
+        r = critical_time(params, time_kind, x, y, method, config)
         return GridRow(x, y, r.value, r.method.value, r.err_estimate, lower, upper, asym)
     except NeverReached:
         return GridRow(x, y, None, "", None, lower, upper, asym, STATUS_NEVER_REACHED)
@@ -289,10 +288,7 @@ def run_grid(
     per-node :func:`build_row`. The ODE route evaluates node by node with
     :func:`build_row`; ``config`` applies to it only.
     """
-    if time_kind not in ("u", "v"):
-        raise DomainError(f"time_kind must be 'u' or 'v', got {time_kind!r}")
-    if method not in ("ode", "integral"):
-        raise DomainError(f"method must be 'ode' or 'integral', got {method!r}")
+    _check_route(time_kind, method)
     xs = spec.xs()
     ys = spec.ys()
     nodes = [(float(x), float(y)) for y in ys for x in xs]
@@ -311,43 +307,34 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    _cell(r.x),
-                    _cell(r.y),
-                    _cell(r.value),
-                    r.method,
-                    _cell(r.err_estimate),
-                    _cell(r.lower),
-                    _cell(r.upper),
-                    _cell(r.asymptotic),
-                    r.status,
-                )
-            )
-        )
+def table_to_csv(header, table) -> str:
+    """CSV text with the *header* columns and one line per entry of *table*,
+    a sequence of cells in header order. A None cell is empty and a number
+    has 17 significant digits."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, cells)) for cells in table)
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows) -> str:
-    payload = [
-        {
-            "x": r.x,
-            "y": r.y,
-            "value": r.value,
-            "method": r.method,
-            "err_estimate": r.err_estimate,
-            "lower": r.lower,
-            "upper": r.upper,
-            "asymptotic": r.asymptotic,
-            "status": r.status,
-        }
-        for r in rows
-    ]
+def table_to_json(payload) -> str:
+    """JSON text of *payload*, indented by two spaces."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+_row_cells = operator.attrgetter(*GRID_FIELDS)
+
+
+def row_records(rows) -> list[dict]:
+    """The rows as dicts keyed by :data:`GRID_FIELDS`."""
+    return [dict(zip(GRID_FIELDS, _row_cells(r))) for r in rows]
+
+
+def rows_to_csv(rows) -> str:
+    return table_to_csv(GRID_FIELDS, map(_row_cells, rows))
+
+
+def rows_to_json(rows) -> str:
+    return table_to_json(row_records(rows))
 
 
 def write_csv(rows, fh) -> None:

@@ -638,9 +638,22 @@ def _quad_f_batch(kind, z, beta, rho, psiv):
     return f, ok
 
 
+# intervals per numpy pass of _gk15_batch: the pass holds several
+# (intervals, 15) temporaries, which for a whole grid's first round would
+# otherwise take megabytes at once
+_GK_CHUNK = 1024
+
+
 def _gk15_batch(kind, a, b, beta, rho, psiv):
     """:func:`_gk15` on the intervals [a[k], b[k]], each with its own psi.
     Returns (value, err, ok) arrays."""
+    if a.size > _GK_CHUNK:
+        parts = [
+            _gk15_batch(kind, a[k:k + _GK_CHUNK], b[k:k + _GK_CHUNK], beta, rho,
+                        psiv[k:k + _GK_CHUNK])
+            for k in range(0, a.size, _GK_CHUNK)
+        ]
+        return tuple(np.concatenate(col) for col in zip(*parts))
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
     dx = hl[:, None] * _XGK

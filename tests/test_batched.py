@@ -91,6 +91,20 @@ def test_adaptive_batch_mixed_rows_end_independently():
         assert _rel(value[k], want[1]) <= VALUE_REL
 
 
+def test_gk15_batch_in_chunks_equals_one_pass(monkeypatch):
+    # a pass over more intervals than _GK_CHUNK is split; every cell must be
+    # what one pass over all of them gives
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.1, 1.0, 50)
+    b = a + rng.uniform(0.0, 1.0, 50)
+    psiv = rng.uniform(0.5, 3.0, 50)  # some intervals leave the integrand's region
+    whole = kernels._gk15_batch(0, a, b, 2.0, 1.5, psiv)
+    assert not whole[2].all() and whole[2].any()
+    monkeypatch.setattr(kernels, "_GK_CHUNK", 7)
+    for one, chunked in zip(whole, kernels._gk15_batch(0, a, b, 2.0, 1.5, psiv)):
+        np.testing.assert_array_equal(chunked, one)
+
+
 def test_batch_entries_flag_nodes_outside_their_interior(p23):
     xs = [-1.0, 0.0, 1.0, 2.0, 3.0]
     ys = [2.0, 2.0, 1.0, 1.0, 0.5]

@@ -12,12 +12,19 @@ import pytest
 from sirtimes import (
     CSV_HEADER,
     GridSpec,
+    Method,
     ModelParams,
+    hitting_time_u,
+    hitting_time_v,
     rows_to_csv,
     run_grid,
+    u_integral,
+    v_integral,
 )
+from sirtimes.checks import ALL_CHECKS
 from sirtimes.cli import main
-from sirtimes.errors import DomainError
+from sirtimes.errors import DomainError, NeverReached
+from sirtimes.gridrun import critical_time
 
 P23 = ("--beta", "2", "--gamma", "3")
 
@@ -88,6 +95,23 @@ def test_grid_exact_x0_tag(p23):
     assert (2.0, "Integral") in methods
     x0 = [r for r in res.rows if r.x == 0.0 and r.y == 2.0][0]
     assert x0.value == pytest.approx(math.log(2.0) / 3.0, rel=1e-12)
+
+
+def test_critical_time_dispatch(p23):
+    assert critical_time(p23, "u", 4.0, 2.0, "ode") == hitting_time_u(p23, 4.0, 2.0)
+    assert critical_time(p23, "v", 4.0, 2.0, "ode") == hitting_time_v(p23, 4.0, 2.0)
+    assert critical_time(p23, "u", 4.0, 2.0, "integral") == u_integral(p23, 4.0, 2.0)
+    assert critical_time(p23, "v", 4.0, 2.0, "integral") == v_integral(p23, 4.0, 2.0)
+    # the integral route's edge rules
+    assert critical_time(p23, "u", 4.0, 0.5, "integral").method is Method.BOUNDARY_ZERO
+    assert critical_time(p23, "u", 0.0, 2.0, "integral").method is Method.EXACT_X0
+    assert critical_time(p23, "v", 1.0, 2.0, "integral").method is Method.BOUNDARY_ZERO
+    with pytest.raises(NeverReached):
+        critical_time(p23, "v", 4.0, 0.0, "integral")
+    with pytest.raises(DomainError):
+        critical_time(p23, "w", 4.0, 2.0, "integral")
+    with pytest.raises(DomainError):
+        critical_time(p23, "u", 4.0, 2.0, "euler")
 
 
 def test_grid_never_reached_rows(p23):
@@ -215,6 +239,28 @@ def test_cli_config_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_config_bad_format(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=xml\n")
+    out = tmp_path / "b.out"
+    code = main(["bounds", *P23, "--x", "4", "--y", "2", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 2
+    assert "format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["9999", '["rows.csv"]'])
+def test_cli_config_out_not_a_name(tmp_path, capsys, out):
+    # an integer "out" must not be taken for a file descriptor; 9999 is one
+    # no test has open, so a regression fails here without writing anywhere
+    cfg = tmp_path / "run.json"
+    cfg.write_text(f'{{"beta": 2, "gamma": 3, "out": {out}}}\n')
+    code = main(["compute", "--config", str(cfg), "--x", "4", "--y", "2"])
+    assert code == 2
+    assert "'out'" in capsys.readouterr().err
+
+
 def test_cli_bounds_text(capsys):
     code = main(["bounds", *P23, "--x", "5", "--y", "1", "--time", "v"])
     out = capsys.readouterr().out
@@ -331,6 +377,287 @@ def test_cli_table_out_bytes(tmp_path, argv, csv_text, json_text):
         assert out.read_bytes() == expected.encode()
 
 
+# grid rows of compute and grid with --out, written by the row writers before
+# they were merged with the table writer; exit 5 marks a grid with failed rows
+ROW_OUTPUTS = [
+    (
+        ['compute', '--x', '4', '--y', '2'],
+        0,
+        (
+            'x,y,value,method,err_estimate,lower,upper,asymptotic,status\n'
+            '4,2,0.73451078208705278,OdeEvent,1.0000000000000001e-09,0.29182291245129993,2,0.59725315640935162,ok\n'
+            '4,2,0.73451078210394494,Integral,2.672049740171651e-13,0.29182291245129993,2,0.59725315640935162,ok\n'
+            '4,2,0.18306071694057977,OdeEvent,1.0000000000000001e-09,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
+            '4,2,0.18306071690143094,Integral,3.6649591750399018e-14,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
+        ),
+        (
+            '[\n'
+            '  {\n'
+            '    "x": 4.0,\n'
+            '    "y": 2.0,\n'
+            '    "value": 0.7345107820870528,\n'
+            '    "method": "OdeEvent",\n'
+            '    "err_estimate": 1e-09,\n'
+            '    "lower": 0.29182291245129993,\n'
+            '    "upper": 2.0,\n'
+            '    "asymptotic": 0.5972531564093516,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 4.0,\n'
+            '    "y": 2.0,\n'
+            '    "value": 0.7345107821039449,\n'
+            '    "method": "Integral",\n'
+            '    "err_estimate": 2.672049740171651e-13,\n'
+            '    "lower": 0.29182291245129993,\n'
+            '    "upper": 2.0,\n'
+            '    "asymptotic": 0.5972531564093516,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 4.0,\n'
+            '    "y": 2.0,\n'
+            '    "value": 0.18306071694057977,\n'
+            '    "method": "OdeEvent",\n'
+            '    "err_estimate": 1e-09,\n'
+            '    "lower": 0.17312717978295,\n'
+            '    "upper": 0.19141940994788387,\n'
+            '    "asymptotic": 0.19908438546978388,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 4.0,\n'
+            '    "y": 2.0,\n'
+            '    "value": 0.18306071690143094,\n'
+            '    "method": "Integral",\n'
+            '    "err_estimate": 3.664959175039902e-14,\n'
+            '    "lower": 0.17312717978295,\n'
+            '    "upper": 0.19141940994788387,\n'
+            '    "asymptotic": 0.19908438546978388,\n'
+            '    "status": "ok"\n'
+            '  }\n'
+            ']\n'
+        ),
+    ),
+    (
+        ['compute', '--x', '1', '--y', '0.5', '--method', 'integral'],
+        0,
+        (
+            'x,y,value,method,err_estimate,lower,upper,asymptotic,status\n'
+            '1,0.5,0,BoundaryZero,0,,,0.1351550360360548,ok\n'
+            '1,0.5,0,BoundaryZero,0,,,,ok\n'
+        ),
+        (
+            '[\n'
+            '  {\n'
+            '    "x": 1.0,\n'
+            '    "y": 0.5,\n'
+            '    "value": 0.0,\n'
+            '    "method": "BoundaryZero",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": 0.1351550360360548,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 1.0,\n'
+            '    "y": 0.5,\n'
+            '    "value": 0.0,\n'
+            '    "method": "BoundaryZero",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": null,\n'
+            '    "status": "ok"\n'
+            '  }\n'
+            ']\n'
+        ),
+    ),
+    (
+        ['grid', '--x', '0:2:3', '--y', '0.5:2:2', '--time', 'u'],
+        0,
+        (
+            'x,y,value,method,err_estimate,lower,upper,asymptotic,status\n'
+            '0,0.5,0,BoundaryZero,0,,,-0.23104906018664842,ok\n'
+            '1,0.5,0,BoundaryZero,0,,,0.1351550360360548,ok\n'
+            '2,0.5,0,BoundaryZero,0,,,0.30543024395805168,ok\n'
+            '0,2,0.23104906018664842,ExactX0,0,0,0.23104906018664842,0.23104906018664842,ok\n'
+            '1,2,0.37120243109885248,Integral,1.1952261410261939e-13,0.060773852264651533,0.69314718055994529,0.36620409622270328,ok\n'
+            '2,2,0.53450808088678126,Integral,1.8895991111959494e-14,0.15666787641524521,1.3333333333333333,0.46209812037329684,ok\n'
+        ),
+        (
+            '[\n'
+            '  {\n'
+            '    "x": 0.0,\n'
+            '    "y": 0.5,\n'
+            '    "value": 0.0,\n'
+            '    "method": "BoundaryZero",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": -0.23104906018664842,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 1.0,\n'
+            '    "y": 0.5,\n'
+            '    "value": 0.0,\n'
+            '    "method": "BoundaryZero",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": 0.1351550360360548,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 2.0,\n'
+            '    "y": 0.5,\n'
+            '    "value": 0.0,\n'
+            '    "method": "BoundaryZero",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": 0.3054302439580517,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 0.0,\n'
+            '    "y": 2.0,\n'
+            '    "value": 0.23104906018664842,\n'
+            '    "method": "ExactX0",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": 0.0,\n'
+            '    "upper": 0.23104906018664842,\n'
+            '    "asymptotic": 0.23104906018664842,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 1.0,\n'
+            '    "y": 2.0,\n'
+            '    "value": 0.3712024310988525,\n'
+            '    "method": "Integral",\n'
+            '    "err_estimate": 1.195226141026194e-13,\n'
+            '    "lower": 0.06077385226465153,\n'
+            '    "upper": 0.6931471805599453,\n'
+            '    "asymptotic": 0.3662040962227033,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 2.0,\n'
+            '    "y": 2.0,\n'
+            '    "value": 0.5345080808867813,\n'
+            '    "method": "Integral",\n'
+            '    "err_estimate": 1.8895991111959494e-14,\n'
+            '    "lower": 0.1566678764152452,\n'
+            '    "upper": 1.3333333333333333,\n'
+            '    "asymptotic": 0.46209812037329684,\n'
+            '    "status": "ok"\n'
+            '  }\n'
+            ']\n'
+        ),
+    ),
+    (
+        ['grid', '--x', '1:3:3', '--y', '0:1:2', '--time', 'v', '--method', 'ode'],
+        5,
+        (
+            'x,y,value,method,err_estimate,lower,upper,asymptotic,status\n'
+            '1,0,0,BoundaryZero,0,,,,ok\n'
+            '2,0,,,,,,,never_reached\n'
+            '3,0,,,,,,,never_reached\n'
+            '1,1,0,BoundaryZero,0,,,,ok\n'
+            '2,1,0.13754032322645732,OdeEvent,1.0000000000000001e-09,0.1351550360360548,0.13890970209485085,0.23104906018664842,ok\n'
+            '3,1,0.2663962687559876,OdeEvent,1.0000000000000001e-09,0.25055259369907362,0.27902687528202236,0.32188758248682003,ok\n'
+        ),
+        (
+            '[\n'
+            '  {\n'
+            '    "x": 1.0,\n'
+            '    "y": 0.0,\n'
+            '    "value": 0.0,\n'
+            '    "method": "BoundaryZero",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": null,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 2.0,\n'
+            '    "y": 0.0,\n'
+            '    "value": null,\n'
+            '    "method": "",\n'
+            '    "err_estimate": null,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": null,\n'
+            '    "status": "never_reached"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 3.0,\n'
+            '    "y": 0.0,\n'
+            '    "value": null,\n'
+            '    "method": "",\n'
+            '    "err_estimate": null,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": null,\n'
+            '    "status": "never_reached"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 1.0,\n'
+            '    "y": 1.0,\n'
+            '    "value": 0.0,\n'
+            '    "method": "BoundaryZero",\n'
+            '    "err_estimate": 0.0,\n'
+            '    "lower": null,\n'
+            '    "upper": null,\n'
+            '    "asymptotic": null,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 2.0,\n'
+            '    "y": 1.0,\n'
+            '    "value": 0.13754032322645732,\n'
+            '    "method": "OdeEvent",\n'
+            '    "err_estimate": 1e-09,\n'
+            '    "lower": 0.1351550360360548,\n'
+            '    "upper": 0.13890970209485085,\n'
+            '    "asymptotic": 0.23104906018664842,\n'
+            '    "status": "ok"\n'
+            '  },\n'
+            '  {\n'
+            '    "x": 3.0,\n'
+            '    "y": 1.0,\n'
+            '    "value": 0.2663962687559876,\n'
+            '    "method": "OdeEvent",\n'
+            '    "err_estimate": 1e-09,\n'
+            '    "lower": 0.2505525936990736,\n'
+            '    "upper": 0.27902687528202236,\n'
+            '    "asymptotic": 0.32188758248682003,\n'
+            '    "status": "ok"\n'
+            '  }\n'
+            ']\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, csv_text, json_text", ROW_OUTPUTS, ids=[" ".join(c[0]) for c in ROW_OUTPUTS]
+)
+def test_cli_row_out_bytes(tmp_path, capsys, argv, code, csv_text, json_text):
+    for fmt, expected in (("csv", csv_text), ("json", json_text)):
+        out = tmp_path / f"rows.{fmt}"
+        assert main([*argv, *P23, "--format", fmt, "--out", str(out)]) == code
+        assert out.read_bytes() == expected.encode()
+    if argv[0] == "grid":
+        capsys.readouterr()
+        for fmt, expected in (("csv", csv_text), ("json", json_text)):
+            assert main([*argv, *P23, "--format", fmt]) == code
+            assert capsys.readouterr().out == expected
+
+
 def test_cli_asymptotics_ray(capsys):
     code = main(["asymptotics", *P23, "--time", "u", "--ray", "x=0",
                  "--r", "10,100"])
@@ -338,6 +665,21 @@ def test_cli_asymptotics_ray(capsys):
     assert code == 0
     # along x = 0 the leading-order formula is exact
     assert "1.000000000000" in out
+
+
+def test_cli_asymptotics_u_below_threshold(capsys):
+    # y < mu: u is 0 by the edge rules, as on a grid
+    code = main(["asymptotics", *P23, "--time", "u", "--ray", "y=0.5", "--r", "10"])
+    assert code == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:2] == ["10", "0"]
+
+
+def test_cli_asymptotics_v_never_reached(capsys):
+    # y = 0 with x > rho: S never falls to rho
+    code = main(["asymptotics", *P23, "--time", "v", "--ray", "y=0", "--r", "10"])
+    assert code == 4
+    assert "never reached" in capsys.readouterr().err
 
 
 def test_fallback_path_matches_jit_bitwise(tmp_path, p23):
@@ -364,6 +706,7 @@ def test_fallback_path_matches_jit_bitwise(tmp_path, p23):
 def test_cli_verify_quick(capsys):
     code = main(["verify", *P23, "--quick"])
     out = capsys.readouterr().out
+    n = len(ALL_CHECKS)
     assert code == 0
-    assert "checks passed" in out
+    assert f"{n}/{n} checks passed" in out
     assert "FAIL" not in out
