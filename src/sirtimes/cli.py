@@ -27,10 +27,10 @@ from .gridrun import (
     GRID_FIELDS,
     GridRow,
     GridSpec,
-    _side_cells,
     critical_time,
     row_records,
     run_grid,
+    side_cells,
     table_to_csv,
     table_to_json,
 )
@@ -257,7 +257,7 @@ def cmd_compute(args):
         for method in methods:
             res = critical_time(params, kind, args.x, args.y, method, icfg)
             values[method] = res.value
-            cells = _side_cells(params, kind, args.x, args.y)
+            cells = side_cells(params, kind, args.x, args.y)
             rows.append(
                 GridRow(args.x, args.y, res.value, res.method.value, res.err_estimate, *cells)
             )

@@ -1,9 +1,9 @@
 """Deterministic grid sweeps over initial conditions, with CSV/JSON output.
 
-Rows come out row-major (y outer, x inner). The integral route evaluates a
-grid's interior nodes in one batched numpy pass; the ODE route evaluates
-node by node. Floats are written with 17 significant digits, which
-round-trips IEEE doubles exactly.
+Rows come out row-major (y outer, x inner). Both routes evaluate a grid's
+interior nodes in one batched numpy pass: the integral route by lock-step
+quadrature, the ODE route by lock-step Dormand-Prince stepping. Floats are
+written with 17 significant digits, which round-trips IEEE doubles exactly.
 """
 
 import json
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .analytic import (
     asymptotic_u,
     asymptotic_v,
@@ -25,7 +26,7 @@ from .analytic import (
 )
 from .core import CriticalTimeResult, Method, ModelParams, exact_u_at_x0
 from .errors import DomainError, NeverReached, SirTimesError
-from .ode import IntegratorConfig, hitting_time_u, hitting_time_v
+from .ode import IntegratorConfig, _hitting_times, hitting_time_u, hitting_time_v
 
 __all__ = [
     "GridSpec",
@@ -36,6 +37,7 @@ __all__ = [
     "critical_time",
     "row_records",
     "run_grid",
+    "side_cells",
     "table_to_csv",
     "table_to_json",
     "write_csv",
@@ -221,7 +223,7 @@ def _asym_cell(params, time_kind, x, y):
         return None
 
 
-def _side_cells(params, time_kind, x, y):
+def side_cells(params, time_kind, x, y):
     """The (lower, upper, asymptotic) cells of a row."""
     if time_kind == "u":
         lower, upper = _bounds_cells_u(params, x, y) if y >= params.mu else (None, None)
@@ -239,7 +241,7 @@ def build_row(
     config: IntegratorConfig | None = None,
 ) -> GridRow:
     """Evaluate one node, never raising: failures land in the status field."""
-    lower, upper, asym = _side_cells(params, time_kind, x, y)
+    lower, upper, asym = side_cells(params, time_kind, x, y)
     try:
         r = critical_time(params, time_kind, x, y, method, config)
         return GridRow(x, y, r.value, r.method.value, r.err_estimate, lower, upper, asym)
@@ -252,26 +254,48 @@ def build_row(
         )
 
 
+def _batch_rows(params, time_kind, method, nodes, interior, ok, values, errs, config=None):
+    """The grid's rows. ok[j], values[j] and errs[j] are what a batch of
+    *method* computed at node interior[j]; every node it did not finish, and
+    every other node, goes through :func:`build_row`."""
+    rows: list[GridRow | None] = [None] * len(nodes)
+    tag = (Method.INTEGRAL if method == "integral" else Method.ODE_EVENT).value
+    for k, good, value, err in zip(interior, ok.tolist(), values.tolist(), errs.tolist()):
+        if good:
+            x, y = nodes[k]
+            rows[k] = GridRow(x, y, value, tag, err, *side_cells(params, time_kind, x, y))
+    for k, row in enumerate(rows):
+        if row is None:
+            x, y = nodes[k]
+            rows[k] = build_row(params, time_kind, method, x, y, config)
+    return rows
+
+
 def _integral_rows(params, time_kind, nodes):
     """Rows of the integral route. The interior nodes are evaluated at once
     by the batched quadrature; edge nodes, out-of-domain nodes and any node
     the batch could not finish go through :func:`build_row`."""
     interior = [k for k, (x, y) in enumerate(nodes) if _is_interior(params, time_kind, x, y)]
     batch = u_integral_batch if time_kind == "u" else v_integral_batch
-    ok, values, errs = batch(
-        params, [nodes[k][0] for k in interior], [nodes[k][1] for k in interior]
+    results = batch(params, [nodes[k][0] for k in interior], [nodes[k][1] for k in interior])
+    return _batch_rows(params, time_kind, "integral", nodes, interior, *results)
+
+
+def _ode_rows(params, time_kind, nodes, config):
+    """Rows of the ODE route. The nodes inside its edge rules (u: x >= 0 and
+    y > mu; v: x > rho and y > 0) are stepped together by the batched
+    Dormand-Prince loop; every other node, and any node that stalls or
+    reaches its time cap, goes through :func:`build_row`."""
+    if time_kind == "u":
+        row = kernels.EV_I
+        inside = [k for k, (x, y) in enumerate(nodes) if x >= 0.0 and y > params.mu]
+    else:
+        row = kernels.EV_S
+        inside = [k for k, (x, y) in enumerate(nodes) if x > params.rho and y > 0.0]
+    results = _hitting_times(
+        params, [nodes[k][0] for k in inside], [nodes[k][1] for k in inside], row, config
     )
-    rows: list[GridRow | None] = [None] * len(nodes)
-    method = Method.INTEGRAL.value
-    for k, good, value, err in zip(interior, ok.tolist(), values.tolist(), errs.tolist()):
-        if good:
-            x, y = nodes[k]
-            rows[k] = GridRow(x, y, value, method, err, *_side_cells(params, time_kind, x, y))
-    for k, row in enumerate(rows):
-        if row is None:
-            x, y = nodes[k]
-            rows[k] = build_row(params, time_kind, "integral", x, y)
-    return rows
+    return _batch_rows(params, time_kind, "ode", nodes, inside, *results, config)
 
 
 def run_grid(
@@ -283,10 +307,11 @@ def run_grid(
 ) -> GridResult:
     """Evaluate the grid row-major (y outer, x inner).
 
-    The integral route evaluates every interior node at once with numpy,
-    whether or not numba is present, and sends the rest through the
-    per-node :func:`build_row`. The ODE route evaluates node by node with
-    :func:`build_row`; ``config`` applies to it only.
+    Both routes evaluate every interior node at once with numpy, whether or
+    not numba is present, and send the rest through the per-node
+    :func:`build_row`: the integral route by the batched quadrature, the ODE
+    route by a lock-step Dormand-Prince loop. ``config`` applies to the ODE
+    route only.
     """
     _check_route(time_kind, method)
     xs = spec.xs()
@@ -295,7 +320,7 @@ def run_grid(
     if method == "integral":
         rows = _integral_rows(params, time_kind, nodes)
     else:
-        rows = [build_row(params, time_kind, "ode", x, y, config) for x, y in nodes]
+        rows = _ode_rows(params, time_kind, nodes, config)
     return GridResult(params, spec, time_kind, method, tuple(rows))
 
 

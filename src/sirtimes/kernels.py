@@ -11,8 +11,11 @@ a fixed end and keep every step (trajectories).
 The scalar kernels are nopython-compilable; wrappers in :mod:`sirtimes.ode`
 and :mod:`sirtimes.analytic` validate inputs and turn status codes into
 exceptions. Kernels return status tuples instead of raising. At the end of
-the module, plain numpy twins of the quadrature and anchor kernels run the
-same algorithms over whole grids at once.
+the module, plain numpy twins run the same algorithms over whole grids at
+once: of the quadrature and anchor kernels, and :func:`_dp5_batch`, the
+stop mode of :func:`_dp5` stepped in lock-step with a step size per node.
+The twins stay plain numpy when numba is present; only the scalar kernels
+they call are compiled.
 """
 
 import math
@@ -329,10 +332,13 @@ def _locate(k, t, s, i, h, comp, level, g0, g1, ev_tol, ev):
 
 
 @maybe_jit
-def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol):
-    """Integrate from (s0, i0) at t = 0, watching the first downward
+def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol,
+         t0=0.0, h0=0.0):
+    """Integrate from (s0, i0) at t = t0, watching the first downward
     crossing of I through mu (row EV_I of the event array) and of S through
-    rho (row EV_S).
+    rho (row EV_S). The first trial step is h0, or the one
+    :func:`_initial_step` picks when h0 is 0; a nonzero (t0, h0) resumes a
+    run that :func:`_dp5_batch` started.
 
     stop = PATH runs to t_end, clips the last step to it, and keeps every
     accepted step and its stages so callers can evaluate the dense
@@ -351,7 +357,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
     ts = np.empty(cap)
     ys = np.empty((cap, 2))
     ks = np.empty((cap, 7, 2))
-    ts[0] = 0.0
+    ts[0] = t0
     ys[0, 0] = s0
     ys[0, 1] = i0
     n = 0
@@ -360,7 +366,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
     s_found = False
     status = ODE_OK
 
-    t = 0.0
+    t = t0
     s = s0
     i = i0
     k = np.empty((7, 2))
@@ -368,7 +374,9 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
     k[0, 1] = (beta * s - gamma) * i
     gi_prev = i - mu
     gs_prev = s - rho
-    h = _initial_step(beta, gamma, s, i, t_end, max_step, rtol, atol)
+    h = h0
+    if h == 0.0:
+        h = _initial_step(beta, gamma, s, i, t_end - t0, max_step, rtol, atol)
     while True:
         if t >= t_end:
             if not path:
@@ -592,7 +600,10 @@ def _anchor_log(rho, mu, psiv):
 # log and exp can differ from math's in the last bit; wherever a result
 # could follow that bit (the anchor's sign tests and Newton steps, the
 # z-space integrand where it loses digits) the twins call math instead, so
-# they agree with the scalar kernels to a few units in the last place.
+# they agree with the scalar kernels to a few units in the last place. The
+# DP5 twin uses only correctly rounded arithmetic besides the step factor's
+# power, which it takes with Python's pow, and it mirrors Python's max and
+# min where NaN can reach them, so it equals the scalar loop bit for bit.
 
 
 def _math_each(fn, values):
@@ -723,8 +734,9 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
     cnt = np.ones(idx.size, dtype=np.int64)
     while idx.size:
         # cumsum adds left to right, as the scalar loop does
-        total = np.cumsum(vl, axis=1)[:, -1]
-        errtot = np.cumsum(el, axis=1)[:, -1]
+        # copies of the last columns, so the (nodes, cap) sums can be freed
+        total = np.cumsum(vl, axis=1)[:, -1].copy()
+        errtot = np.cumsum(el, axis=1)[:, -1].copy()
         rows = np.arange(idx.size)
         worst = np.argmax(el, axis=1)
         a0 = al[rows, worst]
@@ -831,3 +843,127 @@ def _anchor_log_batch(rho, mu, psiv):
             Lv = np.where(live, Ln, Lv)
     L[sel] = Lv
     return ok, L
+
+
+# below this many live nodes, _dp5_batch hands the rest to the scalar loop:
+# a numpy round costs about as much as 12 to 16 scalar steps at any width up
+# to a few dozen nodes (0.1-0.2 ms against 8-17 us; Python 3.11, numpy 2.4)
+_DP5_HANDOFF = 16
+
+
+def _py_max(a, b):
+    """Elementwise Python max(a, b): b where b > a, else a, even for NaN."""
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    """Elementwise Python min(a, b): b where b < a, else a, even for NaN."""
+    return np.where(b < a, b, a)
+
+
+def _f_batch(beta, gamma, y, f):
+    """The SIR field at every column of y (row 0 S, row 1 I), stored into f."""
+    f[0] = -beta * y[0] * y[1]
+    f[1] = (beta * y[0] - gamma) * y[1]
+
+
+def _try_step_batch(beta, gamma, y, h, k, rtol, atol):
+    """:func:`_try_step` at every column of y, each with its own step h. k
+    is (7, 2, columns); k[0] must hold f(y) and the other six stages are
+    stored into it. Returns (y_new, err_norm)."""
+    k1, k2, k3, k4, k5, k6, k7 = k
+    _f_batch(beta, gamma, y + h * (_A21 * k1), k2)
+    _f_batch(beta, gamma, y + h * (_A31 * k1 + _A32 * k2), k3)
+    _f_batch(beta, gamma, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), k4)
+    _f_batch(beta, gamma, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), k5)
+    _f_batch(
+        beta, gamma, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), k6
+    )
+    y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    _f_batch(beta, gamma, y1, k7)
+    e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    sc = atol + rtol * _py_max(np.abs(y), np.abs(y1))
+    r = _py_min(np.abs(e / sc), 1e150)
+    return y1, np.sqrt(0.5 * (r[0] * r[0] + r[1] * r[1]))
+
+
+def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol):
+    """:func:`_dp5` in stop mode (stop is EV_I or EV_S) from every state
+    (s0[j], i0[j]), each with its own cap t_end[j], in lock-step.
+
+    Each node keeps its own (t, S, I, h, first stage, level gap). A round
+    makes one step attempt at every live node, with the scalar kernel's
+    tableau, operation order, accept/reject rule and stall and cap tests. A
+    node whose crossing is bracketed is refined by :func:`_locate` on its
+    own stages and leaves the round; so does one that stalls or reaches its
+    cap. Once fewer than _DP5_HANDOFF nodes are live, each finishes in the
+    scalar loop from where it stands. Returns (status, t_reached, ev)
+    arrays, ev[j] being row *stop* of the scalar event array; every entry
+    equals the scalar kernel's bit for bit.
+    """
+    n = s0.size
+    status = np.full(n, ODE_OK)
+    t_out = np.zeros(n)
+    ev_out = np.zeros((n, 5))
+    level = mu if stop == EV_I else rho
+    idx = np.arange(n)
+    t = np.zeros(n)
+    y = np.array([s0, i0], dtype=float)
+    h = np.array([
+        _initial_step(beta, gamma, s, i, c, max_step, rtol, atol)
+        for s, i, c in zip(s0.tolist(), i0.tolist(), t_end.tolist())
+    ])
+    k1 = np.empty_like(y)
+    _f_batch(beta, gamma, y, k1)
+    gap = y[stop] - level
+    cap = t_end
+    while idx.size >= _DP5_HANDOFF:
+        with np.errstate(all="ignore"):
+            end = np.where(t >= cap, ODE_CAP, -1)
+            end[(end < 0) & (h < 1e-15 * _py_max(1.0, np.abs(t)))] = ODE_STALL
+            k = np.empty((7,) + y.shape)
+            k[0] = k1
+            y1, err = _try_step_batch(beta, gamma, y, h, k, rtol, atol)
+            # the step factor's pow per element, as Python rounds it; err == 0
+            # stands for an infinite power (factor 10 on acceptance)
+            q = 0.9 * np.array([e ** -0.2 if e else math.inf for e in err.tolist()])
+            acc = (err <= 1.0) & (end < 0)
+            gnew = y1[stop] - level
+            cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
+            for j in cross.tolist():
+                ev = np.zeros((2, 5))
+                _locate(k[:, :, j], float(t[j]), float(y[0, j]), float(y[1, j]), float(h[j]),
+                        stop, level, float(gap[j]), float(gnew[j]), ev_tol, ev)
+                end[j] = ODE_OK
+                t[j] = ev[stop, 1]
+                ev_out[idx[j]] = ev[stop]
+            step = acc & (end < 0)
+            t = np.where(step, t + h, t)
+            y = np.where(step, y1, y)
+            k1 = np.where(step, k[6], k1)
+            gap = np.where(step, gnew, gap)
+            # an accepted step has q >= 0.9, so the scalar loop's floor of 0.9
+            # on the growth factor never binds
+            h = np.where(
+                step,
+                _py_min(h * _py_min(10.0, q), max_step),
+                np.where(end < 0, h * _py_max(0.2, q), h),
+            )
+        done = end >= 0
+        if done.any():
+            out = idx[done]
+            status[out] = end[done]
+            t_out[out] = t[done]
+            live = ~done
+            idx, t, y, h, k1, gap, cap = (
+                idx[live], t[live], y[:, live], h[live], k1[:, live], gap[live], cap[live]
+            )
+    for j, node in enumerate(idx.tolist()):
+        st, tr, ev, _, _, _ = _dp5(
+            beta, gamma, float(y[0, j]), float(y[1, j]), mu, rho, float(cap[j]), stop,
+            rtol, atol, max_step, ev_tol, float(t[j]), float(h[j]),
+        )
+        status[node] = st
+        t_out[node] = tr
+        ev_out[node] = ev[stop]
+    return status, t_out, ev_out

@@ -187,16 +187,53 @@ def integrate(
     return Trajectory(params, SirState(x, y, 0.0), ts, states, stages, events)
 
 
-def _hitting_time(params, x, y, row, cap, config):
+def _time_cap(params, x, y, row):
+    """The closed-form bound on the crossing time *row* from (x, y), with
+    its slack: (x + y)/(gamma*mu) for u, ln(x/rho)/(beta*y) for v."""
+    if row == kernels.EV_I:
+        return (x + y) / (params.gamma * params.mu) * _CAP_SLACK
+    return (math.log(x) - math.log(params.rho)) / (params.beta * y) * _CAP_SLACK
+
+
+def _event_value(e, cfg):
+    """(value, err_estimate) of a found crossing, from its row *e* of the
+    event array."""
+    te = float(e[1])
+    return max(te, 0.0), _event_err(float(e[4]), te, cfg)
+
+
+def _hitting_time(params, x, y, row, config):
     """Integrate until the crossing *row* of the ODE kernel, or raise."""
     cfg = config or _DEFAULT_CONFIG
+    cap = _time_cap(params, x, y, row)
     status, t_reached, ev, _, _, _ = _run(params, x, y, cap, row, cfg)
     if status == kernels.ODE_STALL:
         raise IntegrationStall(t_reached)
     if status == kernels.ODE_CAP:
         raise TimeCapExceeded(cap, t_reached)
-    te = float(ev[row, 1])
-    return CriticalTimeResult(max(te, 0.0), Method.ODE_EVENT, _event_err(ev[row, 4], te, cfg))
+    value, err = _event_value(ev[row], cfg)
+    return CriticalTimeResult(value, Method.ODE_EVENT, err)
+
+
+def _hitting_times(params, xs, ys, row, config):
+    """:func:`_hitting_time` at many nodes, stepped together by
+    :func:`kernels._dp5_batch`; the caller guarantees each node starts
+    strictly above the level. Returns (ok, value, err_estimate) arrays; a
+    node is not ok where the kernel stalled or reached the cap
+    (:func:`_hitting_time` raises there)."""
+    cfg = config or _DEFAULT_CONFIG
+    caps = [_time_cap(params, x, y, row) for x, y in zip(xs, ys)]
+    status, _, ev = kernels._dp5_batch(
+        params.beta, params.gamma, np.array(xs, dtype=float), np.array(ys, dtype=float),
+        params.mu, params.rho, np.array(caps), row,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.event_time_tol,
+    )
+    ok = status == kernels.ODE_OK
+    values = np.zeros(ok.size)
+    errs = np.zeros(ok.size)
+    for j in np.flatnonzero(ok).tolist():
+        values[j], errs[j] = _event_value(ev[j], cfg)
+    return ok, values, errs
 
 
 def hitting_time_u(
@@ -212,8 +249,7 @@ def hitting_time_u(
     x, y = _check_initial(x, y)
     if y <= params.mu:
         return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
-    cap = (x + y) / (params.gamma * params.mu) * _CAP_SLACK
-    return _hitting_time(params, x, y, kernels.EV_I, cap, config)
+    return _hitting_time(params, x, y, kernels.EV_I, config)
 
 
 def hitting_time_v(
@@ -236,5 +272,4 @@ def hitting_time_v(
         raise NeverReached(
             f"S is constant at x={x!r} > rho={rho!r} with no infection present"
         )
-    cap = (math.log(x) - math.log(rho)) / (params.beta * y) * _CAP_SLACK
-    return _hitting_time(params, x, y, kernels.EV_S, cap, config)
+    return _hitting_time(params, x, y, kernels.EV_S, config)

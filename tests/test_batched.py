@@ -1,10 +1,11 @@
-"""The batched integral route against the scalar one it twins.
+"""The batched grid routes against the scalar ones they twin.
 
 The numpy kernels run the scalar algorithms in lock-step over many nodes;
-``run_grid(..., "integral")`` sends interior nodes through them and every
-other node through the per-node ``build_row``. These tests hold both layers
-to the scalar reference: the kernels directly, and whole grid rows cell by
-cell on small grids that reach every branch of the edge rules.
+``run_grid`` sends interior nodes through them and every other node through
+the per-node ``build_row``, on the integral route and on the ODE route.
+These tests hold both layers to the scalar reference: the kernels directly,
+and whole grid rows cell by cell on small grids that reach every branch of
+the edge rules. The ODE batch is held to the scalar loop bit for bit.
 """
 
 import math
@@ -12,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from sirtimes import GridSpec, ModelParams, kernels, run_grid
+from sirtimes import GridSpec, IntegratorConfig, ModelParams, kernels, ode, run_grid
 from sirtimes.analytic import SPLIT_Z, solve_anchor, u_integral_batch, v_integral_batch
-from sirtimes.gridrun import build_row
+from sirtimes.gridrun import GRID_FIELDS, build_row
 
 VALUE_REL = 1e-13
 ERR_REL = 0.01
@@ -200,3 +201,173 @@ def test_grid_rows_the_batch_gives_up_go_through_build_row(p23, monkeypatch):
     for kind in ("u", "v"):
         rows = _assert_rows_match_build_row(p23, spec, kind)
         assert all(r.status == "ok" for r in rows)
+
+
+# --- the ODE route ----------------------------------------------------------
+
+def _hex(value):
+    return value if value is None or isinstance(value, str) else float.hex(value)
+
+
+def _ode_states(params, stop, n, seed):
+    """n log-uniform states strictly above the watched level, with caps."""
+    rng = np.random.default_rng(seed)
+    if stop == kernels.EV_I:
+        x = params.rho * 10.0 ** rng.uniform(-2, 2, n)
+        y = params.mu * 10.0 ** rng.uniform(1e-3, 3, n)
+    else:
+        x = params.rho * 10.0 ** rng.uniform(1e-3, 2, n)
+        y = params.mu * 10.0 ** rng.uniform(-2, 2, n)
+    caps = np.array([ode._time_cap(params, a, b, stop) for a, b in zip(x.tolist(), y.tolist())])
+    return x, y, caps
+
+
+def _assert_dp5_batch_is_scalar(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
+    args = (params.mu, params.rho)
+    tol = (cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.event_time_tol)
+    # a far too loose tolerance can step into overflow, on both routes alike
+    with np.errstate(all="ignore"):
+        status, t, ev = kernels._dp5_batch(
+            params.beta, params.gamma, x, y, *args, caps, stop, *tol
+        )
+        wants = [
+            kernels._dp5(params.beta, params.gamma, a, b, *args, c, stop, *tol)
+            for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist())
+        ]
+    for j, want in enumerate(wants):
+        assert status[j] == want[0]
+        assert float.hex(t[j]) == float.hex(want[1])
+        assert list(map(float.hex, ev[j])) == list(map(float.hex, want[2][stop]))
+    return status
+
+
+@pytest.mark.parametrize("stop", [kernels.EV_I, kernels.EV_S])
+@pytest.mark.parametrize("params", [ModelParams(2.0, 3.0, 1.0), ModelParams(1.0, 0.5, 1e-3)])
+def test_dp5_batch_equals_scalar_bitwise(params, stop):
+    x, y, caps = _ode_states(params, stop, 150, seed=11)
+    # every third node capped well before its crossing
+    caps[::3] *= 0.05
+    status = _assert_dp5_batch_is_scalar(params, x, y, caps, stop)
+    assert {kernels.ODE_OK, kernels.ODE_CAP} <= set(status.tolist())
+
+
+def test_dp5_batch_zero_error_norm_grows_the_step_tenfold(p23):
+    # with abs_tol = 1e300 the scaled defects square to 0, every error norm
+    # is exactly 0 and each accepted step grows by the factor cap of 10
+    x, y, caps = _ode_states(p23, kernels.EV_I, 40, seed=2)
+    cfg = IntegratorConfig(abs_tol=1e300)
+    status = _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I, cfg)
+    assert (status == kernels.ODE_OK).all()
+
+
+def test_dp5_batch_nan_error_norms_shrink_the_step(p23):
+    # from a NaN state every error norm is NaN: Python's max(0.2, nan) is 0.2,
+    # so the step shrinks until the node stalls; np.maximum would spread the
+    # NaN into h, and the stall test would never end the run
+    x = np.append(np.full(20, 3.0), np.full(20, math.nan))
+    y = np.append(np.linspace(1.5, 4.0, 20), np.full(20, 2.0))
+    caps = np.full(40, 10.0)
+    status = _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I)
+    assert status.tolist() == [kernels.ODE_OK] * 20 + [kernels.ODE_STALL] * 20
+
+
+def test_dp5_batch_hands_a_long_path_to_the_scalar_loop(p23, monkeypatch):
+    # 40 short paths and one far longer: the long one is still running when
+    # the batch hands over, and resumes mid-path in the scalar loop
+    x = np.append(np.full(40, 3.0), 3000.0)
+    y = np.append(np.linspace(1.5, 4.0, 40), 2.0)
+    caps = np.array([ode._time_cap(p23, a, b, kernels.EV_I) for a, b in zip(x, y)])
+    calls = []
+    real = kernels._dp5
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_dp5", recording)
+    status, t, _ = kernels._dp5_batch(
+        p23.beta, p23.gamma, x, y, p23.mu, p23.rho, caps, kernels.EV_I, 1e-10, 1e-12,
+        math.inf, 1e-12,
+    )
+    # each resumed run starts where the batch left it: at t0 > 0, with h0 > 0
+    assert 0 < len(calls) < kernels._DP5_HANDOFF
+    assert all(args[12] > 0.0 and args[13] > 0.0 for args in calls)
+    assert caps[-1] in [args[6] for args in calls]
+    monkeypatch.setattr(kernels, "_dp5", real)
+    _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I)
+    assert (status == kernels.ODE_OK).all()
+
+
+def _assert_ode_rows_are_build_row(params, spec, kind, config=None):
+    rows = run_grid(params, spec, kind, "ode", config).rows
+    assert len(rows) == spec.nx * spec.ny
+    for row in rows:
+        want = build_row(params, kind, "ode", row.x, row.y, config)
+        for field in GRID_FIELDS:
+            assert _hex(getattr(row, field)) == _hex(getattr(want, field)), (row, field)
+    return rows
+
+
+def test_ode_grid_u_every_edge_branch(p23):
+    # negative x, x = 0, y < mu, and the y = mu row on both sides of rho
+    spec = GridSpec(-1.0, 6.0, 8, 0.5, 5.0, 10)
+    rows = _assert_ode_rows_are_build_row(p23, spec, "u")
+    assert "error:DomainError" in {r.status for r in rows}
+    assert any(r.x == 0.0 and r.y > 1.0 and r.method == "OdeEvent" for r in rows)
+    on_mu = [r for r in rows if r.y == 1.0]
+    assert {r.method for r in on_mu if r.x >= 0.0} == {"BoundaryZero"}
+    assert any(r.x < 1.5 for r in on_mu) and any(r.x > 1.5 for r in on_mu)
+    assert any(r.y < 1.0 and r.method == "BoundaryZero" for r in rows)
+
+
+def test_ode_grid_v_every_edge_branch(p23):
+    # y = 0 (never reached), y < 0 (domain error), x <= rho (boundary zero)
+    spec = GridSpec(-1.0, 6.0, 15, -1.0, 3.0, 9)
+    rows = _assert_ode_rows_are_build_row(p23, spec, "v")
+    statuses = {r.status for r in rows}
+    assert {"ok", "never_reached", "error:DomainError"} <= statuses
+    assert any(r.x == 1.5 and r.y > 0.0 and r.method == "BoundaryZero" for r in rows)
+    assert any(r.y == 0.0 and r.x > 1.5 and r.status == "never_reached" for r in rows)
+    assert sum(r.method == "OdeEvent" for r in rows) >= 2 * kernels._DP5_HANDOFF
+
+
+def test_ode_grid_small_mu():
+    params = ModelParams(2.0, 3.0, 1e-3)
+    spec = GridSpec(0.5, 50.0, 6, 1e-3, 10.0, 6, spacing="log")
+    for kind in ("u", "v"):
+        rows = _assert_ode_rows_are_build_row(params, spec, kind)
+        assert all(r.status == "ok" for r in rows)
+
+
+def test_ode_grid_stall_rows_are_typed_errors(p23):
+    config = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
+    spec = GridSpec(0.0, 6.0, 7, 1.0, 5.0, 5)
+    rows = _assert_ode_rows_are_build_row(p23, spec, "u", config)
+    stalled = [r for r in rows if r.status == "error:IntegrationStall"]
+    assert len(stalled) == 7 * 4
+    assert all(r.value is None and r.method == "" for r in stalled)
+
+
+def test_ode_grid_honours_the_integrator_config(p23):
+    config = IntegratorConfig(max_step=0.01, rel_tol=1e-8)
+    spec = GridSpec(0.0, 6.0, 7, 1.0, 5.0, 5)
+    for kind in ("u", "v"):
+        rows = _assert_ode_rows_are_build_row(p23, spec, kind, config)
+        default = run_grid(p23, spec, kind, "ode").rows
+        assert any(r.err_estimate != d.err_estimate for r, d in zip(rows, default))
+
+
+def test_ode_grid_steps_in_the_batch(monkeypatch):
+    # a fallback to per-node evaluation would pass every equality test above
+    calls = []
+    real = kernels._dp5
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_dp5", counting)
+    readme_u = GridSpec(0.0, 6.0, 61, 1.0, 5.0, 41)
+    rows = run_grid(ModelParams(2.0, 3.0, 1.0), readme_u, "u", "ode").rows
+    assert sum(r.method == "OdeEvent" for r in rows) == 61 * 40
+    assert len(calls) < kernels._DP5_HANDOFF

@@ -50,13 +50,21 @@ def test_sandwich_counts_a_missing_bound(monkeypatch, fresh_surfaces):
 
 def test_cross_method_counts_a_failed_row(monkeypatch, fresh_surfaces):
     real = gridrun.hitting_time_u
+    real_batch = gridrun._hitting_times
 
     def flaky(params, x, y, config=None):
         if (x, y) == (X0, Y0):
             raise TimeCapExceeded(1.0, 0.5)
         return real(params, x, y, config)
 
+    def batch_gives_up(params, xs, ys, row, config):
+        # the batch leaves the node to the per-node route, which then fails
+        ok, values, errs = real_batch(params, xs, ys, row, config)
+        ok[[(x, y) == (X0, Y0) for x, y in zip(xs, ys)]] = False
+        return ok, values, errs
+
     monkeypatch.setattr(gridrun, "hitting_time_u", flaky)
+    monkeypatch.setattr(gridrun, "_hitting_times", batch_gives_up)
     oc = checks.check_cross_method_u(quick=True)
     assert not oc.passed
     assert oc.metrics["worst"] == float("inf")

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import sirtimes
 from sirtimes import (
     CSV_HEADER,
     GridSpec,
@@ -687,7 +688,10 @@ def test_fallback_path_matches_jit_bitwise(tmp_path, p23):
     # compiled ones; a subprocess is needed because the flag is read at import
     spec = GridSpec(0.5, 5.0, 7, 0.5, 4.0, 5)
     here = rows_to_csv(run_grid(p23, spec, "u", "integral").rows)
-    env = dict(os.environ, SIRTIMES_NO_JIT="1")
+    # the child imports the package this process tested, whatever its path
+    src = os.path.dirname(os.path.dirname(sirtimes.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, SIRTIMES_NO_JIT="1", PYTHONPATH=path)
     probe = subprocess.run(
         [sys.executable, "-c", "import sirtimes; print(sirtimes.JIT_ENABLED)"],
         env=env, capture_output=True, text=True, timeout=120,
