@@ -6,10 +6,10 @@ quadrature, the ODE route by lock-step Dormand-Prince stepping. Floats are
 written with 17 significant digits, which round-trips IEEE doubles exactly.
 """
 
-import json
 import math
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -341,9 +341,61 @@ def table_to_csv(header, table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_scalar(value) -> str:
+    """*value* as :func:`json.dumps` writes it, NaN and the infinities
+    included."""
+    if isinstance(value, float):
+        if value - value == 0.0:  # finite: inf - inf and NaN - NaN are NaN
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0.0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def table_to_json(payload) -> str:
-    """JSON text of *payload*, indented by two spaces."""
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON text of *payload*, a list of flat records or an object whose
+    values are flat records or None, with string keys: the text of
+    ``json.dumps(payload, indent=2)`` and a newline.
+
+    Each record is written through a template for its tuple of keys.
+    """
+    templates = {}
+
+    def record(rec):
+        if rec is None:
+            return "null"
+        if not rec:
+            return "{}"
+        keys = tuple(rec)
+        template = templates.get(keys)
+        if template is None:
+            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+            template = templates[keys] = "{\n    " + ",\n    ".join(fields) + "\n  }"
+        return template % tuple(map(_json_scalar, rec.values()))
+
+    if isinstance(payload, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {record(rec)}" for k, rec in payload.items()]
+    else:
+        brackets = "[]"
+        items = list(map(record, payload))
+    if not items:
+        return brackets + "\n"
+    # the brackets ride on the end items, so the text is joined only once
+    items[0] = f"{brackets[0]}\n  {items[0]}"
+    items[-1] = f"{items[-1]}\n{brackets[1]}\n"
+    return ",\n  ".join(items)
 
 
 _row_cells = operator.attrgetter(*GRID_FIELDS)

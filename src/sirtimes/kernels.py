@@ -12,10 +12,11 @@ The scalar kernels are nopython-compilable; wrappers in :mod:`sirtimes.ode`
 and :mod:`sirtimes.analytic` validate inputs and turn status codes into
 exceptions. Kernels return status tuples instead of raising. At the end of
 the module, plain numpy twins run the same algorithms over whole grids at
-once: of the quadrature and anchor kernels, and :func:`_dp5_batch`, the
-stop mode of :func:`_dp5` stepped in lock-step with a step size per node.
-The twins stay plain numpy when numba is present; only the scalar kernels
-they call are compiled.
+once: of the quadrature and anchor kernels; :func:`_dp5_batch`, the stop
+mode of :func:`_dp5` stepped in lock-step with a step size per node; and
+:func:`_locate_batch`, which refines all of its crossings in one lock-step
+pass. The twins stay plain numpy when numba is present; only the scalar
+kernels they call are compiled.
 """
 
 import math
@@ -174,7 +175,9 @@ def _initial_step(beta, gamma, s, i, t_bound, max_step, rtol, atol):
     f1i = (beta * y1s - gamma) * y1i
     r2s = (f1s - fs) / ss
     r2i = (f1i - fi) / si
-    d2 = math.sqrt(0.5 * (r2s * r2s + r2i * r2i)) / h0
+    # h0 is 0 when the field overflows (d1 = inf); the fallback below then
+    # takes over, and the run stalls with a typed error
+    d2 = math.sqrt(0.5 * (r2s * r2s + r2i * r2i)) / h0 if h0 > 0.0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -601,9 +604,9 @@ def _anchor_log(rho, mu, psiv):
 # could follow that bit (the anchor's sign tests and Newton steps, the
 # z-space integrand where it loses digits) the twins call math instead, so
 # they agree with the scalar kernels to a few units in the last place. The
-# DP5 twin uses only correctly rounded arithmetic besides the step factor's
-# power, which it takes with Python's pow, and it mirrors Python's max and
-# min where NaN can reach them, so it equals the scalar loop bit for bit.
+# DP5 and crossing twins use only correctly rounded arithmetic (the step
+# factor's power is taken with Python's pow) and mirror Python's max and min
+# where NaN can reach them, so they equal the scalar kernels bit for bit.
 
 
 def _math_each(fn, values):
@@ -887,6 +890,81 @@ def _try_step_batch(beta, gamma, y, h, k, rtol, atol):
     return y1, np.sqrt(0.5 * (r[0] * r[0] + r[1] * r[1]))
 
 
+def _dense_coeffs_batch(k):
+    """:func:`_dense_coeffs` of both components at every column of the
+    stages k (7, 2, columns), summed in the same order. Returns q (4, 2,
+    columns), q[j, comp] being Q_j of component comp."""
+    q = np.zeros((4,) + k.shape[1:])
+    for row in range(7):
+        q += k[row] * _DENSE_P[row][:, None, None]
+    return q
+
+
+def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
+    """:func:`_refine_crossing` at every column in lock-step: each column
+    leaves at the scalar loop's exits (g1 == 0, an exact hit, a bracket
+    within tol_theta, or 200 iterations) with the scalar result. q is (4,
+    columns). Returns (theta, half_width) arrays."""
+    theta = np.ones(g1.size)
+    hw = np.zeros(g1.size)
+    idx = np.flatnonzero(g1 != 0.0)
+    y0, h, q, tol_theta = y0[idx], h[idx], q[:, idx], tol_theta[idx]
+    ta = np.zeros(idx.size)
+    fa = g0[idx]
+    tb = np.ones(idx.size)
+    fb = g1[idx]
+    side = np.zeros(idx.size, dtype=np.int64)
+    for _ in range(200):
+        if not idx.size:
+            break
+        left = tb - ta <= tol_theta
+        denom = fa - fb
+        tc = (fa * tb - fb * ta) / denom
+        tc = np.where((denom > 0.0) & ~((tc <= ta) | (tc >= tb)), tc, 0.5 * (ta + tb))
+        fc = _dense_eval(y0, h, q[0], q[1], q[2], q[3], tc) - level
+        pos = (fc > 0.0) & ~left
+        neg = (fc < 0.0) & ~left
+        hit = ~(left | pos | neg)
+        theta[idx[hit]] = tc[hit]
+        fb = np.where(pos & (side == 1), fb * 0.5, fb)
+        fa = np.where(neg & (side == -1), fa * 0.5, fa)
+        ta = np.where(pos, tc, ta)
+        fa = np.where(pos, fc, fa)
+        tb = np.where(neg, tc, tb)
+        fb = np.where(neg, fc, fb)
+        side = np.where(pos, 1, np.where(neg, -1, side))
+        out = left | hit
+        if out.any():
+            theta[idx[left]] = 0.5 * (ta[left] + tb[left])
+            hw[idx[left]] = 0.5 * (tb[left] - ta[left])
+            keep = ~out
+            idx, y0, h, q, tol_theta = idx[keep], y0[keep], h[keep], q[:, keep], tol_theta[keep]
+            ta, fa, tb, fb, side = ta[keep], fa[keep], tb[keep], fb[keep], side[keep]
+    theta[idx] = 0.5 * (ta + tb)
+    hw[idx] = 0.5 * (tb - ta)
+    return theta, hw
+
+
+def _locate_batch(t, y, h, q, comp, level, g0, g1, ev_tol):
+    """:func:`_locate` at many crossings at once. Column j is the accepted
+    step of size h[j] from (t[j], y[0, j], y[1, j]) whose dense coefficients
+    are q[:, :, j] (see :func:`_dense_coeffs_batch`); g0[j] > 0 and g1[j] <=
+    0 are component *comp* minus *level* at its ends. Returns the (columns,
+    5) rows (1, t, S, I, time half-width) that the scalar kernel stores in
+    row *comp* of its event array, equal to them bit for bit."""
+    with np.errstate(all="ignore"):
+        tol_theta = ev_tol * _py_max(1.0, t + h) / h
+        theta, hw = _refine_crossing_batch(y[comp], h, q[:, comp], level, g0, g1, tol_theta)
+        ev = np.empty((t.size, 5))
+        ev[:, 0] = 1.0
+        ev[:, 1] = t + theta * h
+        for c in (EV_S, EV_I):
+            qc = q[:, c]
+            ev[:, 2 + c] = _dense_eval(y[c], h, qc[0], qc[1], qc[2], qc[3], theta)
+        ev[:, 4] = hw * h
+    return ev
+
+
 def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol):
     """:func:`_dp5` in stop mode (stop is EV_I or EV_S) from every state
     (s0[j], i0[j]), each with its own cap t_end[j], in lock-step.
@@ -894,10 +972,13 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, 
     Each node keeps its own (t, S, I, h, first stage, level gap). A round
     makes one step attempt at every live node, with the scalar kernel's
     tableau, operation order, accept/reject rule and stall and cap tests. A
-    node whose crossing is bracketed is refined by :func:`_locate` on its
-    own stages and leaves the round; so does one that stalls or reaches its
+    node whose crossing is bracketed leaves the round with what its
+    refinement reads: the step's start, size and level gaps and its dense
+    coefficients, not its stages. So does one that stalls or reaches its
     cap. Once fewer than _DP5_HANDOFF nodes are live, each finishes in the
-    scalar loop from where it stands. Returns (status, t_reached, ev)
+    scalar loop from where it stands, refined there by :func:`_locate`;
+    the crossings found in the rounds are refined together by
+    :func:`_locate_batch` at the end. Returns (status, t_reached, ev)
     arrays, ev[j] being row *stop* of the scalar event array; every entry
     equals the scalar kernel's bit for bit.
     """
@@ -917,6 +998,8 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, 
     _f_batch(beta, gamma, y, k1)
     gap = y[stop] - level
     cap = t_end
+    # per round, what the refinement of its crossings reads
+    found = []
     while idx.size >= _DP5_HANDOFF:
         with np.errstate(all="ignore"):
             end = np.where(t >= cap, ODE_CAP, -1)
@@ -930,13 +1013,10 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, 
             acc = (err <= 1.0) & (end < 0)
             gnew = y1[stop] - level
             cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
-            for j in cross.tolist():
-                ev = np.zeros((2, 5))
-                _locate(k[:, :, j], float(t[j]), float(y[0, j]), float(y[1, j]), float(h[j]),
-                        stop, level, float(gap[j]), float(gnew[j]), ev_tol, ev)
-                end[j] = ODE_OK
-                t[j] = ev[stop, 1]
-                ev_out[idx[j]] = ev[stop]
+            if cross.size:
+                end[cross] = ODE_OK
+                found.append((idx[cross], t[cross], y[:, cross], h[cross],
+                              _dense_coeffs_batch(k[:, :, cross]), gap[cross], gnew[cross]))
             step = acc & (end < 0)
             t = np.where(step, t + h, t)
             y = np.where(step, y1, y)
@@ -958,6 +1038,12 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, 
             idx, t, y, h, k1, gap, cap = (
                 idx[live], t[live], y[:, live], h[live], k1[:, live], gap[live], cap[live]
             )
+    if found:
+        nodes, tc, yc, hc, qc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
+        del found  # the per-round pieces, before the refinement's temporaries
+        ev = _locate_batch(tc, yc, hc, qc, stop, level, g0, g1, ev_tol)
+        ev_out[nodes] = ev
+        t_out[nodes] = ev[:, 1]
     for j, node in enumerate(idx.tolist()):
         st, tr, ev, _, _, _ = _dp5(
             beta, gamma, float(y[0, j]), float(y[1, j]), mu, rho, float(cap[j]), stop,

@@ -357,17 +357,117 @@ def test_ode_grid_honours_the_integrator_config(p23):
         assert any(r.err_estimate != d.err_estimate for r, d in zip(rows, default))
 
 
+def test_ode_grid_overflow_rows_are_typed_errors(p23):
+    # beta*S*I overflows at every node; the grid must not abort on it
+    spec = GridSpec(1e299, 1e300, 2, 2.0, 1e300, 2)
+    with np.errstate(all="ignore"):
+        for kind in ("u", "v"):
+            rows = _assert_ode_rows_are_build_row(p23, spec, kind)
+            assert {r.status for r in rows} == {"error:IntegrationStall"}
+
+
 def test_ode_grid_steps_in_the_batch(monkeypatch):
     # a fallback to per-node evaluation would pass every equality test above
-    calls = []
-    real = kernels._dp5
+    calls = {"_dp5": 0, "_locate": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(kernels, name)
 
-    monkeypatch.setattr(kernels, "_dp5", counting)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+
+    counting("_dp5")
+    counting("_locate")
     readme_u = GridSpec(0.0, 6.0, 61, 1.0, 5.0, 41)
     rows = run_grid(ModelParams(2.0, 3.0, 1.0), readme_u, "u", "ode").rows
     assert sum(r.method == "OdeEvent" for r in rows) == 61 * 40
-    assert len(calls) < kernels._DP5_HANDOFF
+    assert calls["_dp5"] < kernels._DP5_HANDOFF
+    assert calls["_locate"] < kernels._DP5_HANDOFF
+
+
+# --- crossing refinement ----------------------------------------------------
+
+def _crossings(monkeypatch, params, stop, n, seed):
+    """The arguments of every scalar _locate call made while the scalar loop
+    runs from n log-uniform states, as columns: (k, t, y, h, comp, level,
+    g0, g1)."""
+    calls = []
+    real = kernels._locate
+
+    def recording(k, *args):
+        calls.append((k.copy(), *args))
+        return real(k, *args)
+
+    monkeypatch.setattr(kernels, "_locate", recording)
+    x, y, caps = _ode_states(params, stop, n, seed)
+    tol = (1e-10, 1e-12, math.inf, 1e-12)
+    for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist()):
+        kernels._dp5(params.beta, params.gamma, a, b, params.mu, params.rho, c, stop, *tol)
+    monkeypatch.setattr(kernels, "_locate", real)
+    k = np.stack([c[0] for c in calls], axis=-1)
+    t, s, i, h, _, level, g0, g1 = (np.array([c[j] for c in calls]) for j in range(1, 9))
+    return k, t, np.array([s, i]), h, stop, level[0], g0, g1
+
+
+def _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1, ev_tol=1e-12):
+    got = kernels._locate_batch(
+        t, y, h, kernels._dense_coeffs_batch(k), comp, level, g0, g1, ev_tol
+    )
+    for j in range(t.size):
+        ev = np.zeros((2, 5))
+        kernels._locate(k[:, :, j], float(t[j]), float(y[0, j]), float(y[1, j]), float(h[j]),
+                        comp, level, float(g0[j]), float(g1[j]), ev_tol, ev)
+        assert list(map(float.hex, got[j])) == list(map(float.hex, ev[comp])), j
+    return got
+
+
+@pytest.mark.parametrize("stop", [kernels.EV_I, kernels.EV_S])
+def test_locate_batch_equals_scalar_bitwise(monkeypatch, stop):
+    for params, seed in ((ModelParams(2.0, 3.0, 1.0), 5), (ModelParams(1.0, 0.5, 1e-3), 6)):
+        crossings = _crossings(monkeypatch, params, stop, 200, seed)
+        assert crossings[1].size == 200
+        _assert_locate_batch_is_scalar(*crossings)
+
+
+def test_locate_batch_every_exit(monkeypatch, p23):
+    k, t, y, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
+    # a loose tolerance: every bracket narrows to it, a nonzero half-width
+    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1, ev_tol=1e-6)
+    assert (ev[:, 4] > 0.0).all()
+    # a bracket of 1e-300 is never reached; near the root the dense output
+    # moves by less than a unit in the last place of the level per step in
+    # theta, so every loop ends on an exact hit fc == 0 inside the step
+    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1, ev_tol=1e-300)
+    assert (ev[:, 4] == 0.0).all() and (ev[:, 1] < t + h).all()
+    # g1 == 0 at every third crossing, in one batch with the others: the
+    # crossing is the step's end
+    g1[::3] = 0.0
+    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1)
+    assert (ev[::3, 1] == t[::3] + h[::3]).all() and (ev[::3, 4] == 0.0).all()
+    assert (ev[1::3, 1] < t[1::3] + h[1::3]).all()
+
+
+def test_locate_batch_runs_into_the_iteration_cap():
+    # a constant field: I falls from 500.5 + j/4 at a rate of 1000 + j, so
+    # near I = 0.5 the dense output is a sum of two terms of about 500 and
+    # every value it takes is a multiple of 2**-44; none equals the level
+    # 0.5 + 2**-53, no exact hit ends the loop, and with a tolerance of
+    # 1e-300 every crossing runs the 200 iterations
+    n = 20
+    k = np.empty((7, 2, n))
+    k[:] = -1000.0 - np.arange(n)
+    y = np.array([np.full(n, 3.0), 500.5 + 0.25 * np.arange(n)])
+    t = np.zeros(n)
+    h = np.ones(n)
+    level = 0.5 + 2.0**-53
+    g1 = np.array([
+        kernels._dense_eval(y[1, j], 1.0, *kernels._dense_coeffs(k[:, :, j], 1), 1.0)
+        for j in range(n)
+    ]) - level
+    ev = _assert_locate_batch_is_scalar(
+        k, t, y, h, kernels.EV_I, level, y[1] - level, g1, ev_tol=1e-300
+    )
+    assert (ev[:, 4] > 0.0).all()

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sirtimes
@@ -25,7 +26,7 @@ from sirtimes import (
 from sirtimes.checks import ALL_CHECKS
 from sirtimes.cli import main
 from sirtimes.errors import DomainError, NeverReached
-from sirtimes.gridrun import critical_time
+from sirtimes.gridrun import critical_time, table_to_json
 
 P23 = ("--beta", "2", "--gamma", "3")
 
@@ -368,6 +369,32 @@ TABLE_OUTPUTS = [
         ),
     ),
 ]
+
+
+# every scalar a record can hold, with the cases the writer must spell as
+# the json module does: -0.0, NaN, the infinities, a float subclass, escapes
+JSON_CELLS = {
+    "none": None, "yes": True, "no": False, "int": -7, "big": 2**70, "zero": -0.0,
+    "nan": math.nan, "inf": math.inf, "ninf": -math.inf, "np": np.float64(0.1),
+    "tiny": 5e-324, "quote": 'a "b"', "slash": "c\\d/", "text": "ü€\u2028\n\t",
+    'key "%s" ü': 1.5,
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {},
+        [{}],
+        [JSON_CELLS],
+        [JSON_CELLS, {"x": 1.0, "y": None}, {}, {"y": 2.0, "x": 3.0}, JSON_CELLS],
+        {"u": None},
+        {"u": {"lower": 0.5, "upper": None}, "v": None, "é \"k\"": {}},
+    ],
+)
+def test_table_to_json_is_json_dumps(payload):
+    assert table_to_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv, csv_text, json_text", TABLE_OUTPUTS)

@@ -3,6 +3,7 @@ along solved paths, event accuracy, and agreement with the integral route."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,6 +193,15 @@ def test_stall_on_impossible_tolerances(p23):
     with pytest.raises(IntegrationStall) as exc:
         integrate(p23, 4.0, 2.0, 1.0, cfg)
     assert 0.0 <= exc.value.t_reached < 1.0
+
+
+@pytest.mark.parametrize("hitting_time", [hitting_time_u, hitting_time_v])
+def test_stall_when_the_field_overflows(p23, hitting_time):
+    # beta*S*I overflows at S = I = 1e300, so the initial-step estimate has
+    # no finite scale; the run must still end with a typed error
+    with np.errstate(all="ignore"), pytest.raises(IntegrationStall) as exc:
+        hitting_time(p23, 1e300, 1e300)
+    assert exc.value.t_reached == 0.0
 
 
 @settings(deadline=None, max_examples=60)
