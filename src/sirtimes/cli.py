@@ -113,8 +113,9 @@ def _build_parser():
     )
     sp.set_defaults(func=cmd_asymptotics)
 
+    # the battery pins its own parameter sets and tolerances and prints a
+    # report, so it takes none of the common flags
     sp = subs.add_parser("verify", help="run the cross-verification battery")
-    _add_common(sp)
     sp.add_argument("--quick", action="store_true", help="reduced grids and samples")
     sp.set_defaults(func=cmd_verify)
 

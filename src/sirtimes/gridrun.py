@@ -254,13 +254,33 @@ def build_row(
         )
 
 
-def _batch_rows(params, time_kind, method, nodes, interior, ok, values, errs, config=None):
-    """The grid's rows. ok[j], values[j] and errs[j] are what a batch of
-    *method* computed at node interior[j]; every node it did not finish, and
-    every other node, goes through :func:`build_row`."""
+def _node_rows(params, time_kind, method, nodes, config=None):
+    """The rows at *nodes*, a list of (x, y) float pairs, by *method*'s route.
+
+    The nodes inside the route's edge rules are evaluated at once: on the
+    integral route the interior nodes by the batched quadrature, on the ODE
+    route the nodes with x >= 0 and y > mu (u) or x > rho and y > 0 (v) by
+    the lock-step Dormand-Prince loop. Every other node, and any node the
+    batch did not finish, goes through :func:`build_row`. ``config`` applies
+    to the ODE route only.
+    """
+    if method == "integral":
+        inside = [k for k, (x, y) in enumerate(nodes) if _is_interior(params, time_kind, x, y)]
+    elif time_kind == "u":
+        inside = [k for k, (x, y) in enumerate(nodes) if x >= 0.0 and y > params.mu]
+    else:
+        inside = [k for k, (x, y) in enumerate(nodes) if x > params.rho and y > 0.0]
+    xs = [nodes[k][0] for k in inside]
+    ys = [nodes[k][1] for k in inside]
+    if method == "integral":
+        batch = u_integral_batch if time_kind == "u" else v_integral_batch
+        ok, values, errs = batch(params, xs, ys)
+    else:
+        row = kernels.EV_I if time_kind == "u" else kernels.EV_S
+        ok, values, errs = _hitting_times(params, xs, ys, row, config)
     rows: list[GridRow | None] = [None] * len(nodes)
     tag = (Method.INTEGRAL if method == "integral" else Method.ODE_EVENT).value
-    for k, good, value, err in zip(interior, ok.tolist(), values.tolist(), errs.tolist()):
+    for k, good, value, err in zip(inside, ok.tolist(), values.tolist(), errs.tolist()):
         if good:
             x, y = nodes[k]
             rows[k] = GridRow(x, y, value, tag, err, *side_cells(params, time_kind, x, y))
@@ -269,33 +289,6 @@ def _batch_rows(params, time_kind, method, nodes, interior, ok, values, errs, co
             x, y = nodes[k]
             rows[k] = build_row(params, time_kind, method, x, y, config)
     return rows
-
-
-def _integral_rows(params, time_kind, nodes):
-    """Rows of the integral route. The interior nodes are evaluated at once
-    by the batched quadrature; edge nodes, out-of-domain nodes and any node
-    the batch could not finish go through :func:`build_row`."""
-    interior = [k for k, (x, y) in enumerate(nodes) if _is_interior(params, time_kind, x, y)]
-    batch = u_integral_batch if time_kind == "u" else v_integral_batch
-    results = batch(params, [nodes[k][0] for k in interior], [nodes[k][1] for k in interior])
-    return _batch_rows(params, time_kind, "integral", nodes, interior, *results)
-
-
-def _ode_rows(params, time_kind, nodes, config):
-    """Rows of the ODE route. The nodes inside its edge rules (u: x >= 0 and
-    y > mu; v: x > rho and y > 0) are stepped together by the batched
-    Dormand-Prince loop; every other node, and any node that stalls or
-    reaches its time cap, goes through :func:`build_row`."""
-    if time_kind == "u":
-        row = kernels.EV_I
-        inside = [k for k, (x, y) in enumerate(nodes) if x >= 0.0 and y > params.mu]
-    else:
-        row = kernels.EV_S
-        inside = [k for k, (x, y) in enumerate(nodes) if x > params.rho and y > 0.0]
-    results = _hitting_times(
-        params, [nodes[k][0] for k in inside], [nodes[k][1] for k in inside], row, config
-    )
-    return _batch_rows(params, time_kind, "ode", nodes, inside, *results, config)
 
 
 def run_grid(
@@ -317,10 +310,7 @@ def run_grid(
     xs = spec.xs()
     ys = spec.ys()
     nodes = [(float(x), float(y)) for y in ys for x in xs]
-    if method == "integral":
-        rows = _integral_rows(params, time_kind, nodes)
-    else:
-        rows = _ode_rows(params, time_kind, nodes, config)
+    rows = _node_rows(params, time_kind, method, nodes, config)
     return GridResult(params, spec, time_kind, method, tuple(rows))
 
 

@@ -8,6 +8,7 @@ at most (x + y)/(gamma*mu) and the peak time at most ln(x/rho)/(beta*y), so
 passing a cap signals numerical breakdown, not a long transient.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,7 +80,8 @@ class Event:
 class Trajectory:
     """A solved path with dense evaluation between accepted steps.
 
-    ``samples`` holds the accepted step endpoints as states; ``eval`` gives
+    ``samples`` holds the accepted step endpoints as states, built on first
+    access (each is checked when the path is solved); ``eval`` gives
     the continuous interpolant (locally of the integrator's order) at any
     time in [0, t_end]. ``events`` records the first downward crossing of
     I through mu and of S through rho, when they occur in the window.
@@ -92,9 +94,16 @@ class Trajectory:
         self._states = states
         self._stages = stages
         self.events = tuple(events)
-        self.samples = [
-            SirState(states[j, 0], states[j, 1], ts[j]) for j in range(len(ts))
-        ]
+        # every sample must be a valid state: the first that is not raises
+        # the DomainError its SirState gives (a NaN fails every comparison)
+        inf = math.inf
+        for (s, i), t in zip(states.tolist(), ts.tolist()):
+            if not (0.0 <= s < inf and 0.0 <= i < inf and -inf < t < inf):
+                SirState(s, i, t)
+
+    @functools.cached_property
+    def samples(self) -> list[SirState]:
+        return [SirState(s, i, t) for (s, i), t in zip(self._states.tolist(), self._ts.tolist())]
 
     @property
     def t_end(self) -> float:

@@ -24,6 +24,7 @@ from .analytic import u_integral, v_integral
 __all__ = [
     "ResidualReport",
     "pde_residual",
+    "stencil_points",
     "check_boundary_u",
     "check_boundary_v",
     "check_characteristic_identity",
@@ -50,9 +51,26 @@ class ResidualReport:
     order_estimate: float | None
 
 
+# the steps of the three-level study, as fractions of h
+_LEVELS = (1.0, 0.5, 0.25)
+
+
+def _stencil(x, y, h):
+    """The central-difference points at step h: east, west, north, south."""
+    return ((x + h, y), (x - h, y), (x, y + h), (x, y - h))
+
+
+def stencil_points(x: float, y: float, h: float) -> list[tuple[float, float]]:
+    """The points at which ``pde_residual(field, params, x, y, h)`` evaluates
+    *field*, in its order: the stencils at h, h/2 and h/4. A caller can
+    evaluate them all at once and hand :func:`pde_residual` a lookup."""
+    return [p for k in _LEVELS for p in _stencil(x, y, k * h)]
+
+
 def _fd_residual(field, params, x, y, h):
-    dx = (field(x + h, y) - field(x - h, y)) / (2.0 * h)
-    dy = (field(x, y + h) - field(x, y - h)) / (2.0 * h)
+    east, west, north, south = (field(a, b) for a, b in _stencil(x, y, h))
+    dx = (east - west) / (2.0 * h)
+    dy = (north - south) / (2.0 * h)
     return (
         params.beta * x * y * dx
         + (params.gamma - params.beta * x) * y * dy
@@ -90,9 +108,7 @@ def pde_residual(
             f"boundary (x > {x_lo!r}, y > {y_lo!r})"
         )
 
-    r1 = _fd_residual(field, params, x, y, h)
-    r2 = _fd_residual(field, params, x, y, 0.5 * h)
-    r3 = _fd_residual(field, params, x, y, 0.25 * h)
+    r1, r2, r3 = (_fd_residual(field, params, x, y, k * h) for k in _LEVELS)
 
     order = None
     d1 = r1 - r2

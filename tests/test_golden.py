@@ -36,6 +36,7 @@ from sirtimes import (
     u_integral,
     v_integral,
 )
+from sirtimes import kernels, ode
 from sirtimes.analytic import SPLIT_Z
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_values.json")
@@ -188,6 +189,20 @@ def test_golden_integrate_events_and_samples(golden_file):
         assert [e.kind.value for e in traj.events] == [kind for kind, _ in ref["events"]]
         assert all(_close(e.t, t) for e, (_, t) in zip(traj.events, ref["events"]))
     assert sorted({len(p["events"]) for p in stored}) == [0, 1, 2]
+
+
+def test_golden_integrate_samples_are_the_kernel_states(golden_file):
+    # the samples are built on first access, each from the kernel's
+    # accepted step time and state, as plain floats
+    for (pv, x, y, t_end), ref in zip(PATHS, golden_file["paths"]):
+        params = ModelParams(*pv)
+        traj = integrate(params, x, y, t_end)
+        _, _, _, ts, states, _ = ode._run(params, x, y, t_end, kernels.PATH, ode._DEFAULT_CONFIG)
+        want = [(float(states[j, 0]), float(states[j, 1]), float(ts[j])) for j in range(len(ts))]
+        got = [(st.s, st.i, st.t) for st in traj.samples]
+        assert len(got) == ref["samples"]
+        assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
+        assert all(type(c) is float for g in got for c in g)
 
 
 def _dump(data):

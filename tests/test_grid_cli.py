@@ -735,9 +735,24 @@ def test_fallback_path_matches_jit_bitwise(tmp_path, p23):
 
 
 def test_cli_verify_quick(capsys):
-    code = main(["verify", *P23, "--quick"])
+    code = main(["verify", "--quick"])
     out = capsys.readouterr().out
     n = len(ALL_CHECKS)
     assert code == 0
     assert f"{n}/{n} checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flags", [
+    ("--out", "report.txt"),
+    ("--beta", "2", "--gamma", "3"),
+    ("--format", "json"),
+    ("--config", "settings.txt"),
+])
+def test_cli_verify_takes_no_common_flags(tmp_path, monkeypatch, capsys, flags):
+    # the battery pins its own parameters and prints its report, so a
+    # common flag would be silently ignored; it is refused before any check
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--quick", *flags]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

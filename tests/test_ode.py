@@ -12,6 +12,7 @@ from sirtimes import (
     IntegratorConfig,
     ModelParams,
     Method,
+    SirState,
     hitting_time_u,
     hitting_time_v,
     integrate,
@@ -19,6 +20,7 @@ from sirtimes import (
     u_integral,
     v_integral,
 )
+from sirtimes import kernels, ode
 from sirtimes.errors import DomainError, IntegrationStall, NeverReached
 
 # 50-digit reference values for beta=2, gamma=3, mu=1
@@ -202,6 +204,37 @@ def test_stall_when_the_field_overflows(p23, hitting_time):
     with np.errstate(all="ignore"), pytest.raises(IntegrationStall) as exc:
         hitting_time(p23, 1e300, 1e300)
     assert exc.value.t_reached == 0.0
+
+
+# (item of the kernel's result, index, value): an infected count, then a time
+@pytest.mark.parametrize("item, index, bad", [
+    (4, (3, 1), -1e-3), (4, (3, 1), math.nan), (4, (3, 1), math.inf), (3, 3, math.inf),
+])
+def test_a_bad_sample_still_raises_at_integrate(p23, monkeypatch, item, index, bad):
+    # the samples are built lazily, but a bad accepted state is still
+    # refused when the path is solved, with the message its SirState gives
+    real = kernels._dp5
+
+    def corrupt(*args):
+        out = real(*args)
+        out[item][index] = bad
+        out[4][5, 0] = -1.0  # a later bad state must not be the one reported
+        return out
+
+    monkeypatch.setattr(kernels, "_dp5", corrupt)
+    _, _, _, ts, states, _ = ode._run(p23, 4.0, 2.0, 2.0, kernels.PATH, ode._DEFAULT_CONFIG)
+    with pytest.raises(DomainError) as want:
+        SirState(states[3, 0], states[3, 1], ts[3])
+    with pytest.raises(DomainError) as got:
+        integrate(p23, 4.0, 2.0, 2.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_samples_are_built_on_first_access(p23):
+    traj = integrate(p23, 4.0, 2.0, 2.0)
+    assert "samples" not in vars(traj)
+    first = traj.samples
+    assert "samples" in vars(traj) and traj.samples is first
 
 
 @settings(deadline=None, max_examples=60)
