@@ -13,7 +13,6 @@ level), supplemented by closed-form bounds, large-population asymptotics,
 and verification against the transport PDE the surfaces satisfy.
 """
 
-from ._jit import JIT_ENABLED
 from .core import (
     CriticalTimeResult,
     Method,
@@ -74,6 +73,9 @@ from .gridrun import (
 )
 
 __version__ = "0.1.0"
+
+# the kernels are plain Python; there is no compiled path to enable
+JIT_ENABLED = False
 
 __all__ = [
     "__version__",

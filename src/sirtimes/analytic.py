@@ -90,9 +90,9 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     return AnchorResult(a, log_a, residual)
 
 
-def _run_quad(kind, lo, hi, beta, rho, psiv, abs_tol, rel_tol, max_intervals):
+def _run_quad(kind, lo, hi, beta, rho, psiv):
     status, value, err = kernels._adaptive_gk(
-        kind, lo, hi, beta, rho, psiv, abs_tol, rel_tol, max_intervals
+        kind, lo, hi, beta, rho, psiv, QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS
     )
     if status == kernels.QUAD_BADFUN:
         raise QuadratureFailure(
@@ -103,15 +103,7 @@ def _run_quad(kind, lo, hi, beta, rho, psiv, abs_tol, rel_tol, max_intervals):
     return value, err
 
 
-def u_integral(
-    params: ModelParams,
-    x: float,
-    y: float,
-    *,
-    abs_tol: float = QUAD_ABS_TOL,
-    rel_tol: float = QUAD_REL_TOL,
-    max_intervals: int = QUAD_MAX_INTERVALS,
-) -> CriticalTimeResult:
+def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     """Threshold hitting time by the exact representation integral.
 
     Requires x > 0 and y >= mu. For y = mu the value is 0 when x <= rho and
@@ -138,32 +130,20 @@ def u_integral(
     if log_a < split_l:
         # left piece in log space, right piece (if any) in z space
         ls = min(split_l, math.log(x))
-        v1, e1 = _run_quad(
-            1, log_a, ls, beta, rho, psiv, abs_tol, rel_tol, max_intervals
-        )
+        v1, e1 = _run_quad(1, log_a, ls, beta, rho, psiv)
         total += v1
         err += e1
         z_lo = math.exp(ls)
     else:
         z_lo = math.exp(log_a)
     if z_lo < x:
-        v2, e2 = _run_quad(
-            0, z_lo, x, beta, rho, psiv, abs_tol, rel_tol, max_intervals
-        )
+        v2, e2 = _run_quad(0, z_lo, x, beta, rho, psiv)
         total += v2
         err += e2
     return CriticalTimeResult(max(total, 0.0), Method.INTEGRAL, err)
 
 
-def v_integral(
-    params: ModelParams,
-    x: float,
-    y: float,
-    *,
-    abs_tol: float = QUAD_ABS_TOL,
-    rel_tol: float = QUAD_REL_TOL,
-    max_intervals: int = QUAD_MAX_INTERVALS,
-) -> CriticalTimeResult:
+def v_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     """Peak time by the exact representation integral.
 
     Requires x >= rho and y > 0; the value is 0 at x = rho.
@@ -178,9 +158,7 @@ def v_integral(
     if x == rho:
         return CriticalTimeResult(0.0, Method.INTEGRAL, 0.0)
     psiv = psi(params, x, y)
-    value, err = _run_quad(
-        0, rho, x, params.beta, rho, psiv, abs_tol, rel_tol, max_intervals
-    )
+    value, err = _run_quad(0, rho, x, params.beta, rho, psiv)
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
 
 

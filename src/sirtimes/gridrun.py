@@ -300,11 +300,10 @@ def run_grid(
 ) -> GridResult:
     """Evaluate the grid row-major (y outer, x inner).
 
-    Both routes evaluate every interior node at once with numpy, whether or
-    not numba is present, and send the rest through the per-node
-    :func:`build_row`: the integral route by the batched quadrature, the ODE
-    route by a lock-step Dormand-Prince loop. ``config`` applies to the ODE
-    route only.
+    Both routes evaluate every interior node at once with numpy and send
+    the rest through the per-node :func:`build_row`: the integral route by
+    the batched quadrature, the ODE route by a lock-step Dormand-Prince
+    loop. ``config`` applies to the ODE route only.
     """
     _check_route(time_kind, method)
     xs = spec.xs()

@@ -8,22 +8,19 @@ first downward crossings of I through mu (u) and of S through rho (v), and
 mode: stop at one crossing, with a time cap (the hitting times), or run to
 a fixed end and keep every step (trajectories).
 
-The scalar kernels are nopython-compilable; wrappers in :mod:`sirtimes.ode`
-and :mod:`sirtimes.analytic` validate inputs and turn status codes into
+The scalar kernels are plain Python; wrappers in :mod:`sirtimes.ode` and
+:mod:`sirtimes.analytic` validate inputs and turn status codes into
 exceptions. Kernels return status tuples instead of raising. At the end of
-the module, plain numpy twins run the same algorithms over whole grids at
-once: of the quadrature and anchor kernels; :func:`_dp5_batch`, the stop
-mode of :func:`_dp5` stepped in lock-step with a step size per node; and
+the module, numpy twins run the same algorithms over whole grids at once:
+of the quadrature and anchor kernels; :func:`_dp5_batch`, the stop mode of
+:func:`_dp5` stepped in lock-step with a step size per node; and
 :func:`_locate_batch`, which refines all of its crossings in one lock-step
-pass. The twins stay plain numpy when numba is present; only the scalar
-kernels they call are compiled.
+pass.
 """
 
 import math
 
 import numpy as np
-
-from ._jit import maybe_jit
 
 # status codes for the ODE kernel
 ODE_OK = 0
@@ -150,7 +147,6 @@ _WG = np.array(
 _WG_C = 0.417959183673469387755102040816327
 
 
-@maybe_jit
 def _initial_step(beta, gamma, s, i, t_bound, max_step, rtol, atol):
     # standard heuristic: match the scale of the first derivative, then
     # sanity-check with an Euler probe
@@ -189,7 +185,6 @@ def _initial_step(beta, gamma, s, i, t_bound, max_step, rtol, atol):
     return h
 
 
-@maybe_jit
 def _try_step(beta, gamma, s, i, h, k, rtol, atol):
     """One 5(4) attempt from (s, i). k[0] must hold f(s, i) on entry; all
     seven stages are stored into k. Returns (s_new, i_new, err_norm)."""
@@ -252,7 +247,6 @@ def _try_step(beta, gamma, s, i, h, k, rtol, atol):
     return s1, i1, err
 
 
-@maybe_jit
 def _dense_coeffs(k, comp):
     q0 = 0.0
     q1 = 0.0
@@ -267,12 +261,10 @@ def _dense_coeffs(k, comp):
     return q0, q1, q2, q3
 
 
-@maybe_jit
 def _dense_eval(y0, h, q0, q1, q2, q3, theta):
     return y0 + h * theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
 
 
-@maybe_jit
 def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
     """Locate the root of dense(theta) - level on [0, 1].
 
@@ -313,7 +305,6 @@ def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
     return 0.5 * (ta + tb), 0.5 * (tb - ta)
 
 
-@maybe_jit
 def _locate(k, t, s, i, h, comp, level, g0, g1, ev_tol, ev):
     """Refine the downward crossing of component *comp* through *level*
     inside the accepted step of size h from (t, s, i), whose stages are in
@@ -334,7 +325,6 @@ def _locate(k, t, s, i, h, comp, level, g0, g1, ev_tol, ev):
     ev[comp, 4] = hw * h
 
 
-@maybe_jit
 def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol,
          t0=0.0, h0=0.0):
     """Integrate from (s0, i0) at t = t0, watching the first downward
@@ -356,14 +346,9 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
     are the accepted step times, states and stages (the initial state alone
     in stop mode)."""
     path = stop == PATH
-    cap = 512 if path else 1
-    ts = np.empty(cap)
-    ys = np.empty((cap, 2))
-    ks = np.empty((cap, 7, 2))
-    ts[0] = t0
-    ys[0, 0] = s0
-    ys[0, 1] = i0
-    n = 0
+    ts = [t0]
+    ys = [(s0, i0)]
+    ks = []
     ev = np.zeros((2, 5))
     i_found = False
     s_found = False
@@ -410,23 +395,9 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
 
         t = t_end if last else t + h
         if path:
-            if n + 1 >= cap:
-                cap2 = cap * 2
-                ts2 = np.empty(cap2)
-                ys2 = np.empty((cap2, 2))
-                ks2 = np.empty((cap2, 7, 2))
-                ts2[: n + 1] = ts[: n + 1]
-                ys2[: n + 1] = ys[: n + 1]
-                ks2[:n] = ks[:n]
-                ts = ts2
-                ys = ys2
-                ks = ks2
-                cap = cap2
-            ks[n] = k
-            n += 1
-            ts[n] = t
-            ys[n, 0] = s1
-            ys[n, 1] = i1
+            ks.append(k.copy())
+            ts.append(t)
+            ys.append((s1, i1))
         s = s1
         i = i1
         gi_prev = gi_new
@@ -439,10 +410,10 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
             factor = min(10.0, max(0.9, 0.9 * err ** -0.2))
         h = min(h * factor, max_step)
 
-    return status, t, ev, ts[: n + 1].copy(), ys[: n + 1].copy(), ks[:n].copy()
+    return (status, t, ev, np.array(ts, dtype=float), np.array(ys, dtype=float),
+            np.array(ks).reshape(-1, 7, 2))
 
 
-@maybe_jit
 def _quad_f(kind, z, beta, rho, psiv):
     """Integrand of the time representations. kind 0: variable is the
     susceptible level z, f = 1/(beta*z*(rho*ln z - z + psi)). kind 1: variable
@@ -461,13 +432,12 @@ def _quad_f(kind, z, beta, rho, psiv):
     return 1.0 / (beta * g), True
 
 
-@maybe_jit
 def _gk15(kind, a, b, beta, rho, psiv):
     """Gauss-Kronrod 7/15 rule on [a, b] with a QUADPACK-style error
     estimate. Returns (value, err, ok)."""
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
-    fv = np.empty(15)
+    fv = [0.0] * 15
     fc, ok = _quad_f(kind, c, beta, rho, psiv)
     fv[14] = fc
     resk = _WGK_C * fc
@@ -498,30 +468,24 @@ def _gk15(kind, a, b, beta, rho, psiv):
     return value, err, ok
 
 
-@maybe_jit
 def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
     """Globally adaptive quadrature: repeatedly bisect the interval with the
     largest error estimate. Returns (status, value, err)."""
     if hi <= lo:
         return QUAD_OK, 0.0, 0.0
-    al = np.empty(max_iv)
-    bl = np.empty(max_iv)
-    vl = np.empty(max_iv)
-    el = np.empty(max_iv)
     v, e, ok = _gk15(kind, lo, hi, beta, rho, psiv)
     if not ok:
         return QUAD_BADFUN, 0.0, 0.0
-    al[0] = lo
-    bl[0] = hi
-    vl[0] = v
-    el[0] = e
-    n = 1
+    al = [lo]
+    bl = [hi]
+    vl = [v]
+    el = [e]
     while True:
         total = 0.0
         errtot = 0.0
         worst = 0
         eworst = -1.0
-        for j in range(n):
+        for j in range(len(vl)):
             total += vl[j]
             errtot += el[j]
             if el[j] > eworst:
@@ -529,7 +493,7 @@ def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
                 worst = j
         if errtot <= max(atol, rtol * abs(total)):
             return QUAD_OK, total, errtot
-        if n >= max_iv:
+        if len(vl) >= max_iv:
             return QUAD_NOCONV, total, errtot
         a0 = al[worst]
         b0 = bl[worst]
@@ -541,18 +505,15 @@ def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
         v2, e2, ok2 = _gk15(kind, m, b0, beta, rho, psiv)
         if not (ok1 and ok2):
             return QUAD_BADFUN, total, errtot
-        al[worst] = a0
         bl[worst] = m
         vl[worst] = v1
         el[worst] = e1
-        al[n] = m
-        bl[n] = b0
-        vl[n] = v2
-        el[n] = e2
-        n += 1
+        al.append(m)
+        bl.append(b0)
+        vl.append(v2)
+        el.append(e2)
 
 
-@maybe_jit
 def _anchor_log(rho, mu, psiv):
     """Solve e^L + mu - rho*L = psi for the unique L <= ln(rho).
 
@@ -598,15 +559,15 @@ def _anchor_log(rho, mu, psiv):
 # --- numpy twins for whole grids -------------------------------------------
 #
 # The functions below run the scalar algorithms above over many independent
-# problems at once, in lock-step, with numpy arrays. They are never jitted.
-# Each keeps the scalar kernel's order of floating-point operations. numpy's
-# log and exp can differ from math's in the last bit; wherever a result
-# could follow that bit (the anchor's sign tests and Newton steps, the
-# z-space integrand where it loses digits) the twins call math instead, so
-# they agree with the scalar kernels to a few units in the last place. The
-# DP5 and crossing twins use only correctly rounded arithmetic (the step
-# factor's power is taken with Python's pow) and mirror Python's max and min
-# where NaN can reach them, so they equal the scalar kernels bit for bit.
+# problems at once, in lock-step, with numpy arrays. Each keeps the scalar
+# kernel's order of floating-point operations. numpy's log and exp can
+# differ from math's in the last bit; wherever a result could follow that
+# bit (the anchor's sign tests and Newton steps, the z-space integrand where
+# it loses digits) the twins call math instead, so they agree with the
+# scalar kernels to a few units in the last place. The DP5 and crossing
+# twins use only correctly rounded arithmetic (the step factor's power is
+# taken with Python's pow) and mirror Python's max and min where NaN can
+# reach them, so they equal the scalar kernels bit for bit.
 
 
 def _math_each(fn, values):

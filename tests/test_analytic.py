@@ -10,6 +10,7 @@ from sirtimes import (
     AnchorResult,
     ModelParams,
     Method,
+    analytic,
     asymptotic_u,
     asymptotic_v,
     bounds_u,
@@ -130,9 +131,12 @@ def test_v_integral_domain(p23):
         v_integral(p23, 5.0, 0.0)
 
 
-def test_quadrature_budget_failure(p23):
+def test_quadrature_budget_failure(p23, monkeypatch):
+    monkeypatch.setattr(analytic, "QUAD_ABS_TOL", 1e-30)
+    monkeypatch.setattr(analytic, "QUAD_REL_TOL", 1e-30)
+    monkeypatch.setattr(analytic, "QUAD_MAX_INTERVALS", 1)
     with pytest.raises(QuadratureFailure) as exc:
-        u_integral(p23, 4.0, 2.0, abs_tol=1e-30, rel_tol=1e-30, max_intervals=1)
+        u_integral(p23, 4.0, 2.0)
     # the failure still carries the best estimate so far
     assert exc.value.value == pytest.approx(U_4_2, rel=2e-2)
     assert exc.value.err_estimate > 0.0

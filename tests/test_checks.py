@@ -238,10 +238,10 @@ def _first_states():
     ordering = (float(rng.uniform(0.0, 6.0)), float(rng.uniform(checks.U_PARAMS.mu, 5.0)))
     return {
         "ordering_v_le_u": (ordering, 40),
-        "pde_order_u": (stencil_points(*checks.PDE_POINTS_U[0], 1e-3)[0], 60),
-        # a state of the h = 2.5e-4 study's h/2 level, which no reported
-        # order or residual reads
-        "pde_order_v": (stencil_points(*checks.PDE_POINTS_V[0], 2.5e-4)[4], 60),
+        "pde_order_u": (stencil_points(*checks.PDE_POINTS_U[0], 1e-3)[0], 36),
+        # a state of the h = 1e-3 study's h/4 level, which the h = 2.5e-4
+        # residual reads too
+        "pde_order_v": (stencil_points(*checks.PDE_POINTS_V[0], 1e-3)[8], 36),
         "vanishing_v": (_vanishing_points(True)[0], 5),
     }
 

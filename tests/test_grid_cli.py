@@ -710,20 +710,15 @@ def test_cli_asymptotics_v_never_reached(capsys):
     assert "never reached" in capsys.readouterr().err
 
 
-def test_fallback_path_matches_jit_bitwise(tmp_path, p23):
-    # the pure-Python kernels must produce byte-identical output to the
-    # compiled ones; a subprocess is needed because the flag is read at import
+def test_cli_grid_process_matches_rows_to_csv(p23):
+    # `python -m sirtimes.cli grid` in a child process: the module entry
+    # point, its exit code and stdout give the in-process CSV bytes
     spec = GridSpec(0.5, 5.0, 7, 0.5, 4.0, 5)
     here = rows_to_csv(run_grid(p23, spec, "u", "integral").rows)
     # the child imports the package this process tested, whatever its path
     src = os.path.dirname(os.path.dirname(sirtimes.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, SIRTIMES_NO_JIT="1", PYTHONPATH=path)
-    probe = subprocess.run(
-        [sys.executable, "-c", "import sirtimes; print(sirtimes.JIT_ENABLED)"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert probe.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=path)
     cp = subprocess.run(
         [sys.executable, "-m", "sirtimes.cli", "grid", *P23,
          "--x", "0.5:5:7", "--y", "0.5:4:5", "--time", "u",
