@@ -332,46 +332,36 @@ def check_ordering_v_le_u(quick=False):
     )
 
 
-def check_characteristic_u(quick=False):
-    """u decreases at unit rate along solved orbits (u route)."""
+def _characteristic(kind, params, seed, x_range, y_range, quick):
+    """The time *kind* decreases at unit rate along orbits solved from
+    states drawn uniformly from *x_range* x *y_range*."""
     n = 3 if quick else 10
-    rng = np.random.default_rng(13)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
-        x = float(rng.uniform(0.5, 6.0))
-        y = float(rng.uniform(1.2, 5.0))
+        x = float(rng.uniform(*x_range))
+        y = float(rng.uniform(*y_range))
         worst = max(
             worst,
-            check_characteristic_identity(U_PARAMS, x, y, (0.25, 0.5, 0.75), "u"),
+            check_characteristic_identity(params, x, y, (0.25, 0.5, 0.75), kind),
         )
     return _outcome(
-        "characteristic_u",
+        f"characteristic_{kind}",
         worst <= CHARACTERISTIC_TOL,
         f"max relative defect {worst:.3e} over {n} orbits at fractions "
         f"(0.25, 0.5, 0.75) (tol {CHARACTERISTIC_TOL:g})",
         worst=worst,
     )
+
+
+def check_characteristic_u(quick=False):
+    """u decreases at unit rate along solved orbits (u route)."""
+    return _characteristic("u", U_PARAMS, 13, (0.5, 6.0), (1.2, 5.0), quick)
 
 
 def check_characteristic_v(quick=False):
     """Same identity for the peak time."""
-    n = 3 if quick else 10
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(n):
-        x = float(rng.uniform(1.5, 20.0))
-        y = float(rng.uniform(0.5, 5.0))
-        worst = max(
-            worst,
-            check_characteristic_identity(V_PARAMS, x, y, (0.25, 0.5, 0.75), "v"),
-        )
-    return _outcome(
-        "characteristic_v",
-        worst <= CHARACTERISTIC_TOL,
-        f"max relative defect {worst:.3e} over {n} orbits at fractions "
-        f"(0.25, 0.5, 0.75) (tol {CHARACTERISTIC_TOL:g})",
-        worst=worst,
-    )
+    return _characteristic("v", V_PARAMS, 17, (1.5, 20.0), (0.5, 5.0), quick)
 
 
 def check_exact_x0(quick=False):

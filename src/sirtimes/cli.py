@@ -124,7 +124,10 @@ def _build_parser():
 
 def _load_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"config file {path!r} is not valid UTF-8: {exc}")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -154,13 +154,6 @@ def _integral_edge(
     return None
 
 
-def _is_interior(params: ModelParams, time_kind: str, x: float, y: float) -> bool:
-    try:
-        return _integral_edge(params, time_kind, x, y) is None
-    except NeverReached:
-        return False
-
-
 def _check_route(time_kind: str, method: str) -> None:
     if time_kind not in ("u", "v"):
         raise DomainError(f"time_kind must be 'u' or 'v', got {time_kind!r}")
@@ -205,8 +198,6 @@ def _bounds_cells_u(params, x, y):
 
 
 def _bounds_cells_v(params, x, y):
-    if x <= params.rho or y <= 0.0:
-        return None, None
     try:
         b = bounds_v(params, x, y)
     except DomainError:
@@ -226,7 +217,7 @@ def _asym_cell(params, time_kind, x, y):
 def side_cells(params, time_kind, x, y):
     """The (lower, upper, asymptotic) cells of a row."""
     if time_kind == "u":
-        lower, upper = _bounds_cells_u(params, x, y) if y >= params.mu else (None, None)
+        lower, upper = _bounds_cells_u(params, x, y)
     else:
         lower, upper = _bounds_cells_v(params, x, y)
     return lower, upper, _asym_cell(params, time_kind, x, y)
@@ -257,38 +248,28 @@ def build_row(
 def _node_rows(params, time_kind, method, nodes, config=None):
     """The rows at *nodes*, a list of (x, y) float pairs, by *method*'s route.
 
-    The nodes inside the route's edge rules are evaluated at once: on the
-    integral route the interior nodes by the batched quadrature, on the ODE
-    route the nodes with x >= 0 and y > mu (u) or x > rho and y > 0 (v) by
-    the lock-step Dormand-Prince loop. Every other node, and any node the
-    batch did not finish, goes through :func:`build_row`. ``config`` applies
-    to the ODE route only.
+    Every node goes to the route's batch entry, which evaluates the nodes
+    inside its own interior at once: the integral route by the batched
+    quadrature, the ODE route by the lock-step Dormand-Prince loop. Every
+    node the batch did not take or did not finish goes through
+    :func:`build_row`. ``config`` applies to the ODE route only.
     """
-    if method == "integral":
-        inside = [k for k, (x, y) in enumerate(nodes) if _is_interior(params, time_kind, x, y)]
-    elif time_kind == "u":
-        inside = [k for k, (x, y) in enumerate(nodes) if x >= 0.0 and y > params.mu]
-    else:
-        inside = [k for k, (x, y) in enumerate(nodes) if x > params.rho and y > 0.0]
-    xs = [nodes[k][0] for k in inside]
-    ys = [nodes[k][1] for k in inside]
+    xs = [x for x, _ in nodes]
+    ys = [y for _, y in nodes]
     if method == "integral":
         batch = u_integral_batch if time_kind == "u" else v_integral_batch
         ok, values, errs = batch(params, xs, ys)
+        tag = Method.INTEGRAL.value
     else:
         row = kernels.EV_I if time_kind == "u" else kernels.EV_S
         ok, values, errs = _hitting_times(params, xs, ys, row, config)
-    rows: list[GridRow | None] = [None] * len(nodes)
-    tag = (Method.INTEGRAL if method == "integral" else Method.ODE_EVENT).value
-    for k, good, value, err in zip(inside, ok.tolist(), values.tolist(), errs.tolist()):
-        if good:
-            x, y = nodes[k]
-            rows[k] = GridRow(x, y, value, tag, err, *side_cells(params, time_kind, x, y))
-    for k, row in enumerate(rows):
-        if row is None:
-            x, y = nodes[k]
-            rows[k] = build_row(params, time_kind, method, x, y, config)
-    return rows
+        tag = Method.ODE_EVENT.value
+    return [
+        GridRow(x, y, value, tag, err, *side_cells(params, time_kind, x, y))
+        if good
+        else build_row(params, time_kind, method, x, y, config)
+        for (x, y), good, value, err in zip(nodes, ok.tolist(), values.tolist(), errs.tolist())
+    ]
 
 
 def run_grid(

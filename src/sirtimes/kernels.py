@@ -40,6 +40,10 @@ QUAD_BADFUN = 2
 
 _EPS = 2.220446049250313e-16
 
+# relative width to which _locate and _locate_batch refine a crossing time:
+# the bracket closes within _EV_TOL * max(1, t) of it, or on an exact hit
+_EV_TOL = 1e-12
+
 # Dormand-Prince 5(4) tableau
 _A21 = 1.0 / 5.0
 _A31 = 3.0 / 40.0
@@ -147,7 +151,7 @@ _WG = np.array(
 _WG_C = 0.417959183673469387755102040816327
 
 
-def _initial_step(beta, gamma, s, i, t_bound, max_step, rtol, atol):
+def _initial_step(beta, gamma, s, i, t_bound, rtol, atol):
     # standard heuristic: match the scale of the first derivative, then
     # sanity-check with an Euler probe
     fs = -beta * s * i
@@ -178,10 +182,10 @@ def _initial_step(beta, gamma, s, i, t_bound, max_step, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, max_step, t_bound)
+    h = min(100.0 * h0, h1, t_bound)
     if not (h > 0.0 and math.isfinite(h)):
         # extreme tolerances can overflow the scale estimates
-        h = min(1e-6, max_step, t_bound)
+        h = min(1e-6, t_bound)
     return h
 
 
@@ -305,7 +309,7 @@ def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
     return 0.5 * (ta + tb), 0.5 * (tb - ta)
 
 
-def _locate(k, t, s, i, h, comp, level, g0, g1, ev_tol, ev):
+def _locate(k, t, s, i, h, comp, level, g0, g1, ev):
     """Refine the downward crossing of component *comp* through *level*
     inside the accepted step of size h from (t, s, i), whose stages are in
     k; g0 > 0 and g1 <= 0 are the watched component minus the level at the
@@ -316,7 +320,7 @@ def _locate(k, t, s, i, h, comp, level, g0, g1, ev_tol, ev):
         y0, q0, q1, q2, q3 = i, qi0, qi1, qi2, qi3
     else:
         y0, q0, q1, q2, q3 = s, qs0, qs1, qs2, qs3
-    tol_t = ev_tol * max(1.0, t + h)
+    tol_t = _EV_TOL * max(1.0, t + h)
     theta, hw = _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_t / h)
     ev[comp, 0] = 1.0
     ev[comp, 1] = t + theta * h
@@ -325,8 +329,7 @@ def _locate(k, t, s, i, h, comp, level, g0, g1, ev_tol, ev):
     ev[comp, 4] = hw * h
 
 
-def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol,
-         t0=0.0, h0=0.0):
+def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
     """Integrate from (s0, i0) at t = t0, watching the first downward
     crossing of I through mu (row EV_I of the event array) and of S through
     rho (row EV_S). The first trial step is h0, or the one
@@ -364,7 +367,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
     gs_prev = s - rho
     h = h0
     if h == 0.0:
-        h = _initial_step(beta, gamma, s, i, t_end - t0, max_step, rtol, atol)
+        h = _initial_step(beta, gamma, s, i, t_end - t0, rtol, atol)
     while True:
         if t >= t_end:
             if not path:
@@ -384,10 +387,10 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
         gi_new = i1 - mu
         gs_new = s1 - rho
         if stop != EV_S and not i_found and gi_prev > 0.0 and gi_new <= 0.0:
-            _locate(k, t, s, i, h, EV_I, mu, gi_prev, gi_new, ev_tol, ev)
+            _locate(k, t, s, i, h, EV_I, mu, gi_prev, gi_new, ev)
             i_found = True
         if stop != EV_I and not s_found and gs_prev > 0.0 and gs_new <= 0.0:
-            _locate(k, t, s, i, h, EV_S, rho, gs_prev, gs_new, ev_tol, ev)
+            _locate(k, t, s, i, h, EV_S, rho, gs_prev, gs_new, ev)
             s_found = True
         if not path and (i_found or s_found):
             t = ev[stop, 1]
@@ -408,7 +411,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol
             factor = 10.0
         else:
             factor = min(10.0, max(0.9, 0.9 * err ** -0.2))
-        h = min(h * factor, max_step)
+        h *= factor
 
     return (status, t, ev, np.array(ts, dtype=float), np.array(ys, dtype=float),
             np.array(ks).reshape(-1, 7, 2))
@@ -906,7 +909,7 @@ def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
     return theta, hw
 
 
-def _locate_batch(t, y, h, q, comp, level, g0, g1, ev_tol):
+def _locate_batch(t, y, h, q, comp, level, g0, g1):
     """:func:`_locate` at many crossings at once. Column j is the accepted
     step of size h[j] from (t[j], y[0, j], y[1, j]) whose dense coefficients
     are q[:, :, j] (see :func:`_dense_coeffs_batch`); g0[j] > 0 and g1[j] <=
@@ -914,7 +917,7 @@ def _locate_batch(t, y, h, q, comp, level, g0, g1, ev_tol):
     5) rows (1, t, S, I, time half-width) that the scalar kernel stores in
     row *comp* of its event array, equal to them bit for bit."""
     with np.errstate(all="ignore"):
-        tol_theta = ev_tol * _py_max(1.0, t + h) / h
+        tol_theta = _EV_TOL * _py_max(1.0, t + h) / h
         theta, hw = _refine_crossing_batch(y[comp], h, q[:, comp], level, g0, g1, tol_theta)
         ev = np.empty((t.size, 5))
         ev[:, 0] = 1.0
@@ -926,7 +929,7 @@ def _locate_batch(t, y, h, q, comp, level, g0, g1, ev_tol):
     return ev
 
 
-def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, ev_tol):
+def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     """:func:`_dp5` in stop mode (stop is EV_I or EV_S) from every state
     (s0[j], i0[j]), each with its own cap t_end[j], in lock-step.
 
@@ -952,7 +955,7 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, 
     t = np.zeros(n)
     y = np.array([s0, i0], dtype=float)
     h = np.array([
-        _initial_step(beta, gamma, s, i, c, max_step, rtol, atol)
+        _initial_step(beta, gamma, s, i, c, rtol, atol)
         for s, i, c in zip(s0.tolist(), i0.tolist(), t_end.tolist())
     ])
     k1 = np.empty_like(y)
@@ -987,7 +990,7 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, 
             # on the growth factor never binds
             h = np.where(
                 step,
-                _py_min(h * _py_min(10.0, q), max_step),
+                h * _py_min(10.0, q),
                 np.where(end < 0, h * _py_max(0.2, q), h),
             )
         done = end >= 0
@@ -1002,13 +1005,13 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, max_step, 
     if found:
         nodes, tc, yc, hc, qc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
         del found  # the per-round pieces, before the refinement's temporaries
-        ev = _locate_batch(tc, yc, hc, qc, stop, level, g0, g1, ev_tol)
+        ev = _locate_batch(tc, yc, hc, qc, stop, level, g0, g1)
         ev_out[nodes] = ev
         t_out[nodes] = ev[:, 1]
     for j, node in enumerate(idx.tolist()):
         st, tr, ev, _, _, _ = _dp5(
             beta, gamma, float(y[0, j]), float(y[1, j]), mu, rho, float(cap[j]), stop,
-            rtol, atol, max_step, ev_tol, float(t[j]), float(h[j]),
+            rtol, atol, float(t[j]), float(h[j]),
         )
         status[node] = st
         t_out[node] = tr

@@ -2,7 +2,12 @@
 
 The hitting-time entry points integrate until a watched component crosses its
 level and refine the crossing on the integrator's dense output, so the event
-time carries the integrator's accuracy rather than the step size.
+time carries the integrator's accuracy rather than the step size. A crossing
+is refined to a fixed relative width of 1e-12. The refinement nearly always
+ends on an exact hit of the level (at 2407 of the 2440 crossings of the
+README u surface), so ``err_estimate`` is almost always the floor
+10*rel_tol*max(1, T).
+
 Closed-form caps bound how long integration may run: the threshold time is
 at most (x + y)/(gamma*mu) and the peak time at most ln(x/rho)/(beta*y), so
 passing a cap signals numerical breakdown, not a long transient.
@@ -38,18 +43,17 @@ _CAP_SLACK = 1.0 + 1e-6
 class IntegratorConfig:
     """Tolerances for the adaptive integrator.
 
-    rel_tol/abs_tol control the per-step error; event_time_tol is the
-    relative width to which an event time is refined; max_step caps the step
-    size (unbounded by default).
+    rel_tol/abs_tol control the per-step error. Event times are refined to a
+    fixed relative width of 1e-12 (``kernels._EV_TOL``); the refinement
+    nearly always ends on an exact hit of the level, and ``err_estimate`` is
+    then the floor 10*rel_tol*max(1, T).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    event_time_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "event_time_tol"):
+        for name in ("rel_tol", "abs_tol"):
             value = float(getattr(self, name))
             if math.isnan(value) or value <= 0.0:
                 raise DomainError(f"{name} must be positive, got {value!r}")
@@ -162,8 +166,6 @@ def _run(params, x, y, t_end, stop, cfg):
         stop,
         cfg.rel_tol,
         cfg.abs_tol,
-        cfg.max_step,
-        cfg.event_time_tol,
     )
 
 
@@ -226,22 +228,34 @@ def _hitting_time(params, x, y, row, config):
 
 def _hitting_times(params, xs, ys, row, config):
     """:func:`_hitting_time` at many nodes, stepped together by
-    :func:`kernels._dp5_batch`; the caller guarantees each node starts
-    strictly above the level. Returns (ok, value, err_estimate) arrays; a
-    node is not ok where the kernel stalled or reached the cap
-    (:func:`_hitting_time` raises there)."""
+    :func:`kernels._dp5_batch`. Returns (ok, value, err_estimate) arrays. A
+    node is ok when it lies in the interior that :func:`hitting_time_u` and
+    :func:`hitting_time_v` integrate from (finite, with x >= 0 and y > mu for
+    u, x > rho and y > 0 for v) and the kernel found its crossing. Any other
+    node needs the scalar entry, which returns the edge value or raises the
+    typed error there."""
     cfg = config or _DEFAULT_CONFIG
-    caps = [_time_cap(params, x, y, row) for x, y in zip(xs, ys)]
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if row == kernels.EV_I:
+        inside = (x >= 0.0) & (y > params.mu)
+    else:
+        inside = (x > params.rho) & (y > 0.0)
+    idx = np.flatnonzero(inside & np.isfinite(x) & np.isfinite(y))
+    xi = x[idx]
+    yi = y[idx]
+    caps = [_time_cap(params, a, b, row) for a, b in zip(xi.tolist(), yi.tolist())]
     status, _, ev = kernels._dp5_batch(
-        params.beta, params.gamma, np.array(xs, dtype=float), np.array(ys, dtype=float),
-        params.mu, params.rho, np.array(caps), row,
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.event_time_tol,
+        params.beta, params.gamma, xi, yi, params.mu, params.rho,
+        np.array(caps, dtype=float), row, cfg.rel_tol, cfg.abs_tol,
     )
-    ok = status == kernels.ODE_OK
-    values = np.zeros(ok.size)
-    errs = np.zeros(ok.size)
-    for j in np.flatnonzero(ok).tolist():
-        values[j], errs[j] = _event_value(ev[j], cfg)
+    ok = np.zeros(x.size, dtype=bool)
+    values = np.zeros(x.size)
+    errs = np.zeros(x.size)
+    for j, node in enumerate(idx.tolist()):
+        if status[j] == kernels.ODE_OK:
+            ok[node] = True
+            values[node], errs[node] = _event_value(ev[j], cfg)
     return ok, values, errs
 
 

@@ -114,6 +114,16 @@ def test_batch_entries_flag_nodes_outside_their_interior(p23):
     assert ok.tolist() == [False, False, False, True, False]
     ok, _, _ = v_integral_batch(p23, [1.0, 1.5, 3.0, 3.0, 3.0], [1.0, 1.0, 1.0, 0.0, -1.0])
     assert ok.tolist() == [False, False, True, False, False]
+    # the ODE batch: x < 0, y == mu, y < mu, then an interior node
+    xs, ys = [-1.0, 2.0, 2.0, 2.0], [2.0, 1.0, 0.5, 2.0]
+    ok, values, _ = ode._hitting_times(p23, xs, ys, kernels.EV_I, None)
+    assert ok.tolist() == [False, False, False, True]
+    assert values[3] == ode.hitting_time_u(p23, 2.0, 2.0).value
+    # x == rho, y == 0, y < 0, then an interior node
+    xs, ys = [1.5, 3.0, 3.0, 3.0], [1.0, 0.0, -1.0, 1.0]
+    ok, values, _ = ode._hitting_times(p23, xs, ys, kernels.EV_S, None)
+    assert ok.tolist() == [False, False, False, True]
+    assert values[3] == ode.hitting_time_v(p23, 3.0, 1.0).value
 
 
 def _assert_rows_match_build_row(params, spec, kind):
@@ -224,7 +234,7 @@ def _ode_states(params, stop, n, seed):
 
 def _assert_dp5_batch_is_scalar(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
     args = (params.mu, params.rho)
-    tol = (cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.event_time_tol)
+    tol = (cfg.rel_tol, cfg.abs_tol)
     # a far too loose tolerance can step into overflow, on both routes alike
     with np.errstate(all="ignore"):
         status, t, ev = kernels._dp5_batch(
@@ -286,12 +296,11 @@ def test_dp5_batch_hands_a_long_path_to_the_scalar_loop(p23, monkeypatch):
 
     monkeypatch.setattr(kernels, "_dp5", recording)
     status, t, _ = kernels._dp5_batch(
-        p23.beta, p23.gamma, x, y, p23.mu, p23.rho, caps, kernels.EV_I, 1e-10, 1e-12,
-        math.inf, 1e-12,
+        p23.beta, p23.gamma, x, y, p23.mu, p23.rho, caps, kernels.EV_I, 1e-10, 1e-12
     )
     # each resumed run starts where the batch left it: at t0 > 0, with h0 > 0
     assert 0 < len(calls) < kernels._DP5_HANDOFF
-    assert all(args[12] > 0.0 and args[13] > 0.0 for args in calls)
+    assert all(args[10] > 0.0 and args[11] > 0.0 for args in calls)
     assert caps[-1] in [args[6] for args in calls]
     monkeypatch.setattr(kernels, "_dp5", real)
     _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I)
@@ -349,7 +358,7 @@ def test_ode_grid_stall_rows_are_typed_errors(p23):
 
 
 def test_ode_grid_honours_the_integrator_config(p23):
-    config = IntegratorConfig(max_step=0.01, rel_tol=1e-8)
+    config = IntegratorConfig(rel_tol=1e-8)
     spec = GridSpec(0.0, 6.0, 7, 1.0, 5.0, 5)
     for kind in ("u", "v"):
         rows = _assert_ode_rows_are_build_row(p23, spec, kind, config)
@@ -403,7 +412,7 @@ def _crossings(monkeypatch, params, stop, n, seed):
 
     monkeypatch.setattr(kernels, "_locate", recording)
     x, y, caps = _ode_states(params, stop, n, seed)
-    tol = (1e-10, 1e-12, math.inf, 1e-12)
+    tol = (1e-10, 1e-12)
     for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist()):
         kernels._dp5(params.beta, params.gamma, a, b, params.mu, params.rho, c, stop, *tol)
     monkeypatch.setattr(kernels, "_locate", real)
@@ -412,14 +421,12 @@ def _crossings(monkeypatch, params, stop, n, seed):
     return k, t, np.array([s, i]), h, stop, level[0], g0, g1
 
 
-def _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1, ev_tol=1e-12):
-    got = kernels._locate_batch(
-        t, y, h, kernels._dense_coeffs_batch(k), comp, level, g0, g1, ev_tol
-    )
+def _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1):
+    got = kernels._locate_batch(t, y, h, kernels._dense_coeffs_batch(k), comp, level, g0, g1)
     for j in range(t.size):
         ev = np.zeros((2, 5))
         kernels._locate(k[:, :, j], float(t[j]), float(y[0, j]), float(y[1, j]), float(h[j]),
-                        comp, level, float(g0[j]), float(g1[j]), ev_tol, ev)
+                        comp, level, float(g0[j]), float(g1[j]), ev)
         assert list(map(float.hex, got[j])) == list(map(float.hex, ev[comp])), j
     return got
 
@@ -435,22 +442,25 @@ def test_locate_batch_equals_scalar_bitwise(monkeypatch, stop):
 def test_locate_batch_every_exit(monkeypatch, p23):
     k, t, y, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
     # a loose tolerance: every bracket narrows to it, a nonzero half-width
-    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1, ev_tol=1e-6)
+    monkeypatch.setattr(kernels, "_EV_TOL", 1e-6)
+    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1)
     assert (ev[:, 4] > 0.0).all()
     # a bracket of 1e-300 is never reached; near the root the dense output
     # moves by less than a unit in the last place of the level per step in
     # theta, so every loop ends on an exact hit fc == 0 inside the step
-    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1, ev_tol=1e-300)
+    monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
+    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1)
     assert (ev[:, 4] == 0.0).all() and (ev[:, 1] < t + h).all()
     # g1 == 0 at every third crossing, in one batch with the others: the
     # crossing is the step's end
+    monkeypatch.undo()
     g1[::3] = 0.0
     ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1)
     assert (ev[::3, 1] == t[::3] + h[::3]).all() and (ev[::3, 4] == 0.0).all()
     assert (ev[1::3, 1] < t[1::3] + h[1::3]).all()
 
 
-def test_locate_batch_runs_into_the_iteration_cap():
+def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
     # a constant field: I falls from 500.5 + j/4 at a rate of 1000 + j, so
     # near I = 0.5 the dense output is a sum of two terms of about 500 and
     # every value it takes is a multiple of 2**-44; none equals the level
@@ -467,7 +477,6 @@ def test_locate_batch_runs_into_the_iteration_cap():
         kernels._dense_eval(y[1, j], 1.0, *kernels._dense_coeffs(k[:, :, j], 1), 1.0)
         for j in range(n)
     ]) - level
-    ev = _assert_locate_batch_is_scalar(
-        k, t, y, h, kernels.EV_I, level, y[1] - level, g1, ev_tol=1e-300
-    )
+    monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
+    ev = _assert_locate_batch_is_scalar(k, t, y, h, kernels.EV_I, level, y[1] - level, g1)
     assert (ev[:, 4] > 0.0).all()

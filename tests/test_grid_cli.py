@@ -241,6 +241,34 @@ def test_cli_config_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_config_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"beta=2\ngamma=\xff3\n")
+    code = main(["compute", "--config", str(cfg), "--x", "4", "--y", "2"])
+    assert code == 2
+    assert f"error: config file {str(cfg)!r} is not valid UTF-8" in capsys.readouterr().err
+
+
+def test_cli_tolerances_reach_the_ode_route(tmp_path, p23):
+    def compute(name, *extra):
+        out = tmp_path / name
+        argv = ["compute", *P23, "--x", "4", "--y", "2", "--time", "u", "--method", "ode",
+                "--format", "json", "--out", str(out), *extra]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    flags = compute("flags.json", "--rel-tol", "1e-6", "--abs-tol", "1e-9")
+    [row] = json.loads(flags)
+    want = hitting_time_u(p23, 4.0, 2.0, sirtimes.IntegratorConfig(1e-6, 1e-9))
+    assert (row["value"], row["err_estimate"]) == (want.value, want.err_estimate)
+    [default] = json.loads(compute("default.json"))
+    assert row["value"] != default["value"]
+    assert row["err_estimate"] != default["err_estimate"]
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("rel_tol=1e-6\nabs_tol=1e-9\n")
+    assert compute("config.json", "--config", str(cfg)) == flags
+
+
 def test_cli_config_bad_format(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("format=xml\n")
