@@ -233,6 +233,14 @@ def v_integral_batch(params: ModelParams, xs, ys):
     return ok, value, err
 
 
+def _quotient(num, den, what):
+    """num/den, or DomainError where den, a product of rates and counts,
+    underflows to 0 and the formula has no value."""
+    if den == 0.0:
+        raise DomainError(f"{what}: its denominator underflows to 0")
+    return num / den
+
+
 @dataclass(frozen=True)
 class BoundsU:
     """Closed-form bounds on the threshold hitting time.
@@ -254,7 +262,8 @@ def bounds_u(params: ModelParams, x: float, y: float) -> BoundsU:
     rho + mu. crude_upper = (x+y)/(gamma*mu): while I > mu, mass decreases
     at rate gamma*I > gamma*mu. subcritical_upper = ln(y/mu)/(gamma - beta*x)
     exists for beta*x < gamma only: I then decays at least at rate
-    gamma - beta*x because S never grows.
+    gamma - beta*x because S never grows. Raises DomainError where gamma*mu
+    underflows to 0.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
@@ -262,8 +271,10 @@ def bounds_u(params: ModelParams, x: float, y: float) -> BoundsU:
         raise DomainError(f"bounds_u requires x >= 0 and y >= mu, got ({x!r}, {y!r})")
     rho = params.rho
     mu = params.mu
-    lower = max(0.0, math.log((x + y) / (rho + mu)) / params.gamma)
-    crude_upper = (x + y) / (params.gamma * mu)
+    ratio = (x + y) / (rho + mu)
+    # a ratio that underflows to 0 has a log below -744: the clamp gives 0
+    lower = max(0.0, math.log(ratio) / params.gamma) if ratio > 0.0 else 0.0
+    crude_upper = _quotient(x + y, params.gamma * mu, "crude upper bound on u")
     subcritical_upper = None
     if params.beta * x < params.gamma:
         subcritical_upper = math.log(y / mu) / (params.gamma - params.beta * x)
@@ -287,7 +298,8 @@ def bounds_v(params: ModelParams, x: float, y: float) -> BoundsV:
     crude bound integrates 1/(beta*z*y) instead (I >= y until the peak).
     Requires x > rho and y > 0. Raises DegenerateBound when the chord
     denominator falls below resolution (x within rounding of rho with tiny
-    y); raises DomainError if a log argument degenerates.
+    y); raises DomainError if a log argument degenerates or a denominator
+    underflows to 0.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
@@ -319,20 +331,26 @@ def bounds_v(params: ModelParams, x: float, y: float) -> BoundsV:
             f"chord-bound log argument degenerates ({lower_arg!r}) at "
             f"x={x!r}, y={y!r}"
         )
-    lower = (dlog - math.log(y) + math.log(lower_arg)) / (beta * (x - rho + y))
+    lower = _quotient(
+        dlog - math.log(y) + math.log(lower_arg), beta * (x - rho + y), "chord bound on v"
+    )
 
-    crude_upper = dlog / (beta * y)
+    crude_upper = _quotient(dlog, beta * y, "crude upper bound on v")
     return BoundsV(lower, upper, crude_upper)
 
 
 def asymptotic_u(params: ModelParams, x: float, y: float) -> float:
     """Leading-order threshold time for large total mass:
-    (1/gamma) * ln((x + y)/mu). Requires x >= 0 and x + y > 0."""
+    (1/gamma) * ln((x + y)/mu). Requires x >= 0 and x + y > 0; raises
+    DomainError where (x + y)/mu underflows to 0."""
     x = _require_finite("x", x)
     y = _require_finite("y", y)
     if x < 0.0 or x + y <= 0.0:
         raise DomainError(f"asymptotic_u requires x >= 0, x + y > 0, got ({x!r}, {y!r})")
-    return math.log((x + y) / params.mu) / params.gamma
+    ratio = (x + y) / params.mu
+    if ratio == 0.0:
+        raise DomainError(f"asymptotic_u: (x + y)/mu underflows to 0 at ({x!r}, {y!r})")
+    return math.log(ratio) / params.gamma
 
 
 def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
@@ -340,7 +358,8 @@ def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
 
         ln[(x/rho) * ((x - rho)/y + 1)] / (beta * (x - rho + y))
 
-    Requires x >= rho and y > 0 (0 at x = rho).
+    Requires x >= rho and y > 0 (0 at x = rho). Raises DomainError where
+    the denominator underflows to 0.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
@@ -349,6 +368,8 @@ def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
         raise DomainError(f"asymptotic_v requires x >= rho={rho!r}, got x={x!r}")
     if y <= 0.0:
         raise DomainError(f"asymptotic_v requires y > 0, got y={y!r}")
-    return math.log((x / rho) * ((x - rho) / y + 1.0)) / (
-        params.beta * (x - rho + y)
+    return _quotient(
+        math.log((x / rho) * ((x - rho) / y + 1.0)),
+        params.beta * (x - rho + y),
+        "asymptotic_v",
     )

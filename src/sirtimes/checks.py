@@ -221,7 +221,7 @@ def _cross_method(kind, quick):
     ok = worst <= CROSS_METHOD_TOL and (quick or elapsed <= CROSS_METHOD_BUDGET_S)
     detail = (
         f"max discrepancy {worst:.3e} (tol {CROSS_METHOD_TOL:g}) over {n} nodes, "
-        f"surfaces built in {elapsed:.2f}s single-threaded "
+        f"surfaces built in {elapsed:.2f}s "
         f"(budget {CROSS_METHOD_BUDGET_S:.0f}s)"
     )
     return _outcome(

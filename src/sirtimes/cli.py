@@ -52,13 +52,17 @@ def _add_common(sub):
     sub.add_argument("--beta", type=float, default=None, help="infection rate")
     sub.add_argument("--gamma", type=float, default=None, help="recovery rate")
     sub.add_argument("--mu", type=float, default=None, help="detection threshold (default 1)")
-    sub.add_argument("--rel-tol", type=float, default=None, help="ODE relative tolerance")
-    sub.add_argument("--abs-tol", type=float, default=None, help="ODE absolute tolerance")
     sub.add_argument("--config", default=None, help="JSON or key=value settings file")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument(
         "--format", choices=_FORMATS, default=None, help="output format (default csv)"
     )
+
+
+def _add_tolerances(sub):
+    # only the subcommands that can run the ODE route take its tolerances
+    sub.add_argument("--rel-tol", type=float, default=None, help="ODE relative tolerance")
+    sub.add_argument("--abs-tol", type=float, default=None, help="ODE absolute tolerance")
 
 
 def _build_parser():
@@ -74,6 +78,7 @@ def _build_parser():
 
     sp = subs.add_parser("compute", help="both critical times at one initial state")
     _add_common(sp)
+    _add_tolerances(sp)
     sp.add_argument("--x", required=True, type=float, help="initial susceptible count")
     sp.add_argument("--y", required=True, type=float, help="initial infected count")
     sp.add_argument("--time", choices=("u", "v", "both"), default="both")
@@ -82,6 +87,7 @@ def _build_parser():
 
     sp = subs.add_parser("grid", help="sweep a rectangle of initial states")
     _add_common(sp)
+    _add_tolerances(sp)
     sp.add_argument("--x", required=True, help="x range as min:max:count")
     sp.add_argument("--y", required=True, help="y range as min:max:count")
     sp.add_argument("--time", choices=("u", "v"), required=True)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import kernels
 from .errors import DomainError
 
 __all__ = [
@@ -40,8 +41,9 @@ def _require_finite(name: str, value: float) -> float:
 class ModelParams:
     """Infection rate beta, recovery rate gamma, and detection threshold mu.
 
-    All three must be finite and strictly positive. ``rho`` is the derived
-    threshold level gamma/beta.
+    All three must be finite and strictly positive, and so must the derived
+    threshold level ``rho`` = gamma/beta (it underflows to 0 or overflows
+    to inf when the rates lie too far apart).
     """
 
     beta: float
@@ -54,6 +56,12 @@ class ModelParams:
             if value <= 0.0:
                 raise DomainError(f"{name} must be positive, got {value!r}")
             object.__setattr__(self, name, value)
+        rho = self.rho
+        if rho == 0.0 or rho == math.inf:
+            raise DomainError(
+                f"gamma/beta must be positive and finite, got {rho!r} from "
+                f"beta={self.beta!r} gamma={self.gamma!r}"
+            )
 
     @property
     def rho(self) -> float:
@@ -88,8 +96,6 @@ class Method(str, Enum):
 
     ODE_EVENT = "OdeEvent"
     INTEGRAL = "Integral"
-    ASYMPTOTIC_U = "AsymptoticU"
-    ASYMPTOTIC_V = "AsymptoticV"
     EXACT_X0 = "ExactX0"
     BOUNDARY_ZERO = "BoundaryZero"
 
@@ -115,9 +121,7 @@ class CriticalTimeResult:
 
 def vector_field(params: ModelParams, state: SirState) -> tuple[float, float]:
     """Right-hand side (dS/dt, dI/dt) at *state*."""
-    ds = -params.beta * state.s * state.i
-    di = (params.beta * state.s - params.gamma) * state.i
-    return ds, di
+    return kernels._field(params.beta, params.gamma, state.s, state.i)
 
 
 def psi(params: ModelParams, x: float, y: float) -> float:

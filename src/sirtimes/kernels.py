@@ -8,14 +8,19 @@ first downward crossings of I through mu (u) and of S through rho (v), and
 mode: stop at one crossing, with a time cap (the hitting times), or run to
 a fixed end and keep every step (trajectories).
 
-The scalar kernels are plain Python; wrappers in :mod:`sirtimes.ode` and
-:mod:`sirtimes.analytic` validate inputs and turn status codes into
-exceptions. Kernels return status tuples instead of raising. At the end of
-the module, numpy twins run the same algorithms over whole grids at once:
-of the quadrature and anchor kernels; :func:`_dp5_batch`, the stop mode of
-:func:`_dp5` stepped in lock-step with a step size per node; and
-:func:`_locate_batch`, which refines all of its crossings in one lock-step
-pass.
+The scalar kernels are plain Python on floats; wrappers in
+:mod:`sirtimes.ode` and :mod:`sirtimes.analytic` validate inputs and turn
+status codes into exceptions. Kernels return status tuples instead of
+raising. At the end of the module, numpy twins run the same algorithms over
+whole grids at once: twins of the quadrature and anchor kernels;
+:func:`_dp5_batch`, the stop mode of :func:`_dp5` stepped in lock-step with
+a step size per node; and :func:`_locate_batch`, which refines all of its
+crossings in one lock-step pass.
+
+A kernel and its twin share the formulas: :func:`_field`, :func:`_stages`,
+:func:`_dense_coeffs` and :func:`_gk15_rule` run unchanged on floats or on
+arrays, with the same operations in the same order. The twins differ only
+in control flow, where each element takes its own branch.
 """
 
 import math
@@ -75,87 +80,83 @@ _E7 = -1.0 / 40.0
 
 # quartic dense-output weights; y(t+theta*h) = y + h*theta*sum_j theta^j Q_j
 # with Q_j = sum_i k_i * P[i, j]
-_DENSE_P = np.array(
-    [
-        [
-            1.0,
-            -8048581381.0 / 2820520608.0,
-            8663915743.0 / 2820520608.0,
-            -12715105075.0 / 11282082432.0,
-        ],
-        [0.0, 0.0, 0.0, 0.0],
-        [
-            0.0,
-            131558114200.0 / 32700410799.0,
-            -68118460800.0 / 10900136933.0,
-            87487479700.0 / 32700410799.0,
-        ],
-        [
-            0.0,
-            -1754552775.0 / 470086768.0,
-            14199869525.0 / 1410260304.0,
-            -10690763975.0 / 1880347072.0,
-        ],
-        [
-            0.0,
-            127303824393.0 / 49829197408.0,
-            -318862633887.0 / 49829197408.0,
-            701980252875.0 / 199316789632.0,
-        ],
-        [
-            0.0,
-            -282668133.0 / 205662961.0,
-            2019193451.0 / 616988883.0,
-            -1453857185.0 / 822651844.0,
-        ],
-        [
-            0.0,
-            40617522.0 / 29380423.0,
-            -110615467.0 / 29380423.0,
-            69997945.0 / 29380423.0,
-        ],
-    ]
+_DENSE_P = (
+    (
+        1.0,
+        -8048581381.0 / 2820520608.0,
+        8663915743.0 / 2820520608.0,
+        -12715105075.0 / 11282082432.0,
+    ),
+    (0.0, 0.0, 0.0, 0.0),
+    (
+        0.0,
+        131558114200.0 / 32700410799.0,
+        -68118460800.0 / 10900136933.0,
+        87487479700.0 / 32700410799.0,
+    ),
+    (
+        0.0,
+        -1754552775.0 / 470086768.0,
+        14199869525.0 / 1410260304.0,
+        -10690763975.0 / 1880347072.0,
+    ),
+    (
+        0.0,
+        127303824393.0 / 49829197408.0,
+        -318862633887.0 / 49829197408.0,
+        701980252875.0 / 199316789632.0,
+    ),
+    (
+        0.0,
+        -282668133.0 / 205662961.0,
+        2019193451.0 / 616988883.0,
+        -1453857185.0 / 822651844.0,
+    ),
+    (
+        0.0,
+        40617522.0 / 29380423.0,
+        -110615467.0 / 29380423.0,
+        69997945.0 / 29380423.0,
+    ),
 )
 
 # Gauss-Kronrod 7/15 nodes and weights (positive half; last node is 0)
-_XGK = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-    ]
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
 )
-_WGK = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-    ]
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
 )
 _WGK_C = 0.209482141084727828012999174891714
-_WG = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-    ]
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
 )
 _WG_C = 0.417959183673469387755102040816327
+
+
+def _field(beta, gamma, s, i):
+    """The SIR field (dS/dt, dI/dt) at (s, i): floats, or arrays."""
+    return -beta * s * i, (beta * s - gamma) * i
 
 
 def _initial_step(beta, gamma, s, i, t_bound, rtol, atol):
     # standard heuristic: match the scale of the first derivative, then
     # sanity-check with an Euler probe
-    fs = -beta * s * i
-    fi = (beta * s - gamma) * i
+    fs, fi = _field(beta, gamma, s, i)
     ss = atol + rtol * abs(s)
     si = atol + rtol * abs(i)
     # plain products instead of ** so overflow saturates to inf on every path
@@ -169,10 +170,7 @@ def _initial_step(beta, gamma, s, i, t_bound, rtol, atol):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    y1s = s + h0 * fs
-    y1i = i + h0 * fi
-    f1s = -beta * y1s * y1i
-    f1i = (beta * y1s - gamma) * y1i
+    f1s, f1i = _field(beta, gamma, s + h0 * fs, i + h0 * fi)
     r2s = (f1s - fs) / ss
     r2i = (f1i - fi) / si
     # h0 is 0 when the field overflows (d1 = inf); the fallback below then
@@ -189,58 +187,46 @@ def _initial_step(beta, gamma, s, i, t_bound, rtol, atol):
     return h
 
 
-def _try_step(beta, gamma, s, i, h, k, rtol, atol):
-    """One 5(4) attempt from (s, i). k[0] must hold f(s, i) on entry; all
-    seven stages are stored into k. Returns (s_new, i_new, err_norm)."""
-    k1s = k[0, 0]
-    k1i = k[0, 1]
-
-    ys = s + h * (_A21 * k1s)
-    yi = i + h * (_A21 * k1i)
-    k2s = -beta * ys * yi
-    k2i = (beta * ys - gamma) * yi
-
-    ys = s + h * (_A31 * k1s + _A32 * k2s)
-    yi = i + h * (_A31 * k1i + _A32 * k2i)
-    k3s = -beta * ys * yi
-    k3i = (beta * ys - gamma) * yi
-
-    ys = s + h * (_A41 * k1s + _A42 * k2s + _A43 * k3s)
-    yi = i + h * (_A41 * k1i + _A42 * k2i + _A43 * k3i)
-    k4s = -beta * ys * yi
-    k4i = (beta * ys - gamma) * yi
-
-    ys = s + h * (_A51 * k1s + _A52 * k2s + _A53 * k3s + _A54 * k4s)
-    yi = i + h * (_A51 * k1i + _A52 * k2i + _A53 * k3i + _A54 * k4i)
-    k5s = -beta * ys * yi
-    k5i = (beta * ys - gamma) * yi
-
-    ys = s + h * (_A61 * k1s + _A62 * k2s + _A63 * k3s + _A64 * k4s + _A65 * k5s)
-    yi = i + h * (_A61 * k1i + _A62 * k2i + _A63 * k3i + _A64 * k4i + _A65 * k5i)
-    k6s = -beta * ys * yi
-    k6i = (beta * ys - gamma) * yi
-
+def _stages(beta, gamma, s, i, h, k1s, k1i):
+    """One Dormand-Prince 5(4) attempt of size h from (s, i), where the field
+    is (k1s, k1i): floats, or arrays with a step per element. Returns (s1,
+    i1, es, ei, k): the 5th-order state, each component's error estimate,
+    and the seven stages as (S, I) pairs, the last being the field at (s1,
+    i1)."""
+    k2s, k2i = _field(beta, gamma, s + h * (_A21 * k1s), i + h * (_A21 * k1i))
+    k3s, k3i = _field(
+        beta, gamma,
+        s + h * (_A31 * k1s + _A32 * k2s),
+        i + h * (_A31 * k1i + _A32 * k2i),
+    )
+    k4s, k4i = _field(
+        beta, gamma,
+        s + h * (_A41 * k1s + _A42 * k2s + _A43 * k3s),
+        i + h * (_A41 * k1i + _A42 * k2i + _A43 * k3i),
+    )
+    k5s, k5i = _field(
+        beta, gamma,
+        s + h * (_A51 * k1s + _A52 * k2s + _A53 * k3s + _A54 * k4s),
+        i + h * (_A51 * k1i + _A52 * k2i + _A53 * k3i + _A54 * k4i),
+    )
+    k6s, k6i = _field(
+        beta, gamma,
+        s + h * (_A61 * k1s + _A62 * k2s + _A63 * k3s + _A64 * k4s + _A65 * k5s),
+        i + h * (_A61 * k1i + _A62 * k2i + _A63 * k3i + _A64 * k4i + _A65 * k5i),
+    )
     s1 = s + h * (_B1 * k1s + _B3 * k3s + _B4 * k4s + _B5 * k5s + _B6 * k6s)
     i1 = i + h * (_B1 * k1i + _B3 * k3i + _B4 * k4i + _B5 * k5i + _B6 * k6i)
-    k7s = -beta * s1 * i1
-    k7i = (beta * s1 - gamma) * i1
-
+    k7s, k7i = _field(beta, gamma, s1, i1)
     es = h * (_E1 * k1s + _E3 * k3s + _E4 * k4s + _E5 * k5s + _E6 * k6s + _E7 * k7s)
     ei = h * (_E1 * k1i + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i)
+    k = ((k1s, k1i), (k2s, k2i), (k3s, k3i), (k4s, k4i), (k5s, k5i), (k6s, k6i), (k7s, k7i))
+    return s1, i1, es, ei, k
 
-    k[1, 0] = k2s
-    k[1, 1] = k2i
-    k[2, 0] = k3s
-    k[2, 1] = k3i
-    k[3, 0] = k4s
-    k[3, 1] = k4i
-    k[4, 0] = k5s
-    k[4, 1] = k5i
-    k[5, 0] = k6s
-    k[5, 1] = k6i
-    k[6, 0] = k7s
-    k[6, 1] = k7i
 
+def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol):
+    """One 5(4) attempt from (s, i), where the field is (k1s, k1i). Returns
+    (s_new, i_new, err_norm, stages), the stages as in :func:`_stages`."""
+    s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
     ss = atol + rtol * max(abs(s), abs(s1))
     si = atol + rtol * max(abs(i), abs(i1))
     # clamp the scaled defects so squaring cannot overflow; anything this
@@ -248,20 +234,21 @@ def _try_step(beta, gamma, s, i, h, k, rtol, atol):
     rs = min(abs(es / ss), 1e150)
     ri = min(abs(ei / si), 1e150)
     err = math.sqrt(0.5 * (rs * rs + ri * ri))
-    return s1, i1, err
+    return s1, i1, err, k
 
 
 def _dense_coeffs(k, comp):
-    q0 = 0.0
-    q1 = 0.0
-    q2 = 0.0
-    q3 = 0.0
-    for row in range(7):
-        v = k[row, comp]
-        q0 += v * _DENSE_P[row, 0]
-        q1 += v * _DENSE_P[row, 1]
-        q2 += v * _DENSE_P[row, 2]
-        q3 += v * _DENSE_P[row, 3]
+    """Q_0..Q_3 of component *comp* from the stages k, read as k[row][comp]:
+    floats, or arrays with a step per element. Row 1's weights are all 0;
+    it is summed all the same, since 0 * inf is NaN and an infinite second
+    stage must show."""
+    q0 = q1 = q2 = q3 = 0.0
+    for row, (p0, p1, p2, p3) in enumerate(_DENSE_P):
+        v = k[row][comp]
+        q0 = q0 + v * p0
+        q1 = q1 + v * p1
+        q2 = q2 + v * p2
+        q3 = q3 + v * p3
     return q0, q1, q2, q3
 
 
@@ -314,18 +301,15 @@ def _locate(k, t, s, i, h, comp, level, g0, g1, ev):
     inside the accepted step of size h from (t, s, i), whose stages are in
     k; g0 > 0 and g1 <= 0 are the watched component minus the level at the
     step's ends. Stores (1, t, S, I, time half-width) in row *comp* of ev."""
-    qs0, qs1, qs2, qs3 = _dense_coeffs(k, 0)
-    qi0, qi1, qi2, qi3 = _dense_coeffs(k, 1)
-    if comp == EV_I:
-        y0, q0, q1, q2, q3 = i, qi0, qi1, qi2, qi3
-    else:
-        y0, q0, q1, q2, q3 = s, qs0, qs1, qs2, qs3
+    qs = _dense_coeffs(k, 0)
+    qi = _dense_coeffs(k, 1)
+    y0, q = (i, qi) if comp == EV_I else (s, qs)
     tol_t = _EV_TOL * max(1.0, t + h)
-    theta, hw = _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_t / h)
+    theta, hw = _refine_crossing(y0, h, *q, level, g0, g1, tol_t / h)
     ev[comp, 0] = 1.0
     ev[comp, 1] = t + theta * h
-    ev[comp, 2] = _dense_eval(s, h, qs0, qs1, qs2, qs3, theta)
-    ev[comp, 3] = _dense_eval(i, h, qi0, qi1, qi2, qi3, theta)
+    ev[comp, 2] = _dense_eval(s, h, *qs, theta)
+    ev[comp, 3] = _dense_eval(i, h, *qi, theta)
     ev[comp, 4] = hw * h
 
 
@@ -360,9 +344,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
     t = t0
     s = s0
     i = i0
-    k = np.empty((7, 2))
-    k[0, 0] = -beta * s * i
-    k[0, 1] = (beta * s - gamma) * i
+    k1s, k1i = _field(beta, gamma, s, i)
     gi_prev = i - mu
     gs_prev = s - rho
     h = h0
@@ -379,7 +361,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
         last = path and t + h >= t_end
         if last:
             h = t_end - t
-        s1, i1, err = _try_step(beta, gamma, s, i, h, k, rtol, atol)
+        s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol)
         if not (err <= 1.0):
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
@@ -398,15 +380,14 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
 
         t = t_end if last else t + h
         if path:
-            ks.append(k.copy())
+            ks.append(k)
             ts.append(t)
             ys.append((s1, i1))
         s = s1
         i = i1
         gi_prev = gi_new
         gs_prev = gs_new
-        k[0, 0] = k[6, 0]
-        k[0, 1] = k[6, 1]
+        k1s, k1i = k[6]
         if err == 0.0:
             factor = 10.0
         else:
@@ -421,18 +402,46 @@ def _quad_f(kind, z, beta, rho, psiv):
     """Integrand of the time representations. kind 0: variable is the
     susceptible level z, f = 1/(beta*z*(rho*ln z - z + psi)). kind 1: variable
     is L = ln z, f = 1/(beta*(rho*L - e^L + psi)) (the 1/z cancels against the
-    Jacobian). Returns (value, ok)."""
+    Jacobian). Returns (value, ok); a denominator that underflows to 0 gives
+    an infinite value, as numpy's division does in :func:`_quad_f_batch`."""
     if kind == 0:
         if z <= 0.0:
             return 0.0, False
         g = rho * math.log(z) - z + psiv
         if g <= 0.0:
             return 0.0, False
-        return 1.0 / (beta * z * g), True
-    g = rho * z - math.exp(z) + psiv
-    if g <= 0.0:
-        return 0.0, False
-    return 1.0 / (beta * g), True
+        den = beta * z * g
+    else:
+        g = rho * z - math.exp(z) + psiv
+        if g <= 0.0:
+            return 0.0, False
+        den = beta * g
+    return (1.0 / den if den else math.inf), True
+
+
+def _gk15_rule(fv, hl):
+    """The Gauss-Kronrod 7/15 sums over a panel of half-length hl, from the
+    integrand values fv: fv[2j] and fv[2j+1] at the centre -/+ hl*_XGK[j],
+    fv[14] at the centre; floats, or arrays with a panel per element.
+    Returns (value, err, resabs, resasc) before QUADPACK's error finish: the
+    Kronrod value, |Kronrod - Gauss|, and the integrals of |f| and of
+    |f - mean| by the Kronrod rule."""
+    fc = fv[14]
+    resk = _WGK_C * fc
+    resg = _WG_C * fc
+    resabs = _WGK_C * abs(fc)
+    for j in range(7):
+        f1 = fv[2 * j]
+        f2 = fv[2 * j + 1]
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+        if j % 2 == 1:
+            resg += _WG[(j - 1) // 2] * (f1 + f2)
+    reskh = 0.5 * resk
+    resasc = _WGK_C * abs(fc - reskh)
+    for j in range(7):
+        resasc += _WGK[j] * (abs(fv[2 * j] - reskh) + abs(fv[2 * j + 1] - reskh))
+    return resk * hl, abs((resk - resg) * hl), resabs * abs(hl), resasc * abs(hl)
 
 
 def _gk15(kind, a, b, beta, rho, psiv):
@@ -441,32 +450,18 @@ def _gk15(kind, a, b, beta, rho, psiv):
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
     fv = [0.0] * 15
-    fc, ok = _quad_f(kind, c, beta, rho, psiv)
-    fv[14] = fc
-    resk = _WGK_C * fc
-    resg = _WG_C * fc
-    resabs = _WGK_C * abs(fc)
+    fv[14], ok = _quad_f(kind, c, beta, rho, psiv)
     for j in range(7):
         dx = hl * _XGK[j]
-        f1, o1 = _quad_f(kind, c - dx, beta, rho, psiv)
-        f2, o2 = _quad_f(kind, c + dx, beta, rho, psiv)
+        fv[2 * j], o1 = _quad_f(kind, c - dx, beta, rho, psiv)
+        fv[2 * j + 1], o2 = _quad_f(kind, c + dx, beta, rho, psiv)
         ok = ok and o1 and o2
-        fv[2 * j] = f1
-        fv[2 * j + 1] = f2
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * (f1 + f2)
-    reskh = 0.5 * resk
-    resasc = _WGK_C * abs(fv[14] - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fv[2 * j] - reskh) + abs(fv[2 * j + 1] - reskh))
-    value = resk * hl
-    resabs *= abs(hl)
-    resasc *= abs(hl)
-    err = abs((resk - resg) * hl)
+    value, err, resabs, resasc = _gk15_rule(fv, hl)
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        # min(1, r**1.5), NaN giving 1, without the OverflowError a float
+        # power raises where r is huge
+        r = 200.0 * err / resasc
+        err = resasc * (r ** 1.5 if r < 1.0 else 1.0)
     err = max(err, 50.0 * _EPS * resabs)
     return value, err, ok
 
@@ -562,15 +557,18 @@ def _anchor_log(rho, mu, psiv):
 # --- numpy twins for whole grids -------------------------------------------
 #
 # The functions below run the scalar algorithms above over many independent
-# problems at once, in lock-step, with numpy arrays. Each keeps the scalar
-# kernel's order of floating-point operations. numpy's log and exp can
-# differ from math's in the last bit; wherever a result could follow that
-# bit (the anchor's sign tests and Newton steps, the z-space integrand where
-# it loses digits) the twins call math instead, so they agree with the
-# scalar kernels to a few units in the last place. The DP5 and crossing
-# twins use only correctly rounded arithmetic (the step factor's power is
-# taken with Python's pow) and mirror Python's max and min where NaN can
-# reach them, so they equal the scalar kernels bit for bit.
+# problems at once, in lock-step, with numpy arrays. They call the same
+# formula functions as the scalar kernels (the field, the DP5 stages, the
+# dense output and the GK15 sums) and differ from them only in control
+# flow: each element leaves a loop or takes a branch on its own. numpy's
+# log and exp can differ from math's in the last bit; wherever a result
+# could follow that bit (the anchor's sign tests and Newton steps, the
+# z-space integrand where it loses digits) the twins call math instead, so
+# they agree with the scalar kernels to a few units in the last place. The
+# DP5 and crossing twins use only correctly rounded arithmetic (the step
+# factor's power is taken with Python's pow) and mirror Python's max and
+# min where NaN can reach them, so they equal the scalar kernels bit for
+# bit.
 
 
 def _math_each(fn, values):
@@ -634,32 +632,14 @@ def _gk15_batch(kind, a, b, beta, rho, psiv):
         return tuple(np.concatenate(col) for col in zip(*parts))
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
-    dx = hl[:, None] * _XGK
+    dx = hl[:, None] * np.array(_XGK)
     # columns 2j and 2j+1 hold c -/+ dx_j, column 14 the centre
     z = np.empty((a.size, 15))
     z[:, 0:14:2] = c[:, None] - dx
     z[:, 1:14:2] = c[:, None] + dx
     z[:, 14] = c
     fv, ok = _quad_f_batch(kind, z, beta, rho, psiv[:, None])
-    fc = fv[:, 14]
-    resk = _WGK_C * fc
-    resg = _WG_C * fc
-    resabs = _WGK_C * np.abs(fc)
-    for j in range(7):
-        f1 = fv[:, 2 * j]
-        f2 = fv[:, 2 * j + 1]
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (np.abs(f1) + np.abs(f2))
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * (f1 + f2)
-    reskh = 0.5 * resk
-    resasc = _WGK_C * np.abs(fc - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (np.abs(fv[:, 2 * j] - reskh) + np.abs(fv[:, 2 * j + 1] - reskh))
-    value = resk * hl
-    resabs *= np.abs(hl)
-    resasc *= np.abs(hl)
-    err = np.abs((resk - resg) * hl)
+    value, err, resabs, resasc = _gk15_rule(fv.T, hl)
     scaled = (resasc != 0.0) & (err != 0.0)
     with np.errstate(all="ignore"):
         err = np.where(scaled, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
@@ -812,9 +792,10 @@ def _anchor_log_batch(rho, mu, psiv):
     return ok, L
 
 
-# below this many live nodes, _dp5_batch hands the rest to the scalar loop:
-# a numpy round costs about as much as 12 to 16 scalar steps at any width up
-# to a few dozen nodes (0.1-0.2 ms against 8-17 us; Python 3.11, numpy 2.4)
+# below this many live nodes, _dp5_batch hands the rest to the scalar loop.
+# Tuned when a numpy round cost as much as 12 to 16 scalar steps; at widths
+# 16-64 it now costs 20 to 55 (0.17-0.33 ms against 6-8.5 us; 2-core host,
+# Python 3.11, numpy 2.4), and the value stays until a retuning is measured.
 _DP5_HANDOFF = 16
 
 
@@ -826,42 +807,6 @@ def _py_max(a, b):
 def _py_min(a, b):
     """Elementwise Python min(a, b): b where b < a, else a, even for NaN."""
     return np.where(b < a, b, a)
-
-
-def _f_batch(beta, gamma, y, f):
-    """The SIR field at every column of y (row 0 S, row 1 I), stored into f."""
-    f[0] = -beta * y[0] * y[1]
-    f[1] = (beta * y[0] - gamma) * y[1]
-
-
-def _try_step_batch(beta, gamma, y, h, k, rtol, atol):
-    """:func:`_try_step` at every column of y, each with its own step h. k
-    is (7, 2, columns); k[0] must hold f(y) and the other six stages are
-    stored into it. Returns (y_new, err_norm)."""
-    k1, k2, k3, k4, k5, k6, k7 = k
-    _f_batch(beta, gamma, y + h * (_A21 * k1), k2)
-    _f_batch(beta, gamma, y + h * (_A31 * k1 + _A32 * k2), k3)
-    _f_batch(beta, gamma, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), k4)
-    _f_batch(beta, gamma, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), k5)
-    _f_batch(
-        beta, gamma, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), k6
-    )
-    y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    _f_batch(beta, gamma, y1, k7)
-    e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    sc = atol + rtol * _py_max(np.abs(y), np.abs(y1))
-    r = _py_min(np.abs(e / sc), 1e150)
-    return y1, np.sqrt(0.5 * (r[0] * r[0] + r[1] * r[1]))
-
-
-def _dense_coeffs_batch(k):
-    """:func:`_dense_coeffs` of both components at every column of the
-    stages k (7, 2, columns), summed in the same order. Returns q (4, 2,
-    columns), q[j, comp] being Q_j of component comp."""
-    q = np.zeros((4,) + k.shape[1:])
-    for row in range(7):
-        q += k[row] * _DENSE_P[row][:, None, None]
-    return q
 
 
 def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
@@ -909,22 +854,24 @@ def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
     return theta, hw
 
 
-def _locate_batch(t, y, h, q, comp, level, g0, g1):
+def _locate_batch(k, t, s, i, h, comp, level, g0, g1):
     """:func:`_locate` at many crossings at once. Column j is the accepted
-    step of size h[j] from (t[j], y[0, j], y[1, j]) whose dense coefficients
-    are q[:, :, j] (see :func:`_dense_coeffs_batch`); g0[j] > 0 and g1[j] <=
-    0 are component *comp* minus *level* at its ends. Returns the (columns,
-    5) rows (1, t, S, I, time half-width) that the scalar kernel stores in
-    row *comp* of its event array, equal to them bit for bit."""
+    step of size h[j] from (t[j], s[j], i[j]) whose stages are k[:, :,
+    j]; g0[j] > 0 and g1[j] <= 0 are component *comp* minus *level* at its
+    ends. Returns the (columns, 5) rows (1, t, S, I, time half-width) that
+    the scalar kernel stores in row *comp* of its event array, equal to them
+    bit for bit."""
     with np.errstate(all="ignore"):
+        qs = _dense_coeffs(k, 0)
+        qi = _dense_coeffs(k, 1)
+        y0, q = (i, qi) if comp == EV_I else (s, qs)
         tol_theta = _EV_TOL * _py_max(1.0, t + h) / h
-        theta, hw = _refine_crossing_batch(y[comp], h, q[:, comp], level, g0, g1, tol_theta)
+        theta, hw = _refine_crossing_batch(y0, h, np.array(q), level, g0, g1, tol_theta)
         ev = np.empty((t.size, 5))
         ev[:, 0] = 1.0
         ev[:, 1] = t + theta * h
-        for c in (EV_S, EV_I):
-            qc = q[:, c]
-            ev[:, 2 + c] = _dense_eval(y[c], h, qc[0], qc[1], qc[2], qc[3], theta)
+        ev[:, 2] = _dense_eval(s, h, *qs, theta)
+        ev[:, 3] = _dense_eval(i, h, *qi, theta)
         ev[:, 4] = hw * h
     return ev
 
@@ -937,12 +884,12 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     makes one step attempt at every live node, with the scalar kernel's
     tableau, operation order, accept/reject rule and stall and cap tests. A
     node whose crossing is bracketed leaves the round with what its
-    refinement reads: the step's start, size and level gaps and its dense
-    coefficients, not its stages. So does one that stalls or reaches its
-    cap. Once fewer than _DP5_HANDOFF nodes are live, each finishes in the
-    scalar loop from where it stands, refined there by :func:`_locate`;
-    the crossings found in the rounds are refined together by
-    :func:`_locate_batch` at the end. Returns (status, t_reached, ev)
+    refinement reads: the step's start, size, level gaps and stages. So
+    does one that stalls or reaches its cap. Once fewer than _DP5_HANDOFF
+    nodes are live, each finishes in the scalar loop from where it stands,
+    refined there by :func:`_locate`; the crossings found in the rounds are
+    refined together by :func:`_locate_batch` at the end, which takes all
+    their dense coefficients in one pass. Returns (status, t_reached, ev)
     arrays, ev[j] being row *stop* of the scalar event array; every entry
     equals the scalar kernel's bit for bit.
     """
@@ -953,14 +900,15 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     level = mu if stop == EV_I else rho
     idx = np.arange(n)
     t = np.zeros(n)
-    y = np.array([s0, i0], dtype=float)
+    s = np.array(s0, dtype=float)
+    i = np.array(i0, dtype=float)
     h = np.array([
-        _initial_step(beta, gamma, s, i, c, rtol, atol)
-        for s, i, c in zip(s0.tolist(), i0.tolist(), t_end.tolist())
+        _initial_step(beta, gamma, a, b, c, rtol, atol)
+        for a, b, c in zip(s0.tolist(), i0.tolist(), t_end.tolist())
     ])
-    k1 = np.empty_like(y)
-    _f_batch(beta, gamma, y, k1)
-    gap = y[stop] - level
+    with np.errstate(all="ignore"):
+        k1s, k1i = _field(beta, gamma, s, i)
+    gap = (s, i)[stop] - level
     cap = t_end
     # per round, what the refinement of its crossings reads
     found = []
@@ -968,23 +916,28 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         with np.errstate(all="ignore"):
             end = np.where(t >= cap, ODE_CAP, -1)
             end[(end < 0) & (h < 1e-15 * _py_max(1.0, np.abs(t)))] = ODE_STALL
-            k = np.empty((7,) + y.shape)
-            k[0] = k1
-            y1, err = _try_step_batch(beta, gamma, y, h, k, rtol, atol)
+            s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
+            ss = atol + rtol * _py_max(np.abs(s), np.abs(s1))
+            si = atol + rtol * _py_max(np.abs(i), np.abs(i1))
+            rs = _py_min(np.abs(es / ss), 1e150)
+            ri = _py_min(np.abs(ei / si), 1e150)
+            err = np.sqrt(0.5 * (rs * rs + ri * ri))
             # the step factor's pow per element, as Python rounds it; err == 0
             # stands for an infinite power (factor 10 on acceptance)
             q = 0.9 * np.array([e ** -0.2 if e else math.inf for e in err.tolist()])
             acc = (err <= 1.0) & (end < 0)
-            gnew = y1[stop] - level
+            gnew = (s1, i1)[stop] - level
             cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
             if cross.size:
                 end[cross] = ODE_OK
-                found.append((idx[cross], t[cross], y[:, cross], h[cross],
-                              _dense_coeffs_batch(k[:, :, cross]), gap[cross], gnew[cross]))
+                found.append((idx[cross], np.array(k)[:, :, cross], t[cross], s[cross],
+                              i[cross], h[cross], gap[cross], gnew[cross]))
             step = acc & (end < 0)
             t = np.where(step, t + h, t)
-            y = np.where(step, y1, y)
-            k1 = np.where(step, k[6], k1)
+            s = np.where(step, s1, s)
+            i = np.where(step, i1, i)
+            k1s = np.where(step, k[6][0], k1s)
+            k1i = np.where(step, k[6][1], k1i)
             gap = np.where(step, gnew, gap)
             # an accepted step has q >= 0.9, so the scalar loop's floor of 0.9
             # on the growth factor never binds
@@ -999,18 +952,18 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             status[out] = end[done]
             t_out[out] = t[done]
             live = ~done
-            idx, t, y, h, k1, gap, cap = (
-                idx[live], t[live], y[:, live], h[live], k1[:, live], gap[live], cap[live]
+            idx, t, s, i, h, k1s, k1i, gap, cap = (
+                a[live] for a in (idx, t, s, i, h, k1s, k1i, gap, cap)
             )
     if found:
-        nodes, tc, yc, hc, qc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
+        nodes, kc, tc, sc, ic, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
         del found  # the per-round pieces, before the refinement's temporaries
-        ev = _locate_batch(tc, yc, hc, qc, stop, level, g0, g1)
+        ev = _locate_batch(kc, tc, sc, ic, hc, stop, level, g0, g1)
         ev_out[nodes] = ev
         t_out[nodes] = ev[:, 1]
     for j, node in enumerate(idx.tolist()):
         st, tr, ev, _, _, _ = _dp5(
-            beta, gamma, float(y[0, j]), float(y[1, j]), mu, rho, float(cap[j]), stop,
+            beta, gamma, float(s[j]), float(i[j]), mu, rho, float(cap[j]), stop,
             rtol, atol, float(t[j]), float(h[j]),
         )
         status[node] = st

@@ -10,7 +10,9 @@ README u surface), so ``err_estimate`` is almost always the floor
 
 Closed-form caps bound how long integration may run: the threshold time is
 at most (x + y)/(gamma*mu) and the peak time at most ln(x/rho)/(beta*y), so
-passing a cap signals numerical breakdown, not a long transient.
+passing a cap signals numerical breakdown, not a long transient. Where the
+rate product of a cap underflows to 0 there is no finite cap, and the route
+raises TimeCapExceeded with an infinite cap before it integrates.
 """
 
 import functools
@@ -200,10 +202,19 @@ def integrate(
 
 def _time_cap(params, x, y, row):
     """The closed-form bound on the crossing time *row* from (x, y), with
-    its slack: (x + y)/(gamma*mu) for u, ln(x/rho)/(beta*y) for v."""
+    its slack: (x + y)/(gamma*mu) for u, ln(x/rho)/(beta*y) for v.
+
+    Raises TimeCapExceeded(inf, 0) where the rate product in the
+    denominator underflows to 0: no finite cap exists, and a run without
+    one need not end. :func:`_hitting_times` leaves such nodes out with the
+    same test."""
     if row == kernels.EV_I:
-        return (x + y) / (params.gamma * params.mu) * _CAP_SLACK
-    return (math.log(x) - math.log(params.rho)) / (params.beta * y) * _CAP_SLACK
+        num, den = x + y, params.gamma * params.mu
+    else:
+        num, den = math.log(x) - math.log(params.rho), params.beta * y
+    if den == 0.0:
+        raise TimeCapExceeded(math.inf, 0.0)
+    return num / den * _CAP_SLACK
 
 
 def _event_value(e, cfg):
@@ -231,16 +242,19 @@ def _hitting_times(params, xs, ys, row, config):
     :func:`kernels._dp5_batch`. Returns (ok, value, err_estimate) arrays. A
     node is ok when it lies in the interior that :func:`hitting_time_u` and
     :func:`hitting_time_v` integrate from (finite, with x >= 0 and y > mu for
-    u, x > rho and y > 0 for v) and the kernel found its crossing. Any other
-    node needs the scalar entry, which returns the edge value or raises the
-    typed error there."""
+    u, x > rho and y > 0 for v, and a finite cap) and the kernel found its
+    crossing. Any other node needs the scalar entry, which returns the edge
+    value or raises the typed error there."""
     cfg = config or _DEFAULT_CONFIG
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    # the last test of each: the cap's rate product does not underflow (an
+    # overflow to inf passes it)
     if row == kernels.EV_I:
-        inside = (x >= 0.0) & (y > params.mu)
+        inside = (x >= 0.0) & (y > params.mu) & (params.gamma * params.mu > 0.0)
     else:
-        inside = (x > params.rho) & (y > 0.0)
+        with np.errstate(over="ignore"):
+            inside = (x > params.rho) & (y > 0.0) & (params.beta * y > 0.0)
     idx = np.flatnonzero(inside & np.isfinite(x) & np.isfinite(y))
     xi = x[idx]
     yi = y[idx]

@@ -16,12 +16,20 @@ from sirtimes import (
     bounds_u,
     bounds_v,
     exact_u_at_x0,
+    hitting_time_u,
+    hitting_time_v,
     psi,
     solve_anchor,
     u_integral,
     v_integral,
 )
-from sirtimes.errors import DegenerateBound, DomainError, QuadratureFailure
+from sirtimes.errors import (
+    DegenerateBound,
+    DomainError,
+    QuadratureFailure,
+    SirTimesError,
+    TimeCapExceeded,
+)
 
 # reference values computed at 50-digit precision on the exact
 # representations; beta=2, gamma=3, mu=1 unless stated otherwise
@@ -257,3 +265,50 @@ def test_bounds_v_sandwich_property(x, y):
     b = bounds_v(p, x, y)
     assert b.lower <= v + 1e-9
     assert v <= min(b.upper, b.crude_upper) + 1e-9
+
+
+PER_NODE = (
+    hitting_time_u, hitting_time_v, u_integral, v_integral,
+    bounds_u, bounds_v, asymptotic_u, asymptotic_v,
+)
+EXTREME_COUNTS = (0.0, 1e-300, 1e-150, 2.0, 1e150, 1e300)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1e-200, 1e-200, 1e-160), ModelParams(1e200, 1e200, 1e160),
+], ids=["tiny-rates", "huge-rates"])
+def test_every_per_node_function_ends_typed_at_extreme_rates(params):
+    # rate products such as gamma*mu and beta*y underflow or overflow here;
+    # each call gives a value or a typed error, never a raw ZeroDivisionError
+    # or ValueError
+    for x in EXTREME_COUNTS:
+        for y in EXTREME_COUNTS:
+            for fn in PER_NODE:
+                try:
+                    fn(params, x, y)
+                except SirTimesError:
+                    pass
+
+
+def test_underflowed_rate_products_raise_typed_errors():
+    p = ModelParams(1e-200, 1e-200, 1e-160)  # gamma*mu = 0.0
+    with pytest.raises(TimeCapExceeded) as exc:
+        hitting_time_u(p, 2.0, 1e-150)
+    assert (exc.value.cap, exc.value.t_reached) == (math.inf, 0.0)
+    with pytest.raises(TimeCapExceeded):
+        hitting_time_v(p, 2.0, 1e-150)  # beta*y = 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        bounds_u(p, 2.0, 1e-150)
+    with pytest.raises(DomainError, match="underflows"):
+        bounds_v(ModelParams(1e-10, 1e-10), 1e3, 1e-320)  # beta*y = 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        # beta*(x - rho + y) = 1e-308 * 2**-52 rounds to 0.0
+        asymptotic_v(ModelParams(1e-308, 1e-308), 1.0 + 2.0**-52, 1e-300)
+    # (x + y)/(rho + mu) underflows to 0: ln of it lies below -744, and the
+    # clamp of the lower bound gives 0
+    assert bounds_u(ModelParams(1e-100, 1.0, 1e-300), 0.0, 1e-300).lower == 0.0
+    big = ModelParams(1e-100, 1e-100, 1e-100)
+    assert bounds_u(big, 2.0, 1.0).crude_upper == 3.0 / (1e-100 * 1e-100)
+    # (x + y)/mu underflows to 0: ln of it has no value, so no asymptote
+    with pytest.raises(DomainError, match="underflows"):
+        asymptotic_u(ModelParams(1.0, 1.0, 1e300), 1e-300, 0.0)

@@ -235,15 +235,11 @@ def _ode_states(params, stop, n, seed):
 def _assert_dp5_batch_is_scalar(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
     args = (params.mu, params.rho)
     tol = (cfg.rel_tol, cfg.abs_tol)
-    # a far too loose tolerance can step into overflow, on both routes alike
-    with np.errstate(all="ignore"):
-        status, t, ev = kernels._dp5_batch(
-            params.beta, params.gamma, x, y, *args, caps, stop, *tol
-        )
-        wants = [
-            kernels._dp5(params.beta, params.gamma, a, b, *args, c, stop, *tol)
-            for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist())
-        ]
+    status, t, ev = kernels._dp5_batch(params.beta, params.gamma, x, y, *args, caps, stop, *tol)
+    wants = [
+        kernels._dp5(params.beta, params.gamma, a, b, *args, c, stop, *tol)
+        for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist())
+    ]
     for j, want in enumerate(wants):
         assert status[j] == want[0]
         assert float.hex(t[j]) == float.hex(want[1])
@@ -369,10 +365,9 @@ def test_ode_grid_honours_the_integrator_config(p23):
 def test_ode_grid_overflow_rows_are_typed_errors(p23):
     # beta*S*I overflows at every node; the grid must not abort on it
     spec = GridSpec(1e299, 1e300, 2, 2.0, 1e300, 2)
-    with np.errstate(all="ignore"):
-        for kind in ("u", "v"):
-            rows = _assert_ode_rows_are_build_row(p23, spec, kind)
-            assert {r.status for r in rows} == {"error:IntegrationStall"}
+    for kind in ("u", "v"):
+        rows = _assert_ode_rows_are_build_row(p23, spec, kind)
+        assert {r.status for r in rows} == {"error:IntegrationStall"}
 
 
 def test_ode_grid_steps_in_the_batch(monkeypatch):
@@ -401,14 +396,14 @@ def test_ode_grid_steps_in_the_batch(monkeypatch):
 
 def _crossings(monkeypatch, params, stop, n, seed):
     """The arguments of every scalar _locate call made while the scalar loop
-    runs from n log-uniform states, as columns: (k, t, y, h, comp, level,
-    g0, g1)."""
+    runs from n log-uniform states, as columns: (k, t, s, i, h, comp,
+    level, g0, g1)."""
     calls = []
     real = kernels._locate
 
-    def recording(k, *args):
-        calls.append((k.copy(), *args))
-        return real(k, *args)
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(kernels, "_locate", recording)
     x, y, caps = _ode_states(params, stop, n, seed)
@@ -418,14 +413,14 @@ def _crossings(monkeypatch, params, stop, n, seed):
     monkeypatch.setattr(kernels, "_locate", real)
     k = np.stack([c[0] for c in calls], axis=-1)
     t, s, i, h, _, level, g0, g1 = (np.array([c[j] for c in calls]) for j in range(1, 9))
-    return k, t, np.array([s, i]), h, stop, level[0], g0, g1
+    return k, t, s, i, h, stop, level[0], g0, g1
 
 
-def _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1):
-    got = kernels._locate_batch(t, y, h, kernels._dense_coeffs_batch(k), comp, level, g0, g1)
+def _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1):
+    got = kernels._locate_batch(k, t, s, i, h, comp, level, g0, g1)
     for j in range(t.size):
         ev = np.zeros((2, 5))
-        kernels._locate(k[:, :, j], float(t[j]), float(y[0, j]), float(y[1, j]), float(h[j]),
+        kernels._locate(k[:, :, j].tolist(), float(t[j]), float(s[j]), float(i[j]), float(h[j]),
                         comp, level, float(g0[j]), float(g1[j]), ev)
         assert list(map(float.hex, got[j])) == list(map(float.hex, ev[comp])), j
     return got
@@ -440,22 +435,22 @@ def test_locate_batch_equals_scalar_bitwise(monkeypatch, stop):
 
 
 def test_locate_batch_every_exit(monkeypatch, p23):
-    k, t, y, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
+    k, t, s, i, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
     # a loose tolerance: every bracket narrows to it, a nonzero half-width
     monkeypatch.setattr(kernels, "_EV_TOL", 1e-6)
-    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1)
+    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
     assert (ev[:, 4] > 0.0).all()
     # a bracket of 1e-300 is never reached; near the root the dense output
     # moves by less than a unit in the last place of the level per step in
     # theta, so every loop ends on an exact hit fc == 0 inside the step
     monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
-    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1)
+    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
     assert (ev[:, 4] == 0.0).all() and (ev[:, 1] < t + h).all()
     # g1 == 0 at every third crossing, in one batch with the others: the
     # crossing is the step's end
     monkeypatch.undo()
     g1[::3] = 0.0
-    ev = _assert_locate_batch_is_scalar(k, t, y, h, comp, level, g0, g1)
+    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
     assert (ev[::3, 1] == t[::3] + h[::3]).all() and (ev[::3, 4] == 0.0).all()
     assert (ev[1::3, 1] < t[1::3] + h[1::3]).all()
 
@@ -469,14 +464,15 @@ def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
     n = 20
     k = np.empty((7, 2, n))
     k[:] = -1000.0 - np.arange(n)
-    y = np.array([np.full(n, 3.0), 500.5 + 0.25 * np.arange(n)])
+    s = np.full(n, 3.0)
+    i = 500.5 + 0.25 * np.arange(n)
     t = np.zeros(n)
     h = np.ones(n)
     level = 0.5 + 2.0**-53
     g1 = np.array([
-        kernels._dense_eval(y[1, j], 1.0, *kernels._dense_coeffs(k[:, :, j], 1), 1.0)
+        kernels._dense_eval(i[j], 1.0, *kernels._dense_coeffs(k[:, :, j], 1), 1.0)
         for j in range(n)
     ]) - level
     monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
-    ev = _assert_locate_batch_is_scalar(k, t, y, h, kernels.EV_I, level, y[1] - level, g1)
+    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, kernels.EV_I, level, i - level, g1)
     assert (ev[:, 4] > 0.0).all()

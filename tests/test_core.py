@@ -102,6 +102,14 @@ def test_params_validation():
             ModelParams(**bad)
 
 
+@pytest.mark.parametrize("beta, gamma", [(1e200, 1e-200), (1e-200, 1e200)])
+def test_params_refuse_a_threshold_level_out_of_range(beta, gamma):
+    # gamma/beta underflows to 0 or overflows to inf: every formula that
+    # divides by rho or takes its log would fail further down
+    with pytest.raises(DomainError, match="gamma/beta"):
+        ModelParams(beta, gamma)
+
+
 def test_state_validation():
     st0 = SirState(3, 2)
     assert isinstance(st0.s, float) and st0.s == 3.0

@@ -181,6 +181,61 @@ def test_cli_grid_row_failures(tmp_path, capsys):
     assert "never_reached" in out.read_text()
 
 
+TINY_RATES = ("--beta", "1e-200", "--gamma", "1e-200", "--mu", "1e-160")
+
+
+def test_cli_compute_underflowed_rate_products_exit_numeric(capsys):
+    # gamma*mu underflows to 0: no finite time cap, a typed error, exit 3
+    code = main(["compute", *TINY_RATES, "--x", "2", "--y", "1e-150"])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["ode", "integral"])
+@pytest.mark.parametrize("kind", ["u", "v"])
+def test_cli_grid_underflowed_rate_products_write_rows(tmp_path, capsys, kind, method):
+    out = tmp_path / "g.csv"
+    code = main(["grid", *TINY_RATES, "--x", "1:3:2", "--y", "1e-150:1e-149:2",
+                 "--time", kind, "--method", method, "--out", str(out)])
+    assert code in (0, 5)
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2
+
+
+def _cli_child(*argv):
+    """`python -m sirtimes.cli` in a child process with the default warning
+    filters, importing the package this process tests."""
+    src = os.path.dirname(os.path.dirname(sirtimes.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "sirtimes.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_cli_grid_overflowing_field_prints_no_warnings():
+    # beta*S*I overflows at every node; the rows say IntegrationStall and
+    # stderr holds the failed-row note alone
+    cp = _cli_child("grid", *P23, "--x", "1e299:1e300:2", "--y", "2:1e300:2",
+                    "--time", "u", "--method", "ode")
+    assert cp.returncode == 5
+    assert "Warning" not in cp.stderr
+    assert cp.stderr == "4 grid nodes failed; see the status column\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--x", "5", "--y", "1"),
+    ("asymptotics", "--time", "u", "--ray", "x=y", "--r", "10"),
+])
+@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+def test_cli_tolerances_only_where_the_ode_route_runs(capsys, argv, flag):
+    # bounds and asymptotics never run the ODE route, so they refuse its
+    # tolerances instead of ignoring them
+    assert main([argv[0], *P23, *argv[1:], flag, "1e-6"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_grid_csv_to_file(tmp_path):
     out = tmp_path / "u.csv"
     code = main(["grid", *P23, "--x", "1:5:3", "--y", "2:4:2", "--time", "u",
@@ -743,16 +798,8 @@ def test_cli_grid_process_matches_rows_to_csv(p23):
     # point, its exit code and stdout give the in-process CSV bytes
     spec = GridSpec(0.5, 5.0, 7, 0.5, 4.0, 5)
     here = rows_to_csv(run_grid(p23, spec, "u", "integral").rows)
-    # the child imports the package this process tested, whatever its path
-    src = os.path.dirname(os.path.dirname(sirtimes.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    cp = subprocess.run(
-        [sys.executable, "-m", "sirtimes.cli", "grid", *P23,
-         "--x", "0.5:5:7", "--y", "0.5:4:5", "--time", "u",
-         "--method", "integral"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    cp = _cli_child("grid", *P23, "--x", "0.5:5:7", "--y", "0.5:4:5", "--time", "u",
+                    "--method", "integral")
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == here
 

@@ -4,7 +4,6 @@ and the dense-output polynomial endpoints."""
 
 import math
 
-import numpy as np
 import pytest
 
 from sirtimes import kernels
@@ -116,17 +115,10 @@ def test_anchor_no_root():
     assert not ok
 
 
-def _stage_array(beta, gamma, s, i):
-    k = np.zeros((7, 2))
-    k[0, 0] = -beta * s * i
-    k[0, 1] = (beta * s - gamma) * i
-    return k
-
-
 def test_dense_output_endpoints():
     beta, gamma, s, i, h = 2.0, 3.0, 4.0, 2.0, 0.002
-    k = _stage_array(beta, gamma, s, i)
-    s1, i1, err = kernels._try_step(beta, gamma, s, i, h, k, 1e-10, 1e-12)
+    k1s, k1i = kernels._field(beta, gamma, s, i)
+    s1, i1, err, k = kernels._try_step(beta, gamma, s, i, h, k1s, k1i, 1e-10, 1e-12)
     assert err <= 1.0
     qs = kernels._dense_coeffs(k, 0)
     qi = kernels._dense_coeffs(k, 1)
