@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import CriticalTimeResult, Method, ModelParams, _require_finite, psi
+from .core import CriticalTimeResult, Method, ModelParams, exact_u_at_x0, psi
+from .core import _check_counts, _require_finite, _v_edge
 from .errors import DegenerateBound, DomainError, QuadratureFailure
 
 __all__ = [
@@ -106,19 +107,18 @@ def _run_quad(kind, lo, hi, beta, rho, psiv):
 def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     """Threshold hitting time by the exact representation integral.
 
-    Requires x > 0 and y >= mu. For y = mu the value is 0 when x <= rho and
-    the positive smooth continuation when x > rho (the orbit rises above the
-    threshold before returning to it).
+    Raises DomainError unless x and y are finite and nonnegative. u is 0
+    (BoundaryZero) for y < mu, and for y == mu with x <= rho. At x = 0 it
+    has the closed form ln(y/mu)/gamma (ExactX0). For y == mu with x > rho
+    it is the positive continuation, where :func:`hitting_time_u` gives 0:
+    the orbit rises above the threshold before it returns to it.
     """
-    x = _require_finite("x", x)
-    y = _require_finite("y", y)
-    if x <= 0.0:
-        raise DomainError(f"u_integral requires x > 0, got x={x!r}")
-    if y < params.mu:
-        raise DomainError(f"u_integral requires y >= mu, got y={y!r}")
+    x, y = _check_counts(x, y)
     rho = params.rho
-    if y == params.mu and x <= rho:
-        return CriticalTimeResult(0.0, Method.INTEGRAL, 0.0)
+    if y < params.mu or (y == params.mu and x <= rho):
+        return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
+    if x == 0.0:
+        return CriticalTimeResult(exact_u_at_x0(params, y), Method.EXACT_X0, 0.0)
     psiv = psi(params, x, y)
     ok, log_a = kernels._anchor_log(rho, params.mu, psiv)
     if not ok:
@@ -146,19 +146,16 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
 def v_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     """Peak time by the exact representation integral.
 
-    Requires x >= rho and y > 0; the value is 0 at x = rho.
+    Raises DomainError unless x and y are finite and nonnegative. The edge
+    rules are v's, which :func:`hitting_time_v` shares: 0 (BoundaryZero) for
+    x <= rho, and NeverReached for x > rho with y == 0.
     """
-    x = _require_finite("x", x)
-    y = _require_finite("y", y)
+    x, y = _check_counts(x, y)
+    edge = _v_edge(params, x, y)
+    if edge is not None:
+        return edge
     rho = params.rho
-    if x < rho:
-        raise DomainError(f"v_integral requires x >= rho={rho!r}, got x={x!r}")
-    if y <= 0.0:
-        raise DomainError(f"v_integral requires y > 0, got y={y!r}")
-    if x == rho:
-        return CriticalTimeResult(0.0, Method.INTEGRAL, 0.0)
-    psiv = psi(params, x, y)
-    value, err = _run_quad(0, rho, x, params.beta, rho, psiv)
+    value, err = _run_quad(0, rho, x, params.beta, rho, psi(params, x, y))
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
 
 

@@ -174,6 +174,8 @@ def _settings(args):
             merged[key] = float(cli)
         elif key in cfg:
             try:
+                if isinstance(cfg[key], bool):  # float(True) would read 1
+                    raise TypeError
                 merged[key] = float(cfg[key])
             except (TypeError, ValueError):
                 raise DomainError(f"config key {key!r} must be a number, got {cfg[key]!r}")

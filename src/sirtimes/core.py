@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, NeverReached
 
 __all__ = [
     "ModelParams",
@@ -117,6 +117,28 @@ class CriticalTimeResult:
             raise DomainError(f"error estimate must be >= 0, got {err!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "err_estimate", err)
+
+
+def _check_counts(x: float, y: float) -> tuple[float, float]:
+    """The initial counts (x, y) as floats; DomainError unless both are
+    finite and nonnegative. Every per-node entry of both routes starts here."""
+    x = _require_finite("x", x)
+    y = _require_finite("y", y)
+    if x < 0.0 or y < 0.0:
+        raise DomainError(f"initial counts must be nonnegative, got x={x!r} y={y!r}")
+    return x, y
+
+
+def _v_edge(params: ModelParams, x: float, y: float) -> CriticalTimeResult | None:
+    """v's edge rules, shared by both routes, at checked counts (x, y): 0
+    (BoundaryZero) for x <= rho; NeverReached for y == 0 above it, where S
+    is constant. None at a node where a route must compute v."""
+    rho = params.rho
+    if x <= rho:
+        return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
+    if y == 0.0:
+        raise NeverReached(f"S is constant at x={x!r} > rho={rho!r} with no infection present")
+    return None
 
 
 def vector_field(params: ModelParams, state: SirState) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from .analytic import (
     v_integral,
     v_integral_batch,
 )
-from .core import CriticalTimeResult, Method, ModelParams, exact_u_at_x0
+from .core import CriticalTimeResult, Method, ModelParams
 from .errors import DomainError, NeverReached, SirTimesError
 from .ode import IntegratorConfig, _hitting_times, hitting_time_u, hitting_time_v
 
@@ -130,30 +130,6 @@ class GridResult:
         return any(r.status != STATUS_OK for r in self.rows)
 
 
-def _integral_edge(
-    params: ModelParams, time_kind: str, x: float, y: float
-) -> CriticalTimeResult | None:
-    """The integral route's edge rules, in one place: the result at a node
-    whose value is fixed by definition, or None at a node that needs the
-    quadrature. Raises NeverReached where the time does not exist.
-
-    u is 0 for y < mu and for y == mu with x <= rho (BoundaryZero), and has
-    the closed form at x = 0 (ExactX0). v is 0 for x <= rho (BoundaryZero)
-    and never reached for y == 0.
-    """
-    if time_kind == "u":
-        if y < params.mu or (y == params.mu and x <= params.rho):
-            return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
-        if x == 0.0:
-            return CriticalTimeResult(exact_u_at_x0(params, y), Method.EXACT_X0, 0.0)
-        return None
-    if x <= params.rho:
-        return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
-    if y == 0.0:
-        raise NeverReached(f"S never falls to rho from x={x!r} with y=0")
-    return None
-
-
 def _check_route(time_kind: str, method: str) -> None:
     if time_kind not in ("u", "v"):
         raise DomainError(f"time_kind must be 'u' or 'v', got {time_kind!r}")
@@ -172,17 +148,14 @@ def critical_time(
     """u (``kind`` "u") or v (``kind`` "v") at one node by the requested route.
 
     The ODE route is :func:`hitting_time_u`/:func:`hitting_time_v`, and
-    ``config`` applies to it only. The integral route tags nodes that are
-    zero by definition as BoundaryZero, sends u at x = 0 to the closed form,
-    raises NeverReached for v at y = 0, and otherwise runs the quadrature.
+    ``config`` applies to it only; the integral route is
+    :func:`u_integral`/:func:`v_integral`. Each route function validates the
+    counts and applies the edge rules itself.
     """
     _check_route(kind, method)
     if method == "ode":
         hitting_time = hitting_time_u if kind == "u" else hitting_time_v
         return hitting_time(params, x, y, config)
-    edge = _integral_edge(params, kind, x, y)
-    if edge is not None:
-        return edge
     return (u_integral if kind == "u" else v_integral)(params, x, y)
 
 
@@ -252,7 +225,8 @@ def _node_rows(params, time_kind, method, nodes, config=None):
     inside its own interior at once: the integral route by the batched
     quadrature, the ODE route by the lock-step Dormand-Prince loop. Every
     node the batch did not take or did not finish goes through
-    :func:`build_row`. ``config`` applies to the ODE route only.
+    :func:`build_row`, whose per-node route function validates the counts
+    and applies the edge rules. ``config`` applies to the ODE route only.
     """
     xs = [x for x, _ in nodes]
     ys = [y for _, y in nodes]

@@ -23,8 +23,9 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .core import CriticalTimeResult, Method, ModelParams, SirState, _require_finite
-from .errors import DomainError, IntegrationStall, NeverReached, TimeCapExceeded
+from .core import CriticalTimeResult, Method, ModelParams, SirState
+from .core import _check_counts, _require_finite, _v_edge
+from .errors import DomainError, IntegrationStall, TimeCapExceeded
 
 __all__ = [
     "IntegratorConfig",
@@ -147,14 +148,6 @@ def _event_err(bracket_width: float, t_event: float, cfg: IntegratorConfig) -> f
     return max(bracket_width, 10.0 * cfg.rel_tol * max(1.0, t_event))
 
 
-def _check_initial(x: float, y: float) -> tuple[float, float]:
-    x = _require_finite("x", x)
-    y = _require_finite("y", y)
-    if x < 0.0 or y < 0.0:
-        raise DomainError(f"initial counts must be nonnegative, got x={x!r} y={y!r}")
-    return x, y
-
-
 def _run(params, x, y, t_end, stop, cfg):
     """The ODE kernel from (x, y) with *stop* as in :func:`kernels._dp5`."""
     return kernels._dp5(
@@ -179,7 +172,7 @@ def integrate(
     config: IntegratorConfig | None = None,
 ) -> Trajectory:
     """Solve the SIR system from (x, y) over [0, t_end]."""
-    x, y = _check_initial(x, y)
+    x, y = _check_counts(x, y)
     t_end = _require_finite("t_end", t_end)
     if t_end < 0.0:
         raise DomainError(f"t_end must be >= 0, got {t_end!r}")
@@ -204,16 +197,15 @@ def _time_cap(params, x, y, row):
     """The closed-form bound on the crossing time *row* from (x, y), with
     its slack: (x + y)/(gamma*mu) for u, ln(x/rho)/(beta*y) for v.
 
-    Raises TimeCapExceeded(inf, 0) where the rate product in the
-    denominator underflows to 0: no finite cap exists, and a run without
-    one need not end. :func:`_hitting_times` leaves such nodes out with the
-    same test."""
+    None where the rate product in the denominator underflows to 0: no
+    finite cap exists, and a run without one need not end. An overflowing
+    numerator gives an infinite cap, which the run still takes."""
     if row == kernels.EV_I:
         num, den = x + y, params.gamma * params.mu
     else:
         num, den = math.log(x) - math.log(params.rho), params.beta * y
     if den == 0.0:
-        raise TimeCapExceeded(math.inf, 0.0)
+        return None
     return num / den * _CAP_SLACK
 
 
@@ -228,6 +220,8 @@ def _hitting_time(params, x, y, row, config):
     """Integrate until the crossing *row* of the ODE kernel, or raise."""
     cfg = config or _DEFAULT_CONFIG
     cap = _time_cap(params, x, y, row)
+    if cap is None:
+        raise TimeCapExceeded(math.inf, 0.0)
     status, t_reached, ev, _, _, _ = _run(params, x, y, cap, row, cfg)
     if status == kernels.ODE_STALL:
         raise IntegrationStall(t_reached)
@@ -242,25 +236,22 @@ def _hitting_times(params, xs, ys, row, config):
     :func:`kernels._dp5_batch`. Returns (ok, value, err_estimate) arrays. A
     node is ok when it lies in the interior that :func:`hitting_time_u` and
     :func:`hitting_time_v` integrate from (finite, with x >= 0 and y > mu for
-    u, x > rho and y > 0 for v, and a finite cap) and the kernel found its
-    crossing. Any other node needs the scalar entry, which returns the edge
-    value or raises the typed error there."""
+    u, x > rho and y > 0 for v, and a cap from :func:`_time_cap`) and the
+    kernel found its crossing. Any other node needs the scalar entry, which
+    returns the edge value or raises the typed error there."""
     cfg = config or _DEFAULT_CONFIG
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    # the last test of each: the cap's rate product does not underflow (an
-    # overflow to inf passes it)
     if row == kernels.EV_I:
-        inside = (x >= 0.0) & (y > params.mu) & (params.gamma * params.mu > 0.0)
+        inside = (x >= 0.0) & (y > params.mu)
     else:
-        with np.errstate(over="ignore"):
-            inside = (x > params.rho) & (y > 0.0) & (params.beta * y > 0.0)
+        inside = (x > params.rho) & (y > 0.0)
     idx = np.flatnonzero(inside & np.isfinite(x) & np.isfinite(y))
-    xi = x[idx]
-    yi = y[idx]
-    caps = [_time_cap(params, a, b, row) for a, b in zip(xi.tolist(), yi.tolist())]
+    caps = [_time_cap(params, a, b, row) for a, b in zip(x[idx].tolist(), y[idx].tolist())]
+    idx = idx[np.array([cap is not None for cap in caps], dtype=bool)]
+    caps = [cap for cap in caps if cap is not None]
     status, _, ev = kernels._dp5_batch(
-        params.beta, params.gamma, xi, yi, params.mu, params.rho,
+        params.beta, params.gamma, x[idx], y[idx], params.mu, params.rho,
         np.array(caps, dtype=float), row, cfg.rel_tol, cfg.abs_tol,
     )
     ok = np.zeros(x.size, dtype=bool)
@@ -281,9 +272,11 @@ def hitting_time_u(
 ) -> CriticalTimeResult:
     """First time the infected count falls to mu, located on the ODE path.
 
-    Returns 0 immediately when y <= mu (the threshold is already met).
+    Raises DomainError unless x and y are finite and nonnegative. Returns 0
+    (BoundaryZero) for y <= mu, where the threshold is already met; on
+    y == mu with x > rho, :func:`u_integral` gives the positive continuation.
     """
-    x, y = _check_initial(x, y)
+    x, y = _check_counts(x, y)
     if y <= params.mu:
         return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
     return _hitting_time(params, x, y, kernels.EV_I, config)
@@ -298,15 +291,12 @@ def hitting_time_v(
     """First time the susceptible count falls to rho = gamma/beta, located on
     the ODE path.
 
-    Returns 0 immediately when x <= rho. Raises NeverReached when x > rho and
-    y = 0: S is then constant and never reaches rho.
+    Raises DomainError unless x and y are finite and nonnegative. Shares
+    v's edge rules with :func:`v_integral`: 0 (BoundaryZero) for x <= rho,
+    NeverReached for x > rho with y = 0, where S is constant.
     """
-    x, y = _check_initial(x, y)
-    rho = params.rho
-    if x <= rho:
-        return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
-    if y == 0.0:
-        raise NeverReached(
-            f"S is constant at x={x!r} > rho={rho!r} with no infection present"
-        )
+    x, y = _check_counts(x, y)
+    edge = _v_edge(params, x, y)
+    if edge is not None:
+        return edge
     return _hitting_time(params, x, y, kernels.EV_S, config)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .core import ModelParams, _require_finite
 from .errors import DomainError, StencilOutOfDomain
-from .ode import IntegratorConfig, integrate
+from .ode import IntegratorConfig, hitting_time_u, hitting_time_v, integrate
 from .analytic import u_integral, v_integral
 
 __all__ = [
@@ -130,8 +130,6 @@ def check_boundary_u(params: ModelParams, xs: Sequence[float]) -> float:
 
     Both constructions return identically zero there; the maximum is exact.
     """
-    from .ode import hitting_time_u
-
     worst = 0.0
     for x in xs:
         x = _require_finite("x", x)
@@ -140,15 +138,12 @@ def check_boundary_u(params: ModelParams, xs: Sequence[float]) -> float:
                 f"boundary check needs x <= rho={params.rho!r}, got x={x!r}"
             )
         worst = max(worst, abs(hitting_time_u(params, x, params.mu).value))
-        if x > 0.0:
-            worst = max(worst, abs(u_integral(params, x, params.mu).value))
+        worst = max(worst, abs(u_integral(params, x, params.mu).value))
     return worst
 
 
 def check_boundary_v(params: ModelParams, ys: Sequence[float]) -> float:
     """Max |v| over boundary states (rho, y), by both methods."""
-    from .ode import hitting_time_v
-
     worst = 0.0
     rho = params.rho
     for y in ys:

@@ -25,8 +25,8 @@ def _combine(cid, *outcomes):
 
 
 def test_c01_cross_method_u():
-    # ODE event route vs representation integral, 61x41 nodes, rel 1e-6,
-    # 60 s single-threaded budget
+    # ODE event route vs representation integral, 61x41 nodes, rel 1e-6;
+    # both surfaces built within checks.CROSS_METHOD_BUDGET_S
     _combine("C01", checks.check_cross_method_u())
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sirtimes import (
     AnchorResult,
+    CriticalTimeResult,
     ModelParams,
     Method,
     analytic,
@@ -26,6 +27,7 @@ from sirtimes import (
 from sirtimes.errors import (
     DegenerateBound,
     DomainError,
+    NeverReached,
     QuadratureFailure,
     SirTimesError,
     TimeCapExceeded,
@@ -101,14 +103,20 @@ def test_u_integral_large_mass(p23):
 def test_u_integral_boundary_zero(p23):
     r = u_integral(p23, 1.0, 1.0)
     assert r.value == 0.0
-    assert r.method is Method.INTEGRAL
+    assert r.method is Method.BOUNDARY_ZERO
 
 
 def test_u_integral_domain(p23):
+    # the edges of u's domain have their values: the closed form at x = 0,
+    # and 0 below the threshold; only invalid counts raise
+    r = u_integral(p23, 0.0, 2.0)
+    assert r.method is Method.EXACT_X0
+    assert r.value == exact_u_at_x0(p23, 2.0)
+    assert u_integral(p23, 4.0, 0.5) == CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
     with pytest.raises(DomainError):
-        u_integral(p23, 0.0, 2.0)
+        u_integral(p23, -1.0, 2.0)
     with pytest.raises(DomainError):
-        u_integral(p23, 4.0, 0.5)
+        u_integral(p23, 4.0, math.nan)
 
 
 def test_v_integral_frozen(p23, p33):
@@ -133,10 +141,15 @@ def test_v_integral_boundary_zero(p23):
 
 
 def test_v_integral_domain(p23):
-    with pytest.raises(DomainError):
-        v_integral(p23, 1.0, 2.0)
-    with pytest.raises(DomainError):
+    # v is 0 at or below rho and never reached above it with no infection;
+    # only invalid counts raise DomainError
+    assert v_integral(p23, 1.0, 2.0) == CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
+    with pytest.raises(NeverReached):
         v_integral(p23, 5.0, 0.0)
+    with pytest.raises(DomainError):
+        v_integral(p23, -1.0, 2.0)
+    with pytest.raises(DomainError):
+        v_integral(p23, 5.0, math.inf)
 
 
 def test_quadrature_budget_failure(p23, monkeypatch):

@@ -171,6 +171,26 @@ def test_cli_never_reached(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("method", ["ode", "integral"])
+def test_cli_compute_invalid_count_exits_2(capsys, method):
+    # both routes validate the counts before any edge rule
+    code = main(["compute", *P23, "--x", "1", "--y", "nan", "--time", "v",
+                 "--method", method])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["ode", "integral"])
+@pytest.mark.parametrize("kind", ["u", "v"])
+def test_cli_grid_negative_counts_are_domain_errors(tmp_path, capsys, kind, method):
+    out = tmp_path / "g.csv"
+    code = main(["grid", *P23, "--x=-2:-1:2", "--y", "0.5:2:2", "--time", kind,
+                 "--method", method, "--out", str(out)])
+    assert code == 5
+    rows = out.read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["error:DomainError"] * 4
+
+
 def test_cli_grid_row_failures(tmp_path, capsys):
     out = tmp_path / "v.csv"
     code = main(["grid", *P23, "--x", "2:3:2", "--y", "0:1:2", "--time", "v",
@@ -333,6 +353,15 @@ def test_cli_config_bad_format(tmp_path, capsys):
     assert code == 2
     assert "format" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_config_bool_is_not_a_number(tmp_path, capsys):
+    # JSON true is a Python bool, which float() would read as 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"beta": true, "gamma": 3}\n')
+    code = main(["compute", "--config", str(cfg), "--x", "4", "--y", "2"])
+    assert code == 2
+    assert "'beta'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("out", ["9999", '["rows.csv"]'])
