@@ -19,6 +19,7 @@ the 1/z factor and the anchor stays representable.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -238,6 +239,70 @@ def _quotient(num, den, what):
     return num / den
 
 
+# The bound and asymptotic formulas below run on floats, given math.log and
+# Python's max and min, and on numpy arrays, given these forms of the three,
+# which give the float results element for element. A quotient whose
+# denominator can underflow to 0 comes back as its two parts: the scalar
+# functions raise through _quotient there, and the array twins leave such
+# nodes to them.
+_ARRAY_OPS = (partial(kernels._math_each, math.log), kernels._py_max, kernels._py_min)
+
+# the least subnormal, in place of a mass ratio that underflows to 0
+_TINY = 5e-324
+
+# bounds_v's tangent-bound denominator at or below this is degenerate
+_DEGENERATE_DEN = 1e-12
+
+
+def _bounds_u_terms(params, x, y, log, high):
+    """At x >= 0 and y >= mu: bounds_u's lower bound, and the numerator and
+    denominator of its crude upper bound. A mass ratio that underflows to 0
+    takes the log of _TINY (-744.4) instead, which the clamp at 0 meets
+    too: its true log lies lower still."""
+    ratio = high((x + y) / (params.rho + params.mu), _TINY)
+    lower = high(0.0, log(ratio) / params.gamma)
+    return lower, x + y, params.gamma * params.mu
+
+
+def _subcritical_u(params, x, y, log):
+    """bounds_u's subcritical upper bound, defined where beta*x < gamma."""
+    return log(y / params.mu) / (params.gamma - params.beta * x)
+
+
+def _bounds_v_args(params, x, y, log):
+    """At x > rho and y > 0: ln(x/rho), the tangent bound's denominator and
+    log argument, and the chord bound's log argument."""
+    rho = params.rho
+    dlog = log(x) - math.log(rho)
+    upper_den = params.beta * (y + x * (1.0 - rho * dlog / (x - rho)))
+    upper_arg = x - rho + y - rho * dlog
+    lower_arg = x - rho + y + rho * (rho / x - 1.0)
+    return dlog, upper_den, upper_arg, lower_arg
+
+
+def _bounds_v_terms(params, x, y, dlog, upper_den, upper_arg, lower_arg, log):
+    """bounds_v's tangent (upper) bound, the numerator and denominator of
+    its chord (lower) bound, and the denominator of its crude bound, whose
+    numerator is dlog; where upper_den > _DEGENERATE_DEN and both log
+    arguments are positive."""
+    log_y = log(y)
+    upper = (dlog - log_y + log(upper_arg)) / upper_den
+    lower_num = dlog - log_y + log(lower_arg)
+    return upper, lower_num, params.beta * (x - params.rho + y), params.beta * y
+
+
+def _asymptotic_u(params, x, y, log):
+    """asymptotic_u's formula, where (x + y)/mu > 0."""
+    return log((x + y) / params.mu) / params.gamma
+
+
+def _asymptotic_v(params, x, y, log):
+    """The numerator and denominator of asymptotic_v's formula at x >= rho
+    and y > 0."""
+    rho = params.rho
+    return log((x / rho) * ((x - rho) / y + 1.0)), params.beta * (x - rho + y)
+
+
 @dataclass(frozen=True)
 class BoundsU:
     """Closed-form bounds on the threshold hitting time.
@@ -266,15 +331,11 @@ def bounds_u(params: ModelParams, x: float, y: float) -> BoundsU:
     y = _require_finite("y", y)
     if x < 0.0 or y < params.mu:
         raise DomainError(f"bounds_u requires x >= 0 and y >= mu, got ({x!r}, {y!r})")
-    rho = params.rho
-    mu = params.mu
-    ratio = (x + y) / (rho + mu)
-    # a ratio that underflows to 0 has a log below -744: the clamp gives 0
-    lower = max(0.0, math.log(ratio) / params.gamma) if ratio > 0.0 else 0.0
-    crude_upper = _quotient(x + y, params.gamma * mu, "crude upper bound on u")
+    lower, crude_num, crude_den = _bounds_u_terms(params, x, y, math.log, max)
+    crude_upper = _quotient(crude_num, crude_den, "crude upper bound on u")
     subcritical_upper = None
     if params.beta * x < params.gamma:
-        subcritical_upper = math.log(y / mu) / (params.gamma - params.beta * x)
+        subcritical_upper = _subcritical_u(params, x, y, math.log)
     return BoundsU(lower, crude_upper, subcritical_upper)
 
 
@@ -305,34 +366,26 @@ def bounds_v(params: ModelParams, x: float, y: float) -> BoundsV:
         raise DomainError(f"bounds_v requires x > rho={rho!r}, got x={x!r}")
     if y <= 0.0:
         raise DomainError(f"bounds_v requires y > 0, got y={y!r}")
-    beta = params.beta
-    dlog = math.log(x) - math.log(rho)
-
-    upper_den = beta * (y + x * (1.0 - rho * dlog / (x - rho)))
-    if upper_den <= 1e-12:
+    args = _bounds_v_args(params, x, y, math.log)
+    dlog, upper_den, upper_arg, lower_arg = args
+    if upper_den <= _DEGENERATE_DEN:
         raise DegenerateBound(
             f"tangent-bound denominator {upper_den!r} below resolution at "
             f"x={x!r}, y={y!r}"
         )
-    upper_arg = x - rho + y - rho * dlog
     if upper_arg <= 0.0:
         raise DomainError(
             f"tangent-bound log argument degenerates ({upper_arg!r}) at "
             f"x={x!r}, y={y!r}"
         )
-    upper = (dlog - math.log(y) + math.log(upper_arg)) / upper_den
-
-    lower_arg = x - rho + y + rho * (rho / x - 1.0)
     if lower_arg <= 0.0:
         raise DomainError(
             f"chord-bound log argument degenerates ({lower_arg!r}) at "
             f"x={x!r}, y={y!r}"
         )
-    lower = _quotient(
-        dlog - math.log(y) + math.log(lower_arg), beta * (x - rho + y), "chord bound on v"
-    )
-
-    crude_upper = _quotient(dlog, beta * y, "crude upper bound on v")
+    upper, lower_num, lower_den, crude_den = _bounds_v_terms(params, x, y, *args, math.log)
+    lower = _quotient(lower_num, lower_den, "chord bound on v")
+    crude_upper = _quotient(dlog, crude_den, "crude upper bound on v")
     return BoundsV(lower, upper, crude_upper)
 
 
@@ -344,10 +397,9 @@ def asymptotic_u(params: ModelParams, x: float, y: float) -> float:
     y = _require_finite("y", y)
     if x < 0.0 or x + y <= 0.0:
         raise DomainError(f"asymptotic_u requires x >= 0, x + y > 0, got ({x!r}, {y!r})")
-    ratio = (x + y) / params.mu
-    if ratio == 0.0:
+    if (x + y) / params.mu == 0.0:
         raise DomainError(f"asymptotic_u: (x + y)/mu underflows to 0 at ({x!r}, {y!r})")
-    return math.log(ratio) / params.gamma
+    return _asymptotic_u(params, x, y, math.log)
 
 
 def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
@@ -365,8 +417,56 @@ def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
         raise DomainError(f"asymptotic_v requires x >= rho={rho!r}, got x={x!r}")
     if y <= 0.0:
         raise DomainError(f"asymptotic_v requires y > 0, got y={y!r}")
-    return _quotient(
-        math.log((x / rho) * ((x - rho) / y + 1.0)),
-        params.beta * (x - rho + y),
-        "asymptotic_v",
-    )
+    return _quotient(*_asymptotic_v(params, x, y, math.log), "asymptotic_v")
+
+
+def _side_cells_batch(params: ModelParams, kind: str, xs, ys):
+    """The bound and asymptotic cells of a grid row of time *kind* ("u" or
+    "v") at many nodes at once, with numpy.
+
+    Returns (inside, lower, upper, asymptotic) arrays. A node is inside
+    where the bounds and the asymptotic function of *kind* both return a
+    value; there the cells equal those of the scalar functions: lower, the
+    least upper bound, and the asymptotic value. The other entries hold no
+    value, and those nodes need the scalar functions.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    mu, rho = params.mu, params.rho
+    inside = np.isfinite(x) & np.isfinite(y)
+    if kind == "u":
+        # asymptotic_u's rules follow from these: (x + y)/mu >= y/mu >= 1
+        inside &= (x >= 0.0) & (y >= mu)
+    else:
+        inside &= (x > rho) & (y > 0.0)
+    k = np.flatnonzero(inside)
+    x, y = x[k], y[k]
+    log, high, low = _ARRAY_OPS
+    with np.errstate(all="ignore"):
+        if kind == "u":
+            lower, crude_num, crude_den = _bounds_u_terms(params, x, y, log, high)
+            good = np.full(k.size, crude_den != 0.0)
+            # no subcritical bound where beta*x >= gamma: NaN, which low passes over
+            sub = np.where(
+                params.beta * x < params.gamma, _subcritical_u(params, x, y, log), np.nan
+            )
+            upper = low(crude_num / crude_den, sub)
+            asym = _asymptotic_u(params, x, y, log)
+        else:
+            dlog, upper_den, upper_arg, lower_arg = _bounds_v_args(params, x, y, log)
+            good = (upper_den > _DEGENERATE_DEN) & (upper_arg > 0.0) & (lower_arg > 0.0)
+            # a log argument out of range becomes 1, so that math.log takes
+            # it; its node is not inside
+            upper, lower_num, lower_den, crude_den = _bounds_v_terms(
+                params, x, y, dlog, upper_den,
+                np.where(good, upper_arg, 1.0), np.where(good, lower_arg, 1.0), log,
+            )
+            asym_num, asym_den = _asymptotic_v(params, x, y, log)
+            good &= (lower_den != 0.0) & (crude_den != 0.0) & (asym_den != 0.0)
+            lower = lower_num / lower_den
+            upper = low(upper, dlog / crude_den)
+            asym = asym_num / asym_den
+    inside[k] = good
+    cells = np.zeros((3, inside.size))
+    cells[:, k] = lower, upper, asym
+    return inside, *cells

@@ -6,6 +6,7 @@ quadrature, the ODE route by lock-step Dormand-Prince stepping. Floats are
 written with 17 significant digits, which round-trips IEEE doubles exactly.
 """
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .analytic import (
+    _side_cells_batch,
     asymptotic_u,
     asymptotic_v,
     bounds_u,
@@ -196,6 +198,18 @@ def side_cells(params, time_kind, x, y):
     return lower, upper, _asym_cell(params, time_kind, x, y)
 
 
+def _evaluate(params, time_kind, method, x, y, config=None):
+    """The (value, method, err_estimate, status) cells of a row at one
+    node, never raising: failures land in the status cell."""
+    try:
+        r = critical_time(params, time_kind, x, y, method, config)
+        return r.value, r.method.value, r.err_estimate, STATUS_OK
+    except NeverReached:
+        return None, "", None, STATUS_NEVER_REACHED
+    except SirTimesError as exc:
+        return None, "", None, f"{STATUS_ERROR}:{type(exc).__name__}"
+
+
 def build_row(
     params: ModelParams,
     time_kind: str,
@@ -205,17 +219,8 @@ def build_row(
     config: IntegratorConfig | None = None,
 ) -> GridRow:
     """Evaluate one node, never raising: failures land in the status field."""
-    lower, upper, asym = side_cells(params, time_kind, x, y)
-    try:
-        r = critical_time(params, time_kind, x, y, method, config)
-        return GridRow(x, y, r.value, r.method.value, r.err_estimate, lower, upper, asym)
-    except NeverReached:
-        return GridRow(x, y, None, "", None, lower, upper, asym, STATUS_NEVER_REACHED)
-    except SirTimesError as exc:
-        return GridRow(
-            x, y, None, "", None, lower, upper, asym,
-            f"{STATUS_ERROR}:{type(exc).__name__}",
-        )
+    value, tag, err, status = _evaluate(params, time_kind, method, x, y, config)
+    return GridRow(x, y, value, tag, err, *side_cells(params, time_kind, x, y), status)
 
 
 def _node_rows(params, time_kind, method, nodes, config=None):
@@ -224,9 +229,11 @@ def _node_rows(params, time_kind, method, nodes, config=None):
     Every node goes to the route's batch entry, which evaluates the nodes
     inside its own interior at once: the integral route by the batched
     quadrature, the ODE route by the lock-step Dormand-Prince loop. Every
-    node the batch did not take or did not finish goes through
-    :func:`build_row`, whose per-node route function validates the counts
-    and applies the edge rules. ``config`` applies to the ODE route only.
+    node the batch did not take or did not finish goes through the per-node
+    route function, which validates the counts and applies the edge rules.
+    The bound and asymptotic cells come the same way: at once where the
+    scalar functions' rules hold, node by node through :func:`side_cells`
+    elsewhere. ``config`` applies to the ODE route only.
     """
     xs = [x for x, _ in nodes]
     ys = [y for _, y in nodes]
@@ -238,11 +245,20 @@ def _node_rows(params, time_kind, method, nodes, config=None):
         row = kernels.EV_I if time_kind == "u" else kernels.EV_S
         ok, values, errs = _hitting_times(params, xs, ys, row, config)
         tag = Method.ODE_EVENT.value
+    values, errs = values.tolist(), errs.tolist()
+    tags = [tag] * len(nodes)
+    statuses = [STATUS_OK] * len(nodes)
+    for j in np.flatnonzero(~ok).tolist():
+        values[j], tags[j], errs[j], statuses[j] = _evaluate(
+            params, time_kind, method, xs[j], ys[j], config
+        )
+    inside, lower, upper, asym = _side_cells_batch(params, time_kind, xs, ys)
+    lower, upper, asym = lower.tolist(), upper.tolist(), asym.tolist()
+    for j in np.flatnonzero(~inside).tolist():
+        lower[j], upper[j], asym[j] = side_cells(params, time_kind, xs[j], ys[j])
     return [
-        GridRow(x, y, value, tag, err, *side_cells(params, time_kind, x, y))
-        if good
-        else build_row(params, time_kind, method, x, y, config)
-        for (x, y), good, value, err in zip(nodes, ok.tolist(), values.tolist(), errs.tolist())
+        GridRow(*cells)
+        for cells in zip(xs, ys, values, tags, errs, lower, upper, asym, statuses)
     ]
 
 
@@ -256,14 +272,13 @@ def run_grid(
     """Evaluate the grid row-major (y outer, x inner).
 
     Both routes evaluate every interior node at once with numpy and send
-    the rest through the per-node :func:`build_row`: the integral route by
-    the batched quadrature, the ODE route by a lock-step Dormand-Prince
-    loop. ``config`` applies to the ODE route only.
+    the rest through the per-node route functions, as :func:`build_row`
+    does: the integral route by the batched quadrature, the ODE route by a
+    lock-step Dormand-Prince loop. ``config`` applies to the ODE route only.
     """
     _check_route(time_kind, method)
-    xs = spec.xs()
-    ys = spec.ys()
-    nodes = [(float(x), float(y)) for y in ys for x in xs]
+    xs = spec.xs().tolist()
+    nodes = [(x, y) for y in spec.ys().tolist() for x in xs]
     rows = _node_rows(params, time_kind, method, nodes, config)
     return GridResult(params, spec, time_kind, method, tuple(rows))
 
@@ -276,35 +291,43 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
+# the % conversion of a CSV cell of exactly these types, which writes what
+# _cell does; a line with a cell of any other type goes through _cell
+_CSV_SPECS = {float: "%.17g", str: "%s", type(None): "%.0s"}
+
+
 def table_to_csv(header, table) -> str:
     """CSV text with the *header* columns and one line per entry of *table*,
     a sequence of cells in header order. A None cell is empty and a number
-    has 17 significant digits."""
+    has 17 significant digits.
+
+    Each line is written through a template for its tuple of cell types.
+    """
+    templates = {}
+
+    def line(cells):
+        cells = tuple(cells)
+        kinds = tuple(map(type, cells))
+        try:
+            template = templates[kinds]
+        except KeyError:
+            specs = [_CSV_SPECS.get(kind) for kind in kinds]
+            template = templates[kinds] = None if None in specs else ",".join(specs)
+        if template is None:
+            return ",".join(map(_cell, cells))
+        return template % cells
+
     lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, cells)) for cells in table)
+    lines.extend(map(line, table))
     return "\n".join(lines) + "\n"
 
 
-def _json_scalar(value) -> str:
-    """*value* as :func:`json.dumps` writes it, NaN and the infinities
-    included."""
-    if isinstance(value, float):
-        if value - value == 0.0:  # finite: inf - inf and NaN - NaN are NaN
-            return float.__repr__(value)
-        if value != value:
-            return "NaN"
-        return "Infinity" if value > 0.0 else "-Infinity"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# Records are encoded this many at a time: their cells by the C encoder, in
+# one flat list split on _SEP, which an encoded string always escapes, and
+# then put into one template for the whole chunk
+_JSON_CHUNK = 256
+_SEP = "\x1f"
+_encode_cells = json.JSONEncoder(separators=(_SEP, ":")).encode
 
 
 def table_to_json(payload) -> str:
@@ -314,32 +337,38 @@ def table_to_json(payload) -> str:
 
     Each record is written through a template for its tuple of keys.
     """
-    templates = {}
-
-    def record(rec):
-        if rec is None:
-            return "null"
-        if not rec:
-            return "{}"
-        keys = tuple(rec)
-        template = templates.get(keys)
-        if template is None:
-            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-            template = templates[keys] = "{\n    " + ",\n    ".join(fields) + "\n  }"
-        return template % tuple(map(_json_scalar, rec.values()))
-
     if isinstance(payload, dict):
         brackets = "{}"
-        items = [f"{encode_basestring_ascii(k)}: {record(rec)}" for k, rec in payload.items()]
+        heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in payload]
+        records = list(payload.values())
     else:
         brackets = "[]"
-        items = list(map(record, payload))
-    if not items:
+        records = list(payload)
+        heads = [""] * len(records)
+    if not records:
         return brackets + "\n"
-    # the brackets ride on the end items, so the text is joined only once
-    items[0] = f"{brackets[0]}\n  {items[0]}"
-    items[-1] = f"{items[-1]}\n{brackets[1]}\n"
-    return ",\n  ".join(items)
+    templates = {None: "null"}
+
+    def template(rec):
+        keys = None if rec is None else tuple(rec)
+        text = templates.get(keys)
+        if text is None:
+            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+            text = templates[keys] = "{\n    " + ",\n    ".join(fields) + "\n  }" if keys else "{}"
+        return text
+
+    chunks = []
+    for start in range(0, len(records), _JSON_CHUNK):
+        end = start + _JSON_CHUNK
+        chunk = records[start:end]
+        values = [value for rec in chunk if rec for value in rec.values()]
+        cells = tuple(_encode_cells(values)[1:-1].split(_SEP)) if values else ()
+        layout = ",\n  ".join(map(str.__add__, heads[start:end], map(template, chunk)))
+        chunks.append(layout % cells)
+    # the brackets ride on the end chunks, so the text is joined only once
+    chunks[0] = f"{brackets[0]}\n  {chunks[0]}"
+    chunks[-1] = f"{chunks[-1]}\n{brackets[1]}\n"
+    return ",\n  ".join(chunks)
 
 
 _row_cells = operator.attrgetter(*GRID_FIELDS)
@@ -347,7 +376,9 @@ _row_cells = operator.attrgetter(*GRID_FIELDS)
 
 def row_records(rows) -> list[dict]:
     """The rows as dicts keyed by :data:`GRID_FIELDS`."""
-    return [dict(zip(GRID_FIELDS, _row_cells(r))) for r in rows]
+    # a GridRow's __init__ sets every field into its __dict__, in the order
+    # of GRID_FIELDS, and the frozen row sets nothing after
+    return [vars(r).copy() for r in rows]
 
 
 def rows_to_csv(rows) -> str:

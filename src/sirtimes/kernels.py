@@ -350,12 +350,15 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
     h = h0
     if h == 0.0:
         h = _initial_step(beta, gamma, s, i, t_end - t0, rtol, atol)
+    # a step below 1e-15*max(floor, |t|) is a stall; the floor follows a time
+    # cap below 1, so that a run whose cap lies below 1e-15 can step at all
+    floor = min(1.0, t_end)
     while True:
         if t >= t_end:
             if not path:
                 status = ODE_CAP
             break
-        if h < 1e-15 * max(1.0, abs(t)):
+        if h < 1e-15 * max(floor, abs(t)):
             status = ODE_STALL
             break
         last = path and t + h >= t_end
@@ -793,9 +796,10 @@ def _anchor_log_batch(rho, mu, psiv):
 
 
 # below this many live nodes, _dp5_batch hands the rest to the scalar loop.
-# Tuned when a numpy round cost as much as 12 to 16 scalar steps; at widths
-# 16-64 it now costs 20 to 55 (0.17-0.33 ms against 6-8.5 us; 2-core host,
-# Python 3.11, numpy 2.4), and the value stays until a retuning is measured.
+# Both README surfaces on the ODE route, 12 alternating runs per value, rows
+# identical at every value (median CPU ms; 2-core host, Python 3.11, numpy
+# 2.4): 16: 278, 32: 276, 64: 279, 128: 288, 256: 316. Up to 64 the value
+# makes no measurable difference, so it stays at 16.
 _DP5_HANDOFF = 16
 
 
@@ -910,12 +914,13 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         k1s, k1i = _field(beta, gamma, s, i)
     gap = (s, i)[stop] - level
     cap = t_end
+    floor = _py_min(1.0, cap)
     # per round, what the refinement of its crossings reads
     found = []
     while idx.size >= _DP5_HANDOFF:
         with np.errstate(all="ignore"):
             end = np.where(t >= cap, ODE_CAP, -1)
-            end[(end < 0) & (h < 1e-15 * _py_max(1.0, np.abs(t)))] = ODE_STALL
+            end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
             s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
             ss = atol + rtol * _py_max(np.abs(s), np.abs(s1))
             si = atol + rtol * _py_max(np.abs(i), np.abs(i1))
@@ -952,8 +957,8 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             status[out] = end[done]
             t_out[out] = t[done]
             live = ~done
-            idx, t, s, i, h, k1s, k1i, gap, cap = (
-                a[live] for a in (idx, t, s, i, h, k1s, k1i, gap, cap)
+            idx, t, s, i, h, k1s, k1i, gap, cap, floor = (
+                a[live] for a in (idx, t, s, i, h, k1s, k1i, gap, cap, floor)
             )
     if found:
         nodes, kc, tc, sc, ic, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))

@@ -12,10 +12,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sirtimes import GridSpec, IntegratorConfig, ModelParams, kernels, ode, run_grid
-from sirtimes.analytic import SPLIT_Z, solve_anchor, u_integral_batch, v_integral_batch
-from sirtimes.gridrun import GRID_FIELDS, build_row
+from sirtimes.analytic import (
+    SPLIT_Z,
+    _side_cells_batch,
+    solve_anchor,
+    u_integral_batch,
+    v_integral_batch,
+)
+from sirtimes.gridrun import GRID_FIELDS, build_row, side_cells
 
 VALUE_REL = 1e-13
 ERR_REL = 0.01
@@ -211,6 +218,39 @@ def test_grid_rows_the_batch_gives_up_go_through_build_row(p23, monkeypatch):
     for kind in ("u", "v"):
         rows = _assert_rows_match_build_row(p23, spec, kind)
         assert all(r.status == "ok" for r in rows)
+
+
+@st.composite
+def _side_cell_panels(draw):
+    """Rates over +-150 decades and nodes on and next to the edges of the
+    bound and asymptotic formulas' domains, or log-uniform over all
+    magnitudes."""
+    beta, gamma, mu = (10.0 ** draw(st.floats(-150.0, 150.0)) for _ in range(3))
+    params = ModelParams(beta, gamma, mu)
+    rho = params.rho
+    edges = [-1.0, -0.0, 0.0, 5e-324, 1.0, math.nan, math.inf, 1e308]
+    for level in (rho, mu):
+        edges += [level, math.nextafter(level, 0.0), math.nextafter(level, math.inf)]
+    edges.append(math.nextafter(math.nextafter(rho, math.inf), math.inf))
+    count = st.one_of(st.sampled_from(edges), st.floats(-320.0, 308.0).map(lambda e: 10.0**e))
+    nodes = draw(st.lists(st.tuples(count, count), min_size=1, max_size=20))
+    return params, nodes
+
+
+@given(_side_cell_panels(), st.sampled_from(["u", "v"]))
+def test_side_cells_batch_equals_side_cells(panel, kind):
+    params, nodes = panel
+    xs = [x for x, _ in nodes]
+    ys = [y for _, y in nodes]
+    inside, *cells = _side_cells_batch(params, kind, xs, ys)
+    for j, (x, y) in enumerate(nodes):
+        want = side_cells(params, kind, x, y)
+        if inside[j]:
+            # bit for bit
+            assert [float.hex(c[j]) for c in cells] == list(map(float.hex, want)), (x, y)
+        else:
+            # a scalar function raises here, so the node takes side_cells
+            assert None in want, (x, y)
 
 
 # --- the ODE route ----------------------------------------------------------

@@ -49,13 +49,21 @@ def test_run_all_builds_each_surface_once(monkeypatch, fresh_surfaces):
 
 def test_sandwich_counts_a_missing_bound(monkeypatch, fresh_surfaces):
     real = gridrun.bounds_u
+    real_batch = gridrun._side_cells_batch
 
     def flaky(params, x, y):
         if (x, y) == (X0, Y0):
             raise DomainError("injected")
         return real(params, x, y)
 
+    def batch_gives_up(params, kind, xs, ys):
+        # the batch leaves the node to the per-node bounds, which then fail
+        inside, *cells = real_batch(params, kind, xs, ys)
+        inside[[(x, y) == (X0, Y0) for x, y in zip(xs, ys)]] = False
+        return inside, *cells
+
     monkeypatch.setattr(gridrun, "bounds_u", flaky)
+    monkeypatch.setattr(gridrun, "_side_cells_batch", batch_gives_up)
     oc = checks.check_bounds_sandwich_u(quick=True)
     assert not oc.passed
     assert oc.metrics["violations"] == 1

@@ -1,6 +1,7 @@
 """Grid sweeps and the command-line interface: determinism across runs,
 status handling, exit codes, config-file merging, and exact output bytes."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import sirtimes
 from sirtimes import (
@@ -19,6 +21,7 @@ from sirtimes import (
     hitting_time_u,
     hitting_time_v,
     rows_to_csv,
+    rows_to_json,
     run_grid,
     u_integral,
     v_integral,
@@ -26,7 +29,7 @@ from sirtimes import (
 from sirtimes.checks import ALL_CHECKS
 from sirtimes.cli import main
 from sirtimes.errors import DomainError, NeverReached
-from sirtimes.gridrun import critical_time, table_to_json
+from sirtimes.gridrun import GRID_FIELDS, critical_time, row_records, table_to_csv, table_to_json
 
 P23 = ("--beta", "2", "--gamma", "3")
 
@@ -123,6 +126,14 @@ def test_grid_never_reached_rows(p23):
     bad = [r for r in res.rows if r.status == "never_reached"]
     assert len(bad) == 2
     assert all(r.y == 0.0 and r.value is None for r in bad)
+
+
+def test_row_records_follow_grid_fields(p23):
+    rows = run_grid(p23, GridSpec(-1.0, 4.0, 6, 0.5, 3.0, 3), "u", "integral").rows
+    assert row_records(rows) == [
+        {field: getattr(r, field) for field in GRID_FIELDS} for r in rows
+    ]
+    assert all(tuple(rec) == GRID_FIELDS for rec in row_records(rows))
 
 
 def test_grid_csv_round_trip(p23):
@@ -503,10 +514,97 @@ JSON_CELLS = {
         [JSON_CELLS, {"x": 1.0, "y": None}, {}, {"y": 2.0, "x": 3.0}, JSON_CELLS],
         {"u": None},
         {"u": {"lower": 0.5, "upper": None}, "v": None, "é \"k\"": {}},
+        # more records than the writer encodes at once, with empty ones and
+        # None across the seams
+        [JSON_CELLS, {}, None, {"x": 1.0}, {"x": "\x1f"}] * 120,
     ],
 )
 def test_table_to_json_is_json_dumps(payload):
     assert table_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+class _Float(float):
+    pass
+
+
+# text with the characters the writers must pass through or escape: the
+# encoder's own separator, % of the templates, quotes, non-ASCII, U+2028
+_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "k", " ", "\x1f", "%", "%s", "%%", '"', "\\", "ü", "€", "\u2028", "\n", ","]
+    ),
+    max_size=4,
+).map("".join)
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+)
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    _FLOATS,
+    _FLOATS.map(_Float),
+    _FLOATS.map(np.float64),
+    _TEXT,
+)
+# few keys, so that key sets repeat and their templates are reused
+_KEYS = st.sampled_from(["x", "y", "value", "", "%s", "k\x1f", "é \"q\""])
+_RECORDS = st.one_of(st.none(), st.dictionaries(_KEYS, _CELLS, max_size=5))
+
+
+@given(st.one_of(st.lists(_RECORDS, max_size=12), st.dictionaries(_TEXT, _RECORDS, max_size=6)))
+def test_table_to_json_is_json_dumps_property(payload):
+    assert table_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return format(float(value), ".17g")
+
+
+@given(
+    st.lists(_TEXT, min_size=1, max_size=4),
+    st.lists(st.lists(_CELLS, max_size=6), max_size=12),
+)
+def test_table_to_csv_matches_the_cell_rule(header, table):
+    lines = [",".join(header)] + [",".join(map(_csv_cell, cells)) for cells in table]
+    assert table_to_csv(header, table) == "\n".join(lines) + "\n"
+
+
+# SHA-256 of rows_to_csv and rows_to_json on the two README surfaces, by route
+SURFACE_DIGESTS = {
+    ("u", "integral"): (
+        "1363f88a854f3c23a94229c8ff38f01d3274c2c63dc202edce159002b5cd7950",
+        "0f24ceae9324ab7da20520e53c8d871246e3b378b173a236e349a48cba2cb0ac",
+    ),
+    ("u", "ode"): (
+        "5c54390ef5fb2746e8c465b507edf2a60b22471b5624c6ba95f0ca41141b507a",
+        "c4cfc615592f07969c92814b5d5ed5b3d91ede43a112bf94106ff4d5caf8e355",
+    ),
+    ("v", "integral"): (
+        "a5063421383931091ff4862500dd0c81555e03a05d82d818b277a44bb3bfe7ba",
+        "389dc17ebce896c90360bac93d426d7524ed01e269b5abbbbbb72cbdf281a5b5",
+    ),
+    ("v", "ode"): (
+        "22f22b285c3dab407c828679591fc45335dc67486dfb267fd960258c0088bed0",
+        "b1fc355f825a13def9b9383f475f55b0a150585dcf769e33900aaa47dc429c17",
+    ),
+}
+README_SURFACES = {
+    "u": (ModelParams(2.0, 3.0, 1.0), GridSpec(0.0, 6.0, 61, 1.0, 5.0, 41)),
+    "v": (ModelParams(3.0, 3.0), GridSpec(1.0, 20.0, 77, 0.5, 5.0, 19)),
+}
+
+
+@pytest.mark.parametrize("kind, method", list(SURFACE_DIGESTS))
+def test_reference_surface_bytes(kind, method):
+    rows = run_grid(*README_SURFACES[kind], kind, method).rows
+    texts = (rows_to_csv(rows), rows_to_json(rows))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+    assert digests == SURFACE_DIGESTS[kind, method]
 
 
 @pytest.mark.parametrize("argv, csv_text, json_text", TABLE_OUTPUTS)
