@@ -12,6 +12,18 @@ where the anchor a(x, y) is the unique root of g(a) = mu in (0, rho]. The
 integrand is finite at both endpoints (denominator beta*a*mu at z=a and
 beta*x*y at z=x) because g is strictly concave with g > mu between them.
 
+The anchor has a closed form, the Kermack-McKendrick final-size relation in
+its Lambert-W form: with c = (psi - mu)/rho + ln(rho),
+
+    ln a = ln(rho) - c - W0(-e^-c)
+
+on the principal branch W0 (Corless, Gonnet, Hare, Jeffrey & Knuth, "On the
+Lambert W function", Adv. Comput. Math. 5, 1996; Pakes, "Lambert's W meets
+Kermack-McKendrick epidemics", IMA J. Appl. Math. 80, 2015). Its branch
+point, W0 = -1, is psi's minimum over the threshold line, at a = rho; psi
+within a rounding slack of 1e-9 * max(1, |psi|) at or below that minimum
+gives a = rho. :func:`sirtimes.kernels._anchor_log` evaluates it.
+
 For y near mu the anchor underflows toward 0; the left part of the u
 integral is therefore evaluated in L = ln z, where the substitution cancels
 the 1/z factor and the anchor stays representable.
@@ -56,6 +68,11 @@ SPLIT_Z = 1e-8
 class AnchorResult:
     """Root a of g(a) = mu in (0, rho], with its log and defect.
 
+    ``log_a`` is ln(rho) - c - W0(-e^-c), c = (psi - mu)/rho + ln(rho), on
+    the principal branch of the Lambert W function (Corless et al. 1996;
+    Pakes 2015; the module docstring gives the full references); it is
+    rho's log at the branch point W0 = -1, where psi is at its minimum or
+    within 1e-9 * max(1, |psi|) below it.
     ``a`` underflows to 0.0 for deep anchors; ``log_a`` is always finite and
     is the faithful representation. ``residual`` is |psi(a, mu) - psi(x, y)|.
     """
@@ -68,6 +85,13 @@ class AnchorResult:
 def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     """Anchor susceptible level for the orbit through (x, y): the unique
     z <= rho at which the infected count equals mu.
+
+    Computed in closed form, as the Kermack-McKendrick final-size relation
+    ln a = ln(rho) - c - W0(-e^-c) with c = (psi - mu)/rho + ln(rho) and W0
+    the principal branch of the Lambert W function (Corless et al., Adv.
+    Comput. Math. 5, 1996; Pakes, IMA J. Appl. Math. 80, 2015). Where
+    psi(x, y) is at its minimum over the threshold line (the branch point
+    W0 = -1), or within 1e-9 * max(1, |psi|) below it, the anchor is rho.
 
     Requires x > 0 and y >= mu.
     """
@@ -196,7 +220,10 @@ def u_integral_batch(params: ModelParams, xs, ys):
     # per-node logs and exps through math, as the scalar route takes them
     log_x = kernels._math_each(math.log, xi)
     psiv = xi + y[idx] - rho * log_x
-    good, log_a = kernels._anchor_log_batch(rho, mu, psiv)
+    # where a count or rate is near the float range, the anchor's error-free
+    # sums overflow and fall back to plain ones, as the scalar route does
+    with np.errstate(all="ignore"):
+        good, log_a = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
     split_l = math.log(SPLIT_Z)
     deep = log_a < split_l
     # left piece in log space below the split, the rest in z space

@@ -1,6 +1,6 @@
 """Scalar numerical kernels: Dormand-Prince 5(4) stepping with quartic dense
 output and event refinement, adaptive Gauss-Kronrod 7/15 quadrature for the
-time integrals, and the log-space anchor root solve.
+time integrals, and the closed-form anchor root in log space.
 
 All ODE work goes through one stepping loop, :func:`_dp5`. It watches the
 first downward crossings of I through mu (u) and of S through rho (v), and
@@ -12,18 +12,21 @@ The scalar kernels are plain Python on floats; wrappers in
 :mod:`sirtimes.ode` and :mod:`sirtimes.analytic` validate inputs and turn
 status codes into exceptions. Kernels return status tuples instead of
 raising. At the end of the module, numpy twins run the same algorithms over
-whole grids at once: twins of the quadrature and anchor kernels;
-:func:`_dp5_batch`, the stop mode of :func:`_dp5` stepped in lock-step with
-a step size per node; and :func:`_locate_batch`, which refines all of its
-crossings in one lock-step pass.
+whole grids at once: twins of the quadrature kernels; :func:`_dp5_batch`,
+the stop mode of :func:`_dp5` stepped in lock-step with a step size per
+node; and :func:`_locate_batch`, which refines all of its crossings in one
+lock-step pass.
 
 A kernel and its twin share the formulas: :func:`_field`, :func:`_stages`,
 :func:`_dense_coeffs` and :func:`_gk15_rule` run unchanged on floats or on
 arrays, with the same operations in the same order. The twins differ only
-in control flow, where each element takes its own branch.
+in control flow, where each element takes its own branch. The anchor solve
+:func:`_anchor_log` has no twin: it is one closed formula with a fixed
+number of steps, and runs unchanged on a float or on an array.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -515,46 +518,103 @@ def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
         el.append(e2)
 
 
-def _anchor_log(rho, mu, psiv):
-    """Solve e^L + mu - rho*L = psi for the unique L <= ln(rho).
+def _pick(cond, a, b):
+    """np.where on floats: a if cond holds, else b."""
+    return a if cond else b
 
-    The left-hand side is strictly decreasing in L on (-inf, ln rho], so a
-    sign bracket plus bisection is global; a short Newton polish sharpens the
-    last digits. Returns (ok, L)."""
+
+# _anchor_log's sqrt, expm1, exp and select on floats; _ANCHOR_ARRAY_OPS
+# below are their array forms
+_ANCHOR_FLOAT_OPS = (math.sqrt, math.expm1, math.exp, _pick)
+
+
+def _two_sum(a, b):
+    """a + b as (s, err) with s + err exact (Knuth): floats, or arrays."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    """a as hi + lo, each with at most 26 significant bits (Dekker)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _h_sum(e, mu, rho, L, psiv, pick):
+    """The anchor's h(L) = e^L + mu - rho*L - psi from e = e^L, as (h, err):
+    h summed left to right as it rounds, and err the rounding errors of its
+    product and sums (Ogita, Rump & Oishi's Sum2; Dekker's product, as
+    Python has no fma before 3.13), so that h + err is h to about twice the
+    working precision. err is 0 where a term near the float range makes it
+    NaN or inf."""
+    rl = rho * L
+    rh, rlo = _split(rho)
+    lh, llo = _split(L)
+    rl_err = ((rh * lh - rl) + rh * llo + rlo * lh) + rlo * llo
+    s, q1 = _two_sum(e, mu)
+    s, q2 = _two_sum(s, -rl)
+    h, q3 = _two_sum(s, -psiv)
+    err = ((q1 + q2) + q3) - rl_err
+    return h, pick(err - err == 0.0, err, 0.0)
+
+
+def _anchor_log(rho, mu, psiv, ops=_ANCHOR_FLOAT_OPS):
+    """Solve h(L) = e^L + mu - rho*L - psi = 0 for the unique L <= ln(rho),
+    for a float psi, or elementwise for an array of psi with
+    ops=_ANCHOR_ARRAY_OPS. Returns (ok, L): floats, or arrays.
+
+    The root is the Kermack-McKendrick final-size relation in closed form:
+    with c = (psi - mu)/rho + ln(rho) and W0 the principal branch of the
+    Lambert W function,
+
+        L = ln(rho) - c - W0(-e^-c)
+
+    (Corless, Gonnet, Hare, Jeffrey & Knuth, "On the Lambert W function",
+    Adv. Comput. Math. 5, 1996; Pakes, "Lambert's W meets Kermack-McKendrick
+    epidemics", IMA J. Appl. Math. 80, 2015). t = L - ln(rho) is the root
+    t <= 0 of expm1(t) - t = d, where d = c - 1 = -h(ln rho)/rho is psi's
+    height above its minimum, at the branch point W0 = -1. d comes from
+    h(ln rho) summed to twice the working precision, since c itself loses
+    d's digits there. Two Halley steps start from the branch-point series
+    -(p + p^2/6 + p^3/36), p = sqrt(2d), for d < 2, and beyond it from
+    e^-c - c (W0(z) ~ z), which is -c where e^-c underflows. Where
+    e^L <= rho/2, one Newton step on h itself, summed the same way, ends
+    the solve: it moves L by e^L's rounding over rho - e^L, less than the
+    rounding of ln(rho) + t that it replaces. Nearer the branch point that
+    quotient grows like 1/|t|, and L stays ln(rho) + t. A Halley step whose
+    denominator rounds to 0 (at the branch point) is skipped.
+
+    Where h(ln rho) >= 0 as it rounds, psi is at its minimum: within a
+    slack of 1e-9 * max(1, |psi|) the root is ln(rho), and beyond it there
+    is none (ok is false).
+
+    Both forms take expm1 and exp from math per element and run the same
+    operations in the same order, so they give the same roots bit for bit."""
+    sqrt, expm1, exp, pick = ops
     lhi = math.log(rho)
-    hhi = rho + mu - rho * lhi - psiv
-    if hhi >= 0.0:
-        # psi at (or within rounding slack of) its minimum over the level set
-        if hhi <= 1e-9 * max(1.0, abs(psiv)):
-            return True, lhi
-        return False, 0.0
-    llo = min(lhi - 1.0, -psiv / rho - 10.0)
-    for _ in range(200):
-        if math.exp(llo) + mu - rho * llo - psiv > 0.0:
-            break
-        llo = lhi - 2.0 * (lhi - llo)
-    a = llo
-    b = lhi
-    for _ in range(200):
-        if b - a <= _EPS * max(1.0, abs(a), abs(b)):
-            break
-        m = 0.5 * (a + b)
-        hm = math.exp(m) + mu - rho * m - psiv
-        if hm > 0.0:
-            a = m
-        else:
-            b = m
-    L = 0.5 * (a + b)
-    for _ in range(3):
-        hL = math.exp(L) + mu - rho * L - psiv
-        dL = math.exp(L) - rho
-        if dL == 0.0:
-            break
-        Ln = L - hL / dL
-        if Ln < a or Ln > b:
-            break
-        L = Ln
-    return True, L
+    hhi, hhi_err = _h_sum(rho, mu, rho, lhi, psiv, pick)
+    at_min = hhi >= 0.0
+    ok = pick(at_min, (hhi <= 1e-9) | (hhi <= 1e-9 * abs(psiv)), True)
+    d = -(hhi + hhi_err) / rho
+    # 0 at the branch point, and where only the rounding put psi above it
+    d = pick(at_min | (d < 0.0), 0.0, d)
+    p = sqrt(2.0 * d)
+    c = 1.0 + d
+    t = pick(d < 2.0, -p * (1.0 + p * (1.0 / 6.0 + p / 36.0)), exp(-c) - c)
+    for _ in range(2):
+        em = expm1(t)
+        f = em - t - d
+        den = 2.0 * em * em - f * (em + 1.0)
+        flat = den == 0.0
+        t = t - pick(flat, 0.0, 2.0 * f * em / pick(flat, 1.0, den))
+    L = lhi + t
+    e = exp(L)
+    newton = e <= 0.5 * rho
+    hL, hL_err = _h_sum(e, mu, rho, L, psiv, pick)
+    Ln = L - (hL + hL_err) / pick(newton, e - rho, 1.0)
+    return ok, pick(at_min, lhi, pick(newton, Ln, L))
 
 
 # --- numpy twins for whole grids -------------------------------------------
@@ -564,19 +624,25 @@ def _anchor_log(rho, mu, psiv):
 # formula functions as the scalar kernels (the field, the DP5 stages, the
 # dense output and the GK15 sums) and differ from them only in control
 # flow: each element leaves a loop or takes a branch on its own. numpy's
-# log and exp can differ from math's in the last bit; wherever a result
-# could follow that bit (the anchor's sign tests and Newton steps, the
-# z-space integrand where it loses digits) the twins call math instead, so
-# they agree with the scalar kernels to a few units in the last place. The
-# DP5 and crossing twins use only correctly rounded arithmetic (the step
-# factor's power is taken with Python's pow) and mirror Python's max and
-# min where NaN can reach them, so they equal the scalar kernels bit for
-# bit.
+# log and exp can differ from math's in the last bit; where a result could
+# follow that bit (the z-space integrand where it loses digits) the twins
+# call math instead, so they agree with the scalar kernels to a few units in
+# the last place. The DP5 and crossing twins use only correctly rounded
+# arithmetic (the step factor's power is taken with Python's pow) and mirror
+# Python's max and min where NaN can reach them, so they equal the scalar
+# kernels bit for bit.
 
 
 def _math_each(fn, values):
     """*fn* from :mod:`math` applied to each element of *values*."""
     return np.array([fn(v) for v in values.tolist()])
+
+
+# _anchor_log's ops on arrays: numpy's sqrt is correctly rounded, as math's
+# is, and expm1 and exp come from math per element
+_ANCHOR_ARRAY_OPS = (
+    np.sqrt, partial(_math_each, math.expm1), partial(_math_each, math.exp), np.where
+)
 
 
 def _quad_f_batch(kind, z, beta, rho, psiv):
@@ -736,63 +802,6 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
             al, bl, vl, el = (np.pad(t, ((0, 0), (0, grow))) for t in (al, bl, vl, el))
             cap += grow
     return status, value, err
-
-
-def _anchor_h(m, rho, mu, p):
-    """Sign function e^m + mu - rho*m - p of the anchor solve, rounded as
-    the scalar kernel rounds it. numpy's exp is used first; only values too
-    close to 0 for its last-bit difference to be ruled out are recomputed
-    with math.exp (the band is about 500 times the worst such difference)."""
-    e = np.exp(m)
-    h = e + mu - rho * m - p
-    close = np.flatnonzero(np.abs(h) <= 1e-12 * (e + mu + np.abs(rho * m) + np.abs(p)))
-    if close.size:
-        mc = m[close]
-        h[close] = _math_each(math.exp, mc) + mu - rho * mc - p[close]
-    return h
-
-
-def _anchor_log_batch(rho, mu, psiv):
-    """:func:`_anchor_log` over an array of psi values: a vectorized sign
-    bracket, a bisection that stops each root at its own tolerance, and the
-    same three guarded Newton steps. Every root equals the scalar kernel's
-    bit for bit. Returns (ok, L) arrays."""
-    lhi = math.log(rho)
-    hhi = rho + mu - rho * lhi - psiv
-    at_min = hhi >= 0.0
-    ok = ~at_min | (hhi <= 1e-9 * np.maximum(1.0, np.abs(psiv)))
-    L = np.full(psiv.shape, lhi)
-    sel = np.flatnonzero(~at_min)
-    p = psiv[sel]
-    with np.errstate(all="ignore"):
-        llo = np.minimum(lhi - 1.0, -p / rho - 10.0)
-        for _ in range(200):
-            widen = ~(_anchor_h(llo, rho, mu, p) > 0.0)
-            if not widen.any():
-                break
-            llo = np.where(widen, lhi - 2.0 * (lhi - llo), llo)
-        a = llo
-        b = np.full(p.shape, lhi)
-        for _ in range(200):
-            act = ~(b - a <= _EPS * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b)))
-            if not act.any():
-                break
-            m = 0.5 * (a + b)
-            pos = _anchor_h(m, rho, mu, p) > 0.0
-            a = np.where(act & pos, m, a)
-            b = np.where(act & ~pos, m, b)
-        Lv = 0.5 * (a + b)
-        live = np.ones(p.shape, dtype=bool)
-        for _ in range(3):
-            e = _math_each(math.exp, Lv)
-            hL = e + mu - rho * Lv - p
-            dL = e - rho
-            live &= dL != 0.0
-            Ln = Lv - hL / dL
-            live &= ~((Ln < a) | (Ln > b))
-            Lv = np.where(live, Ln, Lv)
-    L[sel] = Lv
-    return ok, L
 
 
 # below this many live nodes, _dp5_batch hands the rest to the scalar loop.

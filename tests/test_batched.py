@@ -14,11 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sirtimes import GridSpec, IntegratorConfig, ModelParams, kernels, ode, run_grid
+from sirtimes import (
+    GridSpec,
+    IntegratorConfig,
+    ModelParams,
+    QuadratureFailure,
+    kernels,
+    ode,
+    run_grid,
+)
 from sirtimes.analytic import (
     SPLIT_Z,
     _side_cells_batch,
     solve_anchor,
+    u_integral,
     u_integral_batch,
     v_integral_batch,
 )
@@ -41,12 +50,52 @@ def test_anchor_batch_equals_scalar_bitwise(rho, mu):
     # psi at and just above its minimum over y = mu, and below it (no root)
     psi_min = rho + mu - rho * math.log(rho)
     psiv = np.concatenate((psiv, [psi_min, psi_min * (1 + 1e-12), psi_min - 1.0]))
-    ok, logs = kernels._anchor_log_batch(rho, mu, psiv)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok == want_ok
         if want_ok:
             assert got == want
+
+
+@pytest.mark.parametrize("rho, mu", [(1.5, 1.0), (1.0, 1e-6), (0.3, 1e-3), (2.5, 1e-3)])
+def test_anchor_next_to_the_branch_point(rho, mu):
+    # psi 1 to 64 ulps above its minimum over y = mu, where W0(-e^-c) is
+    # about -1 and e^t - 1 may round to 0, and just below it, within the
+    # slack: a finite root at or below ln(rho), equal in both forms. At
+    # (2.5, 1e-3) two of these psi lie above the minimum as h(ln rho)
+    # rounds and at or below it as its carried errors tell.
+    psi_min = rho + mu - rho * math.log(rho)
+    psiv = np.array([psi_min * (1 + k * 2.0**-52) for k in range(1, 65)] + [psi_min - 1e-12])
+    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
+    for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
+        want_ok, want = kernels._anchor_log(rho, mu, p)
+        assert got_ok and want_ok
+        assert got == want
+        assert math.isfinite(want) and want <= math.log(rho)
+
+
+def test_anchor_near_the_float_range():
+    # rho * (2**27 + 1) overflows in the error-free product, whose carried
+    # error is then dropped: the plain sums remain
+    rho, mu = 1e303, 1.0
+    psi_min = rho + mu - rho * math.log(rho)
+    psiv = psi_min + rho * np.array([1e-6, 1e-2, 1.0, 3.0, 1e2])
+    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
+    for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
+        want_ok, want = kernels._anchor_log(rho, mu, p)
+        assert got_ok and want_ok and got == want
+        assert math.isfinite(want) and want < math.log(rho)
+    # roots beyond 1e300 overflow the product of the Newton step on arrays;
+    # the grid route raises no RuntimeWarning and leaves the nodes to the
+    # scalar route's typed error
+    params = ModelParams(1.0, 1.0)
+    xs, ys = [1.0, 5.0], [1e301, 1e302]
+    ok, _, _ = u_integral_batch(params, xs, ys)
+    assert not ok.any()
+    for x, y in zip(xs, ys):
+        with pytest.raises(QuadratureFailure):
+            u_integral(params, x, y)
 
 
 def test_z_space_integrand_equals_scalar_where_it_loses_digits():

@@ -449,7 +449,7 @@ TABLE_OUTPUTS = [
         (
             'r,x,y,exact,asymptotic,ratio\n'
             '10,5,5,0.81870492465022959,0.76752836433134863,1.0666770932478367\n'
-            '100,50,50,1.5386223126117204,1.5350567286626973,1.0023227701507353\n'
+            '100,50,50,1.5386223126117182,1.5350567286626973,1.002322770150734\n'
         ),
         (
             '[\n'
@@ -465,9 +465,9 @@ TABLE_OUTPUTS = [
             '    "r": 100.0,\n'
             '    "x": 50.0,\n'
             '    "y": 50.0,\n'
-            '    "exact": 1.5386223126117204,\n'
+            '    "exact": 1.5386223126117182,\n'
             '    "asymptotic": 1.5350567286626973,\n'
-            '    "ratio": 1.0023227701507353\n'
+            '    "ratio": 1.002322770150734\n'
             '  }\n'
             ']\n'
         ),
@@ -577,8 +577,8 @@ def test_table_to_csv_matches_the_cell_rule(header, table):
 # SHA-256 of rows_to_csv and rows_to_json on the two README surfaces, by route
 SURFACE_DIGESTS = {
     ("u", "integral"): (
-        "1363f88a854f3c23a94229c8ff38f01d3274c2c63dc202edce159002b5cd7950",
-        "0f24ceae9324ab7da20520e53c8d871246e3b378b173a236e349a48cba2cb0ac",
+        "f7ccd03adeb43739e4a5b04f280e4c8414c5a7ce09fb1acccf86cf33f5400b38",
+        "404333c2ce8e1f677b21018299fd5c77f2555f6685dad07b4c41d58a9b1ee2a7",
     ),
     ("u", "ode"): (
         "5c54390ef5fb2746e8c465b507edf2a60b22471b5624c6ba95f0ca41141b507a",
@@ -624,7 +624,7 @@ ROW_OUTPUTS = [
         (
             'x,y,value,method,err_estimate,lower,upper,asymptotic,status\n'
             '4,2,0.73451078208705278,OdeEvent,1.0000000000000001e-09,0.29182291245129993,2,0.59725315640935162,ok\n'
-            '4,2,0.73451078210394494,Integral,2.672049740171651e-13,0.29182291245129993,2,0.59725315640935162,ok\n'
+            '4,2,0.73451078210394471,Integral,2.6720534559348616e-13,0.29182291245129993,2,0.59725315640935162,ok\n'
             '4,2,0.18306071694057977,OdeEvent,1.0000000000000001e-09,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
             '4,2,0.18306071690143094,Integral,3.6649591750399018e-14,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
         ),
@@ -644,9 +644,9 @@ ROW_OUTPUTS = [
             '  {\n'
             '    "x": 4.0,\n'
             '    "y": 2.0,\n'
-            '    "value": 0.7345107821039449,\n'
+            '    "value": 0.7345107821039447,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 2.672049740171651e-13,\n'
+            '    "err_estimate": 2.6720534559348616e-13,\n'
             '    "lower": 0.29182291245129993,\n'
             '    "upper": 2.0,\n'
             '    "asymptotic": 0.5972531564093516,\n'
@@ -722,7 +722,7 @@ ROW_OUTPUTS = [
             '2,0.5,0,BoundaryZero,0,,,0.30543024395805168,ok\n'
             '0,2,0.23104906018664842,ExactX0,0,0,0.23104906018664842,0.23104906018664842,ok\n'
             '1,2,0.37120243109885248,Integral,1.1952261410261939e-13,0.060773852264651533,0.69314718055994529,0.36620409622270328,ok\n'
-            '2,2,0.53450808088678126,Integral,1.8895991111959494e-14,0.15666787641524521,1.3333333333333333,0.46209812037329684,ok\n'
+            '2,2,0.53450808088678115,Integral,1.8895338876155641e-14,0.15666787641524521,1.3333333333333333,0.46209812037329684,ok\n'
         ),
         (
             '[\n'
@@ -784,9 +784,9 @@ ROW_OUTPUTS = [
             '  {\n'
             '    "x": 2.0,\n'
             '    "y": 2.0,\n'
-            '    "value": 0.5345080808867813,\n'
+            '    "value": 0.5345080808867811,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 1.8895991111959494e-14,\n'
+            '    "err_estimate": 1.889533887615564e-14,\n'
             '    "lower": 0.1566678764152452,\n'
             '    "upper": 1.3333333333333333,\n'
             '    "asymptotic": 0.46209812037329684,\n'

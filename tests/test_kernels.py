@@ -1,9 +1,16 @@
 """Direct checks of the numerical kernels: Gauss-Kronrod quadrature against
-a closed-form integral, the log-space anchor solve against 50-digit roots,
-and the dense-output polynomial endpoints."""
+a closed-form integral, the closed-form anchor in log space against 50-digit
+roots (a few inline, and the table in ``anchor_oracle.json`` that
+``make_anchor_oracle.py`` writes), and the dense-output polynomial
+endpoints."""
 
+import json
 import math
+import os
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sirtimes import kernels
@@ -113,6 +120,56 @@ def test_anchor_at_level_minimum():
 def test_anchor_no_root():
     ok, _ = kernels._anchor_log(1.5, 1.0, 1.5)
     assert not ok
+
+
+ORACLE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "anchor_oracle.json")
+
+# worst error, in ulps of the root, of the sign-bracket-and-bisection solver
+# that the closed form replaced, over the oracle states of each kind. Near
+# the branch point the root's error is psi's rounding over |e^L - rho|, so
+# it reads in millions of ulps there for any double-precision solver.
+BISECTION_WORST_ULP = {
+    "branch": 16408727.6,  # d = 1e-14 at rho = 1.5, mu = 1
+    "interior": 39.97,
+    "deep": 0.667,
+    "underflow": 1.352,
+    "scale": 32793.8,  # mu = 1e3 against rho = 1e-3
+}
+
+
+def _ulp_error(value, exact):
+    """|value - exact| in ulps of exact, without rounding either."""
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def test_anchor_against_the_oracle():
+    with open(ORACLE_PATH) as f:
+        table = json.load(f)
+    assert len(table) >= 80
+    assert {s["kind"] for s in table} == set(BISECTION_WORST_ULP)
+    worst = max(BISECTION_WORST_ULP.values())
+    for s in table:
+        ok, log_a = kernels._anchor_log(s["rho"], s["mu"], s["psi"])
+        assert ok
+        err = _ulp_error(log_a, Fraction(Decimal(s["log_a"])))
+        assert err <= worst, s
+        assert err <= BISECTION_WORST_ULP[s["kind"]], s
+        if s["kind"] in ("interior", "scale"):
+            # well-conditioned roots land within an ulp (0.88 measured)
+            assert err <= 1.0, s
+
+
+@pytest.mark.parametrize("rho, mu", [(1.5, 1.0), (0.02, 3e-3), (1e-3, 1e3), (1e3, 1e-3)])
+def test_anchor_where_e_to_the_minus_c_underflows(rho, mu):
+    # c = (psi - mu)/rho + ln(rho) > 745: W0(-e^-c) lies below 1e-323, so
+    # the root is ln(rho) - c = (mu - psi)/rho to far within an ulp
+    psiv = mu + rho * (np.geomspace(760.0, 1e7, 40) - math.log(rho))
+    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
+    for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
+        assert (p - mu) / rho + math.log(rho) > 745.0
+        want_ok, want = kernels._anchor_log(rho, mu, p)
+        assert got_ok and want_ok and got == want
+        assert _ulp_error(want, (Fraction(mu) - Fraction(p)) / Fraction(rho)) <= 1.0
 
 
 def test_dense_output_endpoints():
