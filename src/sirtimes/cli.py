@@ -14,7 +14,7 @@ import math
 import sys
 
 from .analytic import asymptotic_u, asymptotic_v, bounds_u, bounds_v
-from .core import ModelParams
+from .core import ModelParams, _check_counts
 from .errors import (
     DomainError,
     IntegrationStall,
@@ -303,10 +303,10 @@ def cmd_grid(args):
 
 
 def cmd_bounds(args):
+    x, y = _check_counts(args.x, args.y)
     settings = _settings(args)
     params = _params_from(settings)
     kinds = ("u", "v") if args.time == "both" else (args.time,)
-    x, y = args.x, args.y
     lines = [
         f"bounds at (x, y) = ({x:g}, {y:g})   "
         f"[beta={params.beta:g} gamma={params.gamma:g} mu={params.mu:g}]"

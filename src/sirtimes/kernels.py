@@ -14,8 +14,9 @@ status codes into exceptions. Kernels return status tuples instead of
 raising. At the end of the module, numpy twins run the same algorithms over
 whole grids at once: twins of the quadrature kernels; :func:`_dp5_batch`,
 the stop mode of :func:`_dp5` stepped in lock-step with a step size per
-node; and :func:`_locate_batch`, which refines all of its crossings in one
-lock-step pass.
+node until every node has crossed, stalled or reached its cap; and
+:func:`_locate_batch`, which refines all of its crossings in one lock-step
+pass.
 
 A kernel and its twin share the formulas: :func:`_field`, :func:`_stages`,
 :func:`_dense_coeffs` and :func:`_gk15_rule` run unchanged on floats or on
@@ -35,8 +36,8 @@ ODE_OK = 0
 ODE_STALL = 1
 ODE_CAP = 2
 
-# the ODE kernel's watched crossings, as rows of its event array and as its
-# stop argument; PATH asks for the whole path instead of stopping
+# the ODE kernel's watched crossings, as indices of its pair of crossings and
+# as its stop argument; PATH asks for the whole path instead of stopping
 EV_S = 0  # S falls through rho: the peak time v
 EV_I = 1  # I falls through mu: the threshold time u
 PATH = -1
@@ -48,8 +49,9 @@ QUAD_BADFUN = 2
 
 _EPS = 2.220446049250313e-16
 
-# relative width to which _locate and _locate_batch refine a crossing time:
-# the bracket closes within _EV_TOL * max(1, t) of it, or on an exact hit
+# width to which _locate and _locate_batch refine a crossing time, relative
+# above t = 1 and absolute below it: the bracket closes within
+# _EV_TOL * max(1, t + h) of it (t + h the end of the step), or on an exact hit
 _EV_TOL = 1e-12
 
 # Dormand-Prince 5(4) tableau
@@ -299,29 +301,22 @@ def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
     return 0.5 * (ta + tb), 0.5 * (tb - ta)
 
 
-def _locate(k, t, s, i, h, comp, level, g0, g1, ev):
+def _locate(k, t, s, i, h, comp, level, g0, g1):
     """Refine the downward crossing of component *comp* through *level*
     inside the accepted step of size h from (t, s, i), whose stages are in
     k; g0 > 0 and g1 <= 0 are the watched component minus the level at the
-    step's ends. Stores (1, t, S, I, time half-width) in row *comp* of ev."""
+    step's ends. Returns (t, S, I, time half-width) of the crossing."""
     qs = _dense_coeffs(k, 0)
     qi = _dense_coeffs(k, 1)
     y0, q = (i, qi) if comp == EV_I else (s, qs)
     tol_t = _EV_TOL * max(1.0, t + h)
     theta, hw = _refine_crossing(y0, h, *q, level, g0, g1, tol_t / h)
-    ev[comp, 0] = 1.0
-    ev[comp, 1] = t + theta * h
-    ev[comp, 2] = _dense_eval(s, h, *qs, theta)
-    ev[comp, 3] = _dense_eval(i, h, *qi, theta)
-    ev[comp, 4] = hw * h
+    return t + theta * h, _dense_eval(s, h, *qs, theta), _dense_eval(i, h, *qi, theta), hw * h
 
 
-def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
-    """Integrate from (s0, i0) at t = t0, watching the first downward
-    crossing of I through mu (row EV_I of the event array) and of S through
-    rho (row EV_S). The first trial step is h0, or the one
-    :func:`_initial_step` picks when h0 is 0; a nonzero (t0, h0) resumes a
-    run that :func:`_dp5_batch` started.
+def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
+    """Integrate from (s0, i0) at t = 0, watching the first downward
+    crossing of I through mu (EV_I) and of S through rho (EV_S).
 
     stop = PATH runs to t_end, clips the last step to it, and keeps every
     accepted step and its stages so callers can evaluate the dense
@@ -330,29 +325,25 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
     caller guarantees the component starts strictly above its level. t_end
     is then a cap that ends the run with ODE_CAP, and steps are not clipped.
 
-    Returns (status, t_reached, ev, ts, ys, ks). A row of the 2x5 array ev
-    is (found, t, S, I, err) of its crossing; t_reached is the event time
-    when stop mode finds its event, else where the run ended. ts, ys and ks
-    are the accepted step times, states and stages (the initial state alone
-    in stop mode)."""
+    Returns (status, t_reached, (ev_s, ev_i), ts, ys, ks). ev_s and ev_i are
+    the crossings as :func:`_locate` returns them, or None where there is
+    none; t_reached is the event time when stop mode finds its event, else
+    where the run ended. ts, ys and ks are the accepted step times, states
+    and stages (the initial state alone in stop mode)."""
     path = stop == PATH
-    ts = [t0]
+    ts = [0.0]
     ys = [(s0, i0)]
     ks = []
-    ev = np.zeros((2, 5))
-    i_found = False
-    s_found = False
+    ev_s = ev_i = None
     status = ODE_OK
 
-    t = t0
+    t = 0.0
     s = s0
     i = i0
     k1s, k1i = _field(beta, gamma, s, i)
     gi_prev = i - mu
     gs_prev = s - rho
-    h = h0
-    if h == 0.0:
-        h = _initial_step(beta, gamma, s, i, t_end - t0, rtol, atol)
+    h = _initial_step(beta, gamma, s, i, t_end, rtol, atol)
     # a step below 1e-15*max(floor, |t|) is a stall; the floor follows a time
     # cap below 1, so that a run whose cap lies below 1e-15 can step at all
     floor = min(1.0, t_end)
@@ -374,14 +365,12 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
 
         gi_new = i1 - mu
         gs_new = s1 - rho
-        if stop != EV_S and not i_found and gi_prev > 0.0 and gi_new <= 0.0:
-            _locate(k, t, s, i, h, EV_I, mu, gi_prev, gi_new, ev)
-            i_found = True
-        if stop != EV_I and not s_found and gs_prev > 0.0 and gs_new <= 0.0:
-            _locate(k, t, s, i, h, EV_S, rho, gs_prev, gs_new, ev)
-            s_found = True
-        if not path and (i_found or s_found):
-            t = ev[stop, 1]
+        if stop != EV_S and ev_i is None and gi_prev > 0.0 and gi_new <= 0.0:
+            ev_i = _locate(k, t, s, i, h, EV_I, mu, gi_prev, gi_new)
+        if stop != EV_I and ev_s is None and gs_prev > 0.0 and gs_new <= 0.0:
+            ev_s = _locate(k, t, s, i, h, EV_S, rho, gs_prev, gs_new)
+        if not path and (ev_i is not None or ev_s is not None):
+            t = (ev_s, ev_i)[stop][0]
             break
 
         t = t_end if last else t + h
@@ -400,7 +389,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, t0=0.0, h0=0.0):
             factor = min(10.0, max(0.9, 0.9 * err ** -0.2))
         h *= factor
 
-    return (status, t, ev, np.array(ts, dtype=float), np.array(ys, dtype=float),
+    return (status, t, (ev_s, ev_i), np.array(ts, dtype=float), np.array(ys, dtype=float),
             np.array(ks).reshape(-1, 7, 2))
 
 
@@ -804,12 +793,14 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
     return status, value, err
 
 
-# below this many live nodes, _dp5_batch hands the rest to the scalar loop.
-# Both README surfaces on the ODE route, 12 alternating runs per value, rows
-# identical at every value (median CPU ms; 2-core host, Python 3.11, numpy
-# 2.4): 16: 278, 32: 276, 64: 279, 128: 288, 256: 316. Up to 64 the value
-# makes no measurable difference, so it stays at 16.
-_DP5_HANDOFF = 16
+# below this many nodes, _dp5_batch steps each node in the scalar loop
+# instead. A lock-step round costs about 0.27 ms at small widths, against
+# about 10 us per scalar step, and every node stays in the rounds to its end:
+# whole batches of 2, 16 and 64 README u-surface states took 21x, 3.4x and
+# 1.1x the scalar loop's time (one pinned CPU, Python 3.11, numpy 2.4). The
+# bound sits at 16, below that break-even, so that grids of a few dozen
+# nodes, such as those of the ODE grid tests, still run in the loop.
+_LOCKSTEP_MIN = 16
 
 
 def _py_max(a, b):
@@ -867,26 +858,17 @@ def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
     return theta, hw
 
 
-def _locate_batch(k, t, s, i, h, comp, level, g0, g1):
+def _locate_batch(k, t, y0, h, comp, level, g0, g1):
     """:func:`_locate` at many crossings at once. Column j is the accepted
-    step of size h[j] from (t[j], s[j], i[j]) whose stages are k[:, :,
-    j]; g0[j] > 0 and g1[j] <= 0 are component *comp* minus *level* at its
-    ends. Returns the (columns, 5) rows (1, t, S, I, time half-width) that
-    the scalar kernel stores in row *comp* of its event array, equal to them
-    bit for bit."""
+    step of size h[j] from time t[j], where component *comp* is y0[j] and
+    the stages are k[:, :, j]; g0[j] > 0 and g1[j] <= 0 are that component
+    minus *level* at the step's ends. Returns (t, half_width) arrays of the
+    crossings, equal to the scalar kernel's bit for bit."""
     with np.errstate(all="ignore"):
-        qs = _dense_coeffs(k, 0)
-        qi = _dense_coeffs(k, 1)
-        y0, q = (i, qi) if comp == EV_I else (s, qs)
+        q = _dense_coeffs(k, comp)
         tol_theta = _EV_TOL * _py_max(1.0, t + h) / h
         theta, hw = _refine_crossing_batch(y0, h, np.array(q), level, g0, g1, tol_theta)
-        ev = np.empty((t.size, 5))
-        ev[:, 0] = 1.0
-        ev[:, 1] = t + theta * h
-        ev[:, 2] = _dense_eval(s, h, *qs, theta)
-        ev[:, 3] = _dense_eval(i, h, *qi, theta)
-        ev[:, 4] = hw * h
-    return ev
+        return t + theta * h, hw * h
 
 
 def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
@@ -895,21 +877,29 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
 
     Each node keeps its own (t, S, I, h, first stage, level gap). A round
     makes one step attempt at every live node, with the scalar kernel's
-    tableau, operation order, accept/reject rule and stall and cap tests. A
-    node whose crossing is bracketed leaves the round with what its
-    refinement reads: the step's start, size, level gaps and stages. So
-    does one that stalls or reaches its cap. Once fewer than _DP5_HANDOFF
-    nodes are live, each finishes in the scalar loop from where it stands,
-    refined there by :func:`_locate`; the crossings found in the rounds are
-    refined together by :func:`_locate_batch` at the end, which takes all
-    their dense coefficients in one pass. Returns (status, t_reached, ev)
-    arrays, ev[j] being row *stop* of the scalar event array; every entry
-    equals the scalar kernel's bit for bit.
+    tableau, operation order, accept/reject rule and stall and cap tests,
+    and every node stays in the rounds until it crosses, stalls or reaches
+    its cap. A node whose crossing is bracketed leaves with what its
+    refinement reads: the step's start, size, stages, level gaps and the
+    watched component's value. These crossings are refined together by
+    :func:`_locate_batch` at the end, which takes all their dense
+    coefficients in one pass. A batch of fewer than _LOCKSTEP_MIN nodes
+    steps each node in :func:`_dp5` instead. Returns (status, t_event,
+    half_width) arrays: the scalar kernel's status, and its crossing time
+    and half-width where the status is ODE_OK (0 elsewhere), equal to them
+    bit for bit.
     """
     n = s0.size
     status = np.full(n, ODE_OK)
-    t_out = np.zeros(n)
-    ev_out = np.zeros((n, 5))
+    t_event = np.zeros(n)
+    half_width = np.zeros(n)
+    if n < _LOCKSTEP_MIN:
+        for j, (a, b, c) in enumerate(zip(s0.tolist(), i0.tolist(), t_end.tolist())):
+            st, _, crossings, _, _, _ = _dp5(beta, gamma, a, b, mu, rho, c, stop, rtol, atol)
+            status[j] = st
+            if st == ODE_OK:
+                t_event[j], _, _, half_width[j] = crossings[stop]
+        return status, t_event, half_width
     level = mu if stop == EV_I else rho
     idx = np.arange(n)
     t = np.zeros(n)
@@ -926,7 +916,7 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     floor = _py_min(1.0, cap)
     # per round, what the refinement of its crossings reads
     found = []
-    while idx.size >= _DP5_HANDOFF:
+    while idx.size:
         with np.errstate(all="ignore"):
             end = np.where(t >= cap, ODE_CAP, -1)
             end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
@@ -944,8 +934,8 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
             if cross.size:
                 end[cross] = ODE_OK
-                found.append((idx[cross], np.array(k)[:, :, cross], t[cross], s[cross],
-                              i[cross], h[cross], gap[cross], gnew[cross]))
+                found.append((idx[cross], np.array(k)[:, :, cross], t[cross],
+                              (s, i)[stop][cross], h[cross], gap[cross], gnew[cross]))
             step = acc & (end < 0)
             t = np.where(step, t + h, t)
             s = np.where(step, s1, s)
@@ -962,25 +952,13 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             )
         done = end >= 0
         if done.any():
-            out = idx[done]
-            status[out] = end[done]
-            t_out[out] = t[done]
+            status[idx[done]] = end[done]
             live = ~done
             idx, t, s, i, h, k1s, k1i, gap, cap, floor = (
                 a[live] for a in (idx, t, s, i, h, k1s, k1i, gap, cap, floor)
             )
     if found:
-        nodes, kc, tc, sc, ic, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
+        nodes, kc, tc, yc, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
         del found  # the per-round pieces, before the refinement's temporaries
-        ev = _locate_batch(kc, tc, sc, ic, hc, stop, level, g0, g1)
-        ev_out[nodes] = ev
-        t_out[nodes] = ev[:, 1]
-    for j, node in enumerate(idx.tolist()):
-        st, tr, ev, _, _, _ = _dp5(
-            beta, gamma, float(s[j]), float(i[j]), mu, rho, float(cap[j]), stop,
-            rtol, atol, float(t[j]), float(h[j]),
-        )
-        status[node] = st
-        t_out[node] = tr
-        ev_out[node] = ev[stop]
-    return status, t_out, ev_out
+        t_event[nodes], half_width[nodes] = _locate_batch(kc, tc, yc, hc, stop, level, g0, g1)
+    return status, t_event, half_width

@@ -3,9 +3,9 @@
 The hitting-time entry points integrate until a watched component crosses its
 level and refine the crossing on the integrator's dense output, so the event
 time carries the integrator's accuracy rather than the step size. A crossing
-is refined to a fixed relative width of 1e-12. The refinement nearly always
-ends on an exact hit of the level (at 2407 of the 2440 crossings of the
-README u surface), so ``err_estimate`` is almost always the floor
+at time t is refined to a width of 1e-12*max(1, t). The refinement nearly
+always ends on an exact hit of the level (at 2407 of the 2440 crossings of
+the README u surface), so ``err_estimate`` is almost always the floor
 10*rel_tol*max(1, T).
 
 Closed-form caps bound how long integration may run: the threshold time is
@@ -46,8 +46,8 @@ _CAP_SLACK = 1.0 + 1e-6
 class IntegratorConfig:
     """Tolerances for the adaptive integrator.
 
-    rel_tol/abs_tol control the per-step error. Event times are refined to a
-    fixed relative width of 1e-12 (``kernels._EV_TOL``); the refinement
+    rel_tol/abs_tol control the per-step error. An event time t is refined
+    to a width of 1e-12*max(1, t) (``kernels._EV_TOL``); the refinement
     nearly always ends on an exact hit of the level, and ``err_estimate`` is
     then the floor 10*rel_tol*max(1, T).
     """
@@ -142,12 +142,6 @@ class Trajectory:
         return SirState(max(s, 0.0), max(i, 0.0), t)
 
 
-def _event_err(bracket_width: float, t_event: float, cfg: IntegratorConfig) -> float:
-    # the refined bracket can collapse to zero width; the global integration
-    # error (roughly the tolerance accumulated over O(10) steps) still applies
-    return max(bracket_width, 10.0 * cfg.rel_tol * max(1.0, t_event))
-
-
 def _run(params, x, y, t_end, stop, cfg):
     """The ODE kernel from (x, y) with *stop* as in :func:`kernels._dp5`."""
     return kernels._dp5(
@@ -176,18 +170,18 @@ def integrate(
     t_end = _require_finite("t_end", t_end)
     if t_end < 0.0:
         raise DomainError(f"t_end must be >= 0, got {t_end!r}")
-    status, t_reached, ev, ts, states, stages = _run(
+    status, t_reached, crossings, ts, states, stages = _run(
         params, x, y, t_end, kernels.PATH, config or _DEFAULT_CONFIG
     )
     if status == kernels.ODE_STALL:
         raise IntegrationStall(t_reached)
     events = [
-        Event(kind, SirState(max(e[2], 0.0), max(e[3], 0.0), e[1]), float(e[4]))
+        Event(kind, SirState(max(e[1], 0.0), max(e[2], 0.0), e[0]), e[3])
         for kind, e in (
-            (EventKind.I_REACHES_MU, ev[kernels.EV_I]),
-            (EventKind.S_REACHES_RHO, ev[kernels.EV_S]),
+            (EventKind.I_REACHES_MU, crossings[kernels.EV_I]),
+            (EventKind.S_REACHES_RHO, crossings[kernels.EV_S]),
         )
-        if e[0]
+        if e is not None
     ]
     events.sort(key=lambda e: e.t)
     return Trajectory(params, SirState(x, y, 0.0), ts, states, stages, events)
@@ -209,11 +203,12 @@ def _time_cap(params, x, y, row):
     return num / den * _CAP_SLACK
 
 
-def _event_value(e, cfg):
-    """(value, err_estimate) of a found crossing, from its row *e* of the
-    event array."""
-    te = float(e[1])
-    return max(te, 0.0), _event_err(float(e[4]), te, cfg)
+def _event_value(t, half_width, cfg):
+    """(value, err_estimate) of a crossing at time t, refined to
+    half_width. The bracket can collapse to zero width; the global
+    integration error (roughly the tolerance accumulated over O(10) steps)
+    still applies."""
+    return max(t, 0.0), max(half_width, 10.0 * cfg.rel_tol * max(1.0, t))
 
 
 def _hitting_time(params, x, y, row, config):
@@ -222,12 +217,13 @@ def _hitting_time(params, x, y, row, config):
     cap = _time_cap(params, x, y, row)
     if cap is None:
         raise TimeCapExceeded(math.inf, 0.0)
-    status, t_reached, ev, _, _, _ = _run(params, x, y, cap, row, cfg)
+    status, t_reached, crossings, _, _, _ = _run(params, x, y, cap, row, cfg)
     if status == kernels.ODE_STALL:
         raise IntegrationStall(t_reached)
     if status == kernels.ODE_CAP:
         raise TimeCapExceeded(cap, t_reached)
-    value, err = _event_value(ev[row], cfg)
+    t, _, _, half_width = crossings[row]
+    value, err = _event_value(t, half_width, cfg)
     return CriticalTimeResult(value, Method.ODE_EVENT, err)
 
 
@@ -250,17 +246,18 @@ def _hitting_times(params, xs, ys, row, config):
     caps = [_time_cap(params, a, b, row) for a, b in zip(x[idx].tolist(), y[idx].tolist())]
     idx = idx[np.array([cap is not None for cap in caps], dtype=bool)]
     caps = [cap for cap in caps if cap is not None]
-    status, _, ev = kernels._dp5_batch(
+    status, t_event, half_width = kernels._dp5_batch(
         params.beta, params.gamma, x[idx], y[idx], params.mu, params.rho,
         np.array(caps, dtype=float), row, cfg.rel_tol, cfg.abs_tol,
     )
     ok = np.zeros(x.size, dtype=bool)
     values = np.zeros(x.size)
     errs = np.zeros(x.size)
-    for j, node in enumerate(idx.tolist()):
-        if status[j] == kernels.ODE_OK:
+    for node, st, t, hw in zip(idx.tolist(), status.tolist(), t_event.tolist(),
+                               half_width.tolist()):
+        if st == kernels.ODE_OK:
             ok[node] = True
-            values[node], errs[node] = _event_value(ev[j], cfg)
+            values[node], errs[node] = _event_value(t, hw, cfg)
     return ok, values, errs
 
 

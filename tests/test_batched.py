@@ -324,15 +324,16 @@ def _ode_states(params, stop, n, seed):
 def _assert_dp5_batch_is_scalar(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
     args = (params.mu, params.rho)
     tol = (cfg.rel_tol, cfg.abs_tol)
-    status, t, ev = kernels._dp5_batch(params.beta, params.gamma, x, y, *args, caps, stop, *tol)
+    status, t, hw = kernels._dp5_batch(params.beta, params.gamma, x, y, *args, caps, stop, *tol)
     wants = [
         kernels._dp5(params.beta, params.gamma, a, b, *args, c, stop, *tol)
         for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist())
     ]
     for j, want in enumerate(wants):
         assert status[j] == want[0]
-        assert float.hex(t[j]) == float.hex(want[1])
-        assert list(map(float.hex, ev[j])) == list(map(float.hex, want[2][stop]))
+        if status[j] == kernels.ODE_OK:
+            ev = want[2][stop]
+            assert (float.hex(t[j]), float.hex(hw[j])) == (float.hex(ev[0]), float.hex(ev[3]))
     return status
 
 
@@ -343,6 +344,10 @@ def test_dp5_batch_equals_scalar_bitwise(params, stop):
     # every third node capped well before its crossing
     caps[::3] *= 0.05
     status = _assert_dp5_batch_is_scalar(params, x, y, caps, stop)
+    assert {kernels.ODE_OK, kernels.ODE_CAP} <= set(status.tolist())
+    # a batch too small for the lock-step loop, stepped node by node
+    n = kernels._LOCKSTEP_MIN - 1
+    status = _assert_dp5_batch_is_scalar(params, x[:n], y[:n], caps[:n], stop)
     assert {kernels.ODE_OK, kernels.ODE_CAP} <= set(status.tolist())
 
 
@@ -366,29 +371,13 @@ def test_dp5_batch_nan_error_norms_shrink_the_step(p23):
     assert status.tolist() == [kernels.ODE_OK] * 20 + [kernels.ODE_STALL] * 20
 
 
-def test_dp5_batch_hands_a_long_path_to_the_scalar_loop(p23, monkeypatch):
-    # 40 short paths and one far longer: the long one is still running when
-    # the batch hands over, and resumes mid-path in the scalar loop
+def test_dp5_batch_steps_a_long_path_alone(p23):
+    # 40 short paths and one far longer: the long one steps on alone in the
+    # lock-step loop after the others have crossed
     x = np.append(np.full(40, 3.0), 3000.0)
     y = np.append(np.linspace(1.5, 4.0, 40), 2.0)
     caps = np.array([ode._time_cap(p23, a, b, kernels.EV_I) for a, b in zip(x, y)])
-    calls = []
-    real = kernels._dp5
-
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(kernels, "_dp5", recording)
-    status, t, _ = kernels._dp5_batch(
-        p23.beta, p23.gamma, x, y, p23.mu, p23.rho, caps, kernels.EV_I, 1e-10, 1e-12
-    )
-    # each resumed run starts where the batch left it: at t0 > 0, with h0 > 0
-    assert 0 < len(calls) < kernels._DP5_HANDOFF
-    assert all(args[10] > 0.0 and args[11] > 0.0 for args in calls)
-    assert caps[-1] in [args[6] for args in calls]
-    monkeypatch.setattr(kernels, "_dp5", real)
-    _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I)
+    status = _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I)
     assert (status == kernels.ODE_OK).all()
 
 
@@ -422,7 +411,7 @@ def test_ode_grid_v_every_edge_branch(p23):
     assert {"ok", "never_reached", "error:DomainError"} <= statuses
     assert any(r.x == 1.5 and r.y > 0.0 and r.method == "BoundaryZero" for r in rows)
     assert any(r.y == 0.0 and r.x > 1.5 and r.status == "never_reached" for r in rows)
-    assert sum(r.method == "OdeEvent" for r in rows) >= 2 * kernels._DP5_HANDOFF
+    assert sum(r.method == "OdeEvent" for r in rows) >= 32
 
 
 def test_ode_grid_small_mu():
@@ -477,8 +466,8 @@ def test_ode_grid_steps_in_the_batch(monkeypatch):
     readme_u = GridSpec(0.0, 6.0, 61, 1.0, 5.0, 41)
     rows = run_grid(ModelParams(2.0, 3.0, 1.0), readme_u, "u", "ode").rows
     assert sum(r.method == "OdeEvent" for r in rows) == 61 * 40
-    assert calls["_dp5"] < kernels._DP5_HANDOFF
-    assert calls["_locate"] < kernels._DP5_HANDOFF
+    assert calls["_dp5"] == 0
+    assert calls["_locate"] == 0
 
 
 # --- crossing refinement ----------------------------------------------------
@@ -506,13 +495,15 @@ def _crossings(monkeypatch, params, stop, n, seed):
 
 
 def _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1):
-    got = kernels._locate_batch(k, t, s, i, h, comp, level, g0, g1)
+    """The (t, half_width) arrays of _locate_batch, each entry checked
+    against entries 0 and 3 of the scalar _locate's tuple."""
+    t_ev, hw = kernels._locate_batch(k, t, (s, i)[comp], h, comp, level, g0, g1)
     for j in range(t.size):
-        ev = np.zeros((2, 5))
-        kernels._locate(k[:, :, j].tolist(), float(t[j]), float(s[j]), float(i[j]), float(h[j]),
-                        comp, level, float(g0[j]), float(g1[j]), ev)
-        assert list(map(float.hex, got[j])) == list(map(float.hex, ev[comp])), j
-    return got
+        want = kernels._locate(k[:, :, j].tolist(), float(t[j]), float(s[j]), float(i[j]),
+                               float(h[j]), comp, level, float(g0[j]), float(g1[j]))
+        got = (float.hex(t_ev[j]), float.hex(hw[j]))
+        assert got == (float.hex(want[0]), float.hex(want[3])), j
+    return t_ev, hw
 
 
 @pytest.mark.parametrize("stop", [kernels.EV_I, kernels.EV_S])
@@ -527,21 +518,21 @@ def test_locate_batch_every_exit(monkeypatch, p23):
     k, t, s, i, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
     # a loose tolerance: every bracket narrows to it, a nonzero half-width
     monkeypatch.setattr(kernels, "_EV_TOL", 1e-6)
-    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
-    assert (ev[:, 4] > 0.0).all()
+    _, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
+    assert (hw > 0.0).all()
     # a bracket of 1e-300 is never reached; near the root the dense output
     # moves by less than a unit in the last place of the level per step in
     # theta, so every loop ends on an exact hit fc == 0 inside the step
     monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
-    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
-    assert (ev[:, 4] == 0.0).all() and (ev[:, 1] < t + h).all()
+    t_ev, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
+    assert (hw == 0.0).all() and (t_ev < t + h).all()
     # g1 == 0 at every third crossing, in one batch with the others: the
     # crossing is the step's end
     monkeypatch.undo()
     g1[::3] = 0.0
-    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
-    assert (ev[::3, 1] == t[::3] + h[::3]).all() and (ev[::3, 4] == 0.0).all()
-    assert (ev[1::3, 1] < t[1::3] + h[1::3]).all()
+    t_ev, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
+    assert (t_ev[::3] == t[::3] + h[::3]).all() and (hw[::3] == 0.0).all()
+    assert (t_ev[1::3] < t[1::3] + h[1::3]).all()
 
 
 def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
@@ -563,5 +554,5 @@ def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
         for j in range(n)
     ]) - level
     monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
-    ev = _assert_locate_batch_is_scalar(k, t, s, i, h, kernels.EV_I, level, i - level, g1)
-    assert (ev[:, 4] > 0.0).all()
+    _, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, kernels.EV_I, level, i - level, g1)
+    assert (hw > 0.0).all()

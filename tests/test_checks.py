@@ -203,8 +203,10 @@ def _count_calls(monkeypatch, name):
 def test_sampled_checks_make_few_scalar_calls(monkeypatch):
     # a fallback to one call per state would pass the equality test above
     dp5 = _count_calls(monkeypatch, "_dp5")
+    locate = _count_calls(monkeypatch, "_locate")
     checks.check_ordering_v_le_u()
-    assert 0 < len(dp5) < 2 * kernels._DP5_HANDOFF
+    assert len(dp5) == 0
+    assert len(locate) == 0
     gk = _count_calls(monkeypatch, "_adaptive_gk")
     for check in (checks.check_pde_order_u, checks.check_pde_order_v, checks.check_vanishing_v):
         gk.clear()

@@ -393,6 +393,19 @@ def test_cli_bounds_text(capsys):
     assert "lower" in out and "crude_upper" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--x", "-5", "--y", "2", "--time", "v"),
+    ("--x", "1", "--y", "nan", "--time", "v"),
+    ("--x", "1", "--y", "-3", "--time", "u"),
+], ids=" ".join)
+def test_cli_bounds_rejects_invalid_counts(capsys, argv):
+    # the counts are checked as compute checks them, before any edge rule
+    assert main(["bounds", *P23, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_cli_bounds_csv(tmp_path):
     out = tmp_path / "b.csv"
     code = main(["bounds", *P23, "--x", "5", "--y", "1", "--out", str(out)])
@@ -607,7 +620,9 @@ def test_reference_surface_bytes(kind, method):
     assert digests == SURFACE_DIGESTS[kind, method]
 
 
-@pytest.mark.parametrize("argv, csv_text, json_text", TABLE_OUTPUTS)
+@pytest.mark.parametrize(
+    "argv, csv_text, json_text", TABLE_OUTPUTS, ids=[" ".join(c[0]) for c in TABLE_OUTPUTS]
+)
 def test_cli_table_out_bytes(tmp_path, argv, csv_text, json_text):
     for fmt, expected in (("csv", csv_text), ("json", json_text)):
         out = tmp_path / f"table.{fmt}"
