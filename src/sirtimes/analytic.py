@@ -31,9 +31,6 @@ the 1/z factor and the anchor stays representable.
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
-import numpy as np
 
 from . import kernels
 from .core import CriticalTimeResult, Method, ModelParams, exact_u_at_x0, psi
@@ -47,8 +44,6 @@ __all__ = [
     "solve_anchor",
     "u_integral",
     "v_integral",
-    "u_integral_batch",
-    "v_integral_batch",
     "bounds_u",
     "bounds_v",
     "asymptotic_u",
@@ -184,80 +179,6 @@ def v_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
 
 
-def _batch_quad(good, need, kind, lo, hi, beta, rho, psiv, total, err):
-    """Add the batched quadrature over [lo, hi] to *total* and *err* at the
-    nodes that are still *good* and *need* it; clear *good* where it did not
-    converge."""
-    k = np.flatnonzero(good & need)
-    status, value, e = kernels._adaptive_gk_batch(
-        kind, lo[k], hi[k], beta, rho, psiv[k],
-        QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS,
-    )
-    total[k] += value
-    err[k] += e
-    good[k] = status == kernels.QUAD_OK
-
-
-def u_integral_batch(params: ModelParams, xs, ys):
-    """:func:`u_integral` at many nodes at once, with numpy.
-
-    Runs the same anchor solve and quadratures with the default tolerances,
-    in lock-step over the nodes. Returns (ok, value, err) arrays. A node is
-    ok when it lies in the interior of u's domain (x > 0, y >= mu, and not
-    y == mu with x <= rho) and its anchor and quadratures succeeded. Any
-    other node needs the scalar :func:`u_integral`, which returns the edge
-    value or raises the typed error there.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    rho, mu, beta = params.rho, params.mu, params.beta
-    ok = (x > 0.0) & (y >= mu) & ~((y == mu) & (x <= rho))
-    ok &= np.isfinite(x) & np.isfinite(y)
-    value = np.zeros(x.shape)
-    err = np.zeros(x.shape)
-    idx = np.flatnonzero(ok)
-    xi = x[idx]
-    # per-node logs and exps through math, as the scalar route takes them
-    log_x = kernels._math_each(math.log, xi)
-    psiv = xi + y[idx] - rho * log_x
-    # where a count or rate is near the float range, the anchor's error-free
-    # sums overflow and fall back to plain ones, as the scalar route does
-    with np.errstate(all="ignore"):
-        good, log_a = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
-    split_l = math.log(SPLIT_Z)
-    deep = log_a < split_l
-    # left piece in log space below the split, the rest in z space
-    ls = np.minimum(split_l, log_x)
-    z_lo = kernels._math_each(math.exp, np.where(deep, ls, log_a))
-    total = np.zeros(idx.size)
-    e = np.zeros(idx.size)
-    _batch_quad(good, deep, 1, log_a, ls, beta, rho, psiv, total, e)
-    _batch_quad(good, z_lo < xi, 0, z_lo, xi, beta, rho, psiv, total, e)
-    ok[idx] = good
-    value[idx] = np.maximum(total, 0.0)
-    err[idx] = e
-    return ok, value, err
-
-
-def v_integral_batch(params: ModelParams, xs, ys):
-    """:func:`v_integral` at many nodes at once, with numpy.
-
-    Returns (ok, value, err) arrays. A node is ok when x > rho, y > 0 and
-    its quadrature converged; any other node needs the scalar
-    :func:`v_integral`.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    rho = params.rho
-    ok = (x > rho) & (y > 0.0) & np.isfinite(x) & np.isfinite(y)
-    value = np.zeros(x.shape)
-    err = np.zeros(x.shape)
-    psiv = x + y - rho * kernels._math_each(math.log, np.where(ok, x, 1.0))
-    _batch_quad(ok, True, 0, np.full(x.shape, rho), x, params.beta, rho, psiv, value, err)
-    np.maximum(value, 0.0, out=value)
-    return ok, value, err
-
-
 def _quotient(num, den, what):
     """num/den, or DomainError where den, a product of rates and counts,
     underflows to 0 and the formula has no value."""
@@ -267,12 +188,11 @@ def _quotient(num, den, what):
 
 
 # The bound and asymptotic formulas below run on floats, given math.log and
-# Python's max and min, and on numpy arrays, given these forms of the three,
-# which give the float results element for element. A quotient whose
-# denominator can underflow to 0 comes back as its two parts: the scalar
-# functions raise through _quotient there, and the array twins leave such
-# nodes to them.
-_ARRAY_OPS = (partial(kernels._math_each, math.log), kernels._py_max, kernels._py_min)
+# Python's max and min, and on numpy arrays, given batch._ARRAY_OPS' forms
+# of the three, which give the float results element for element. A
+# quotient whose denominator can underflow to 0 comes back as its two parts:
+# the scalar functions raise through _quotient there, and the array twins
+# leave such nodes to them.
 
 # the least subnormal, in place of a mass ratio that underflows to 0
 _TINY = 5e-324
@@ -445,55 +365,3 @@ def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
     if y <= 0.0:
         raise DomainError(f"asymptotic_v requires y > 0, got y={y!r}")
     return _quotient(*_asymptotic_v(params, x, y, math.log), "asymptotic_v")
-
-
-def _side_cells_batch(params: ModelParams, kind: str, xs, ys):
-    """The bound and asymptotic cells of a grid row of time *kind* ("u" or
-    "v") at many nodes at once, with numpy.
-
-    Returns (inside, lower, upper, asymptotic) arrays. A node is inside
-    where the bounds and the asymptotic function of *kind* both return a
-    value; there the cells equal those of the scalar functions: lower, the
-    least upper bound, and the asymptotic value. The other entries hold no
-    value, and those nodes need the scalar functions.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    mu, rho = params.mu, params.rho
-    inside = np.isfinite(x) & np.isfinite(y)
-    if kind == "u":
-        # asymptotic_u's rules follow from these: (x + y)/mu >= y/mu >= 1
-        inside &= (x >= 0.0) & (y >= mu)
-    else:
-        inside &= (x > rho) & (y > 0.0)
-    k = np.flatnonzero(inside)
-    x, y = x[k], y[k]
-    log, high, low = _ARRAY_OPS
-    with np.errstate(all="ignore"):
-        if kind == "u":
-            lower, crude_num, crude_den = _bounds_u_terms(params, x, y, log, high)
-            good = np.full(k.size, crude_den != 0.0)
-            # no subcritical bound where beta*x >= gamma: NaN, which low passes over
-            sub = np.where(
-                params.beta * x < params.gamma, _subcritical_u(params, x, y, log), np.nan
-            )
-            upper = low(crude_num / crude_den, sub)
-            asym = _asymptotic_u(params, x, y, log)
-        else:
-            dlog, upper_den, upper_arg, lower_arg = _bounds_v_args(params, x, y, log)
-            good = (upper_den > _DEGENERATE_DEN) & (upper_arg > 0.0) & (lower_arg > 0.0)
-            # a log argument out of range becomes 1, so that math.log takes
-            # it; its node is not inside
-            upper, lower_num, lower_den, crude_den = _bounds_v_terms(
-                params, x, y, dlog, upper_den,
-                np.where(good, upper_arg, 1.0), np.where(good, lower_arg, 1.0), log,
-            )
-            asym_num, asym_den = _asymptotic_v(params, x, y, log)
-            good &= (lower_den != 0.0) & (crude_den != 0.0) & (asym_den != 0.0)
-            lower = lower_num / lower_den
-            upper = low(upper, dlog / crude_den)
-            asym = asym_num / asym_den
-    inside[k] = good
-    cells = np.zeros((3, inside.size))
-    cells[:, k] = lower, upper, asym
-    return inside, *cells

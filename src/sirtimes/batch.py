@@ -1,0 +1,634 @@
+"""numpy twins of the per-node kernels and route functions, for whole grids.
+
+This is the one module of the package that imports numpy at its top
+(:mod:`sirtimes.checks`, which only ``verify`` loads, is the other). The
+per-node functions (:func:`~sirtimes.hitting_time_u`,
+:func:`~sirtimes.u_integral`, the bounds and asymptotics, ...) and the
+``compute``, ``bounds`` and ``asymptotics`` subcommands never load it;
+:func:`sirtimes.run_grid` and :meth:`sirtimes.GridSpec.xs`/``ys`` import it
+when they are called.
+
+The functions here run the scalar algorithms of :mod:`sirtimes.kernels`,
+:mod:`sirtimes.analytic` and :mod:`sirtimes.ode` over many independent
+problems at once, in lock-step, with numpy arrays. They call the same
+formula functions as the scalar code (the field, the DP5 stages, the dense
+output, the GK15 sums, the anchor, the bound, asymptotic, cap and event
+formulas) and differ from it only in control flow: each element leaves a
+loop or takes a branch on its own. numpy's log and exp can differ from
+math's in the last bit; where a result could follow that bit the twins call
+math per element instead (:func:`_math_each`), so they agree with the
+scalar kernels to a few units in the last place, and the anchor, the DP5
+loop, the crossing refinement and the side cells agree bit for bit. The DP5
+and crossing twins use only correctly rounded arithmetic (the step factor's
+power is taken with Python's pow) and mirror Python's max and min where NaN
+can reach them (:func:`_py_max`, :func:`_py_min`).
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+
+from .analytic import (
+    _DEGENERATE_DEN,
+    QUAD_ABS_TOL,
+    QUAD_MAX_INTERVALS,
+    QUAD_REL_TOL,
+    SPLIT_Z,
+    _asymptotic_u,
+    _asymptotic_v,
+    _bounds_u_terms,
+    _bounds_v_args,
+    _bounds_v_terms,
+    _subcritical_u,
+)
+from .core import Method, ModelParams
+from .gridrun import STATUS_OK, GridRow, _evaluate, side_cells
+from .kernels import (
+    _EPS,
+    _EV_TOL,
+    _XGK,
+    EV_I,
+    EV_S,
+    ODE_CAP,
+    ODE_OK,
+    ODE_STALL,
+    QUAD_BADFUN,
+    QUAD_NOCONV,
+    QUAD_OK,
+    _anchor_log,
+    _dense_coeffs,
+    _dense_eval,
+    _dp5,
+    _field,
+    _gk15_rule,
+    _initial_step,
+    _stages,
+)
+from .ode import _CAP_SLACK, _DEFAULT_CONFIG, _cap_terms, _event_value
+
+__all__ = ["u_integral_batch", "v_integral_batch"]
+
+
+# --- the kernels' twins ------------------------------------------------------
+
+def _math_each(fn, values):
+    """*fn* from :mod:`math` applied to each element of *values*."""
+    return np.array([fn(v) for v in values.tolist()])
+
+
+def _py_max(a, b):
+    """Elementwise Python max(a, b): b where b > a, else a, even for NaN."""
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    """Elementwise Python min(a, b): b where b < a, else a, even for NaN."""
+    return np.where(b < a, b, a)
+
+
+# math.log, max and min on arrays, for the formulas that run on floats or on
+# arrays: the bound and asymptotic cells (analytic) and the time caps and
+# event values (ode)
+_ARRAY_OPS = (partial(_math_each, math.log), _py_max, _py_min)
+
+
+# _anchor_log's ops on arrays: numpy's sqrt is correctly rounded, as math's
+# is, and expm1 and exp come from math per element
+_ANCHOR_ARRAY_OPS = (
+    np.sqrt, partial(_math_each, math.expm1), partial(_math_each, math.exp), np.where
+)
+
+
+def _quad_f_batch(kind, z, beta, rho, psiv):
+    """Elementwise :func:`kernels._quad_f`. Returns (values, ok) arrays; a
+    value is 0.0 wherever ok is False.
+
+    In z space, g = rho*ln z - z + psi loses digits where it is small
+    against its terms (near the anchor when mu is small), so a last-bit
+    difference in the log would show; there g is recomputed with math.log.
+    """
+    # in-place steps keep the (panels, 15) temporaries few
+    with np.errstate(all="ignore"):
+        if kind == 0:
+            rl = np.log(z)
+            rl *= rho
+            g = rl - z
+            g += psiv
+            scale = np.abs(rl)
+            scale += z
+            scale += np.abs(psiv)
+            scale *= 1e-2
+            close = (z > 0.0) & (np.abs(g) <= scale)
+            if close.any():
+                zc = z[close]
+                psic = np.broadcast_to(psiv, z.shape)[close]
+                g[close] = rho * _math_each(math.log, zc) - zc + psic
+            ok = (z > 0.0) & (g > 0.0)
+            f = beta * z
+        else:
+            g = rho * z
+            g -= np.exp(z)
+            g += psiv
+            ok = g > 0.0
+            f = np.full(z.shape, beta)
+        f *= g
+        np.divide(1.0, f, out=f)
+    f[~ok] = 0.0
+    return f, ok
+
+
+# intervals per numpy pass of _gk15_batch: the pass holds several
+# (intervals, 15) temporaries, which for a whole grid's first round would
+# otherwise take megabytes at once
+_GK_CHUNK = 1024
+
+
+def _gk15_batch(kind, a, b, beta, rho, psiv):
+    """:func:`kernels._gk15` on the intervals [a[k], b[k]], each with its
+    own psi. Returns (value, err, ok) arrays."""
+    if a.size > _GK_CHUNK:
+        parts = [
+            _gk15_batch(kind, a[k:k + _GK_CHUNK], b[k:k + _GK_CHUNK], beta, rho,
+                        psiv[k:k + _GK_CHUNK])
+            for k in range(0, a.size, _GK_CHUNK)
+        ]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    c = 0.5 * (a + b)
+    hl = 0.5 * (b - a)
+    dx = hl[:, None] * np.array(_XGK)
+    # columns 2j and 2j+1 hold c -/+ dx_j, column 14 the centre
+    z = np.empty((a.size, 15))
+    z[:, 0:14:2] = c[:, None] - dx
+    z[:, 1:14:2] = c[:, None] + dx
+    z[:, 14] = c
+    fv, ok = _quad_f_batch(kind, z, beta, rho, psiv[:, None])
+    value, err, resabs, resasc = _gk15_rule(fv.T, hl)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    with np.errstate(all="ignore"):
+        err = np.where(scaled, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+    err = np.maximum(err, 50.0 * _EPS * resabs)
+    return value, err, ok.all(axis=1)
+
+
+def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
+    """:func:`kernels._adaptive_gk` over the integrals on [lo[k], hi[k]] in
+    lock-step.
+
+    Each round takes every integral that is still running, applies the
+    scalar convergence test, and bisects that integral's own worst interval.
+    An integral leaves the round as soon as it ends, with the status, value
+    and error the scalar kernel would return (a non-finite total or error
+    ends it as QUAD_NOCONV). Returns (status, value, err) arrays.
+    """
+    n = lo.size
+    status = np.full(n, QUAD_OK)
+    value = np.zeros(n)
+    err = np.zeros(n)
+    run = np.flatnonzero(hi > lo)
+    if not run.size:
+        return status, value, err
+    v, e, ok = _gk15_batch(kind, lo[run], hi[run], beta, rho, psiv[run])
+    status[run[~ok]] = QUAD_BADFUN
+    idx = run[ok]
+    p = psiv[idx]
+    # one row per running integral, one column per interval; unused columns
+    # hold zeros, which change neither the sums nor the argmax
+    cap = min(8, max_iv)
+    al = np.zeros((idx.size, cap))
+    bl = np.zeros((idx.size, cap))
+    vl = np.zeros((idx.size, cap))
+    el = np.zeros((idx.size, cap))
+    al[:, 0] = lo[idx]
+    bl[:, 0] = hi[idx]
+    vl[:, 0] = v[ok]
+    el[:, 0] = e[ok]
+    cnt = np.ones(idx.size, dtype=np.int64)
+    while idx.size:
+        # cumsum adds left to right, as the scalar loop does
+        # copies of the last columns, so the (nodes, cap) sums can be freed
+        total = np.cumsum(vl, axis=1)[:, -1].copy()
+        errtot = np.cumsum(el, axis=1)[:, -1].copy()
+        rows = np.arange(idx.size)
+        worst = np.argmax(el, axis=1)
+        a0 = al[rows, worst]
+        b0 = bl[rows, worst]
+        m = 0.5 * (a0 + b0)
+        end = np.full(idx.size, -1)
+        end[(m <= a0) | (m >= b0)] = QUAD_NOCONV
+        end[cnt >= max_iv] = QUAD_NOCONV
+        end[errtot <= np.maximum(atol, rtol * np.abs(total))] = QUAD_OK
+        end[~(np.isfinite(total) & np.isfinite(errtot))] = QUAD_NOCONV
+        g = np.flatnonzero(end < 0)
+        if g.size:
+            k = g.size
+            vs, es, oks = _gk15_batch(
+                kind,
+                np.concatenate((a0[g], m[g])),
+                np.concatenate((m[g], b0[g])),
+                beta,
+                rho,
+                np.concatenate((p[g], p[g])),
+            )
+            bad = ~(oks[:k] & oks[k:])
+            end[g[bad]] = QUAD_BADFUN
+            keep = ~bad
+            g = g[keep]
+            w = worst[g]
+            c = cnt[g]
+            bl[g, w] = m[g]
+            vl[g, w] = vs[:k][keep]
+            el[g, w] = es[:k][keep]
+            al[g, c] = m[g]
+            bl[g, c] = b0[g]
+            vl[g, c] = vs[k:][keep]
+            el[g, c] = es[k:][keep]
+            cnt[g] += 1
+        done = end >= 0
+        if done.any():
+            out = idx[done]
+            status[out] = end[done]
+            value[out] = total[done]
+            err[out] = errtot[done]
+            live = ~done
+            idx, p, cnt = idx[live], p[live], cnt[live]
+            al, bl, vl, el = al[live], bl[live], vl[live], el[live]
+        if idx.size and cnt.max() >= cap:
+            grow = min(cap, max_iv - cap)
+            al, bl, vl, el = (np.pad(t, ((0, 0), (0, grow))) for t in (al, bl, vl, el))
+            cap += grow
+    return status, value, err
+
+
+# below this many nodes, _dp5_batch steps each node in the scalar loop
+# instead. A lock-step round costs about 0.27 ms at small widths, against
+# about 10 us per scalar step, and every node stays in the rounds to its end:
+# whole batches of 2, 16 and 64 README u-surface states took 21x, 3.4x and
+# 1.1x the scalar loop's time (one pinned CPU, Python 3.11, numpy 2.4). The
+# bound sits at 16, below that break-even, so that grids of a few dozen
+# nodes, such as those of the ODE grid tests, still run in the loop.
+_LOCKSTEP_MIN = 16
+
+
+def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
+    """:func:`kernels._refine_crossing` at every column in lock-step: each
+    column leaves at the scalar loop's exits (g1 == 0, an exact hit, a
+    bracket within tol_theta, or 200 iterations) with the scalar result. q
+    is (4, columns). Returns (theta, half_width) arrays."""
+    theta = np.ones(g1.size)
+    hw = np.zeros(g1.size)
+    idx = np.flatnonzero(g1 != 0.0)
+    y0, h, q, tol_theta = y0[idx], h[idx], q[:, idx], tol_theta[idx]
+    ta = np.zeros(idx.size)
+    fa = g0[idx]
+    tb = np.ones(idx.size)
+    fb = g1[idx]
+    side = np.zeros(idx.size, dtype=np.int64)
+    for _ in range(200):
+        if not idx.size:
+            break
+        left = tb - ta <= tol_theta
+        denom = fa - fb
+        tc = (fa * tb - fb * ta) / denom
+        tc = np.where((denom > 0.0) & ~((tc <= ta) | (tc >= tb)), tc, 0.5 * (ta + tb))
+        fc = _dense_eval(y0, h, q[0], q[1], q[2], q[3], tc) - level
+        pos = (fc > 0.0) & ~left
+        neg = (fc < 0.0) & ~left
+        hit = ~(left | pos | neg)
+        theta[idx[hit]] = tc[hit]
+        fb = np.where(pos & (side == 1), fb * 0.5, fb)
+        fa = np.where(neg & (side == -1), fa * 0.5, fa)
+        ta = np.where(pos, tc, ta)
+        fa = np.where(pos, fc, fa)
+        tb = np.where(neg, tc, tb)
+        fb = np.where(neg, fc, fb)
+        side = np.where(pos, 1, np.where(neg, -1, side))
+        out = left | hit
+        if out.any():
+            theta[idx[left]] = 0.5 * (ta[left] + tb[left])
+            hw[idx[left]] = 0.5 * (tb[left] - ta[left])
+            keep = ~out
+            idx, y0, h, q, tol_theta = idx[keep], y0[keep], h[keep], q[:, keep], tol_theta[keep]
+            ta, fa, tb, fb, side = ta[keep], fa[keep], tb[keep], fb[keep], side[keep]
+    theta[idx] = 0.5 * (ta + tb)
+    hw[idx] = 0.5 * (tb - ta)
+    return theta, hw
+
+
+def _locate_batch(k, t, y0, h, comp, level, g0, g1):
+    """:func:`kernels._locate` at many crossings at once. Column j is the
+    accepted step of size h[j] from time t[j], where component *comp* is
+    y0[j] and the stages are k[:, :, j]; g0[j] > 0 and g1[j] <= 0 are that
+    component minus *level* at the step's ends. Returns (t, half_width)
+    arrays of the crossings, equal to the scalar kernel's bit for bit."""
+    with np.errstate(all="ignore"):
+        q = _dense_coeffs(k, comp)
+        tol_theta = _EV_TOL * _py_max(1.0, t + h) / h
+        theta, hw = _refine_crossing_batch(y0, h, np.array(q), level, g0, g1, tol_theta)
+        return t + theta * h, hw * h
+
+
+def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
+    """:func:`kernels._dp5` in stop mode (stop is EV_I or EV_S) from every
+    state (s0[j], i0[j]), each with its own cap t_end[j], in lock-step.
+
+    Each node keeps its own (t, S, I, h, first stage, level gap). A round
+    makes one step attempt at every live node, with the scalar kernel's
+    tableau, operation order, accept/reject rule and stall and cap tests,
+    and every node stays in the rounds until it crosses, stalls or reaches
+    its cap. A node whose crossing is bracketed leaves with what its
+    refinement reads: the step's start, size, stages, level gaps and the
+    watched component's value. These crossings are refined together by
+    :func:`_locate_batch` at the end, which takes all their dense
+    coefficients in one pass. A batch of fewer than _LOCKSTEP_MIN nodes
+    steps each node in :func:`_dp5` instead. Returns (status, t_event,
+    half_width) arrays: the scalar kernel's status, and its crossing time
+    and half-width where the status is ODE_OK (0 elsewhere), equal to them
+    bit for bit.
+    """
+    n = s0.size
+    status = np.full(n, ODE_OK)
+    t_event = np.zeros(n)
+    half_width = np.zeros(n)
+    if n < _LOCKSTEP_MIN:
+        for j, (a, b, c) in enumerate(zip(s0.tolist(), i0.tolist(), t_end.tolist())):
+            st, _, crossings, _, _, _ = _dp5(beta, gamma, a, b, mu, rho, c, stop, rtol, atol)
+            status[j] = st
+            if st == ODE_OK:
+                t_event[j], half_width[j], _ = crossings[stop]
+        return status, t_event, half_width
+    level = mu if stop == EV_I else rho
+    idx = np.arange(n)
+    t = np.zeros(n)
+    s = np.array(s0, dtype=float)
+    i = np.array(i0, dtype=float)
+    h = np.array([
+        _initial_step(beta, gamma, a, b, c, rtol, atol)
+        for a, b, c in zip(s0.tolist(), i0.tolist(), t_end.tolist())
+    ])
+    with np.errstate(all="ignore"):
+        k1s, k1i = _field(beta, gamma, s, i)
+    gap = (s, i)[stop] - level
+    cap = t_end
+    floor = _py_min(1.0, cap)
+    # per round, what the refinement of its crossings reads
+    found = []
+    while idx.size:
+        with np.errstate(all="ignore"):
+            end = np.where(t >= cap, ODE_CAP, -1)
+            end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
+            s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
+            ss = atol + rtol * _py_max(np.abs(s), np.abs(s1))
+            si = atol + rtol * _py_max(np.abs(i), np.abs(i1))
+            rs = _py_min(np.abs(es / ss), 1e150)
+            ri = _py_min(np.abs(ei / si), 1e150)
+            err = np.sqrt(0.5 * (rs * rs + ri * ri))
+            # the step factor's pow per element, as Python rounds it; err == 0
+            # stands for an infinite power (factor 10 on acceptance)
+            q = 0.9 * np.array([e ** -0.2 if e else math.inf for e in err.tolist()])
+            acc = (err <= 1.0) & (end < 0)
+            gnew = (s1, i1)[stop] - level
+            cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
+            if cross.size:
+                end[cross] = ODE_OK
+                found.append((idx[cross], np.array(k)[:, :, cross], t[cross],
+                              (s, i)[stop][cross], h[cross], gap[cross], gnew[cross]))
+            step = acc & (end < 0)
+            t = np.where(step, t + h, t)
+            s = np.where(step, s1, s)
+            i = np.where(step, i1, i)
+            k1s = np.where(step, k[6][0], k1s)
+            k1i = np.where(step, k[6][1], k1i)
+            gap = np.where(step, gnew, gap)
+            # an accepted step has q >= 0.9, so the scalar loop's floor of 0.9
+            # on the growth factor never binds
+            h = np.where(
+                step,
+                h * _py_min(10.0, q),
+                np.where(end < 0, h * _py_max(0.2, q), h),
+            )
+        done = end >= 0
+        if done.any():
+            status[idx[done]] = end[done]
+            live = ~done
+            idx, t, s, i, h, k1s, k1i, gap, cap, floor = (
+                a[live] for a in (idx, t, s, i, h, k1s, k1i, gap, cap, floor)
+            )
+    if found:
+        nodes, kc, tc, yc, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
+        del found  # the per-round pieces, before the refinement's temporaries
+        t_event[nodes], half_width[nodes] = _locate_batch(kc, tc, yc, hc, stop, level, g0, g1)
+    return status, t_event, half_width
+
+
+# --- the route functions' twins ----------------------------------------------
+
+def _batch_quad(good, need, kind, lo, hi, beta, rho, psiv, total, err):
+    """Add the batched quadrature over [lo, hi] to *total* and *err* at the
+    nodes that are still *good* and *need* it; clear *good* where it did not
+    converge."""
+    k = np.flatnonzero(good & need)
+    status, value, e = _adaptive_gk_batch(
+        kind, lo[k], hi[k], beta, rho, psiv[k],
+        QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS,
+    )
+    total[k] += value
+    err[k] += e
+    good[k] = status == QUAD_OK
+
+
+def u_integral_batch(params: ModelParams, xs, ys):
+    """:func:`analytic.u_integral` at many nodes at once, with numpy.
+
+    Runs the same anchor solve and quadratures with the default tolerances,
+    in lock-step over the nodes. Returns (ok, value, err) arrays. A node is
+    ok when it lies in the interior of u's domain (x > 0, y >= mu, and not
+    y == mu with x <= rho) and its anchor and quadratures succeeded. Any
+    other node needs the scalar :func:`u_integral`, which returns the edge
+    value or raises the typed error there.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    rho, mu, beta = params.rho, params.mu, params.beta
+    ok = (x > 0.0) & (y >= mu) & ~((y == mu) & (x <= rho))
+    ok &= np.isfinite(x) & np.isfinite(y)
+    value = np.zeros(x.shape)
+    err = np.zeros(x.shape)
+    idx = np.flatnonzero(ok)
+    xi = x[idx]
+    # per-node logs and exps through math, as the scalar route takes them
+    log_x = _math_each(math.log, xi)
+    psiv = xi + y[idx] - rho * log_x
+    # where a count or rate is near the float range, the anchor's error-free
+    # sums overflow and fall back to plain ones, as the scalar route does
+    with np.errstate(all="ignore"):
+        good, log_a = _anchor_log(rho, mu, psiv, _ANCHOR_ARRAY_OPS)
+    split_l = math.log(SPLIT_Z)
+    deep = log_a < split_l
+    # left piece in log space below the split, the rest in z space
+    ls = np.minimum(split_l, log_x)
+    z_lo = _math_each(math.exp, np.where(deep, ls, log_a))
+    total = np.zeros(idx.size)
+    e = np.zeros(idx.size)
+    _batch_quad(good, deep, 1, log_a, ls, beta, rho, psiv, total, e)
+    _batch_quad(good, z_lo < xi, 0, z_lo, xi, beta, rho, psiv, total, e)
+    ok[idx] = good
+    value[idx] = np.maximum(total, 0.0)
+    err[idx] = e
+    return ok, value, err
+
+
+def v_integral_batch(params: ModelParams, xs, ys):
+    """:func:`analytic.v_integral` at many nodes at once, with numpy.
+
+    Returns (ok, value, err) arrays. A node is ok when x > rho, y > 0 and
+    its quadrature converged; any other node needs the scalar
+    :func:`v_integral`.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    rho = params.rho
+    ok = (x > rho) & (y > 0.0) & np.isfinite(x) & np.isfinite(y)
+    value = np.zeros(x.shape)
+    err = np.zeros(x.shape)
+    psiv = x + y - rho * _math_each(math.log, np.where(ok, x, 1.0))
+    _batch_quad(ok, True, 0, np.full(x.shape, rho), x, params.beta, rho, psiv, value, err)
+    np.maximum(value, 0.0, out=value)
+    return ok, value, err
+
+
+def _side_cells_batch(params: ModelParams, kind: str, xs, ys):
+    """The bound and asymptotic cells of a grid row of time *kind* ("u" or
+    "v") at many nodes at once, with numpy.
+
+    Returns (inside, lower, upper, asymptotic) arrays. A node is inside
+    where the bounds and the asymptotic function of *kind* both return a
+    value; there the cells equal those of the scalar functions: lower, the
+    least upper bound, and the asymptotic value. The other entries hold no
+    value, and those nodes need the scalar functions.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    mu, rho = params.mu, params.rho
+    inside = np.isfinite(x) & np.isfinite(y)
+    if kind == "u":
+        # asymptotic_u's rules follow from these: (x + y)/mu >= y/mu >= 1
+        inside &= (x >= 0.0) & (y >= mu)
+    else:
+        inside &= (x > rho) & (y > 0.0)
+    k = np.flatnonzero(inside)
+    x, y = x[k], y[k]
+    log, high, low = _ARRAY_OPS
+    with np.errstate(all="ignore"):
+        if kind == "u":
+            lower, crude_num, crude_den = _bounds_u_terms(params, x, y, log, high)
+            good = np.full(k.size, crude_den != 0.0)
+            # no subcritical bound where beta*x >= gamma: NaN, which low passes over
+            sub = np.where(
+                params.beta * x < params.gamma, _subcritical_u(params, x, y, log), np.nan
+            )
+            upper = low(crude_num / crude_den, sub)
+            asym = _asymptotic_u(params, x, y, log)
+        else:
+            dlog, upper_den, upper_arg, lower_arg = _bounds_v_args(params, x, y, log)
+            good = (upper_den > _DEGENERATE_DEN) & (upper_arg > 0.0) & (lower_arg > 0.0)
+            # a log argument out of range becomes 1, so that math.log takes
+            # it; its node is not inside
+            upper, lower_num, lower_den, crude_den = _bounds_v_terms(
+                params, x, y, dlog, upper_den,
+                np.where(good, upper_arg, 1.0), np.where(good, lower_arg, 1.0), log,
+            )
+            asym_num, asym_den = _asymptotic_v(params, x, y, log)
+            good &= (lower_den != 0.0) & (crude_den != 0.0) & (asym_den != 0.0)
+            lower = lower_num / lower_den
+            upper = low(upper, dlog / crude_den)
+            asym = asym_num / asym_den
+    inside[k] = good
+    cells = np.zeros((3, inside.size))
+    cells[:, k] = lower, upper, asym
+    return inside, *cells
+
+
+def _hitting_times(params, xs, ys, row, config):
+    """:func:`ode._hitting_time` at many nodes, stepped together by
+    :func:`_dp5_batch`. Returns (ok, value, err_estimate) arrays. A node is
+    ok when it lies in the interior that :func:`hitting_time_u` and
+    :func:`hitting_time_v` integrate from (finite, with x >= 0 and y > mu for
+    u, x > rho and y > 0 for v, and a finite cap) and the kernel found its
+    crossing. Any other node needs the scalar entry, which returns the edge
+    value or raises the typed error there."""
+    cfg = config or _DEFAULT_CONFIG
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if row == EV_I:
+        inside = (x >= 0.0) & (y > params.mu)
+    else:
+        inside = (x > params.rho) & (y > 0.0)
+    idx = np.flatnonzero(inside & np.isfinite(x) & np.isfinite(y))
+    log, high, _ = _ARRAY_OPS
+    # a sum that overflows gives an infinite cap, as on floats; where the
+    # denominator underflows to 0 there is no finite cap, and the node is
+    # left out
+    with np.errstate(all="ignore"):
+        num, den = _cap_terms(params, x[idx], y[idx], row, log)
+        caps = num / den * _CAP_SLACK
+    capped = np.broadcast_to(den != 0.0, idx.shape)
+    idx, caps = idx[capped], caps[capped]
+    status, t_event, half_width = _dp5_batch(
+        params.beta, params.gamma, x[idx], y[idx], params.mu, params.rho,
+        caps, row, cfg.rel_tol, cfg.abs_tol,
+    )
+    ok = np.zeros(x.size, dtype=bool)
+    values = np.zeros(x.size)
+    errs = np.zeros(x.size)
+    hit = status == ODE_OK
+    ok[idx[hit]] = True
+    values[ok], errs[ok] = _event_value(t_event[hit], half_width[hit], cfg, high)
+    return ok, values, errs
+
+
+def _node_rows(params, time_kind, method, nodes, config=None):
+    """The rows at *nodes*, a list of (x, y) float pairs, by *method*'s route.
+
+    Every node goes to the route's batch entry, which evaluates the nodes
+    inside its own interior at once: the integral route by the batched
+    quadrature, the ODE route by the lock-step Dormand-Prince loop. Every
+    node the batch did not take or did not finish goes through the per-node
+    route function, which validates the counts and applies the edge rules.
+    The bound and asymptotic cells come the same way: at once where the
+    scalar functions' rules hold, node by node through :func:`side_cells`
+    elsewhere. ``config`` applies to the ODE route only.
+    """
+    xs = [x for x, _ in nodes]
+    ys = [y for _, y in nodes]
+    if method == "integral":
+        batch = u_integral_batch if time_kind == "u" else v_integral_batch
+        ok, values, errs = batch(params, xs, ys)
+        tag = Method.INTEGRAL.value
+    else:
+        row = EV_I if time_kind == "u" else EV_S
+        ok, values, errs = _hitting_times(params, xs, ys, row, config)
+        tag = Method.ODE_EVENT.value
+    values, errs = values.tolist(), errs.tolist()
+    tags = [tag] * len(nodes)
+    statuses = [STATUS_OK] * len(nodes)
+    for j in np.flatnonzero(~ok).tolist():
+        values[j], tags[j], errs[j], statuses[j] = _evaluate(
+            params, time_kind, method, xs[j], ys[j], config
+        )
+    inside, lower, upper, asym = _side_cells_batch(params, time_kind, xs, ys)
+    lower, upper, asym = lower.tolist(), upper.tolist(), asym.tolist()
+    for j in np.flatnonzero(~inside).tolist():
+        lower[j], upper[j], asym[j] = side_cells(params, time_kind, xs[j], ys[j])
+    return [
+        GridRow(*cells)
+        for cells in zip(xs, ys, values, tags, errs, lower, upper, asym, statuses)
+    ]
+
+
+def _axis(lo, hi, n, spacing):
+    """The n nodes of a grid axis from lo to hi, endpoints included, spaced
+    "linear" or "log"."""
+    if spacing == "log":
+        return np.geomspace(lo, hi, n)
+    return np.linspace(lo, hi, n)

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import asymptotic_u, asymptotic_v, solve_anchor, u_integral, v_integral
+from .batch import _node_rows
 from .core import ModelParams, exact_u_at_x0, psi
-from .gridrun import GridSpec, _node_rows, run_grid
+from .gridrun import GridSpec, run_grid
 from .ode import hitting_time_u, integrate
 from .pde import (
     _fd_residual,

@@ -2,8 +2,10 @@
 
 Rows come out row-major (y outer, x inner). Both routes evaluate a grid's
 interior nodes in one batched numpy pass: the integral route by lock-step
-quadrature, the ODE route by lock-step Dormand-Prince stepping. Floats are
-written with 17 significant digits, which round-trips IEEE doubles exactly.
+quadrature, the ODE route by lock-step Dormand-Prince stepping, in
+:mod:`sirtimes.batch`, which is imported only when a grid is laid out or
+run. Floats are written with 17 significant digits, which round-trips IEEE
+doubles exactly.
 """
 
 import json
@@ -12,23 +14,10 @@ import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
-from . import kernels
-from .analytic import (
-    _side_cells_batch,
-    asymptotic_u,
-    asymptotic_v,
-    bounds_u,
-    bounds_v,
-    u_integral,
-    u_integral_batch,
-    v_integral,
-    v_integral_batch,
-)
-from .core import CriticalTimeResult, Method, ModelParams
+from .analytic import asymptotic_u, asymptotic_v, bounds_u, bounds_v, u_integral, v_integral
+from .core import CriticalTimeResult, ModelParams
 from .errors import DomainError, NeverReached, SirTimesError
-from .ode import IntegratorConfig, _hitting_times, hitting_time_u, hitting_time_v
+from .ode import IntegratorConfig, hitting_time_u, hitting_time_v
 
 __all__ = [
     "GridSpec",
@@ -93,15 +82,17 @@ class GridSpec:
         if self.spacing == "log" and (self.x_min <= 0.0 or self.y_min <= 0.0):
             raise DomainError("log spacing requires positive minima")
 
-    def xs(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.x_min, self.x_max, self.nx)
-        return np.linspace(self.x_min, self.x_max, self.nx)
+    def xs(self):
+        """The x nodes, a numpy array."""
+        from .batch import _axis
 
-    def ys(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.y_min, self.y_max, self.ny)
-        return np.linspace(self.y_min, self.y_max, self.ny)
+        return _axis(self.x_min, self.x_max, self.nx, self.spacing)
+
+    def ys(self):
+        """The y nodes, a numpy array."""
+        from .batch import _axis
+
+        return _axis(self.y_min, self.y_max, self.ny, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -223,45 +214,6 @@ def build_row(
     return GridRow(x, y, value, tag, err, *side_cells(params, time_kind, x, y), status)
 
 
-def _node_rows(params, time_kind, method, nodes, config=None):
-    """The rows at *nodes*, a list of (x, y) float pairs, by *method*'s route.
-
-    Every node goes to the route's batch entry, which evaluates the nodes
-    inside its own interior at once: the integral route by the batched
-    quadrature, the ODE route by the lock-step Dormand-Prince loop. Every
-    node the batch did not take or did not finish goes through the per-node
-    route function, which validates the counts and applies the edge rules.
-    The bound and asymptotic cells come the same way: at once where the
-    scalar functions' rules hold, node by node through :func:`side_cells`
-    elsewhere. ``config`` applies to the ODE route only.
-    """
-    xs = [x for x, _ in nodes]
-    ys = [y for _, y in nodes]
-    if method == "integral":
-        batch = u_integral_batch if time_kind == "u" else v_integral_batch
-        ok, values, errs = batch(params, xs, ys)
-        tag = Method.INTEGRAL.value
-    else:
-        row = kernels.EV_I if time_kind == "u" else kernels.EV_S
-        ok, values, errs = _hitting_times(params, xs, ys, row, config)
-        tag = Method.ODE_EVENT.value
-    values, errs = values.tolist(), errs.tolist()
-    tags = [tag] * len(nodes)
-    statuses = [STATUS_OK] * len(nodes)
-    for j in np.flatnonzero(~ok).tolist():
-        values[j], tags[j], errs[j], statuses[j] = _evaluate(
-            params, time_kind, method, xs[j], ys[j], config
-        )
-    inside, lower, upper, asym = _side_cells_batch(params, time_kind, xs, ys)
-    lower, upper, asym = lower.tolist(), upper.tolist(), asym.tolist()
-    for j in np.flatnonzero(~inside).tolist():
-        lower[j], upper[j], asym[j] = side_cells(params, time_kind, xs[j], ys[j])
-    return [
-        GridRow(*cells)
-        for cells in zip(xs, ys, values, tags, errs, lower, upper, asym, statuses)
-    ]
-
-
 def run_grid(
     params: ModelParams,
     spec: GridSpec,
@@ -276,6 +228,8 @@ def run_grid(
     does: the integral route by the batched quadrature, the ODE route by a
     lock-step Dormand-Prince loop. ``config`` applies to the ODE route only.
     """
+    from .batch import _node_rows
+
     _check_route(time_kind, method)
     xs = spec.xs().tolist()
     nodes = [(x, y) for y in spec.ys().tolist() for x in xs]

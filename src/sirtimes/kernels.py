@@ -8,28 +8,22 @@ first downward crossings of I through mu (u) and of S through rho (v), and
 mode: stop at one crossing, with a time cap (the hitting times), or run to
 a fixed end and keep every step (trajectories).
 
-The scalar kernels are plain Python on floats; wrappers in
-:mod:`sirtimes.ode` and :mod:`sirtimes.analytic` validate inputs and turn
-status codes into exceptions. Kernels return status tuples instead of
-raising. At the end of the module, numpy twins run the same algorithms over
-whole grids at once: twins of the quadrature kernels; :func:`_dp5_batch`,
-the stop mode of :func:`_dp5` stepped in lock-step with a step size per
-node until every node has crossed, stalled or reached its cap; and
-:func:`_locate_batch`, which refines all of its crossings in one lock-step
-pass.
+The kernels are plain Python on floats, and this module imports no numpy;
+wrappers in :mod:`sirtimes.ode` and :mod:`sirtimes.analytic` validate inputs
+and turn status codes into exceptions. Kernels return status tuples instead
+of raising. Their numpy twins, which run the same algorithms over whole
+grids at once, live in :mod:`sirtimes.batch`.
 
-A kernel and its twin share the formulas: :func:`_field`, :func:`_stages`,
-:func:`_dense_coeffs` and :func:`_gk15_rule` run unchanged on floats or on
-arrays, with the same operations in the same order. The twins differ only
-in control flow, where each element takes its own branch. The anchor solve
-:func:`_anchor_log` has no twin: it is one closed formula with a fixed
-number of steps, and runs unchanged on a float or on an array.
+A kernel and its twin share the formulas defined here: :func:`_field`,
+:func:`_stages`, :func:`_dense_coeffs` and :func:`_gk15_rule` run unchanged
+on floats or on arrays, with the same operations in the same order. The
+twins differ only in control flow, where each element takes its own branch.
+The anchor solve :func:`_anchor_log` has no twin: it is one closed formula
+with a fixed number of steps, and runs unchanged on a float or, given the
+array forms of its operations, on an array.
 """
 
 import math
-from functools import partial
-
-import numpy as np
 
 # status codes for the ODE kernel
 ODE_OK = 0
@@ -49,8 +43,8 @@ QUAD_BADFUN = 2
 
 _EPS = 2.220446049250313e-16
 
-# width to which _locate and _locate_batch refine a crossing time, relative
-# above t = 1 and absolute below it: the bracket closes within
+# width to which _locate and batch._locate_batch refine a crossing time,
+# relative above t = 1 and absolute below it: the bracket closes within
 # _EV_TOL * max(1, t + h) of it (t + h the end of the step), or on an exact hit
 _EV_TOL = 1e-12
 
@@ -301,17 +295,27 @@ def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
     return 0.5 * (ta + tb), 0.5 * (tb - ta)
 
 
-def _locate(k, t, s, i, h, comp, level, g0, g1):
+def _locate(k, t, y0, h, comp, level, g0, g1):
     """Refine the downward crossing of component *comp* through *level*
-    inside the accepted step of size h from (t, s, i), whose stages are in
-    k; g0 > 0 and g1 <= 0 are the watched component minus the level at the
-    step's ends. Returns (t, S, I, time half-width) of the crossing."""
-    qs = _dense_coeffs(k, 0)
-    qi = _dense_coeffs(k, 1)
-    y0, q = (i, qi) if comp == EV_I else (s, qs)
+    inside the accepted step of size h from time t, where the component is
+    y0 and the stages are k; g0 > 0 and g1 <= 0 are the component minus the
+    level at the step's ends. Only that component's dense output is built.
+    Returns (t, time half-width, theta) of the crossing, theta its place in
+    the step as a fraction of h."""
+    q = _dense_coeffs(k, comp)
     tol_t = _EV_TOL * max(1.0, t + h)
     theta, hw = _refine_crossing(y0, h, *q, level, g0, g1, tol_t / h)
-    return t + theta * h, _dense_eval(s, h, *qs, theta), _dense_eval(i, h, *qi, theta), hw * h
+    return t + theta * h, hw * h, theta
+
+
+def _with_state(crossing, k, s, i, h):
+    """A crossing (t, half-width, theta) from :func:`_locate` in the step of
+    size h from (s, i) with stages k, as (t, half-width, S, I): the state
+    there on the dense output."""
+    t, hw, theta = crossing
+    qs = _dense_coeffs(k, 0)
+    qi = _dense_coeffs(k, 1)
+    return t, hw, _dense_eval(s, h, *qs, theta), _dense_eval(i, h, *qi, theta)
 
 
 def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
@@ -326,10 +330,12 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     is then a cap that ends the run with ODE_CAP, and steps are not clipped.
 
     Returns (status, t_reached, (ev_s, ev_i), ts, ys, ks). ev_s and ev_i are
-    the crossings as :func:`_locate` returns them, or None where there is
-    none; t_reached is the event time when stop mode finds its event, else
-    where the run ended. ts, ys and ks are the accepted step times, states
-    and stages (the initial state alone in stop mode)."""
+    the crossings, or None where there is none: (t, half-width, theta) as
+    :func:`_locate` returns them in stop mode, and (t, half-width, S, I) in
+    path mode. t_reached is the event time when stop mode finds its event,
+    else where the run ended. ts, ys and ks are lists of the accepted step
+    times, (S, I) states and stages (the initial state alone in stop
+    mode)."""
     path = stop == PATH
     ts = [0.0]
     ys = [(s0, i0)]
@@ -366,9 +372,13 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         gi_new = i1 - mu
         gs_new = s1 - rho
         if stop != EV_S and ev_i is None and gi_prev > 0.0 and gi_new <= 0.0:
-            ev_i = _locate(k, t, s, i, h, EV_I, mu, gi_prev, gi_new)
+            ev_i = _locate(k, t, i, h, EV_I, mu, gi_prev, gi_new)
+            if path:
+                ev_i = _with_state(ev_i, k, s, i, h)
         if stop != EV_I and ev_s is None and gs_prev > 0.0 and gs_new <= 0.0:
-            ev_s = _locate(k, t, s, i, h, EV_S, rho, gs_prev, gs_new)
+            ev_s = _locate(k, t, s, h, EV_S, rho, gs_prev, gs_new)
+            if path:
+                ev_s = _with_state(ev_s, k, s, i, h)
         if not path and (ev_i is not None or ev_s is not None):
             t = (ev_s, ev_i)[stop][0]
             break
@@ -389,8 +399,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             factor = min(10.0, max(0.9, 0.9 * err ** -0.2))
         h *= factor
 
-    return (status, t, (ev_s, ev_i), np.array(ts, dtype=float), np.array(ys, dtype=float),
-            np.array(ks).reshape(-1, 7, 2))
+    return status, t, (ev_s, ev_i), ts, ys, ks
 
 
 def _quad_f(kind, z, beta, rho, psiv):
@@ -398,7 +407,8 @@ def _quad_f(kind, z, beta, rho, psiv):
     susceptible level z, f = 1/(beta*z*(rho*ln z - z + psi)). kind 1: variable
     is L = ln z, f = 1/(beta*(rho*L - e^L + psi)) (the 1/z cancels against the
     Jacobian). Returns (value, ok); a denominator that underflows to 0 gives
-    an infinite value, as numpy's division does in :func:`_quad_f_batch`."""
+    an infinite value, as numpy's division does in
+    :func:`batch._quad_f_batch`."""
     if kind == 0:
         if z <= 0.0:
             return 0.0, False
@@ -512,8 +522,8 @@ def _pick(cond, a, b):
     return a if cond else b
 
 
-# _anchor_log's sqrt, expm1, exp and select on floats; _ANCHOR_ARRAY_OPS
-# below are their array forms
+# _anchor_log's sqrt, expm1, exp and select on floats;
+# batch._ANCHOR_ARRAY_OPS are their array forms
 _ANCHOR_FLOAT_OPS = (math.sqrt, math.expm1, math.exp, _pick)
 
 
@@ -552,7 +562,7 @@ def _h_sum(e, mu, rho, L, psiv, pick):
 def _anchor_log(rho, mu, psiv, ops=_ANCHOR_FLOAT_OPS):
     """Solve h(L) = e^L + mu - rho*L - psi = 0 for the unique L <= ln(rho),
     for a float psi, or elementwise for an array of psi with
-    ops=_ANCHOR_ARRAY_OPS. Returns (ok, L): floats, or arrays.
+    ops=batch._ANCHOR_ARRAY_OPS. Returns (ok, L): floats, or arrays.
 
     The root is the Kermack-McKendrick final-size relation in closed form:
     with c = (psi - mu)/rho + ln(rho) and W0 the principal branch of the
@@ -604,361 +614,3 @@ def _anchor_log(rho, mu, psiv, ops=_ANCHOR_FLOAT_OPS):
     hL, hL_err = _h_sum(e, mu, rho, L, psiv, pick)
     Ln = L - (hL + hL_err) / pick(newton, e - rho, 1.0)
     return ok, pick(at_min, lhi, pick(newton, Ln, L))
-
-
-# --- numpy twins for whole grids -------------------------------------------
-#
-# The functions below run the scalar algorithms above over many independent
-# problems at once, in lock-step, with numpy arrays. They call the same
-# formula functions as the scalar kernels (the field, the DP5 stages, the
-# dense output and the GK15 sums) and differ from them only in control
-# flow: each element leaves a loop or takes a branch on its own. numpy's
-# log and exp can differ from math's in the last bit; where a result could
-# follow that bit (the z-space integrand where it loses digits) the twins
-# call math instead, so they agree with the scalar kernels to a few units in
-# the last place. The DP5 and crossing twins use only correctly rounded
-# arithmetic (the step factor's power is taken with Python's pow) and mirror
-# Python's max and min where NaN can reach them, so they equal the scalar
-# kernels bit for bit.
-
-
-def _math_each(fn, values):
-    """*fn* from :mod:`math` applied to each element of *values*."""
-    return np.array([fn(v) for v in values.tolist()])
-
-
-# _anchor_log's ops on arrays: numpy's sqrt is correctly rounded, as math's
-# is, and expm1 and exp come from math per element
-_ANCHOR_ARRAY_OPS = (
-    np.sqrt, partial(_math_each, math.expm1), partial(_math_each, math.exp), np.where
-)
-
-
-def _quad_f_batch(kind, z, beta, rho, psiv):
-    """Elementwise :func:`_quad_f`. Returns (values, ok) arrays; a value is
-    0.0 wherever ok is False.
-
-    In z space, g = rho*ln z - z + psi loses digits where it is small
-    against its terms (near the anchor when mu is small), so a last-bit
-    difference in the log would show; there g is recomputed with math.log.
-    """
-    # in-place steps keep the (panels, 15) temporaries few
-    with np.errstate(all="ignore"):
-        if kind == 0:
-            rl = np.log(z)
-            rl *= rho
-            g = rl - z
-            g += psiv
-            scale = np.abs(rl)
-            scale += z
-            scale += np.abs(psiv)
-            scale *= 1e-2
-            close = (z > 0.0) & (np.abs(g) <= scale)
-            if close.any():
-                zc = z[close]
-                psic = np.broadcast_to(psiv, z.shape)[close]
-                g[close] = rho * _math_each(math.log, zc) - zc + psic
-            ok = (z > 0.0) & (g > 0.0)
-            f = beta * z
-        else:
-            g = rho * z
-            g -= np.exp(z)
-            g += psiv
-            ok = g > 0.0
-            f = np.full(z.shape, beta)
-        f *= g
-        np.divide(1.0, f, out=f)
-    f[~ok] = 0.0
-    return f, ok
-
-
-# intervals per numpy pass of _gk15_batch: the pass holds several
-# (intervals, 15) temporaries, which for a whole grid's first round would
-# otherwise take megabytes at once
-_GK_CHUNK = 1024
-
-
-def _gk15_batch(kind, a, b, beta, rho, psiv):
-    """:func:`_gk15` on the intervals [a[k], b[k]], each with its own psi.
-    Returns (value, err, ok) arrays."""
-    if a.size > _GK_CHUNK:
-        parts = [
-            _gk15_batch(kind, a[k:k + _GK_CHUNK], b[k:k + _GK_CHUNK], beta, rho,
-                        psiv[k:k + _GK_CHUNK])
-            for k in range(0, a.size, _GK_CHUNK)
-        ]
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    c = 0.5 * (a + b)
-    hl = 0.5 * (b - a)
-    dx = hl[:, None] * np.array(_XGK)
-    # columns 2j and 2j+1 hold c -/+ dx_j, column 14 the centre
-    z = np.empty((a.size, 15))
-    z[:, 0:14:2] = c[:, None] - dx
-    z[:, 1:14:2] = c[:, None] + dx
-    z[:, 14] = c
-    fv, ok = _quad_f_batch(kind, z, beta, rho, psiv[:, None])
-    value, err, resabs, resasc = _gk15_rule(fv.T, hl)
-    scaled = (resasc != 0.0) & (err != 0.0)
-    with np.errstate(all="ignore"):
-        err = np.where(scaled, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return value, err, ok.all(axis=1)
-
-
-def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
-    """:func:`_adaptive_gk` over the integrals on [lo[k], hi[k]] in lock-step.
-
-    Each round takes every integral that is still running, applies the
-    scalar convergence test, and bisects that integral's own worst interval.
-    An integral leaves the round as soon as it ends, with the status, value
-    and error the scalar kernel would return (a non-finite total or error
-    ends it as QUAD_NOCONV). Returns (status, value, err) arrays.
-    """
-    n = lo.size
-    status = np.full(n, QUAD_OK)
-    value = np.zeros(n)
-    err = np.zeros(n)
-    run = np.flatnonzero(hi > lo)
-    if not run.size:
-        return status, value, err
-    v, e, ok = _gk15_batch(kind, lo[run], hi[run], beta, rho, psiv[run])
-    status[run[~ok]] = QUAD_BADFUN
-    idx = run[ok]
-    p = psiv[idx]
-    # one row per running integral, one column per interval; unused columns
-    # hold zeros, which change neither the sums nor the argmax
-    cap = min(8, max_iv)
-    al = np.zeros((idx.size, cap))
-    bl = np.zeros((idx.size, cap))
-    vl = np.zeros((idx.size, cap))
-    el = np.zeros((idx.size, cap))
-    al[:, 0] = lo[idx]
-    bl[:, 0] = hi[idx]
-    vl[:, 0] = v[ok]
-    el[:, 0] = e[ok]
-    cnt = np.ones(idx.size, dtype=np.int64)
-    while idx.size:
-        # cumsum adds left to right, as the scalar loop does
-        # copies of the last columns, so the (nodes, cap) sums can be freed
-        total = np.cumsum(vl, axis=1)[:, -1].copy()
-        errtot = np.cumsum(el, axis=1)[:, -1].copy()
-        rows = np.arange(idx.size)
-        worst = np.argmax(el, axis=1)
-        a0 = al[rows, worst]
-        b0 = bl[rows, worst]
-        m = 0.5 * (a0 + b0)
-        end = np.full(idx.size, -1)
-        end[(m <= a0) | (m >= b0)] = QUAD_NOCONV
-        end[cnt >= max_iv] = QUAD_NOCONV
-        end[errtot <= np.maximum(atol, rtol * np.abs(total))] = QUAD_OK
-        end[~(np.isfinite(total) & np.isfinite(errtot))] = QUAD_NOCONV
-        g = np.flatnonzero(end < 0)
-        if g.size:
-            k = g.size
-            vs, es, oks = _gk15_batch(
-                kind,
-                np.concatenate((a0[g], m[g])),
-                np.concatenate((m[g], b0[g])),
-                beta,
-                rho,
-                np.concatenate((p[g], p[g])),
-            )
-            bad = ~(oks[:k] & oks[k:])
-            end[g[bad]] = QUAD_BADFUN
-            keep = ~bad
-            g = g[keep]
-            w = worst[g]
-            c = cnt[g]
-            bl[g, w] = m[g]
-            vl[g, w] = vs[:k][keep]
-            el[g, w] = es[:k][keep]
-            al[g, c] = m[g]
-            bl[g, c] = b0[g]
-            vl[g, c] = vs[k:][keep]
-            el[g, c] = es[k:][keep]
-            cnt[g] += 1
-        done = end >= 0
-        if done.any():
-            out = idx[done]
-            status[out] = end[done]
-            value[out] = total[done]
-            err[out] = errtot[done]
-            live = ~done
-            idx, p, cnt = idx[live], p[live], cnt[live]
-            al, bl, vl, el = al[live], bl[live], vl[live], el[live]
-        if idx.size and cnt.max() >= cap:
-            grow = min(cap, max_iv - cap)
-            al, bl, vl, el = (np.pad(t, ((0, 0), (0, grow))) for t in (al, bl, vl, el))
-            cap += grow
-    return status, value, err
-
-
-# below this many nodes, _dp5_batch steps each node in the scalar loop
-# instead. A lock-step round costs about 0.27 ms at small widths, against
-# about 10 us per scalar step, and every node stays in the rounds to its end:
-# whole batches of 2, 16 and 64 README u-surface states took 21x, 3.4x and
-# 1.1x the scalar loop's time (one pinned CPU, Python 3.11, numpy 2.4). The
-# bound sits at 16, below that break-even, so that grids of a few dozen
-# nodes, such as those of the ODE grid tests, still run in the loop.
-_LOCKSTEP_MIN = 16
-
-
-def _py_max(a, b):
-    """Elementwise Python max(a, b): b where b > a, else a, even for NaN."""
-    return np.where(b > a, b, a)
-
-
-def _py_min(a, b):
-    """Elementwise Python min(a, b): b where b < a, else a, even for NaN."""
-    return np.where(b < a, b, a)
-
-
-def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
-    """:func:`_refine_crossing` at every column in lock-step: each column
-    leaves at the scalar loop's exits (g1 == 0, an exact hit, a bracket
-    within tol_theta, or 200 iterations) with the scalar result. q is (4,
-    columns). Returns (theta, half_width) arrays."""
-    theta = np.ones(g1.size)
-    hw = np.zeros(g1.size)
-    idx = np.flatnonzero(g1 != 0.0)
-    y0, h, q, tol_theta = y0[idx], h[idx], q[:, idx], tol_theta[idx]
-    ta = np.zeros(idx.size)
-    fa = g0[idx]
-    tb = np.ones(idx.size)
-    fb = g1[idx]
-    side = np.zeros(idx.size, dtype=np.int64)
-    for _ in range(200):
-        if not idx.size:
-            break
-        left = tb - ta <= tol_theta
-        denom = fa - fb
-        tc = (fa * tb - fb * ta) / denom
-        tc = np.where((denom > 0.0) & ~((tc <= ta) | (tc >= tb)), tc, 0.5 * (ta + tb))
-        fc = _dense_eval(y0, h, q[0], q[1], q[2], q[3], tc) - level
-        pos = (fc > 0.0) & ~left
-        neg = (fc < 0.0) & ~left
-        hit = ~(left | pos | neg)
-        theta[idx[hit]] = tc[hit]
-        fb = np.where(pos & (side == 1), fb * 0.5, fb)
-        fa = np.where(neg & (side == -1), fa * 0.5, fa)
-        ta = np.where(pos, tc, ta)
-        fa = np.where(pos, fc, fa)
-        tb = np.where(neg, tc, tb)
-        fb = np.where(neg, fc, fb)
-        side = np.where(pos, 1, np.where(neg, -1, side))
-        out = left | hit
-        if out.any():
-            theta[idx[left]] = 0.5 * (ta[left] + tb[left])
-            hw[idx[left]] = 0.5 * (tb[left] - ta[left])
-            keep = ~out
-            idx, y0, h, q, tol_theta = idx[keep], y0[keep], h[keep], q[:, keep], tol_theta[keep]
-            ta, fa, tb, fb, side = ta[keep], fa[keep], tb[keep], fb[keep], side[keep]
-    theta[idx] = 0.5 * (ta + tb)
-    hw[idx] = 0.5 * (tb - ta)
-    return theta, hw
-
-
-def _locate_batch(k, t, y0, h, comp, level, g0, g1):
-    """:func:`_locate` at many crossings at once. Column j is the accepted
-    step of size h[j] from time t[j], where component *comp* is y0[j] and
-    the stages are k[:, :, j]; g0[j] > 0 and g1[j] <= 0 are that component
-    minus *level* at the step's ends. Returns (t, half_width) arrays of the
-    crossings, equal to the scalar kernel's bit for bit."""
-    with np.errstate(all="ignore"):
-        q = _dense_coeffs(k, comp)
-        tol_theta = _EV_TOL * _py_max(1.0, t + h) / h
-        theta, hw = _refine_crossing_batch(y0, h, np.array(q), level, g0, g1, tol_theta)
-        return t + theta * h, hw * h
-
-
-def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
-    """:func:`_dp5` in stop mode (stop is EV_I or EV_S) from every state
-    (s0[j], i0[j]), each with its own cap t_end[j], in lock-step.
-
-    Each node keeps its own (t, S, I, h, first stage, level gap). A round
-    makes one step attempt at every live node, with the scalar kernel's
-    tableau, operation order, accept/reject rule and stall and cap tests,
-    and every node stays in the rounds until it crosses, stalls or reaches
-    its cap. A node whose crossing is bracketed leaves with what its
-    refinement reads: the step's start, size, stages, level gaps and the
-    watched component's value. These crossings are refined together by
-    :func:`_locate_batch` at the end, which takes all their dense
-    coefficients in one pass. A batch of fewer than _LOCKSTEP_MIN nodes
-    steps each node in :func:`_dp5` instead. Returns (status, t_event,
-    half_width) arrays: the scalar kernel's status, and its crossing time
-    and half-width where the status is ODE_OK (0 elsewhere), equal to them
-    bit for bit.
-    """
-    n = s0.size
-    status = np.full(n, ODE_OK)
-    t_event = np.zeros(n)
-    half_width = np.zeros(n)
-    if n < _LOCKSTEP_MIN:
-        for j, (a, b, c) in enumerate(zip(s0.tolist(), i0.tolist(), t_end.tolist())):
-            st, _, crossings, _, _, _ = _dp5(beta, gamma, a, b, mu, rho, c, stop, rtol, atol)
-            status[j] = st
-            if st == ODE_OK:
-                t_event[j], _, _, half_width[j] = crossings[stop]
-        return status, t_event, half_width
-    level = mu if stop == EV_I else rho
-    idx = np.arange(n)
-    t = np.zeros(n)
-    s = np.array(s0, dtype=float)
-    i = np.array(i0, dtype=float)
-    h = np.array([
-        _initial_step(beta, gamma, a, b, c, rtol, atol)
-        for a, b, c in zip(s0.tolist(), i0.tolist(), t_end.tolist())
-    ])
-    with np.errstate(all="ignore"):
-        k1s, k1i = _field(beta, gamma, s, i)
-    gap = (s, i)[stop] - level
-    cap = t_end
-    floor = _py_min(1.0, cap)
-    # per round, what the refinement of its crossings reads
-    found = []
-    while idx.size:
-        with np.errstate(all="ignore"):
-            end = np.where(t >= cap, ODE_CAP, -1)
-            end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
-            s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
-            ss = atol + rtol * _py_max(np.abs(s), np.abs(s1))
-            si = atol + rtol * _py_max(np.abs(i), np.abs(i1))
-            rs = _py_min(np.abs(es / ss), 1e150)
-            ri = _py_min(np.abs(ei / si), 1e150)
-            err = np.sqrt(0.5 * (rs * rs + ri * ri))
-            # the step factor's pow per element, as Python rounds it; err == 0
-            # stands for an infinite power (factor 10 on acceptance)
-            q = 0.9 * np.array([e ** -0.2 if e else math.inf for e in err.tolist()])
-            acc = (err <= 1.0) & (end < 0)
-            gnew = (s1, i1)[stop] - level
-            cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
-            if cross.size:
-                end[cross] = ODE_OK
-                found.append((idx[cross], np.array(k)[:, :, cross], t[cross],
-                              (s, i)[stop][cross], h[cross], gap[cross], gnew[cross]))
-            step = acc & (end < 0)
-            t = np.where(step, t + h, t)
-            s = np.where(step, s1, s)
-            i = np.where(step, i1, i)
-            k1s = np.where(step, k[6][0], k1s)
-            k1i = np.where(step, k[6][1], k1i)
-            gap = np.where(step, gnew, gap)
-            # an accepted step has q >= 0.9, so the scalar loop's floor of 0.9
-            # on the growth factor never binds
-            h = np.where(
-                step,
-                h * _py_min(10.0, q),
-                np.where(end < 0, h * _py_max(0.2, q), h),
-            )
-        done = end >= 0
-        if done.any():
-            status[idx[done]] = end[done]
-            live = ~done
-            idx, t, s, i, h, k1s, k1i, gap, cap, floor = (
-                a[live] for a in (idx, t, s, i, h, k1s, k1i, gap, cap, floor)
-            )
-    if found:
-        nodes, kc, tc, yc, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
-        del found  # the per-round pieces, before the refinement's temporaries
-        t_event[nodes], half_width[nodes] = _locate_batch(kc, tc, yc, hc, stop, level, g0, g1)
-    return status, t_event, half_width

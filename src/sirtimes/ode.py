@@ -15,12 +15,11 @@ rate product of a cap underflows to 0 there is no finite cap, and the route
 raises TimeCapExceeded with an infinite cap before it integrates.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import kernels
 from .core import CriticalTimeResult, Method, ModelParams, SirState
@@ -104,17 +103,17 @@ class Trajectory:
         # every sample must be a valid state: the first that is not raises
         # the DomainError its SirState gives (a NaN fails every comparison)
         inf = math.inf
-        for (s, i), t in zip(states.tolist(), ts.tolist()):
+        for (s, i), t in zip(states, ts):
             if not (0.0 <= s < inf and 0.0 <= i < inf and -inf < t < inf):
                 SirState(s, i, t)
 
     @functools.cached_property
     def samples(self) -> list[SirState]:
-        return [SirState(s, i, t) for (s, i), t in zip(self._states.tolist(), self._ts.tolist())]
+        return [SirState(s, i, t) for (s, i), t in zip(self._states, self._ts)]
 
     @property
     def t_end(self) -> float:
-        return float(self._ts[-1])
+        return self._ts[-1]
 
     def eval(self, t: float) -> SirState:
         """Interpolated state at time t, 0 <= t <= t_end."""
@@ -125,20 +124,21 @@ class Trajectory:
         if len(ts) == 1:
             # t_end = 0: the window holds the initial state alone
             return self.samples[0]
-        j = int(np.searchsorted(ts, t, side="right")) - 1
+        j = bisect.bisect_right(ts, t) - 1
         if j >= len(ts) - 1:
             j = len(ts) - 2
         if j < 0:
             j = 0
         h = ts[j + 1] - ts[j]
+        s0, i0 = self._states[j]
         if h <= 0.0:
-            return SirState(self._states[j, 0], self._states[j, 1], t)
+            return SirState(s0, i0, t)
         theta = (t - ts[j]) / h
         k = self._stages[j]
         qs = kernels._dense_coeffs(k, 0)
         qi = kernels._dense_coeffs(k, 1)
-        s = kernels._dense_eval(self._states[j, 0], h, qs[0], qs[1], qs[2], qs[3], theta)
-        i = kernels._dense_eval(self._states[j, 1], h, qi[0], qi[1], qi[2], qi[3], theta)
+        s = kernels._dense_eval(s0, h, qs[0], qs[1], qs[2], qs[3], theta)
+        i = kernels._dense_eval(i0, h, qi[0], qi[1], qi[2], qi[3], theta)
         return SirState(max(s, 0.0), max(i, 0.0), t)
 
 
@@ -176,7 +176,7 @@ def integrate(
     if status == kernels.ODE_STALL:
         raise IntegrationStall(t_reached)
     events = [
-        Event(kind, SirState(max(e[1], 0.0), max(e[2], 0.0), e[0]), e[3])
+        Event(kind, SirState(max(e[2], 0.0), max(e[3], 0.0), e[0]), e[1])
         for kind, e in (
             (EventKind.I_REACHES_MU, crossings[kernels.EV_I]),
             (EventKind.S_REACHES_RHO, crossings[kernels.EV_S]),
@@ -187,28 +187,36 @@ def integrate(
     return Trajectory(params, SirState(x, y, 0.0), ts, states, stages, events)
 
 
+def _cap_terms(params, x, y, row, log):
+    """The numerator and denominator of the closed-form bound on the
+    crossing time *row* from (x, y): x + y over gamma*mu for u, ln(x/rho)
+    over beta*y for v. Floats given math.log, or arrays given its array
+    form in batch._ARRAY_OPS."""
+    if row == kernels.EV_I:
+        return x + y, params.gamma * params.mu
+    return log(x) - math.log(params.rho), params.beta * y
+
+
 def _time_cap(params, x, y, row):
     """The closed-form bound on the crossing time *row* from (x, y), with
-    its slack: (x + y)/(gamma*mu) for u, ln(x/rho)/(beta*y) for v.
+    its slack.
 
     None where the rate product in the denominator underflows to 0: no
     finite cap exists, and a run without one need not end. An overflowing
     numerator gives an infinite cap, which the run still takes."""
-    if row == kernels.EV_I:
-        num, den = x + y, params.gamma * params.mu
-    else:
-        num, den = math.log(x) - math.log(params.rho), params.beta * y
+    num, den = _cap_terms(params, x, y, row, math.log)
     if den == 0.0:
         return None
     return num / den * _CAP_SLACK
 
 
-def _event_value(t, half_width, cfg):
+def _event_value(t, half_width, cfg, high):
     """(value, err_estimate) of a crossing at time t, refined to
-    half_width. The bracket can collapse to zero width; the global
-    integration error (roughly the tolerance accumulated over O(10) steps)
-    still applies."""
-    return max(t, 0.0), max(half_width, 10.0 * cfg.rel_tol * max(1.0, t))
+    half_width: floats given Python's max as *high*, or arrays given its
+    array form in batch._ARRAY_OPS. The bracket can collapse to zero width;
+    the global integration error (roughly the tolerance accumulated over
+    O(10) steps) still applies."""
+    return high(t, 0.0), high(half_width, 10.0 * cfg.rel_tol * high(1.0, t))
 
 
 def _hitting_time(params, x, y, row, config):
@@ -222,43 +230,9 @@ def _hitting_time(params, x, y, row, config):
         raise IntegrationStall(t_reached)
     if status == kernels.ODE_CAP:
         raise TimeCapExceeded(cap, t_reached)
-    t, _, _, half_width = crossings[row]
-    value, err = _event_value(t, half_width, cfg)
+    t, half_width, _ = crossings[row]
+    value, err = _event_value(t, half_width, cfg, max)
     return CriticalTimeResult(value, Method.ODE_EVENT, err)
-
-
-def _hitting_times(params, xs, ys, row, config):
-    """:func:`_hitting_time` at many nodes, stepped together by
-    :func:`kernels._dp5_batch`. Returns (ok, value, err_estimate) arrays. A
-    node is ok when it lies in the interior that :func:`hitting_time_u` and
-    :func:`hitting_time_v` integrate from (finite, with x >= 0 and y > mu for
-    u, x > rho and y > 0 for v, and a cap from :func:`_time_cap`) and the
-    kernel found its crossing. Any other node needs the scalar entry, which
-    returns the edge value or raises the typed error there."""
-    cfg = config or _DEFAULT_CONFIG
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if row == kernels.EV_I:
-        inside = (x >= 0.0) & (y > params.mu)
-    else:
-        inside = (x > params.rho) & (y > 0.0)
-    idx = np.flatnonzero(inside & np.isfinite(x) & np.isfinite(y))
-    caps = [_time_cap(params, a, b, row) for a, b in zip(x[idx].tolist(), y[idx].tolist())]
-    idx = idx[np.array([cap is not None for cap in caps], dtype=bool)]
-    caps = [cap for cap in caps if cap is not None]
-    status, t_event, half_width = kernels._dp5_batch(
-        params.beta, params.gamma, x[idx], y[idx], params.mu, params.rho,
-        np.array(caps, dtype=float), row, cfg.rel_tol, cfg.abs_tol,
-    )
-    ok = np.zeros(x.size, dtype=bool)
-    values = np.zeros(x.size)
-    errs = np.zeros(x.size)
-    for node, st, t, hw in zip(idx.tolist(), status.tolist(), t_event.tolist(),
-                               half_width.tolist()):
-        if st == kernels.ODE_OK:
-            ok[node] = True
-            values[node], errs[node] = _event_value(t, hw, cfg)
-    return ok, values, errs
 
 
 def hitting_time_u(

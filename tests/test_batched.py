@@ -19,18 +19,13 @@ from sirtimes import (
     IntegratorConfig,
     ModelParams,
     QuadratureFailure,
+    batch,
     kernels,
     ode,
     run_grid,
 )
-from sirtimes.analytic import (
-    SPLIT_Z,
-    _side_cells_batch,
-    solve_anchor,
-    u_integral,
-    u_integral_batch,
-    v_integral_batch,
-)
+from sirtimes.analytic import SPLIT_Z, solve_anchor, u_integral
+from sirtimes.batch import _side_cells_batch, u_integral_batch, v_integral_batch
 from sirtimes.gridrun import GRID_FIELDS, build_row, side_cells
 
 VALUE_REL = 1e-13
@@ -50,7 +45,7 @@ def test_anchor_batch_equals_scalar_bitwise(rho, mu):
     # psi at and just above its minimum over y = mu, and below it (no root)
     psi_min = rho + mu - rho * math.log(rho)
     psiv = np.concatenate((psiv, [psi_min, psi_min * (1 + 1e-12), psi_min - 1.0]))
-    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok == want_ok
@@ -67,7 +62,7 @@ def test_anchor_next_to_the_branch_point(rho, mu):
     # rounds and at or below it as its carried errors tell.
     psi_min = rho + mu - rho * math.log(rho)
     psiv = np.array([psi_min * (1 + k * 2.0**-52) for k in range(1, 65)] + [psi_min - 1e-12])
-    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok and want_ok
@@ -81,7 +76,7 @@ def test_anchor_near_the_float_range():
     rho, mu = 1e303, 1.0
     psi_min = rho + mu - rho * math.log(rho)
     psiv = psi_min + rho * np.array([1e-6, 1e-2, 1.0, 3.0, 1e2])
-    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok and want_ok and got == want
@@ -105,7 +100,7 @@ def test_z_space_integrand_equals_scalar_where_it_loses_digits():
     rho, mu = 1.5, 1e-6
     z = np.exp(rng.uniform(-15.0, 3.0, 100_000))
     psiv = z - rho * np.log(z) + mu * rng.uniform(1.0, 10.0, z.size)
-    f, ok = kernels._quad_f_batch(0, z, 2.0, rho, psiv)
+    f, ok = batch._quad_f_batch(0, z, 2.0, rho, psiv)
     for zk, pk, fk, okk in zip(z.tolist(), psiv.tolist(), f.tolist(), ok.tolist()):
         assert (fk, okk) == kernels._quad_f(0, zk, 2.0, rho, pk)
 
@@ -124,7 +119,7 @@ def test_z_space_integrand_equals_scalar_where_it_loses_digits():
 )
 def test_adaptive_batch_matches_scalar(kind, lo, hi, psiv, max_iv):
     want = kernels._adaptive_gk(kind, lo, hi, 1.0, 0.0, psiv, 1e-13, 1e-13, max_iv)
-    status, value, err = kernels._adaptive_gk_batch(
+    status, value, err = batch._adaptive_gk_batch(
         kind, np.array([lo, lo]), np.array([hi, hi]), 1.0, 0.0,
         np.array([psiv, psiv]), 1e-13, 1e-13, max_iv,
     )
@@ -139,7 +134,7 @@ def test_adaptive_batch_mixed_rows_end_independently():
     lo = np.array([0.5, 0.1, 1e-6, 1.0, 0.5])
     hi = np.array([1.0, 0.3, 1.0, 1.0, 1.9])
     psiv = np.array([2.0, 0.2, 2.0, 2.0, 2.0])
-    status, value, err = kernels._adaptive_gk_batch(
+    status, value, err = batch._adaptive_gk_batch(
         0, lo, hi, 1.0, 0.0, psiv, 1e-13, 1e-13, 256
     )
     for k in range(lo.size):
@@ -155,10 +150,10 @@ def test_gk15_batch_in_chunks_equals_one_pass(monkeypatch):
     a = rng.uniform(0.1, 1.0, 50)
     b = a + rng.uniform(0.0, 1.0, 50)
     psiv = rng.uniform(0.5, 3.0, 50)  # some intervals leave the integrand's region
-    whole = kernels._gk15_batch(0, a, b, 2.0, 1.5, psiv)
+    whole = batch._gk15_batch(0, a, b, 2.0, 1.5, psiv)
     assert not whole[2].all() and whole[2].any()
-    monkeypatch.setattr(kernels, "_GK_CHUNK", 7)
-    for one, chunked in zip(whole, kernels._gk15_batch(0, a, b, 2.0, 1.5, psiv)):
+    monkeypatch.setattr(batch, "_GK_CHUNK", 7)
+    for one, chunked in zip(whole, batch._gk15_batch(0, a, b, 2.0, 1.5, psiv)):
         np.testing.assert_array_equal(chunked, one)
 
 
@@ -172,12 +167,12 @@ def test_batch_entries_flag_nodes_outside_their_interior(p23):
     assert ok.tolist() == [False, False, True, False, False]
     # the ODE batch: x < 0, y == mu, y < mu, then an interior node
     xs, ys = [-1.0, 2.0, 2.0, 2.0], [2.0, 1.0, 0.5, 2.0]
-    ok, values, _ = ode._hitting_times(p23, xs, ys, kernels.EV_I, None)
+    ok, values, _ = batch._hitting_times(p23, xs, ys, kernels.EV_I, None)
     assert ok.tolist() == [False, False, False, True]
     assert values[3] == ode.hitting_time_u(p23, 2.0, 2.0).value
     # x == rho, y == 0, y < 0, then an interior node
     xs, ys = [1.5, 3.0, 3.0, 3.0], [1.0, 0.0, -1.0, 1.0]
-    ok, values, _ = ode._hitting_times(p23, xs, ys, kernels.EV_S, None)
+    ok, values, _ = batch._hitting_times(p23, xs, ys, kernels.EV_S, None)
     assert ok.tolist() == [False, False, False, True]
     assert values[3] == ode.hitting_time_v(p23, 3.0, 1.0).value
 
@@ -252,7 +247,7 @@ def test_grid_quadrature_failure_falls_back():
 
 
 def test_grid_rows_the_batch_gives_up_go_through_build_row(p23, monkeypatch):
-    real = kernels._adaptive_gk_batch
+    real = batch._adaptive_gk_batch
 
     def first_fails(*args):
         # the first integral of each call reports no convergence, with a
@@ -262,7 +257,7 @@ def test_grid_rows_the_batch_gives_up_go_through_build_row(p23, monkeypatch):
         value[:1] = 1e300
         return status, value, err
 
-    monkeypatch.setattr(kernels, "_adaptive_gk_batch", first_fails)
+    monkeypatch.setattr(batch, "_adaptive_gk_batch", first_fails)
     spec = GridSpec(2.0, 5.0, 4, 1.5, 4.0, 3)
     for kind in ("u", "v"):
         rows = _assert_rows_match_build_row(p23, spec, kind)
@@ -324,7 +319,7 @@ def _ode_states(params, stop, n, seed):
 def _assert_dp5_batch_is_scalar(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
     args = (params.mu, params.rho)
     tol = (cfg.rel_tol, cfg.abs_tol)
-    status, t, hw = kernels._dp5_batch(params.beta, params.gamma, x, y, *args, caps, stop, *tol)
+    status, t, hw = batch._dp5_batch(params.beta, params.gamma, x, y, *args, caps, stop, *tol)
     wants = [
         kernels._dp5(params.beta, params.gamma, a, b, *args, c, stop, *tol)
         for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist())
@@ -333,7 +328,7 @@ def _assert_dp5_batch_is_scalar(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFI
         assert status[j] == want[0]
         if status[j] == kernels.ODE_OK:
             ev = want[2][stop]
-            assert (float.hex(t[j]), float.hex(hw[j])) == (float.hex(ev[0]), float.hex(ev[3]))
+            assert (float.hex(t[j]), float.hex(hw[j])) == (float.hex(ev[0]), float.hex(ev[1]))
     return status
 
 
@@ -346,7 +341,7 @@ def test_dp5_batch_equals_scalar_bitwise(params, stop):
     status = _assert_dp5_batch_is_scalar(params, x, y, caps, stop)
     assert {kernels.ODE_OK, kernels.ODE_CAP} <= set(status.tolist())
     # a batch too small for the lock-step loop, stepped node by node
-    n = kernels._LOCKSTEP_MIN - 1
+    n = batch._LOCKSTEP_MIN - 1
     status = _assert_dp5_batch_is_scalar(params, x[:n], y[:n], caps[:n], stop)
     assert {kernels.ODE_OK, kernels.ODE_CAP} <= set(status.tolist())
 
@@ -448,6 +443,18 @@ def test_ode_grid_overflow_rows_are_typed_errors(p23):
         assert {r.status for r in rows} == {"error:IntegrationStall"}
 
 
+def test_ode_grid_rows_without_a_finite_cap():
+    # gamma*mu underflows to 0, so no u node has a finite cap, and beta*y
+    # does at y = 1e-150 only, so some v nodes have one and some not: the
+    # batch masks the others out, and the per-node route raises there
+    params = ModelParams(1e-200, 1e-200, 1e-160)
+    spec = GridSpec(2.0, 5.0, 4, 1e-150, 1e-100, 2, spacing="log")
+    rows = _assert_ode_rows_are_build_row(params, spec, "u")
+    assert {r.status for r in rows} == {"error:TimeCapExceeded"}
+    rows = _assert_ode_rows_are_build_row(params, spec, "v")
+    assert [r.status for r in rows] == ["error:TimeCapExceeded"] * 4 + ["ok"] * 4
+
+
 def test_ode_grid_steps_in_the_batch(monkeypatch):
     # a fallback to per-node evaluation would pass every equality test above
     calls = {"_dp5": 0, "_locate": 0}
@@ -459,7 +466,10 @@ def test_ode_grid_steps_in_the_batch(monkeypatch):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(kernels, name, counted)
+        # the scalar loop, called from its own module or from the array one
+        for module in (kernels, batch):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
 
     counting("_dp5")
     counting("_locate")
@@ -474,8 +484,8 @@ def test_ode_grid_steps_in_the_batch(monkeypatch):
 
 def _crossings(monkeypatch, params, stop, n, seed):
     """The arguments of every scalar _locate call made while the scalar loop
-    runs from n log-uniform states, as columns: (k, t, s, i, h, comp,
-    level, g0, g1)."""
+    runs from n log-uniform states, as columns: (k, t, y0, h, comp, level,
+    g0, g1)."""
     calls = []
     real = kernels._locate
 
@@ -490,20 +500,26 @@ def _crossings(monkeypatch, params, stop, n, seed):
         kernels._dp5(params.beta, params.gamma, a, b, params.mu, params.rho, c, stop, *tol)
     monkeypatch.setattr(kernels, "_locate", real)
     k = np.stack([c[0] for c in calls], axis=-1)
-    t, s, i, h, _, level, g0, g1 = (np.array([c[j] for c in calls]) for j in range(1, 9))
-    return k, t, s, i, h, stop, level[0], g0, g1
+    t, y0, h, _, level, g0, g1 = (np.array([c[j] for c in calls]) for j in range(1, 8))
+    return k, t, y0, h, stop, level[0], g0, g1
 
 
-def _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1):
+def _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1):
     """The (t, half_width) arrays of _locate_batch, each entry checked
-    against entries 0 and 3 of the scalar _locate's tuple."""
-    t_ev, hw = kernels._locate_batch(k, t, (s, i)[comp], h, comp, level, g0, g1)
+    against entries 0 and 1 of the scalar _locate's tuple."""
+    t_ev, hw = batch._locate_batch(k, t, y0, h, comp, level, g0, g1)
     for j in range(t.size):
-        want = kernels._locate(k[:, :, j].tolist(), float(t[j]), float(s[j]), float(i[j]),
-                               float(h[j]), comp, level, float(g0[j]), float(g1[j]))
+        want = kernels._locate(k[:, :, j].tolist(), float(t[j]), float(y0[j]), float(h[j]),
+                               comp, level, float(g0[j]), float(g1[j]))
         got = (float.hex(t_ev[j]), float.hex(hw[j]))
-        assert got == (float.hex(want[0]), float.hex(want[3])), j
+        assert got == (float.hex(want[0]), float.hex(want[1])), j
     return t_ev, hw
+
+
+def _set_ev_tol(monkeypatch, tol):
+    """The refinement width of both the scalar and the array kernel."""
+    for module in (kernels, batch):
+        monkeypatch.setattr(module, "_EV_TOL", tol)
 
 
 @pytest.mark.parametrize("stop", [kernels.EV_I, kernels.EV_S])
@@ -515,22 +531,22 @@ def test_locate_batch_equals_scalar_bitwise(monkeypatch, stop):
 
 
 def test_locate_batch_every_exit(monkeypatch, p23):
-    k, t, s, i, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
+    k, t, y0, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
     # a loose tolerance: every bracket narrows to it, a nonzero half-width
-    monkeypatch.setattr(kernels, "_EV_TOL", 1e-6)
-    _, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
+    _set_ev_tol(monkeypatch, 1e-6)
+    _, hw = _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1)
     assert (hw > 0.0).all()
     # a bracket of 1e-300 is never reached; near the root the dense output
     # moves by less than a unit in the last place of the level per step in
     # theta, so every loop ends on an exact hit fc == 0 inside the step
-    monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
-    t_ev, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
+    _set_ev_tol(monkeypatch, 1e-300)
+    t_ev, hw = _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1)
     assert (hw == 0.0).all() and (t_ev < t + h).all()
     # g1 == 0 at every third crossing, in one batch with the others: the
     # crossing is the step's end
     monkeypatch.undo()
     g1[::3] = 0.0
-    t_ev, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, comp, level, g0, g1)
+    t_ev, hw = _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1)
     assert (t_ev[::3] == t[::3] + h[::3]).all() and (hw[::3] == 0.0).all()
     assert (t_ev[1::3] < t[1::3] + h[1::3]).all()
 
@@ -544,7 +560,6 @@ def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
     n = 20
     k = np.empty((7, 2, n))
     k[:] = -1000.0 - np.arange(n)
-    s = np.full(n, 3.0)
     i = 500.5 + 0.25 * np.arange(n)
     t = np.zeros(n)
     h = np.ones(n)
@@ -553,6 +568,6 @@ def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
         kernels._dense_eval(i[j], 1.0, *kernels._dense_coeffs(k[:, :, j], 1), 1.0)
         for j in range(n)
     ]) - level
-    monkeypatch.setattr(kernels, "_EV_TOL", 1e-300)
-    _, hw = _assert_locate_batch_is_scalar(k, t, s, i, h, kernels.EV_I, level, i - level, g1)
+    _set_ev_tol(monkeypatch, 1e-300)
+    _, hw = _assert_locate_batch_is_scalar(k, t, i, h, kernels.EV_I, level, i - level, g1)
     assert (hw > 0.0).all()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sirtimes import (
+    batch,
     checks,
     gridrun,
     hitting_time_u,
@@ -49,7 +50,7 @@ def test_run_all_builds_each_surface_once(monkeypatch, fresh_surfaces):
 
 def test_sandwich_counts_a_missing_bound(monkeypatch, fresh_surfaces):
     real = gridrun.bounds_u
-    real_batch = gridrun._side_cells_batch
+    real_batch = batch._side_cells_batch
 
     def flaky(params, x, y):
         if (x, y) == (X0, Y0):
@@ -63,7 +64,7 @@ def test_sandwich_counts_a_missing_bound(monkeypatch, fresh_surfaces):
         return inside, *cells
 
     monkeypatch.setattr(gridrun, "bounds_u", flaky)
-    monkeypatch.setattr(gridrun, "_side_cells_batch", batch_gives_up)
+    monkeypatch.setattr(batch, "_side_cells_batch", batch_gives_up)
     oc = checks.check_bounds_sandwich_u(quick=True)
     assert not oc.passed
     assert oc.metrics["violations"] == 1
@@ -72,7 +73,7 @@ def test_sandwich_counts_a_missing_bound(monkeypatch, fresh_surfaces):
 
 def test_cross_method_counts_a_failed_row(monkeypatch, fresh_surfaces):
     real = gridrun.hitting_time_u
-    real_batch = gridrun._hitting_times
+    real_batch = batch._hitting_times
 
     def flaky(params, x, y, config=None):
         if (x, y) == (X0, Y0):
@@ -86,7 +87,7 @@ def test_cross_method_counts_a_failed_row(monkeypatch, fresh_surfaces):
         return ok, values, errs
 
     monkeypatch.setattr(gridrun, "hitting_time_u", flaky)
-    monkeypatch.setattr(gridrun, "_hitting_times", batch_gives_up)
+    monkeypatch.setattr(batch, "_hitting_times", batch_gives_up)
     oc = checks.check_cross_method_u(quick=True)
     assert not oc.passed
     assert oc.metrics["worst"] == float("inf")
@@ -189,6 +190,8 @@ def test_sampled_check_equals_the_scalar_loop(name, quick):
 
 
 def _count_calls(monkeypatch, name):
+    """The calls of the scalar kernel *name*, from its own module and from
+    the array module's twins."""
     calls = []
     real = getattr(kernels, name)
 
@@ -196,7 +199,9 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(kernels, name, counted)
+    for module in (kernels, batch):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -235,7 +240,7 @@ def broken(monkeypatch, fresh_surfaces):
         return wrapped
 
     for name in ("u_integral_batch", "v_integral_batch", "_hitting_times"):
-        monkeypatch.setattr(gridrun, name, batch_gives_up(getattr(gridrun, name)))
+        monkeypatch.setattr(batch, name, batch_gives_up(getattr(batch, name)))
     for name in ("u_integral", "v_integral", "hitting_time_u", "hitting_time_v"):
         monkeypatch.setattr(gridrun, name, node_fails(getattr(gridrun, name)))
     return states

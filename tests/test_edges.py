@@ -14,10 +14,9 @@ from sirtimes import (
     u_integral,
     v_integral,
 )
-from sirtimes.analytic import u_integral_batch, v_integral_batch
+from sirtimes.batch import _hitting_times, u_integral_batch, v_integral_batch
 from sirtimes.errors import SirTimesError
 from sirtimes.gridrun import critical_time
-from sirtimes.ode import _hitting_times
 
 P = ModelParams(2.0, 3.0, 1.0)
 RHO, MU = P.rho, P.mu

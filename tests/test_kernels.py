@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sirtimes import kernels
+from sirtimes import batch, kernels
 
 # int_{1/2}^{1} dz / (z*(2 - z)) = ln(3)/2, matching the z-space integrand
 # with beta=1, rho=0, psi=2
@@ -164,7 +164,7 @@ def test_anchor_where_e_to_the_minus_c_underflows(rho, mu):
     # c = (psi - mu)/rho + ln(rho) > 745: W0(-e^-c) lies below 1e-323, so
     # the root is ln(rho) - c = (mu - psi)/rho to far within an ulp
     psiv = mu + rho * (np.geomspace(760.0, 1e7, 40) - math.log(rho))
-    ok, logs = kernels._anchor_log(rho, mu, psiv, kernels._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         assert (p - mu) / rho + math.log(rho) > 745.0
         want_ok, want = kernels._anchor_log(rho, mu, p)

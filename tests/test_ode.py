@@ -201,7 +201,13 @@ def test_stall_when_the_field_overflows(p23, hitting_time):
     assert exc.value.t_reached == 0.0
 
 
-# (item of the kernel's result, index, value): an infected count, then a time
+def _replaced(state, comp, value):
+    """The (S, I) pair *state* with component *comp* set to *value*."""
+    return tuple(value if c == comp else v for c, v in enumerate(state))
+
+
+# (item of the kernel's result, index, value): an infected count, as (step,
+# component) of the states, then a time
 @pytest.mark.parametrize("item, index, bad", [
     (4, (3, 1), -1e-3), (4, (3, 1), math.nan), (4, (3, 1), math.inf), (3, 3, math.inf),
 ])
@@ -212,14 +218,19 @@ def test_a_bad_sample_still_raises_at_integrate(p23, monkeypatch, item, index, b
 
     def corrupt(*args):
         out = real(*args)
-        out[item][index] = bad
-        out[4][5, 0] = -1.0  # a later bad state must not be the one reported
+        if item == 4:
+            step, comp = index
+            out[4][step] = _replaced(out[4][step], comp, bad)
+        else:
+            out[item][index] = bad
+        # a later bad state must not be the one reported
+        out[4][5] = _replaced(out[4][5], 0, -1.0)
         return out
 
     monkeypatch.setattr(kernels, "_dp5", corrupt)
     _, _, _, ts, states, _ = ode._run(p23, 4.0, 2.0, 2.0, kernels.PATH, ode._DEFAULT_CONFIG)
     with pytest.raises(DomainError) as want:
-        SirState(states[3, 0], states[3, 1], ts[3])
+        SirState(*states[3], ts[3])
     with pytest.raises(DomainError) as got:
         integrate(p23, 4.0, 2.0, 2.0)
     assert str(got.value) == str(want.value)
