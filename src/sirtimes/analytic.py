@@ -100,15 +100,34 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     if y == params.mu and x <= rho:
         # (x, y) already sits on the level g = mu at or left of the peak
         return AnchorResult(x, math.log(x), 0.0)
-    psiv = psi(params, x, y)
-    ok, log_a = kernels._anchor_log(rho, params.mu, psiv)
-    if not ok:
-        raise DomainError(
-            "level set does not meet the threshold line; inputs violate y >= mu"
-        )
+    psiv, log_a = _anchor(params, x, y)
     a = math.exp(log_a)
     residual = abs(a + params.mu - rho * log_a - psiv)
     return AnchorResult(a, log_a, residual)
+
+
+def _anchor(params, x, y):
+    """(psi(x, y), ln a) of the orbit through (x, y). Raises DomainError
+    where psi lies below its minimum over the threshold line, so that the
+    level set g = mu has no root."""
+    psiv = psi(params, x, y)
+    ok, log_a = kernels._anchor_log(params.rho, params.mu, psiv)
+    if not ok:
+        raise DomainError("level set does not meet the threshold line; inputs violate y >= mu")
+    return psiv, log_a
+
+
+def _u_pieces(params, x, y, log_a, log_x, ops=kernels._FLOATS):
+    """The u integral's pieces from the anchor a to x: in L = ln z on
+    [ln a, l_end], the part below SPLIT_Z, and in z on [z_lo, x], the rest.
+    Returns (l_end, z_lo, lost). Either piece can be empty; lost marks where
+    both are, the anchor rounding to x, while u's lower bound ln(y/mu)/gamma
+    (I' >= -gamma*I) exceeds the absolute tolerance a time of 0 would meet."""
+    split_l = math.log(SPLIT_Z)
+    l_end = ops.pick(log_a < split_l, ops.low(split_l, log_x), log_a)
+    z_lo = ops.exp(l_end)
+    lower = ops.log(y / params.mu) / params.gamma
+    return l_end, z_lo, (l_end <= log_a) & (z_lo >= x) & (lower > QUAD_ABS_TOL)
 
 
 def _run_quad(kind, lo, hi, beta, rho, psiv):
@@ -131,7 +150,10 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     (BoundaryZero) for y < mu, and for y == mu with x <= rho. At x = 0 it
     has the closed form ln(y/mu)/gamma (ExactX0). For y == mu with x > rho
     it is the positive continuation, where :func:`hitting_time_u` gives 0:
-    the orbit rises above the threshold before it returns to it.
+    the orbit rises above the threshold before it returns to it. Raises
+    QuadratureFailure where the quadrature fails, and where psi(x, y) cannot
+    tell y from mu, so that the anchor rounds to x, while ln(y/mu)/gamma,
+    a lower bound on u, exceeds 1e-12.
     """
     x, y = _check_counts(x, y)
     rho = params.rho
@@ -139,28 +161,13 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
         return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
     if x == 0.0:
         return CriticalTimeResult(exact_u_at_x0(params, y), Method.EXACT_X0, 0.0)
-    psiv = psi(params, x, y)
-    ok, log_a = kernels._anchor_log(rho, params.mu, psiv)
-    if not ok:
-        raise DomainError("no anchor root; inputs violate y >= mu")
-    beta = params.beta
-    total = 0.0
-    err = 0.0
-    split_l = math.log(SPLIT_Z)
-    if log_a < split_l:
-        # left piece in log space, right piece (if any) in z space
-        ls = min(split_l, math.log(x))
-        v1, e1 = _run_quad(1, log_a, ls, beta, rho, psiv)
-        total += v1
-        err += e1
-        z_lo = math.exp(ls)
-    else:
-        z_lo = math.exp(log_a)
-    if z_lo < x:
-        v2, e2 = _run_quad(0, z_lo, x, beta, rho, psiv)
-        total += v2
-        err += e2
-    return CriticalTimeResult(max(total, 0.0), Method.INTEGRAL, err)
+    psiv, log_a = _anchor(params, x, y)
+    l_end, z_lo, lost = _u_pieces(params, x, y, log_a, math.log(x))
+    if lost:
+        raise QuadratureFailure(0.0, 0.0, "the anchor rounds to x, where u >= ln(y/mu)/gamma > 0")
+    v1, e1 = _run_quad(1, log_a, l_end, params.beta, rho, psiv)
+    v2, e2 = _run_quad(0, z_lo, x, params.beta, rho, psiv)
+    return CriticalTimeResult(max(v1 + v2, 0.0), Method.INTEGRAL, e1 + e2)
 
 
 def v_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
@@ -187,12 +194,10 @@ def _quotient(num, den, what):
     return num / den
 
 
-# The bound and asymptotic formulas below run on floats, given math.log and
-# Python's max and min, and on numpy arrays, given batch._ARRAY_OPS' forms
-# of the three, which give the float results element for element. A
-# quotient whose denominator can underflow to 0 comes back as its two parts:
-# the scalar functions raise through _quotient there, and the array twins
-# leave such nodes to them.
+# The bound and asymptotic formulas below run on floats, and on numpy arrays
+# given ops=batch._ARRAYS. A quotient whose denominator can underflow to 0
+# comes back as its two parts: the scalar functions raise through _quotient
+# there, and the array twins leave such nodes to them.
 
 # the least subnormal, in place of a mass ratio that underflows to 0
 _TINY = 5e-324
@@ -201,53 +206,54 @@ _TINY = 5e-324
 _DEGENERATE_DEN = 1e-12
 
 
-def _bounds_u_terms(params, x, y, log, high):
+def _bounds_u_terms(params, x, y, ops=kernels._FLOATS):
     """At x >= 0 and y >= mu: bounds_u's lower bound, and the numerator and
     denominator of its crude upper bound. A mass ratio that underflows to 0
     takes the log of _TINY (-744.4) instead, which the clamp at 0 meets
     too: its true log lies lower still."""
-    ratio = high((x + y) / (params.rho + params.mu), _TINY)
-    lower = high(0.0, log(ratio) / params.gamma)
+    ratio = ops.high((x + y) / (params.rho + params.mu), _TINY)
+    lower = ops.high(0.0, ops.log(ratio) / params.gamma)
     return lower, x + y, params.gamma * params.mu
 
 
-def _subcritical_u(params, x, y, log):
+def _subcritical_u(params, x, y, ops=kernels._FLOATS):
     """bounds_u's subcritical upper bound, defined where beta*x < gamma."""
-    return log(y / params.mu) / (params.gamma - params.beta * x)
+    return ops.log(y / params.mu) / (params.gamma - params.beta * x)
 
 
-def _bounds_v_args(params, x, y, log):
+def _bounds_v_args(params, x, y, ops=kernels._FLOATS):
     """At x > rho and y > 0: ln(x/rho), the tangent bound's denominator and
     log argument, and the chord bound's log argument."""
     rho = params.rho
-    dlog = log(x) - math.log(rho)
+    dlog = ops.log(x) - math.log(rho)
     upper_den = params.beta * (y + x * (1.0 - rho * dlog / (x - rho)))
     upper_arg = x - rho + y - rho * dlog
     lower_arg = x - rho + y + rho * (rho / x - 1.0)
     return dlog, upper_den, upper_arg, lower_arg
 
 
-def _bounds_v_terms(params, x, y, dlog, upper_den, upper_arg, lower_arg, log):
+def _bounds_v_terms(params, x, y, dlog, upper_den, upper_arg, lower_arg, ops=kernels._FLOATS):
     """bounds_v's tangent (upper) bound, the numerator and denominator of
     its chord (lower) bound, and the denominator of its crude bound, whose
     numerator is dlog; where upper_den > _DEGENERATE_DEN and both log
     arguments are positive."""
+    log = ops.log
     log_y = log(y)
     upper = (dlog - log_y + log(upper_arg)) / upper_den
     lower_num = dlog - log_y + log(lower_arg)
     return upper, lower_num, params.beta * (x - params.rho + y), params.beta * y
 
 
-def _asymptotic_u(params, x, y, log):
+def _asymptotic_u(params, x, y, ops=kernels._FLOATS):
     """asymptotic_u's formula, where (x + y)/mu > 0."""
-    return log((x + y) / params.mu) / params.gamma
+    return ops.log((x + y) / params.mu) / params.gamma
 
 
-def _asymptotic_v(params, x, y, log):
+def _asymptotic_v(params, x, y, ops=kernels._FLOATS):
     """The numerator and denominator of asymptotic_v's formula at x >= rho
     and y > 0."""
     rho = params.rho
-    return log((x / rho) * ((x - rho) / y + 1.0)), params.beta * (x - rho + y)
+    return ops.log((x / rho) * ((x - rho) / y + 1.0)), params.beta * (x - rho + y)
 
 
 @dataclass(frozen=True)
@@ -278,11 +284,11 @@ def bounds_u(params: ModelParams, x: float, y: float) -> BoundsU:
     y = _require_finite("y", y)
     if x < 0.0 or y < params.mu:
         raise DomainError(f"bounds_u requires x >= 0 and y >= mu, got ({x!r}, {y!r})")
-    lower, crude_num, crude_den = _bounds_u_terms(params, x, y, math.log, max)
+    lower, crude_num, crude_den = _bounds_u_terms(params, x, y)
     crude_upper = _quotient(crude_num, crude_den, "crude upper bound on u")
     subcritical_upper = None
     if params.beta * x < params.gamma:
-        subcritical_upper = _subcritical_u(params, x, y, math.log)
+        subcritical_upper = _subcritical_u(params, x, y)
     return BoundsU(lower, crude_upper, subcritical_upper)
 
 
@@ -313,7 +319,7 @@ def bounds_v(params: ModelParams, x: float, y: float) -> BoundsV:
         raise DomainError(f"bounds_v requires x > rho={rho!r}, got x={x!r}")
     if y <= 0.0:
         raise DomainError(f"bounds_v requires y > 0, got y={y!r}")
-    args = _bounds_v_args(params, x, y, math.log)
+    args = _bounds_v_args(params, x, y)
     dlog, upper_den, upper_arg, lower_arg = args
     if upper_den <= _DEGENERATE_DEN:
         raise DegenerateBound(
@@ -330,7 +336,7 @@ def bounds_v(params: ModelParams, x: float, y: float) -> BoundsV:
             f"chord-bound log argument degenerates ({lower_arg!r}) at "
             f"x={x!r}, y={y!r}"
         )
-    upper, lower_num, lower_den, crude_den = _bounds_v_terms(params, x, y, *args, math.log)
+    upper, lower_num, lower_den, crude_den = _bounds_v_terms(params, x, y, *args)
     lower = _quotient(lower_num, lower_den, "chord bound on v")
     crude_upper = _quotient(dlog, crude_den, "crude upper bound on v")
     return BoundsV(lower, upper, crude_upper)
@@ -346,7 +352,7 @@ def asymptotic_u(params: ModelParams, x: float, y: float) -> float:
         raise DomainError(f"asymptotic_u requires x >= 0, x + y > 0, got ({x!r}, {y!r})")
     if (x + y) / params.mu == 0.0:
         raise DomainError(f"asymptotic_u: (x + y)/mu underflows to 0 at ({x!r}, {y!r})")
-    return _asymptotic_u(params, x, y, math.log)
+    return _asymptotic_u(params, x, y)
 
 
 def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
@@ -364,4 +370,4 @@ def asymptotic_v(params: ModelParams, x: float, y: float) -> float:
         raise DomainError(f"asymptotic_v requires x >= rho={rho!r}, got x={x!r}")
     if y <= 0.0:
         raise DomainError(f"asymptotic_v requires y > 0, got y={y!r}")
-    return _quotient(*_asymptotic_v(params, x, y, math.log), "asymptotic_v")
+    return _quotient(*_asymptotic_v(params, x, y), "asymptotic_v")

@@ -10,18 +10,17 @@ when they are called.
 
 The functions here run the scalar algorithms of :mod:`sirtimes.kernels`,
 :mod:`sirtimes.analytic` and :mod:`sirtimes.ode` over many independent
-problems at once, in lock-step, with numpy arrays. They call the same
-formula functions as the scalar code (the field, the DP5 stages, the dense
-output, the GK15 sums, the anchor, the bound, asymptotic, cap and event
-formulas) and differ from it only in control flow: each element leaves a
-loop or takes a branch on its own. numpy's log and exp can differ from
-math's in the last bit; where a result could follow that bit the twins call
-math per element instead (:func:`_math_each`), so they agree with the
-scalar kernels to a few units in the last place, and the anchor, the DP5
-loop, the crossing refinement and the side cells agree bit for bit. The DP5
-and crossing twins use only correctly rounded arithmetic (the step factor's
-power is taken with Python's pow) and mirror Python's max and min where NaN
-can reach them (:func:`_py_max`, :func:`_py_min`).
+problems at once, in lock-step, with numpy arrays. Every formula comes from
+those modules, given :data:`_ARRAYS`: the field, DP5 stages, error norm,
+dense output and refinement width, the GK15 rule and error finish, the
+stopping test, the anchor, the u integral's pieces, and the bound,
+asymptotic, cap and event formulas. The twins differ only in control flow:
+each element leaves a loop or takes a branch on its own. Where a result
+could follow the last bit of numpy's log and exp, they take math's per
+element (:func:`_math_each`), so they agree with the scalar kernels to a few
+units in the last place, and the anchor, the DP5 loop, the crossing
+refinement and the side cells agree bit for bit (the step factor's power is
+Python's pow, and :func:`_py_max`, :func:`_py_min` mirror max and min).
 """
 
 import math
@@ -34,19 +33,17 @@ from .analytic import (
     QUAD_ABS_TOL,
     QUAD_MAX_INTERVALS,
     QUAD_REL_TOL,
-    SPLIT_Z,
     _asymptotic_u,
     _asymptotic_v,
     _bounds_u_terms,
     _bounds_v_args,
     _bounds_v_terms,
     _subcritical_u,
+    _u_pieces,
 )
 from .core import Method, ModelParams
 from .gridrun import STATUS_OK, GridRow, _evaluate, side_cells
 from .kernels import (
-    _EPS,
-    _EV_TOL,
     _XGK,
     EV_I,
     EV_S,
@@ -57,13 +54,15 @@ from .kernels import (
     QUAD_NOCONV,
     QUAD_OK,
     _anchor_log,
-    _dense_coeffs,
+    _converged,
     _dense_eval,
     _dp5,
     _field,
     _gk15_rule,
     _initial_step,
-    _stages,
+    _locate,
+    _Ops,
+    _try_step,
 )
 from .ode import _CAP_SLACK, _DEFAULT_CONFIG, _cap_terms, _event_value
 
@@ -87,16 +86,57 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-# math.log, max and min on arrays, for the formulas that run on floats or on
-# arrays: the bound and asymptotic cells (analytic) and the time caps and
-# event values (ode)
-_ARRAY_OPS = (partial(_math_each, math.log), _py_max, _py_min)
+def _refine_crossing_batch(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
+    """:func:`kernels._refine_crossing` at every element in lock-step: each
+    element leaves at the scalar loop's exits (g1 == 0, an exact hit, a
+    bracket within tol_theta, or 200 iterations) with the scalar result.
+    Returns (theta, half_width) arrays."""
+    theta = np.ones(g1.size)
+    hw = np.zeros(g1.size)
+    idx = np.flatnonzero(g1 != 0.0)
+    q = np.array((q0, q1, q2, q3))[:, idx]
+    y0, h, tol_theta = y0[idx], h[idx], tol_theta[idx]
+    ta = np.zeros(idx.size)
+    fa = g0[idx]
+    tb = np.ones(idx.size)
+    fb = g1[idx]
+    side = np.zeros(idx.size, dtype=np.int64)
+    for _ in range(200):
+        if not idx.size:
+            break
+        left = tb - ta <= tol_theta
+        denom = fa - fb
+        tc = (fa * tb - fb * ta) / denom
+        tc = np.where((denom > 0.0) & ~((tc <= ta) | (tc >= tb)), tc, 0.5 * (ta + tb))
+        fc = _dense_eval(y0, h, q[0], q[1], q[2], q[3], tc) - level
+        pos = (fc > 0.0) & ~left
+        neg = (fc < 0.0) & ~left
+        hit = ~(left | pos | neg)
+        theta[idx[hit]] = tc[hit]
+        fb = np.where(pos & (side == 1), fb * 0.5, fb)
+        fa = np.where(neg & (side == -1), fa * 0.5, fa)
+        ta = np.where(pos, tc, ta)
+        fa = np.where(pos, fc, fa)
+        tb = np.where(neg, tc, tb)
+        fb = np.where(neg, fc, fb)
+        side = np.where(pos, 1, np.where(neg, -1, side))
+        out = left | hit
+        if out.any():
+            theta[idx[left]] = 0.5 * (ta[left] + tb[left])
+            hw[idx[left]] = 0.5 * (tb[left] - ta[left])
+            keep = ~out
+            idx, y0, h, q, tol_theta = idx[keep], y0[keep], h[keep], q[:, keep], tol_theta[keep]
+            ta, fa, tb, fb, side = ta[keep], fa[keep], tb[keep], fb[keep], side[keep]
+    theta[idx] = 0.5 * (ta + tb)
+    hw[idx] = 0.5 * (tb - ta)
+    return theta, hw
 
 
-# _anchor_log's ops on arrays: numpy's sqrt is correctly rounded, as math's
-# is, and expm1 and exp come from math per element
-_ANCHOR_ARRAY_OPS = (
-    np.sqrt, partial(_math_each, math.expm1), partial(_math_each, math.exp), np.where
+# kernels._Ops on arrays: math's log, exp and expm1 per element, numpy's
+# sqrt (correctly rounded, as math's is), and the lock-step Illinois loop
+_ARRAYS = _Ops(
+    *(partial(_math_each, fn) for fn in (math.log, math.exp, math.expm1)),
+    np.sqrt, _py_max, _py_min, np.where, _refine_crossing_batch,
 )
 
 
@@ -163,12 +203,8 @@ def _gk15_batch(kind, a, b, beta, rho, psiv):
     z[:, 1:14:2] = c[:, None] + dx
     z[:, 14] = c
     fv, ok = _quad_f_batch(kind, z, beta, rho, psiv[:, None])
-    value, err, resabs, resasc = _gk15_rule(fv.T, hl)
-    scaled = (resasc != 0.0) & (err != 0.0)
     with np.errstate(all="ignore"):
-        err = np.where(scaled, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return value, err, ok.all(axis=1)
+        return (*_gk15_rule(fv.T, hl, _ARRAYS), ok.all(axis=1))
 
 
 def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
@@ -217,7 +253,7 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
         end = np.full(idx.size, -1)
         end[(m <= a0) | (m >= b0)] = QUAD_NOCONV
         end[cnt >= max_iv] = QUAD_NOCONV
-        end[errtot <= np.maximum(atol, rtol * np.abs(total))] = QUAD_OK
+        end[_converged(total, errtot, atol, rtol, _ARRAYS)] = QUAD_OK
         end[~(np.isfinite(total) & np.isfinite(errtot))] = QUAD_NOCONV
         g = np.flatnonzero(end < 0)
         if g.size:
@@ -270,64 +306,6 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
 _LOCKSTEP_MIN = 16
 
 
-def _refine_crossing_batch(y0, h, q, level, g0, g1, tol_theta):
-    """:func:`kernels._refine_crossing` at every column in lock-step: each
-    column leaves at the scalar loop's exits (g1 == 0, an exact hit, a
-    bracket within tol_theta, or 200 iterations) with the scalar result. q
-    is (4, columns). Returns (theta, half_width) arrays."""
-    theta = np.ones(g1.size)
-    hw = np.zeros(g1.size)
-    idx = np.flatnonzero(g1 != 0.0)
-    y0, h, q, tol_theta = y0[idx], h[idx], q[:, idx], tol_theta[idx]
-    ta = np.zeros(idx.size)
-    fa = g0[idx]
-    tb = np.ones(idx.size)
-    fb = g1[idx]
-    side = np.zeros(idx.size, dtype=np.int64)
-    for _ in range(200):
-        if not idx.size:
-            break
-        left = tb - ta <= tol_theta
-        denom = fa - fb
-        tc = (fa * tb - fb * ta) / denom
-        tc = np.where((denom > 0.0) & ~((tc <= ta) | (tc >= tb)), tc, 0.5 * (ta + tb))
-        fc = _dense_eval(y0, h, q[0], q[1], q[2], q[3], tc) - level
-        pos = (fc > 0.0) & ~left
-        neg = (fc < 0.0) & ~left
-        hit = ~(left | pos | neg)
-        theta[idx[hit]] = tc[hit]
-        fb = np.where(pos & (side == 1), fb * 0.5, fb)
-        fa = np.where(neg & (side == -1), fa * 0.5, fa)
-        ta = np.where(pos, tc, ta)
-        fa = np.where(pos, fc, fa)
-        tb = np.where(neg, tc, tb)
-        fb = np.where(neg, fc, fb)
-        side = np.where(pos, 1, np.where(neg, -1, side))
-        out = left | hit
-        if out.any():
-            theta[idx[left]] = 0.5 * (ta[left] + tb[left])
-            hw[idx[left]] = 0.5 * (tb[left] - ta[left])
-            keep = ~out
-            idx, y0, h, q, tol_theta = idx[keep], y0[keep], h[keep], q[:, keep], tol_theta[keep]
-            ta, fa, tb, fb, side = ta[keep], fa[keep], tb[keep], fb[keep], side[keep]
-    theta[idx] = 0.5 * (ta + tb)
-    hw[idx] = 0.5 * (tb - ta)
-    return theta, hw
-
-
-def _locate_batch(k, t, y0, h, comp, level, g0, g1):
-    """:func:`kernels._locate` at many crossings at once. Column j is the
-    accepted step of size h[j] from time t[j], where component *comp* is
-    y0[j] and the stages are k[:, :, j]; g0[j] > 0 and g1[j] <= 0 are that
-    component minus *level* at the step's ends. Returns (t, half_width)
-    arrays of the crossings, equal to the scalar kernel's bit for bit."""
-    with np.errstate(all="ignore"):
-        q = _dense_coeffs(k, comp)
-        tol_theta = _EV_TOL * _py_max(1.0, t + h) / h
-        theta, hw = _refine_crossing_batch(y0, h, np.array(q), level, g0, g1, tol_theta)
-        return t + theta * h, hw * h
-
-
 def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     """:func:`kernels._dp5` in stop mode (stop is EV_I or EV_S) from every
     state (s0[j], i0[j]), each with its own cap t_end[j], in lock-step.
@@ -338,8 +316,8 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     and every node stays in the rounds until it crosses, stalls or reaches
     its cap. A node whose crossing is bracketed leaves with what its
     refinement reads: the step's start, size, stages, level gaps and the
-    watched component's value. These crossings are refined together by
-    :func:`_locate_batch` at the end, which takes all their dense
+    watched component's value. These crossings are refined together at the
+    end by :func:`kernels._locate` on arrays, which takes all their dense
     coefficients in one pass. A batch of fewer than _LOCKSTEP_MIN nodes
     steps each node in :func:`_dp5` instead. Returns (status, t_event,
     half_width) arrays: the scalar kernel's status, and its crossing time
@@ -377,12 +355,7 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         with np.errstate(all="ignore"):
             end = np.where(t >= cap, ODE_CAP, -1)
             end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
-            s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
-            ss = atol + rtol * _py_max(np.abs(s), np.abs(s1))
-            si = atol + rtol * _py_max(np.abs(i), np.abs(i1))
-            rs = _py_min(np.abs(es / ss), 1e150)
-            ri = _py_min(np.abs(ei / si), 1e150)
-            err = np.sqrt(0.5 * (rs * rs + ri * ri))
+            s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, _ARRAYS)
             # the step factor's pow per element, as Python rounds it; err == 0
             # stands for an infinite power (factor 10 on acceptance)
             q = 0.9 * np.array([e ** -0.2 if e else math.inf for e in err.tolist()])
@@ -417,17 +390,18 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     if found:
         nodes, kc, tc, yc, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
         del found  # the per-round pieces, before the refinement's temporaries
-        t_event[nodes], half_width[nodes] = _locate_batch(kc, tc, yc, hc, stop, level, g0, g1)
+        with np.errstate(all="ignore"):
+            crossings = _locate(kc, tc, yc, hc, stop, level, g0, g1, _ARRAYS)
+        t_event[nodes], half_width[nodes], _ = crossings
     return status, t_event, half_width
 
 
 # --- the route functions' twins ----------------------------------------------
 
-def _batch_quad(good, need, kind, lo, hi, beta, rho, psiv, total, err):
+def _batch_quad(good, kind, lo, hi, beta, rho, psiv, total, err):
     """Add the batched quadrature over [lo, hi] to *total* and *err* at the
-    nodes that are still *good* and *need* it; clear *good* where it did not
-    converge."""
-    k = np.flatnonzero(good & need)
+    nodes that are still *good*; clear *good* where it did not converge."""
+    k = np.flatnonzero(good)
     status, value, e = _adaptive_gk_batch(
         kind, lo[k], hi[k], beta, rho, psiv[k],
         QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS,
@@ -443,9 +417,10 @@ def u_integral_batch(params: ModelParams, xs, ys):
     Runs the same anchor solve and quadratures with the default tolerances,
     in lock-step over the nodes. Returns (ok, value, err) arrays. A node is
     ok when it lies in the interior of u's domain (x > 0, y >= mu, and not
-    y == mu with x <= rho) and its anchor and quadratures succeeded. Any
-    other node needs the scalar :func:`u_integral`, which returns the edge
-    value or raises the typed error there.
+    y == mu with x <= rho), its anchor and quadratures succeeded, and its
+    pieces do not miss u (:func:`analytic._u_pieces`). Any other node needs
+    the scalar :func:`u_integral`, which returns the edge value or raises
+    the typed error there.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -457,21 +432,18 @@ def u_integral_batch(params: ModelParams, xs, ys):
     idx = np.flatnonzero(ok)
     xi = x[idx]
     # per-node logs and exps through math, as the scalar route takes them
-    log_x = _math_each(math.log, xi)
+    log_x = _ARRAYS.log(xi)
     psiv = xi + y[idx] - rho * log_x
     # where a count or rate is near the float range, the anchor's error-free
     # sums overflow and fall back to plain ones, as the scalar route does
     with np.errstate(all="ignore"):
-        good, log_a = _anchor_log(rho, mu, psiv, _ANCHOR_ARRAY_OPS)
-    split_l = math.log(SPLIT_Z)
-    deep = log_a < split_l
-    # left piece in log space below the split, the rest in z space
-    ls = np.minimum(split_l, log_x)
-    z_lo = _math_each(math.exp, np.where(deep, ls, log_a))
+        good, log_a = _anchor_log(rho, mu, psiv, _ARRAYS)
+    l_end, z_lo, lost = _u_pieces(params, xi, y[idx], log_a, log_x, _ARRAYS)
+    good &= ~lost
     total = np.zeros(idx.size)
     e = np.zeros(idx.size)
-    _batch_quad(good, deep, 1, log_a, ls, beta, rho, psiv, total, e)
-    _batch_quad(good, z_lo < xi, 0, z_lo, xi, beta, rho, psiv, total, e)
+    _batch_quad(good, 1, log_a, l_end, beta, rho, psiv, total, e)
+    _batch_quad(good, 0, z_lo, xi, beta, rho, psiv, total, e)
     ok[idx] = good
     value[idx] = np.maximum(total, 0.0)
     err[idx] = e
@@ -491,8 +463,8 @@ def v_integral_batch(params: ModelParams, xs, ys):
     ok = (x > rho) & (y > 0.0) & np.isfinite(x) & np.isfinite(y)
     value = np.zeros(x.shape)
     err = np.zeros(x.shape)
-    psiv = x + y - rho * _math_each(math.log, np.where(ok, x, 1.0))
-    _batch_quad(ok, True, 0, np.full(x.shape, rho), x, params.beta, rho, psiv, value, err)
+    psiv = x + y - rho * _ARRAYS.log(np.where(ok, x, 1.0))
+    _batch_quad(ok, 0, np.full(x.shape, rho), x, params.beta, rho, psiv, value, err)
     np.maximum(value, 0.0, out=value)
     return ok, value, err
 
@@ -518,30 +490,29 @@ def _side_cells_batch(params: ModelParams, kind: str, xs, ys):
         inside &= (x > rho) & (y > 0.0)
     k = np.flatnonzero(inside)
     x, y = x[k], y[k]
-    log, high, low = _ARRAY_OPS
     with np.errstate(all="ignore"):
         if kind == "u":
-            lower, crude_num, crude_den = _bounds_u_terms(params, x, y, log, high)
+            lower, crude_num, crude_den = _bounds_u_terms(params, x, y, _ARRAYS)
             good = np.full(k.size, crude_den != 0.0)
-            # no subcritical bound where beta*x >= gamma: NaN, which low passes over
+            # no subcritical bound where beta*x >= gamma: NaN, which _py_min skips
             sub = np.where(
-                params.beta * x < params.gamma, _subcritical_u(params, x, y, log), np.nan
+                params.beta * x < params.gamma, _subcritical_u(params, x, y, _ARRAYS), np.nan
             )
-            upper = low(crude_num / crude_den, sub)
-            asym = _asymptotic_u(params, x, y, log)
+            upper = _py_min(crude_num / crude_den, sub)
+            asym = _asymptotic_u(params, x, y, _ARRAYS)
         else:
-            dlog, upper_den, upper_arg, lower_arg = _bounds_v_args(params, x, y, log)
+            dlog, upper_den, upper_arg, lower_arg = _bounds_v_args(params, x, y, _ARRAYS)
             good = (upper_den > _DEGENERATE_DEN) & (upper_arg > 0.0) & (lower_arg > 0.0)
             # a log argument out of range becomes 1, so that math.log takes
             # it; its node is not inside
             upper, lower_num, lower_den, crude_den = _bounds_v_terms(
                 params, x, y, dlog, upper_den,
-                np.where(good, upper_arg, 1.0), np.where(good, lower_arg, 1.0), log,
+                np.where(good, upper_arg, 1.0), np.where(good, lower_arg, 1.0), _ARRAYS,
             )
-            asym_num, asym_den = _asymptotic_v(params, x, y, log)
+            asym_num, asym_den = _asymptotic_v(params, x, y, _ARRAYS)
             good &= (lower_den != 0.0) & (crude_den != 0.0) & (asym_den != 0.0)
             lower = lower_num / lower_den
-            upper = low(upper, dlog / crude_den)
+            upper = _py_min(upper, dlog / crude_den)
             asym = asym_num / asym_den
     inside[k] = good
     cells = np.zeros((3, inside.size))
@@ -565,12 +536,11 @@ def _hitting_times(params, xs, ys, row, config):
     else:
         inside = (x > params.rho) & (y > 0.0)
     idx = np.flatnonzero(inside & np.isfinite(x) & np.isfinite(y))
-    log, high, _ = _ARRAY_OPS
     # a sum that overflows gives an infinite cap, as on floats; where the
     # denominator underflows to 0 there is no finite cap, and the node is
     # left out
     with np.errstate(all="ignore"):
-        num, den = _cap_terms(params, x[idx], y[idx], row, log)
+        num, den = _cap_terms(params, x[idx], y[idx], row, _ARRAYS)
         caps = num / den * _CAP_SLACK
     capped = np.broadcast_to(den != 0.0, idx.shape)
     idx, caps = idx[capped], caps[capped]
@@ -583,7 +553,7 @@ def _hitting_times(params, xs, ys, row, config):
     errs = np.zeros(x.size)
     hit = status == ODE_OK
     ok[idx[hit]] = True
-    values[ok], errs[ok] = _event_value(t_event[hit], half_width[hit], cfg, high)
+    values[ok], errs[ok] = _event_value(t_event[hit], half_width[hit], cfg, _ARRAYS)
     return ok, values, errs
 
 

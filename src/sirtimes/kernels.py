@@ -14,16 +14,18 @@ and turn status codes into exceptions. Kernels return status tuples instead
 of raising. Their numpy twins, which run the same algorithms over whole
 grids at once, live in :mod:`sirtimes.batch`.
 
-A kernel and its twin share the formulas defined here: :func:`_field`,
-:func:`_stages`, :func:`_dense_coeffs` and :func:`_gk15_rule` run unchanged
-on floats or on arrays, with the same operations in the same order. The
-twins differ only in control flow, where each element takes its own branch.
-The anchor solve :func:`_anchor_log` has no twin: it is one closed formula
-with a fixed number of steps, and runs unchanged on a float or, given the
-array forms of its operations, on an array.
+A kernel and its twin share every formula, written here once for floats and
+arrays: :func:`_field`, :func:`_stages`, :func:`_dense_coeffs`,
+:func:`_dense_eval`, and, given the operations of their kind (:data:`_FLOATS`
+by default, ``batch._ARRAYS``), the DP5 error norm :func:`_try_step`, the
+refinement width :func:`_locate`, the GK15 rule and error finish
+:func:`_gk15_rule`, the stopping test :func:`_converged` and the anchor
+:func:`_anchor_log`. The twins differ only in control flow (the DP5 loop and
+its step-size controller, the adaptive bisection, the Illinois loop).
 """
 
 import math
+from collections import namedtuple
 
 # status codes for the ODE kernel
 ODE_OK = 0
@@ -43,9 +45,9 @@ QUAD_BADFUN = 2
 
 _EPS = 2.220446049250313e-16
 
-# width to which _locate and batch._locate_batch refine a crossing time,
-# relative above t = 1 and absolute below it: the bracket closes within
-# _EV_TOL * max(1, t + h) of it (t + h the end of the step), or on an exact hit
+# width to which _locate refines a crossing time, relative above t = 1 and
+# absolute below it: the bracket closes within _EV_TOL * max(1, t + h) of it
+# (t + h the end of the step), or on an exact hit
 _EV_TOL = 1e-12
 
 # Dormand-Prince 5(4) tableau
@@ -222,20 +224,6 @@ def _stages(beta, gamma, s, i, h, k1s, k1i):
     return s1, i1, es, ei, k
 
 
-def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol):
-    """One 5(4) attempt from (s, i), where the field is (k1s, k1i). Returns
-    (s_new, i_new, err_norm, stages), the stages as in :func:`_stages`."""
-    s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
-    ss = atol + rtol * max(abs(s), abs(s1))
-    si = atol + rtol * max(abs(i), abs(i1))
-    # clamp the scaled defects so squaring cannot overflow; anything this
-    # large is an unconditional rejection regardless of the exact norm
-    rs = min(abs(es / ss), 1e150)
-    ri = min(abs(ei / si), 1e150)
-    err = math.sqrt(0.5 * (rs * rs + ri * ri))
-    return s1, i1, err, k
-
-
 def _dense_coeffs(k, comp):
     """Q_0..Q_3 of component *comp* from the stages k, read as k[row][comp]:
     floats, or arrays with a step per element. Row 1's weights are all 0;
@@ -295,16 +283,55 @@ def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
     return 0.5 * (ta + tb), 0.5 * (tb - ta)
 
 
-def _locate(k, t, y0, h, comp, level, g0, g1):
+def _pick(cond, a, b):
+    """np.where on floats: a if cond holds, else b."""
+    return a if cond else b
+
+
+def _high(a, b):
+    """Python's max(a, b) on floats, at a third of the builtin's cost on CPython 3.11."""
+    return b if b > a else a
+
+
+def _low(a, b):
+    """Python's min(a, b) on floats, as :func:`_high` is its max."""
+    return b if b < a else a
+
+
+# The operations of the shared formulas for one kind of operand: _FLOATS,
+# and batch._ARRAYS, whose forms give the float results element for element:
+# math's functions, Python's max and min as high and low, np.where as pick,
+# and refine, the Illinois loop over one crossing or many in lock-step.
+_Ops = namedtuple("_Ops", "log exp expm1 sqrt high low pick refine")
+_FLOATS = _Ops(math.log, math.exp, math.expm1, math.sqrt, _high, _low, _pick, _refine_crossing)
+
+
+def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops=_FLOATS):
+    """One 5(4) attempt from (s, i), where the field is (k1s, k1i): floats,
+    or arrays with ops=batch._ARRAYS. Returns (s_new, i_new, err_norm,
+    stages), the stages as in :func:`_stages`."""
+    s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
+    ss = atol + rtol * ops.high(abs(s), abs(s1))
+    si = atol + rtol * ops.high(abs(i), abs(i1))
+    # clamp the scaled defects so squaring cannot overflow; anything this
+    # large is an unconditional rejection regardless of the exact norm
+    rs = ops.low(abs(es / ss), 1e150)
+    ri = ops.low(abs(ei / si), 1e150)
+    err = ops.sqrt(0.5 * (rs * rs + ri * ri))
+    return s1, i1, err, k
+
+
+def _locate(k, t, y0, h, comp, level, g0, g1, ops=_FLOATS):
     """Refine the downward crossing of component *comp* through *level*
     inside the accepted step of size h from time t, where the component is
     y0 and the stages are k; g0 > 0 and g1 <= 0 are the component minus the
     level at the step's ends. Only that component's dense output is built.
-    Returns (t, time half-width, theta) of the crossing, theta its place in
-    the step as a fraction of h."""
+    Floats, or arrays with a crossing per element given ops=batch._ARRAYS (k
+    then holds the stages as k[:, :, j]). Returns (t, time half-width,
+    theta) of the crossing, theta its place in the step as a fraction of h."""
     q = _dense_coeffs(k, comp)
-    tol_t = _EV_TOL * max(1.0, t + h)
-    theta, hw = _refine_crossing(y0, h, *q, level, g0, g1, tol_t / h)
+    tol_t = _EV_TOL * ops.high(1.0, t + h)
+    theta, hw = ops.refine(y0, h, *q, level, g0, g1, tol_t / h)
     return t + theta * h, hw * h, theta
 
 
@@ -424,13 +451,15 @@ def _quad_f(kind, z, beta, rho, psiv):
     return (1.0 / den if den else math.inf), True
 
 
-def _gk15_rule(fv, hl):
-    """The Gauss-Kronrod 7/15 sums over a panel of half-length hl, from the
+def _gk15_rule(fv, hl, ops=_FLOATS):
+    """The Gauss-Kronrod 7/15 rule over a panel of half-length hl, from the
     integrand values fv: fv[2j] and fv[2j+1] at the centre -/+ hl*_XGK[j],
-    fv[14] at the centre; floats, or arrays with a panel per element.
-    Returns (value, err, resabs, resasc) before QUADPACK's error finish: the
-    Kronrod value, |Kronrod - Gauss|, and the integrals of |f| and of
-    |f - mean| by the Kronrod rule."""
+    fv[14] at the centre; floats, or arrays with a panel per element given
+    ops=batch._ARRAYS. Returns (value, err): the Kronrod value and
+    QUADPACK's error estimate (Piessens et al., 1983). err = |Kronrod -
+    Gauss| becomes resasc * min(1, 200*err/resasc)**1.5 where it and resasc
+    (the integral of |f - mean|) are nonzero, a NaN ratio giving 1, and is
+    then at least 50*eps*resabs (the integral of |f|)."""
     fc = fv[14]
     resk = _WGK_C * fc
     resg = _WG_C * fc
@@ -446,7 +475,14 @@ def _gk15_rule(fv, hl):
     resasc = _WGK_C * abs(fc - reskh)
     for j in range(7):
         resasc += _WGK[j] * (abs(fv[2 * j] - reskh) + abs(fv[2 * j + 1] - reskh))
-    return resk * hl, abs((resk - resg) * hl), resabs * abs(hl), resasc * abs(hl)
+    err = abs((resk - resg) * hl)
+    resasc *= abs(hl)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    # over resasc + 1 where resasc is 0, so that floats do not divide by 0;
+    # min(1, r) before the power, which on floats overflows for a huge r
+    r = 200.0 * err / (resasc + (resasc == 0.0))
+    err = ops.pick(scaled, resasc * ops.low(1.0, r) ** 1.5, err)
+    return resk * hl, ops.high(err, 50.0 * _EPS * (resabs * abs(hl)))
 
 
 def _gk15(kind, a, b, beta, rho, psiv):
@@ -461,14 +497,13 @@ def _gk15(kind, a, b, beta, rho, psiv):
         fv[2 * j], o1 = _quad_f(kind, c - dx, beta, rho, psiv)
         fv[2 * j + 1], o2 = _quad_f(kind, c + dx, beta, rho, psiv)
         ok = ok and o1 and o2
-    value, err, resabs, resasc = _gk15_rule(fv, hl)
-    if resasc != 0.0 and err != 0.0:
-        # min(1, r**1.5), NaN giving 1, without the OverflowError a float
-        # power raises where r is huge
-        r = 200.0 * err / resasc
-        err = resasc * (r ** 1.5 if r < 1.0 else 1.0)
-    err = max(err, 50.0 * _EPS * resabs)
-    return value, err, ok
+    return (*_gk15_rule(fv, hl), ok)
+
+
+def _converged(total, errtot, atol, rtol, ops=_FLOATS):
+    """The adaptive quadrature's stopping test on the summed value and
+    error: floats, or arrays given ops=batch._ARRAYS."""
+    return errtot <= ops.high(atol, rtol * abs(total))
 
 
 def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
@@ -494,7 +529,7 @@ def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
             if el[j] > eworst:
                 eworst = el[j]
                 worst = j
-        if errtot <= max(atol, rtol * abs(total)):
+        if _converged(total, errtot, atol, rtol):
             return QUAD_OK, total, errtot
         if len(vl) >= max_iv:
             return QUAD_NOCONV, total, errtot
@@ -517,16 +552,6 @@ def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
         el.append(e2)
 
 
-def _pick(cond, a, b):
-    """np.where on floats: a if cond holds, else b."""
-    return a if cond else b
-
-
-# _anchor_log's sqrt, expm1, exp and select on floats;
-# batch._ANCHOR_ARRAY_OPS are their array forms
-_ANCHOR_FLOAT_OPS = (math.sqrt, math.expm1, math.exp, _pick)
-
-
 def _two_sum(a, b):
     """a + b as (s, err) with s + err exact (Knuth): floats, or arrays."""
     s = a + b
@@ -541,7 +566,7 @@ def _split(a):
     return hi, a - hi
 
 
-def _h_sum(e, mu, rho, L, psiv, pick):
+def _h_sum(e, mu, rho, L, psiv, ops):
     """The anchor's h(L) = e^L + mu - rho*L - psi from e = e^L, as (h, err):
     h summed left to right as it rounds, and err the rounding errors of its
     product and sums (Ogita, Rump & Oishi's Sum2; Dekker's product, as
@@ -556,13 +581,13 @@ def _h_sum(e, mu, rho, L, psiv, pick):
     s, q2 = _two_sum(s, -rl)
     h, q3 = _two_sum(s, -psiv)
     err = ((q1 + q2) + q3) - rl_err
-    return h, pick(err - err == 0.0, err, 0.0)
+    return h, ops.pick(err - err == 0.0, err, 0.0)
 
 
-def _anchor_log(rho, mu, psiv, ops=_ANCHOR_FLOAT_OPS):
+def _anchor_log(rho, mu, psiv, ops=_FLOATS):
     """Solve h(L) = e^L + mu - rho*L - psi = 0 for the unique L <= ln(rho),
     for a float psi, or elementwise for an array of psi with
-    ops=batch._ANCHOR_ARRAY_OPS. Returns (ok, L): floats, or arrays.
+    ops=batch._ARRAYS. Returns (ok, L): floats, or arrays.
 
     The root is the Kermack-McKendrick final-size relation in closed form:
     with c = (psi - mu)/rho + ln(rho) and W0 the principal branch of the
@@ -591,9 +616,9 @@ def _anchor_log(rho, mu, psiv, ops=_ANCHOR_FLOAT_OPS):
 
     Both forms take expm1 and exp from math per element and run the same
     operations in the same order, so they give the same roots bit for bit."""
-    sqrt, expm1, exp, pick = ops
+    sqrt, expm1, exp, pick = ops.sqrt, ops.expm1, ops.exp, ops.pick
     lhi = math.log(rho)
-    hhi, hhi_err = _h_sum(rho, mu, rho, lhi, psiv, pick)
+    hhi, hhi_err = _h_sum(rho, mu, rho, lhi, psiv, ops)
     at_min = hhi >= 0.0
     ok = pick(at_min, (hhi <= 1e-9) | (hhi <= 1e-9 * abs(psiv)), True)
     d = -(hhi + hhi_err) / rho
@@ -611,6 +636,6 @@ def _anchor_log(rho, mu, psiv, ops=_ANCHOR_FLOAT_OPS):
     L = lhi + t
     e = exp(L)
     newton = e <= 0.5 * rho
-    hL, hL_err = _h_sum(e, mu, rho, L, psiv, pick)
+    hL, hL_err = _h_sum(e, mu, rho, L, psiv, ops)
     Ln = L - (hL + hL_err) / pick(newton, e - rho, 1.0)
     return ok, pick(at_min, lhi, pick(newton, Ln, L))

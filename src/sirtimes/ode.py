@@ -3,10 +3,10 @@
 The hitting-time entry points integrate until a watched component crosses its
 level and refine the crossing on the integrator's dense output, so the event
 time carries the integrator's accuracy rather than the step size. A crossing
-at time t is refined to a width of 1e-12*max(1, t). The refinement nearly
-always ends on an exact hit of the level (at 2407 of the 2440 crossings of
-the README u surface), so ``err_estimate`` is almost always the floor
-10*rel_tol*max(1, T).
+in the accepted step from t to t + h is refined to a width of
+1e-12*max(1, t + h). The refinement nearly always ends on an exact hit of
+the level (at 2407 of the 2440 crossings of the README u surface), so
+``err_estimate`` is almost always the floor 10*rel_tol*max(1, T).
 
 Closed-form caps bound how long integration may run: the threshold time is
 at most (x + y)/(gamma*mu) and the peak time at most ln(x/rho)/(beta*y), so
@@ -45,10 +45,10 @@ _CAP_SLACK = 1.0 + 1e-6
 class IntegratorConfig:
     """Tolerances for the adaptive integrator.
 
-    rel_tol/abs_tol control the per-step error. An event time t is refined
-    to a width of 1e-12*max(1, t) (``kernels._EV_TOL``); the refinement
-    nearly always ends on an exact hit of the level, and ``err_estimate`` is
-    then the floor 10*rel_tol*max(1, T).
+    rel_tol/abs_tol control the per-step error. An event in the accepted
+    step from t to t + h is refined to a width of 1e-12*max(1, t + h)
+    (``kernels._EV_TOL``); the refinement nearly always ends on an exact hit
+    of the level, and ``err_estimate`` is then the floor 10*rel_tol*max(1, T).
     """
 
     rel_tol: float = 1e-10
@@ -187,14 +187,13 @@ def integrate(
     return Trajectory(params, SirState(x, y, 0.0), ts, states, stages, events)
 
 
-def _cap_terms(params, x, y, row, log):
+def _cap_terms(params, x, y, row, ops=kernels._FLOATS):
     """The numerator and denominator of the closed-form bound on the
     crossing time *row* from (x, y): x + y over gamma*mu for u, ln(x/rho)
-    over beta*y for v. Floats given math.log, or arrays given its array
-    form in batch._ARRAY_OPS."""
+    over beta*y for v. Floats, or arrays given ops=batch._ARRAYS."""
     if row == kernels.EV_I:
         return x + y, params.gamma * params.mu
-    return log(x) - math.log(params.rho), params.beta * y
+    return ops.log(x) - math.log(params.rho), params.beta * y
 
 
 def _time_cap(params, x, y, row):
@@ -204,19 +203,18 @@ def _time_cap(params, x, y, row):
     None where the rate product in the denominator underflows to 0: no
     finite cap exists, and a run without one need not end. An overflowing
     numerator gives an infinite cap, which the run still takes."""
-    num, den = _cap_terms(params, x, y, row, math.log)
+    num, den = _cap_terms(params, x, y, row)
     if den == 0.0:
         return None
     return num / den * _CAP_SLACK
 
 
-def _event_value(t, half_width, cfg, high):
+def _event_value(t, half_width, cfg, ops=kernels._FLOATS):
     """(value, err_estimate) of a crossing at time t, refined to
-    half_width: floats given Python's max as *high*, or arrays given its
-    array form in batch._ARRAY_OPS. The bracket can collapse to zero width;
-    the global integration error (roughly the tolerance accumulated over
-    O(10) steps) still applies."""
-    return high(t, 0.0), high(half_width, 10.0 * cfg.rel_tol * high(1.0, t))
+    half_width: floats, or arrays given ops=batch._ARRAYS. The bracket can
+    collapse to zero width; the global integration error (roughly the
+    tolerance accumulated over O(10) steps) still applies."""
+    return ops.high(t, 0.0), ops.high(half_width, 10.0 * cfg.rel_tol * ops.high(1.0, t))
 
 
 def _hitting_time(params, x, y, row, config):
@@ -231,7 +229,7 @@ def _hitting_time(params, x, y, row, config):
     if status == kernels.ODE_CAP:
         raise TimeCapExceeded(cap, t_reached)
     t, half_width, _ = crossings[row]
-    value, err = _event_value(t, half_width, cfg, max)
+    value, err = _event_value(t, half_width, cfg)
     return CriticalTimeResult(value, Method.ODE_EVENT, err)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sirtimes import (
     AnchorResult,
     CriticalTimeResult,
+    GridSpec,
     ModelParams,
     Method,
     analytic,
@@ -20,6 +21,7 @@ from sirtimes import (
     hitting_time_u,
     hitting_time_v,
     psi,
+    run_grid,
     solve_anchor,
     u_integral,
     v_integral,
@@ -32,6 +34,7 @@ from sirtimes.errors import (
     SirTimesError,
     TimeCapExceeded,
 )
+from sirtimes.cli import main
 
 # reference values computed at 50-digit precision on the exact
 # representations; beta=2, gamma=3, mu=1 unless stated otherwise
@@ -117,6 +120,33 @@ def test_u_integral_domain(p23):
         u_integral(p23, -1.0, 2.0)
     with pytest.raises(DomainError):
         u_integral(p23, 4.0, math.nan)
+
+
+# nodes where psi(x, y) cannot tell y from mu: the anchor rounds to x and
+# leaves both quadrature pieces empty, while u >= ln(y/mu)/gamma (76.8 to
+# 153.5 here) and each row's upper bound reads 76.8 to 460.5
+TINY_MU = ModelParams(2.0, 3.0, 1e-300)
+LOST_NODES = [(1.0, 1e-200), (1.0, 1e-100), (1e-300, 1e-200), (1e-300, 1e-100)]
+
+
+@pytest.mark.parametrize("x, y", LOST_NODES)
+def test_u_integral_raises_where_the_anchor_rounds_to_x(x, y):
+    assert solve_anchor(TINY_MU, x, y).a == pytest.approx(x, rel=1e-13)
+    assert exact_u_at_x0(TINY_MU, y) > 76.0
+    with pytest.raises(QuadratureFailure):
+        u_integral(TINY_MU, x, y)
+
+
+def test_grid_rows_where_the_anchor_rounds_to_x():
+    # the batch leaves these nodes to the per-node route, which raises
+    spec = GridSpec(1e-300, 1.0, 2, 1e-200, 1e-100, 2, spacing="log")
+    rows = run_grid(TINY_MU, spec, "u", "integral").rows
+    assert sorted((r.x, r.y) for r in rows) == sorted(LOST_NODES)
+    assert [(r.value, r.status) for r in rows] == [(None, "error:QuadratureFailure")] * 4
+    assert all(76.0 < r.upper for r in rows)
+    argv = ["compute", "--beta", "2", "--gamma", "3", "--mu", "1e-300",
+            "--x", "1", "--y", "1e-200", "--time", "u", "--method", "integral"]
+    assert main(argv) == 3
 
 
 def test_v_integral_frozen(p23, p33):

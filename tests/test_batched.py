@@ -45,7 +45,7 @@ def test_anchor_batch_equals_scalar_bitwise(rho, mu):
     # psi at and just above its minimum over y = mu, and below it (no root)
     psi_min = rho + mu - rho * math.log(rho)
     psiv = np.concatenate((psiv, [psi_min, psi_min * (1 + 1e-12), psi_min - 1.0]))
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok == want_ok
@@ -62,7 +62,7 @@ def test_anchor_next_to_the_branch_point(rho, mu):
     # rounds and at or below it as its carried errors tell.
     psi_min = rho + mu - rho * math.log(rho)
     psiv = np.array([psi_min * (1 + k * 2.0**-52) for k in range(1, 65)] + [psi_min - 1e-12])
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok and want_ok
@@ -76,7 +76,7 @@ def test_anchor_near_the_float_range():
     rho, mu = 1e303, 1.0
     psi_min = rho + mu - rho * math.log(rho)
     psiv = psi_min + rho * np.array([1e-6, 1e-2, 1.0, 3.0, 1e2])
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok and want_ok and got == want
@@ -455,29 +455,26 @@ def test_ode_grid_rows_without_a_finite_cap():
     assert [r.status for r in rows] == ["error:TimeCapExceeded"] * 4 + ["ok"] * 4
 
 
-def test_ode_grid_steps_in_the_batch(monkeypatch):
+def test_ode_grid_steps_in_the_batch(monkeypatch, scalar_refinements):
     # a fallback to per-node evaluation would pass every equality test above
-    calls = {"_dp5": 0, "_locate": 0}
+    calls = 0
+    real = kernels._dp5
 
-    def counting(name):
-        real = getattr(kernels, name)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
 
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        # the scalar loop, called from its own module or from the array one
-        for module in (kernels, batch):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-
-    counting("_dp5")
-    counting("_locate")
+    # the scalar loop, called from its own module or from the array one
+    for module in (kernels, batch):
+        monkeypatch.setattr(module, "_dp5", counted)
     readme_u = GridSpec(0.0, 6.0, 61, 1.0, 5.0, 41)
-    rows = run_grid(ModelParams(2.0, 3.0, 1.0), readme_u, "u", "ode").rows
-    assert sum(r.method == "OdeEvent" for r in rows) == 61 * 40
-    assert calls["_dp5"] == 0
-    assert calls["_locate"] == 0
+    result, refinements = scalar_refinements(
+        run_grid, ModelParams(2.0, 3.0, 1.0), readme_u, "u", "ode"
+    )
+    assert sum(r.method == "OdeEvent" for r in result.rows) == 61 * 40
+    assert calls == 0
+    assert refinements == 0
 
 
 # --- crossing refinement ----------------------------------------------------
@@ -504,22 +501,22 @@ def _crossings(monkeypatch, params, stop, n, seed):
     return k, t, y0, h, stop, level[0], g0, g1
 
 
-def _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1):
-    """The (t, half_width) arrays of _locate_batch, each entry checked
-    against entries 0 and 1 of the scalar _locate's tuple."""
-    t_ev, hw = batch._locate_batch(k, t, y0, h, comp, level, g0, g1)
+def _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1):
+    """The (t, half_width, theta) arrays of _locate on arrays, each entry
+    checked against the scalar _locate's tuple."""
+    with np.errstate(all="ignore"):
+        t_ev, hw, theta = kernels._locate(k, t, y0, h, comp, level, g0, g1, batch._ARRAYS)
     for j in range(t.size):
         want = kernels._locate(k[:, :, j].tolist(), float(t[j]), float(y0[j]), float(h[j]),
                                comp, level, float(g0[j]), float(g1[j]))
-        got = (float.hex(t_ev[j]), float.hex(hw[j]))
-        assert got == (float.hex(want[0]), float.hex(want[1])), j
-    return t_ev, hw
+        got = (t_ev[j], hw[j], theta[j])
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want], j
+    return t_ev, hw, theta
 
 
 def _set_ev_tol(monkeypatch, tol):
-    """The refinement width of both the scalar and the array kernel."""
-    for module in (kernels, batch):
-        monkeypatch.setattr(module, "_EV_TOL", tol)
+    """The refinement width of _locate, on floats and on arrays."""
+    monkeypatch.setattr(kernels, "_EV_TOL", tol)
 
 
 @pytest.mark.parametrize("stop", [kernels.EV_I, kernels.EV_S])
@@ -527,26 +524,26 @@ def test_locate_batch_equals_scalar_bitwise(monkeypatch, stop):
     for params, seed in ((ModelParams(2.0, 3.0, 1.0), 5), (ModelParams(1.0, 0.5, 1e-3), 6)):
         crossings = _crossings(monkeypatch, params, stop, 200, seed)
         assert crossings[1].size == 200
-        _assert_locate_batch_is_scalar(*crossings)
+        _assert_locate_on_arrays_is_scalar(*crossings)
 
 
 def test_locate_batch_every_exit(monkeypatch, p23):
     k, t, y0, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
     # a loose tolerance: every bracket narrows to it, a nonzero half-width
     _set_ev_tol(monkeypatch, 1e-6)
-    _, hw = _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    _, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
     assert (hw > 0.0).all()
     # a bracket of 1e-300 is never reached; near the root the dense output
     # moves by less than a unit in the last place of the level per step in
     # theta, so every loop ends on an exact hit fc == 0 inside the step
     _set_ev_tol(monkeypatch, 1e-300)
-    t_ev, hw = _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    t_ev, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
     assert (hw == 0.0).all() and (t_ev < t + h).all()
     # g1 == 0 at every third crossing, in one batch with the others: the
     # crossing is the step's end
     monkeypatch.undo()
     g1[::3] = 0.0
-    t_ev, hw = _assert_locate_batch_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    t_ev, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
     assert (t_ev[::3] == t[::3] + h[::3]).all() and (hw[::3] == 0.0).all()
     assert (t_ev[1::3] < t[1::3] + h[1::3]).all()
 
@@ -569,5 +566,31 @@ def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
         for j in range(n)
     ]) - level
     _set_ev_tol(monkeypatch, 1e-300)
-    _, hw = _assert_locate_batch_is_scalar(k, t, i, h, kernels.EV_I, level, i - level, g1)
+    _, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, i, h, kernels.EV_I, level, i - level, g1)
     assert (hw > 0.0).all()
+
+
+@pytest.mark.parametrize("stop", [kernels.EV_I, kernels.EV_S])
+def test_locate_width_follows_the_end_of_the_step(monkeypatch, p23, stop):
+    # crossings of the scalar loop, each moved into a long step from t = h:
+    # stages over 2**13 and the step times 2**13 leave the dense output as
+    # it was, bit for bit. With a loose width, the bracket closes within
+    # _EV_TOL * max(1, t + h) = 2h*_EV_TOL, for most crossings wider than
+    # the _EV_TOL * max(1, t - h) = _EV_TOL it would close within if the
+    # width followed the step's start
+    k, _, y0, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, stop, 60, 8)
+    k = k / 2.0**13
+    h = h * 2.0**13
+    t = h.copy()
+    tol = 1e-4
+    _set_ev_tol(monkeypatch, tol)
+    want = []
+    narrower = 0
+    for j, (tj, hj, yj, a, b) in enumerate(zip(*(v.tolist() for v in (t, h, y0, g0, g1)))):
+        args = (yj, hj, *kernels._dense_coeffs(k[:, :, j].tolist(), comp), level, a, b)
+        theta, hw = kernels._refine_crossing(*args, tol * (tj + hj) / hj)
+        want.append([float.hex(v) for v in (tj + theta * hj, hw * hj, theta)])
+        narrower += kernels._refine_crossing(*args, tol / hj) != (theta, hw)
+    assert narrower > t.size // 2
+    got = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    assert [[float.hex(v) for v in col] for col in zip(*got)] == want

@@ -1,6 +1,7 @@
 """Grid sweeps and the command-line interface: determinism across runs,
 status handling, exit codes, config-file merging, and exact output bytes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -587,7 +588,9 @@ def test_table_to_csv_matches_the_cell_rule(header, table):
     assert table_to_csv(header, table) == "\n".join(lines) + "\n"
 
 
-# SHA-256 of rows_to_csv and rows_to_json on the two README surfaces, by route
+# SHA-256 of rows_to_csv and rows_to_json on the two README surfaces, by
+# route; on the integral route, of the rows with their value and
+# err_estimate cells set to those of surface_values.json
 SURFACE_DIGESTS = {
     ("u", "integral"): (
         "f7ccd03adeb43739e4a5b04f280e4c8414c5a7ce09fb1acccf86cf33f5400b38",
@@ -612,9 +615,34 @@ README_SURFACES = {
 }
 
 
+# the integral route's value and err_estimate cells on the README surfaces,
+# written by make_surface_values.py. They follow numpy's SIMD log and exp,
+# whose last bits differ between CPU levels and numpy builds: across the
+# AVX-512, AVX2 and baseline levels of numpy 2.4 on one x86-64 host, values
+# moved by at most 2.7e-16 and err_estimate by at most 2.6e-5, relative
+with open(os.path.join(os.path.dirname(__file__), "surface_values.json")) as f:
+    SURFACE_VALUES = json.load(f)
+SURFACE_VALUE_REL = 1e-13
+SURFACE_ERR_REL = 1e-3
+
+
+def _held_to_reference(rows, reference):
+    """The rows, each value and err_estimate checked against the reference
+    within its tolerance and then replaced by it."""
+    assert len(rows) == len(reference["value"])
+    held = []
+    for row, value, err in zip(rows, reference["value"], reference["err_estimate"]):
+        assert abs(row.value - value) <= SURFACE_VALUE_REL * abs(value), row
+        assert abs(row.err_estimate - err) <= SURFACE_ERR_REL * abs(err), row
+        held.append(dataclasses.replace(row, value=value, err_estimate=err))
+    return held
+
+
 @pytest.mark.parametrize("kind, method", list(SURFACE_DIGESTS))
 def test_reference_surface_bytes(kind, method):
     rows = run_grid(*README_SURFACES[kind], kind, method).rows
+    if method == "integral":
+        rows = _held_to_reference(rows, SURFACE_VALUES[kind])
     texts = (rows_to_csv(rows), rows_to_json(rows))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
     assert digests == SURFACE_DIGESTS[kind, method]

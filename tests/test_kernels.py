@@ -164,7 +164,7 @@ def test_anchor_where_e_to_the_minus_c_underflows(rho, mu):
     # c = (psi - mu)/rho + ln(rho) > 745: W0(-e^-c) lies below 1e-323, so
     # the root is ln(rho) - c = (mu - psi)/rho to far within an ulp
     psiv = mu + rho * (np.geomspace(760.0, 1e7, 40) - math.log(rho))
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ANCHOR_ARRAY_OPS)
+    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
     for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
         assert (p - mu) / rho + math.log(rho) > 745.0
         want_ok, want = kernels._anchor_log(rho, mu, p)
