@@ -12,7 +12,7 @@ The functions here run the scalar algorithms of :mod:`sirtimes.kernels`,
 :mod:`sirtimes.analytic` and :mod:`sirtimes.ode` over many independent
 problems at once, in lock-step, with numpy arrays. Every formula comes from
 those modules, given :data:`_ARRAYS`: the field, DP5 stages, error norm,
-dense output and refinement width, the GK15 rule and error finish, the
+dense output and crossing refinement, the GK15 rule and error finish, the
 stopping test, the anchor, the u integral's pieces, and the bound,
 asymptotic, cap and event formulas. The twins differ only in control flow:
 each element leaves a loop or takes a branch on its own. Where a result
@@ -55,7 +55,6 @@ from .kernels import (
     QUAD_OK,
     _anchor_log,
     _converged,
-    _dense_eval,
     _dp5,
     _field,
     _gk15_rule,
@@ -86,57 +85,11 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _refine_crossing_batch(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
-    """:func:`kernels._refine_crossing` at every element in lock-step: each
-    element leaves at the scalar loop's exits (g1 == 0, an exact hit, a
-    bracket within tol_theta, or 200 iterations) with the scalar result.
-    Returns (theta, half_width) arrays."""
-    theta = np.ones(g1.size)
-    hw = np.zeros(g1.size)
-    idx = np.flatnonzero(g1 != 0.0)
-    q = np.array((q0, q1, q2, q3))[:, idx]
-    y0, h, tol_theta = y0[idx], h[idx], tol_theta[idx]
-    ta = np.zeros(idx.size)
-    fa = g0[idx]
-    tb = np.ones(idx.size)
-    fb = g1[idx]
-    side = np.zeros(idx.size, dtype=np.int64)
-    for _ in range(200):
-        if not idx.size:
-            break
-        left = tb - ta <= tol_theta
-        denom = fa - fb
-        tc = (fa * tb - fb * ta) / denom
-        tc = np.where((denom > 0.0) & ~((tc <= ta) | (tc >= tb)), tc, 0.5 * (ta + tb))
-        fc = _dense_eval(y0, h, q[0], q[1], q[2], q[3], tc) - level
-        pos = (fc > 0.0) & ~left
-        neg = (fc < 0.0) & ~left
-        hit = ~(left | pos | neg)
-        theta[idx[hit]] = tc[hit]
-        fb = np.where(pos & (side == 1), fb * 0.5, fb)
-        fa = np.where(neg & (side == -1), fa * 0.5, fa)
-        ta = np.where(pos, tc, ta)
-        fa = np.where(pos, fc, fa)
-        tb = np.where(neg, tc, tb)
-        fb = np.where(neg, fc, fb)
-        side = np.where(pos, 1, np.where(neg, -1, side))
-        out = left | hit
-        if out.any():
-            theta[idx[left]] = 0.5 * (ta[left] + tb[left])
-            hw[idx[left]] = 0.5 * (tb[left] - ta[left])
-            keep = ~out
-            idx, y0, h, q, tol_theta = idx[keep], y0[keep], h[keep], q[:, keep], tol_theta[keep]
-            ta, fa, tb, fb, side = ta[keep], fa[keep], tb[keep], fb[keep], side[keep]
-    theta[idx] = 0.5 * (ta + tb)
-    hw[idx] = 0.5 * (tb - ta)
-    return theta, hw
-
-
-# kernels._Ops on arrays: math's log, exp and expm1 per element, numpy's
-# sqrt (correctly rounded, as math's is), and the lock-step Illinois loop
+# kernels._Ops on arrays: math's log, exp and expm1 per element, and numpy's
+# sqrt (correctly rounded, as math's is)
 _ARRAYS = _Ops(
     *(partial(_math_each, fn) for fn in (math.log, math.exp, math.expm1)),
-    np.sqrt, _py_max, _py_min, np.where, _refine_crossing_batch,
+    np.sqrt, _py_max, _py_min, np.where, np.any,
 )
 
 

@@ -186,9 +186,7 @@ def _settings(args):
         merged[key] = cli if cli is not None else cfg.get(key)
     if merged["out"] is not None and not isinstance(merged["out"], str):
         raise DomainError(f"config key 'out' must be a file name, got {merged['out']!r}")
-    if merged["format"] is None:
-        merged["format"] = "csv"
-    elif merged["format"] not in _FORMATS:
+    if merged["format"] is not None and merged["format"] not in _FORMATS:
         raise DomainError(f"format must be one of {_FORMATS}, got {merged['format']!r}")
     return merged
 
@@ -224,14 +222,15 @@ def _parse_range(text):
 
 
 def _emit_table(settings, header, records, text_lines=None, key=None):
-    """Write records (dicts) to --out in the chosen format. Without --out,
-    print the text lines, or write the table to stdout when there are none.
+    """Write records (dicts) to --out, or to stdout, in the chosen format
+    (default csv). With neither --out nor a format, print the text lines
+    instead where there are any.
 
     CSV has the *header* columns; a missing cell is empty. JSON is the
     list of records or, with *key*, an object from each record's *key* cell
     to the rest of the record (null when nothing else is there).
     """
-    if not settings["out"] and text_lines is not None:
+    if not settings["out"] and settings["format"] is None and text_lines is not None:
         for line in text_lines:
             print(line)
         return

@@ -18,10 +18,11 @@ A kernel and its twin share every formula, written here once for floats and
 arrays: :func:`_field`, :func:`_stages`, :func:`_dense_coeffs`,
 :func:`_dense_eval`, and, given the operations of their kind (:data:`_FLOATS`
 by default, ``batch._ARRAYS``), the DP5 error norm :func:`_try_step`, the
-refinement width :func:`_locate`, the GK15 rule and error finish
-:func:`_gk15_rule`, the stopping test :func:`_converged` and the anchor
-:func:`_anchor_log`. The twins differ only in control flow (the DP5 loop and
-its step-size controller, the adaptive bisection, the Illinois loop).
+crossing refinement :func:`_locate` with its Illinois loop
+:func:`_refine_crossing`, the GK15 rule and error finish :func:`_gk15_rule`,
+the stopping test :func:`_converged` and the anchor :func:`_anchor_log`. The
+twins differ only in control flow (the DP5 loop and its step-size
+controller, the adaptive bisection).
 """
 
 import math
@@ -243,46 +244,6 @@ def _dense_eval(y0, h, q0, q1, q2, q3, theta):
     return y0 + h * theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
 
 
-def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta):
-    """Locate the root of dense(theta) - level on [0, 1].
-
-    g0 = value at 0 (> 0), g1 = value at 1 (<= 0). Illinois-accelerated false
-    position with a guaranteed bracket. Returns (theta, half_width)."""
-    if g1 == 0.0:
-        return 1.0, 0.0
-    ta = 0.0
-    fa = g0
-    tb = 1.0
-    fb = g1
-    side = 0
-    for _ in range(200):
-        if tb - ta <= tol_theta:
-            break
-        denom = fa - fb
-        if denom > 0.0:
-            tc = (fa * tb - fb * ta) / denom
-            if tc <= ta or tc >= tb:
-                tc = 0.5 * (ta + tb)
-        else:
-            tc = 0.5 * (ta + tb)
-        fc = _dense_eval(y0, h, q0, q1, q2, q3, tc) - level
-        if fc > 0.0:
-            ta = tc
-            fa = fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-        elif fc < 0.0:
-            tb = tc
-            fb = fc
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        else:
-            return tc, 0.0
-    return 0.5 * (ta + tb), 0.5 * (tb - ta)
-
-
 def _pick(cond, a, b):
     """np.where on floats: a if cond holds, else b."""
     return a if cond else b
@@ -301,9 +262,9 @@ def _low(a, b):
 # The operations of the shared formulas for one kind of operand: _FLOATS,
 # and batch._ARRAYS, whose forms give the float results element for element:
 # math's functions, Python's max and min as high and low, np.where as pick,
-# and refine, the Illinois loop over one crossing or many in lock-step.
-_Ops = namedtuple("_Ops", "log exp expm1 sqrt high low pick refine")
-_FLOATS = _Ops(math.log, math.exp, math.expm1, math.sqrt, _high, _low, _pick, _refine_crossing)
+# and any, whether a condition holds anywhere (bool on floats).
+_Ops = namedtuple("_Ops", "log exp expm1 sqrt high low pick any")
+_FLOATS = _Ops(math.log, math.exp, math.expm1, math.sqrt, _high, _low, _pick, bool)
 
 
 def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops=_FLOATS):
@@ -321,6 +282,57 @@ def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops=_FLOATS):
     return s1, i1, err, k
 
 
+def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta, ops=_FLOATS):
+    """Locate the root of dense(theta) - level on [0, 1]: floats, or arrays
+    with a crossing per element given ops=batch._ARRAYS.
+
+    g0 = value at 0 (> 0), g1 = value at 1 (<= 0). Illinois-accelerated false
+    position with a guaranteed bracket. Each crossing stops on its own: at
+    theta 1 where g1 == 0, at (tc, 0) on an exact hit, and at the bracket's
+    middle and half-width once the bracket is within tol_theta or after 200
+    iterations. A NaN bracket width keeps iterating, and a NaN false-position
+    point is kept. Returns (theta, half_width)."""
+    pick = ops.pick
+    # "== False" is the logical not of a Python bool and of a numpy bool
+    # array alike (~True is -2)
+    run = g1 != 0.0
+    # ended on a point rather than a bracket: g1 == 0, or an exact hit
+    hit = run == False
+    zero = pick(run, 0.0, 0.0)
+    theta = zero + 1.0
+    ta = zero
+    fa = g0
+    tb = zero + 1.0
+    fb = g1
+    side = zero
+    for _ in range(200):
+        run = run & ((tb - ta <= tol_theta) == False)
+        if not ops.any(run):
+            break
+        # false position where the values' difference is positive and the
+        # point falls inside the bracket (over 1 elsewhere, so that floats do
+        # not divide by 0), else bisection
+        denom = fa - fb
+        fp = denom > 0.0
+        tc = (fa * tb - fb * ta) / pick(fp, denom, 1.0)
+        tc = pick(fp & (((tc <= ta) | (tc >= tb)) == False), tc, 0.5 * (ta + tb))
+        fc = _dense_eval(y0, h, q0, q1, q2, q3, tc) - level
+        pos = run & (fc > 0.0)
+        neg = run & (fc < 0.0)
+        exact = run & ((pos | neg) == False)
+        theta = pick(exact, tc, theta)
+        hit = hit | exact
+        fb = pick(pos & (side == 1.0), fb * 0.5, fb)
+        fa = pick(neg & (side == -1.0), fa * 0.5, fa)
+        ta = pick(pos, tc, ta)
+        fa = pick(pos, fc, fa)
+        tb = pick(neg, tc, tb)
+        fb = pick(neg, fc, fb)
+        side = pick(pos, 1.0, pick(neg, -1.0, side))
+        run = pos | neg
+    return pick(hit, theta, 0.5 * (ta + tb)), pick(hit, zero, 0.5 * (tb - ta))
+
+
 def _locate(k, t, y0, h, comp, level, g0, g1, ops=_FLOATS):
     """Refine the downward crossing of component *comp* through *level*
     inside the accepted step of size h from time t, where the component is
@@ -331,7 +343,7 @@ def _locate(k, t, y0, h, comp, level, g0, g1, ops=_FLOATS):
     theta) of the crossing, theta its place in the step as a fraction of h."""
     q = _dense_coeffs(k, comp)
     tol_t = _EV_TOL * ops.high(1.0, t + h)
-    theta, hw = ops.refine(y0, h, *q, level, g0, g1, tol_t / h)
+    theta, hw = _refine_crossing(y0, h, *q, level, g0, g1, tol_t / h, ops)
     return t + theta * h, hw * h, theta
 
 
@@ -379,13 +391,13 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     h = _initial_step(beta, gamma, s, i, t_end, rtol, atol)
     # a step below 1e-15*max(floor, |t|) is a stall; the floor follows a time
     # cap below 1, so that a run whose cap lies below 1e-15 can step at all
-    floor = min(1.0, t_end)
+    floor = _low(1.0, t_end)
     while True:
         if t >= t_end:
             if not path:
                 status = ODE_CAP
             break
-        if h < 1e-15 * max(floor, abs(t)):
+        if h < 1e-15 * _high(floor, abs(t)):
             status = ODE_STALL
             break
         last = path and t + h >= t_end
@@ -393,7 +405,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             h = t_end - t
         s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol)
         if not (err <= 1.0):
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= _high(0.2, 0.9 * err ** -0.2)
             continue
 
         gi_new = i1 - mu
@@ -423,7 +435,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         if err == 0.0:
             factor = 10.0
         else:
-            factor = min(10.0, max(0.9, 0.9 * err ** -0.2))
+            factor = _low(10.0, _high(0.9, 0.9 * err ** -0.2))
         h *= factor
 
     return status, t, (ev_s, ev_i), ts, ys, ks

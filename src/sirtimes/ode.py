@@ -127,8 +127,6 @@ class Trajectory:
         j = bisect.bisect_right(ts, t) - 1
         if j >= len(ts) - 1:
             j = len(ts) - 2
-        if j < 0:
-            j = 0
         h = ts[j + 1] - ts[j]
         s0, i0 = self._states[j]
         if h <= 0.0:

@@ -455,7 +455,7 @@ def test_ode_grid_rows_without_a_finite_cap():
     assert [r.status for r in rows] == ["error:TimeCapExceeded"] * 4 + ["ok"] * 4
 
 
-def test_ode_grid_steps_in_the_batch(monkeypatch, scalar_refinements):
+def test_ode_grid_steps_in_the_batch(monkeypatch):
     # a fallback to per-node evaluation would pass every equality test above
     calls = 0
     real = kernels._dp5
@@ -469,12 +469,9 @@ def test_ode_grid_steps_in_the_batch(monkeypatch, scalar_refinements):
     for module in (kernels, batch):
         monkeypatch.setattr(module, "_dp5", counted)
     readme_u = GridSpec(0.0, 6.0, 61, 1.0, 5.0, 41)
-    result, refinements = scalar_refinements(
-        run_grid, ModelParams(2.0, 3.0, 1.0), readme_u, "u", "ode"
-    )
+    result = run_grid(ModelParams(2.0, 3.0, 1.0), readme_u, "u", "ode")
     assert sum(r.method == "OdeEvent" for r in result.rows) == 61 * 40
     assert calls == 0
-    assert refinements == 0
 
 
 # --- crossing refinement ----------------------------------------------------

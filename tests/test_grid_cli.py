@@ -394,6 +394,33 @@ def test_cli_bounds_text(capsys):
     assert "lower" in out and "crude_upper" in out
 
 
+def test_cli_bounds_u_below_threshold_text(capsys):
+    code = main(["bounds", *P23, "--x", "4", "--y", "0.5", "--time", "both"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1] == "  u: not defined (y < mu)"
+    assert lines[2].startswith("  v: lower 0.39964921213306176")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--x", "4", "--y", "2", "--time", "v", "--method", "integral"),
+    ("bounds", "--x", "5", "--y", "2"),
+    ("asymptotics", "--time", "u", "--ray", "x=y", "--r", "10:100:2"),
+], ids=lambda argv: argv[0])
+def test_cli_format_from_the_config_file_writes_the_table(tmp_path, capsys, argv):
+    # a format from the config file, as from the flag, replaces the text
+    # report on stdout with the table; with neither, the report stays
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n")
+    assert main([*argv, *P23, "--format", "json"]) == 0
+    table = capsys.readouterr().out
+    assert main([*argv, *P23, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == table
+    assert isinstance(json.loads(table), (list, dict))
+    assert main([*argv, *P23]) == 0
+    assert capsys.readouterr().out != table
+
+
 @pytest.mark.parametrize("argv", [
     ("--x", "-5", "--y", "2", "--time", "v"),
     ("--x", "1", "--y", "nan", "--time", "v"),
@@ -455,6 +482,25 @@ TABLE_OUTPUTS = [
             '    "subcritical_upper": 0.6931471805599453\n'
             '  },\n'
             '  "v": null\n'
+            '}\n'
+        ),
+    ),
+    (
+        # y < mu: u is not defined, an empty row and a null record
+        ['bounds', '--x', '4', '--y', '0.5', '--time', 'both'],
+        (
+            'time,lower,upper,crude_upper,subcritical_upper\n'
+            'u,,,,\n'
+            'v,0.39964921213306176,0.48891455487225538,0.98082925301172619,\n'
+        ),
+        (
+            '{\n'
+            '  "u": null,\n'
+            '  "v": {\n'
+            '    "lower": 0.39964921213306176,\n'
+            '    "upper": 0.4889145548722554,\n'
+            '    "crude_upper": 0.9808292530117262\n'
+            '  }\n'
             '}\n'
         ),
     ),
@@ -651,11 +697,17 @@ def test_reference_surface_bytes(kind, method):
 @pytest.mark.parametrize(
     "argv, csv_text, json_text", TABLE_OUTPUTS, ids=[" ".join(c[0]) for c in TABLE_OUTPUTS]
 )
-def test_cli_table_out_bytes(tmp_path, argv, csv_text, json_text):
+def test_cli_table_out_bytes(tmp_path, capsys, argv, csv_text, json_text):
     for fmt, expected in (("csv", csv_text), ("json", json_text)):
         out = tmp_path / f"table.{fmt}"
         assert main([*argv, *P23, "--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode()
+    # an explicit format without --out writes the table to stdout, in place
+    # of the text report
+    capsys.readouterr()
+    for fmt, expected in (("csv", csv_text), ("json", json_text)):
+        assert main([*argv, *P23, "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
 
 
 # grid rows of compute and grid with --out, written by the row writers before
@@ -932,11 +984,10 @@ def test_cli_row_out_bytes(tmp_path, capsys, argv, code, csv_text, json_text):
         out = tmp_path / f"rows.{fmt}"
         assert main([*argv, *P23, "--format", fmt, "--out", str(out)]) == code
         assert out.read_bytes() == expected.encode()
-    if argv[0] == "grid":
-        capsys.readouterr()
-        for fmt, expected in (("csv", csv_text), ("json", json_text)):
-            assert main([*argv, *P23, "--format", fmt]) == code
-            assert capsys.readouterr().out == expected
+    capsys.readouterr()
+    for fmt, expected in (("csv", csv_text), ("json", json_text)):
+        assert main([*argv, *P23, "--format", fmt]) == code
+        assert capsys.readouterr().out == expected
 
 
 def test_cli_asymptotics_ray(capsys):
