@@ -1,32 +1,37 @@
 """Exact integral representations, closed-form bounds, and asymptotics for
 the two critical times.
 
-Along the orbit through (x, y) the infected count as a function of the
-susceptible level z is g(z) = rho*ln(z) - z + psi(x, y). Writing time as an
-integral over z gives
+Along the orbit through (x, y), time runs as dt = -dS/(beta*S*I), so in s =
+ln(S/x) the times are integrals of 1/(beta*I(s)) over s:
 
-    u(x, y) = integral from a(x, y) to x of dz / (beta * z * g(z))
-    v(x, y) = integral from rho to x of the same integrand
+    u(x, y) = integral from s* to 0,  v(x, y) = integral from ln(rho/x) to 0
 
-where the anchor a(x, y) is the unique root of g(a) = mu in (0, rho]. The
-integrand is finite at both endpoints (denominator beta*a*mu at z=a and
-beta*x*y at z=x) because g is strictly concave with g > mu between them.
+where s* = ln(a/x) and the anchor a <= rho is where I falls to mu. I is
+written relative to a reference point (S0, I0) on the orbit at s0:
 
-The anchor has a closed form, the Kermack-McKendrick final-size relation in
-its Lambert-W form: with c = (psi - mu)/rho + ln(rho),
+    I = I0 - S0*expm1(s - s0) + rho*(s - s0)
+
+which is exact at s0, so that I keeps its digits where it is small against
+x + y (psi's form rho*ln S - S + psi loses them). u takes its piece from
+the anchor, reference (a, mu), up to ln(rho/x), and the start-relative
+piece, reference (x, y), on to 0; v is the start-relative piece alone.
+Below S_TAIL = rho*2**-53, e^s is below the rounding of rho and I is linear
+in s, so u's far tail from the anchor up to ln(S_TAIL/x) is ln(I/mu)/gamma
+in closed form, and the piece above it starts from that reference point.
+
+The anchor offset s* solves y - mu - x*expm1(s) + rho*s = 0
+(:func:`sirtimes.kernels._anchor_offset`), in the closed form of the
+Kermack-McKendrick final-size relation: with c = (psi - mu)/rho + ln(rho),
 
     ln a = ln(rho) - c - W0(-e^-c)
 
 on the principal branch W0 (Corless, Gonnet, Hare, Jeffrey & Knuth, "On the
 Lambert W function", Adv. Comput. Math. 5, 1996; Pakes, "Lambert's W meets
 Kermack-McKendrick epidemics", IMA J. Appl. Math. 80, 2015). Its branch
-point, W0 = -1, is psi's minimum over the threshold line, at a = rho; psi
-within a rounding slack of 1e-9 * max(1, |psi|) at or below that minimum
-gives a = rho. :func:`sirtimes.kernels._anchor_log` evaluates it.
-
-For y near mu the anchor underflows toward 0; the left part of the u
-integral is therefore evaluated in L = ln z, where the substitution cancels
-the 1/z factor and the anchor stays representable.
+point, W0 = -1, is psi's minimum over the threshold line, at a = rho.
+:func:`solve_anchor` gives a from psi (:func:`sirtimes.kernels._anchor_log`),
+where psi within a rounding slack of 1e-9 * max(1, |psi|) at or below that
+minimum gives a = rho.
 """
 
 import math
@@ -54,9 +59,6 @@ __all__ = [
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-12
 QUAD_MAX_INTERVALS = 2048
-
-# below this anchor value the left piece of the u integral runs in log space
-SPLIT_Z = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,45 +102,59 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     if y == params.mu and x <= rho:
         # (x, y) already sits on the level g = mu at or left of the peak
         return AnchorResult(x, math.log(x), 0.0)
-    psiv, log_a = _anchor(params, x, y)
+    psiv = psi(params, x, y)
+    ok, log_a = kernels._anchor_log(rho, params.mu, psiv)
+    if not ok:
+        raise DomainError("level set does not meet the threshold line; inputs violate y >= mu")
     a = math.exp(log_a)
     residual = abs(a + params.mu - rho * log_a - psiv)
     return AnchorResult(a, log_a, residual)
 
 
-def _anchor(params, x, y):
-    """(psi(x, y), ln a) of the orbit through (x, y). Raises DomainError
-    where psi lies below its minimum over the threshold line, so that the
-    level set g = mu has no root."""
-    psiv = psi(params, x, y)
-    ok, log_a = kernels._anchor_log(params.rho, params.mu, psiv)
-    if not ok:
-        raise DomainError("level set does not meet the threshold line; inputs violate y >= mu")
-    return psiv, log_a
+def _log_ratio(rho, x, ops=kernels._FLOATS):
+    """ln(rho/x) for x > 0: -log1p((x - rho)/rho) within a factor 2 of rho,
+    where v's lower end must keep its relative digits, else a difference of
+    logs, which cannot overflow."""
+    near = (x < 2.0 * rho) & (x > 0.5 * rho)
+    return ops.pick(near, -ops.log1p(ops.pick(near, (x - rho) / rho, 0.0)),
+                    math.log(rho) - ops.log(x))
 
 
-def _u_pieces(params, x, y, log_a, log_x, ops=kernels._FLOATS):
-    """The u integral's pieces from the anchor a to x: in L = ln z on
-    [ln a, l_end], the part below SPLIT_Z, and in z on [z_lo, x], the rest.
-    Returns (l_end, z_lo, lost). Either piece can be empty; lost marks where
-    both are, the anchor rounding to x, while u's lower bound ln(y/mu)/gamma
-    (I' >= -gamma*I) exceeds the absolute tolerance a time of 0 would meet."""
-    split_l = math.log(SPLIT_Z)
-    l_end = ops.pick(log_a < split_l, ops.low(split_l, log_x), log_a)
-    z_lo = ops.exp(l_end)
-    lower = ops.log(y / params.mu) / params.gamma
-    return l_end, z_lo, (l_end <= log_a) & (z_lo >= x) & (lower > QUAD_ABS_TOL)
+# the far tail ends at ln(S_TAIL/x), this far below the peak's ln(rho/x)
+_TAIL_DEPTH = 53.0 * math.log(2.0)
 
 
-def _run_quad(kind, lo, hi, beta, rho, psiv):
-    status, value, err = kernels._adaptive_gk(
-        kind, lo, hi, beta, rho, psiv, QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS
-    )
-    if status == kernels.QUAD_BADFUN:
-        raise QuadratureFailure(
-            value, err, "integrand left its valid region (g <= 0 at a node)"
+def _u_pieces(params, x, y, s_rho, ops=kernels._FLOATS):
+    """u's far tail, and the reference point (s_ref, i_ref) and length
+    sig_hi of its piece from the anchor, at x > 0, y >= mu with s_rho =
+    ln(rho/x): the piece starts at s0 = min(0, max(s*, ln(S_TAIL/x))) and
+    ends at min(s_rho, 0). The tail is 0 where s0 is the anchor, which is
+    then the reference (a, mu). Returns (tail, s_ref, i_ref, sig_hi)."""
+    rho, mu = params.rho, params.mu
+    s_star = kernels._anchor_offset(rho, mu, x, y, s_rho, ops)
+    s0 = ops.low(ops.high(s_star, s_rho - _TAIL_DEPTH), 0.0)
+    depth = s0 - s_star
+    s_ref = x * ops.exp(s0)
+    i_ref = mu + (rho * depth + s_ref * ops.expm1(-depth))
+    tail = (ops.log(i_ref) - math.log(mu)) / params.gamma
+    return tail, s_ref, i_ref, ops.low(s_rho, 0.0) - s0
+
+
+def _run_quads(params, value, *pieces):
+    """*value* plus the quadratures over the pieces (lo, hi, s_ref, i_ref),
+    and their summed error. Raises QuadratureFailure, carrying both sums,
+    where a piece fails (the status codes rise with the failure's weight)."""
+    err = 0.0
+    worst = kernels.QUAD_OK
+    for lo, hi, s_ref, i_ref in pieces:
+        status, v, e = kernels._adaptive_gk(
+            lo, hi, params.beta, params.rho, s_ref, i_ref,
+            QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS,
         )
-    if status == kernels.QUAD_NOCONV:
+        value, err, worst = value + v, err + e, max(worst, status)
+    if worst == kernels.QUAD_BADFUN:
+        raise QuadratureFailure(value, err, "integrand left its valid region (I <= 0 at a node)")
+    if worst == kernels.QUAD_NOCONV:
         raise QuadratureFailure(value, err)
     return value, err
 
@@ -151,9 +167,7 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     has the closed form ln(y/mu)/gamma (ExactX0). For y == mu with x > rho
     it is the positive continuation, where :func:`hitting_time_u` gives 0:
     the orbit rises above the threshold before it returns to it. Raises
-    QuadratureFailure where the quadrature fails, and where psi(x, y) cannot
-    tell y from mu, so that the anchor rounds to x, while ln(y/mu)/gamma,
-    a lower bound on u, exceeds 1e-12.
+    QuadratureFailure where the quadrature fails.
     """
     x, y = _check_counts(x, y)
     rho = params.rho
@@ -161,13 +175,10 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
         return CriticalTimeResult(0.0, Method.BOUNDARY_ZERO, 0.0)
     if x == 0.0:
         return CriticalTimeResult(exact_u_at_x0(params, y), Method.EXACT_X0, 0.0)
-    psiv, log_a = _anchor(params, x, y)
-    l_end, z_lo, lost = _u_pieces(params, x, y, log_a, math.log(x))
-    if lost:
-        raise QuadratureFailure(0.0, 0.0, "the anchor rounds to x, where u >= ln(y/mu)/gamma > 0")
-    v1, e1 = _run_quad(1, log_a, l_end, params.beta, rho, psiv)
-    v2, e2 = _run_quad(0, z_lo, x, params.beta, rho, psiv)
-    return CriticalTimeResult(max(v1 + v2, 0.0), Method.INTEGRAL, e1 + e2)
+    s_rho = _log_ratio(rho, x)
+    tail, s_ref, i_ref, sig_hi = _u_pieces(params, x, y, s_rho)
+    value, err = _run_quads(params, tail, (0.0, sig_hi, s_ref, i_ref), (s_rho, 0.0, x, y))
+    return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
 
 
 def v_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
@@ -181,8 +192,7 @@ def v_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     edge = _v_edge(params, x, y)
     if edge is not None:
         return edge
-    rho = params.rho
-    value, err = _run_quad(0, rho, x, params.beta, rho, psi(params, x, y))
+    value, err = _run_quads(params, 0.0, (_log_ratio(params.rho, x), 0.0, x, y))
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
 
 

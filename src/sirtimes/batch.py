@@ -15,16 +15,17 @@ those modules, given :data:`_ARRAYS`: the field, DP5 stages, error norm,
 dense output and crossing refinement, the GK15 rule and error finish, the
 stopping test, the anchor, the u integral's pieces, and the bound,
 asymptotic, cap and event formulas. The twins differ only in control flow:
-each element leaves a loop or takes a branch on its own. Where a result
-could follow the last bit of numpy's log and exp, they take math's per
-element (:func:`_math_each`), so they agree with the scalar kernels to a few
-units in the last place, and the anchor, the DP5 loop, the crossing
-refinement and the side cells agree bit for bit (the step factor's power is
-Python's pow, and :func:`_py_max`, :func:`_py_min` mirror max and min).
+each element leaves a loop or takes a branch on its own. Their per-node
+logs, exps and powers are math's and Python's per element
+(:func:`_math_each`), so the anchor, the DP5 loop, the crossing refinement
+and the side cells agree with the scalar kernels bit for bit (and
+:func:`_py_max`, :func:`_py_min` mirror max and min); the quadratures' I
+takes numpy's expm1 unless asked for math's, to a few units in the last place.
 """
 
 import math
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .analytic import (
     _bounds_u_terms,
     _bounds_v_args,
     _bounds_v_terms,
+    _log_ratio,
     _subcritical_u,
     _u_pieces,
 )
@@ -53,13 +55,13 @@ from .kernels import (
     QUAD_BADFUN,
     QUAD_NOCONV,
     QUAD_OK,
-    _anchor_log,
     _converged,
     _dp5,
     _field,
     _gk15_rule,
     _initial_step,
     _locate,
+    _orbit_i,
     _Ops,
     _try_step,
 )
@@ -70,9 +72,11 @@ __all__ = ["u_integral_batch", "v_integral_batch"]
 
 # --- the kernels' twins ------------------------------------------------------
 
-def _math_each(fn, values):
-    """*fn* from :mod:`math` applied to each element of *values*."""
-    return np.array([fn(v) for v in values.tolist()])
+def _math_each(fn, values, *args):
+    """*fn* from :mod:`math` (or Python's pow) applied to each element of
+    the array *values*, with any further arguments."""
+    flat = values.ravel().tolist()
+    return np.fromiter(map(fn, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
 
 
 def _py_max(a, b):
@@ -85,50 +89,13 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-# kernels._Ops on arrays: math's log, exp and expm1 per element, and numpy's
-# sqrt (correctly rounded, as math's is)
+# kernels._Ops on arrays: math's log, log1p, exp and expm1 and Python's pow
+# per element (numpy's power differs from pow in the last bit on some CPUs),
+# and numpy's sqrt (correctly rounded, as math's is)
 _ARRAYS = _Ops(
-    *(partial(_math_each, fn) for fn in (math.log, math.exp, math.expm1)),
+    *(partial(_math_each, fn) for fn in (math.log, math.log1p, math.exp, math.expm1, pow)),
     np.sqrt, _py_max, _py_min, np.where, np.any,
 )
-
-
-def _quad_f_batch(kind, z, beta, rho, psiv):
-    """Elementwise :func:`kernels._quad_f`. Returns (values, ok) arrays; a
-    value is 0.0 wherever ok is False.
-
-    In z space, g = rho*ln z - z + psi loses digits where it is small
-    against its terms (near the anchor when mu is small), so a last-bit
-    difference in the log would show; there g is recomputed with math.log.
-    """
-    # in-place steps keep the (panels, 15) temporaries few
-    with np.errstate(all="ignore"):
-        if kind == 0:
-            rl = np.log(z)
-            rl *= rho
-            g = rl - z
-            g += psiv
-            scale = np.abs(rl)
-            scale += z
-            scale += np.abs(psiv)
-            scale *= 1e-2
-            close = (z > 0.0) & (np.abs(g) <= scale)
-            if close.any():
-                zc = z[close]
-                psic = np.broadcast_to(psiv, z.shape)[close]
-                g[close] = rho * _math_each(math.log, zc) - zc + psic
-            ok = (z > 0.0) & (g > 0.0)
-            f = beta * z
-        else:
-            g = rho * z
-            g -= np.exp(z)
-            g += psiv
-            ok = g > 0.0
-            f = np.full(z.shape, beta)
-        f *= g
-        np.divide(1.0, f, out=f)
-    f[~ok] = 0.0
-    return f, ok
 
 
 # intervals per numpy pass of _gk15_batch: the pass holds several
@@ -137,13 +104,14 @@ def _quad_f_batch(kind, z, beta, rho, psiv):
 _GK_CHUNK = 1024
 
 
-def _gk15_batch(kind, a, b, beta, rho, psiv):
+def _gk15_batch(a, b, beta, rho, s_ref, i_ref, expm1=np.expm1):
     """:func:`kernels._gk15` on the intervals [a[k], b[k]], each with its
-    own psi. Returns (value, err, ok) arrays."""
+    own reference point (s_ref[k], i_ref[k]), I by :func:`kernels._orbit_i`
+    with *expm1*. Returns (value, err, ok) arrays."""
     if a.size > _GK_CHUNK:
         parts = [
-            _gk15_batch(kind, a[k:k + _GK_CHUNK], b[k:k + _GK_CHUNK], beta, rho,
-                        psiv[k:k + _GK_CHUNK])
+            _gk15_batch(a[k:k + _GK_CHUNK], b[k:k + _GK_CHUNK], beta, rho,
+                        s_ref[k:k + _GK_CHUNK], i_ref[k:k + _GK_CHUNK], expm1)
             for k in range(0, a.size, _GK_CHUNK)
         ]
         return tuple(np.concatenate(col) for col in zip(*parts))
@@ -155,12 +123,15 @@ def _gk15_batch(kind, a, b, beta, rho, psiv):
     z[:, 0:14:2] = c[:, None] - dx
     z[:, 1:14:2] = c[:, None] + dx
     z[:, 14] = c
-    fv, ok = _quad_f_batch(kind, z, beta, rho, psiv[:, None])
     with np.errstate(all="ignore"):
+        fv = _orbit_i(z, rho, s_ref[:, None], i_ref[:, None], expm1)
+        ok = fv > 0.0
+        fv *= beta
+        np.divide(1.0, fv, out=fv)
         return (*_gk15_rule(fv.T, hl, _ARRAYS), ok.all(axis=1))
 
 
-def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
+def _adaptive_gk_batch(lo, hi, beta, rho, s_ref, i_ref, atol, rtol, max_iv, expm1=np.expm1):
     """:func:`kernels._adaptive_gk` over the integrals on [lo[k], hi[k]] in
     lock-step.
 
@@ -177,10 +148,10 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
     run = np.flatnonzero(hi > lo)
     if not run.size:
         return status, value, err
-    v, e, ok = _gk15_batch(kind, lo[run], hi[run], beta, rho, psiv[run])
+    v, e, ok = _gk15_batch(lo[run], hi[run], beta, rho, s_ref[run], i_ref[run], expm1)
     status[run[~ok]] = QUAD_BADFUN
     idx = run[ok]
-    p = psiv[idx]
+    sr, ir = s_ref[idx], i_ref[idx]
     # one row per running integral, one column per interval; unused columns
     # hold zeros, which change neither the sums nor the argmax
     cap = min(8, max_iv)
@@ -212,12 +183,13 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
         if g.size:
             k = g.size
             vs, es, oks = _gk15_batch(
-                kind,
                 np.concatenate((a0[g], m[g])),
                 np.concatenate((m[g], b0[g])),
                 beta,
                 rho,
-                np.concatenate((p[g], p[g])),
+                np.concatenate((sr[g], sr[g])),
+                np.concatenate((ir[g], ir[g])),
+                expm1,
             )
             bad = ~(oks[:k] & oks[k:])
             end[g[bad]] = QUAD_BADFUN
@@ -240,7 +212,7 @@ def _adaptive_gk_batch(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
             value[out] = total[done]
             err[out] = errtot[done]
             live = ~done
-            idx, p, cnt = idx[live], p[live], cnt[live]
+            idx, sr, ir, cnt = idx[live], sr[live], ir[live], cnt[live]
             al, bl, vl, el = al[live], bl[live], vl[live], el[live]
         if idx.size and cnt.max() >= cap:
             grow = min(cap, max_iv - cap)
@@ -293,11 +265,8 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     t = np.zeros(n)
     s = np.array(s0, dtype=float)
     i = np.array(i0, dtype=float)
-    h = np.array([
-        _initial_step(beta, gamma, a, b, c, rtol, atol)
-        for a, b, c in zip(s0.tolist(), i0.tolist(), t_end.tolist())
-    ])
     with np.errstate(all="ignore"):
+        h = _initial_step(beta, gamma, s, i, t_end, rtol, atol, _ARRAYS)
         k1s, k1i = _field(beta, gamma, s, i)
     gap = (s, i)[stop] - level
     cap = t_end
@@ -309,9 +278,10 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             end = np.where(t >= cap, ODE_CAP, -1)
             end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
             s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, _ARRAYS)
-            # the step factor's pow per element, as Python rounds it; err == 0
-            # stands for an infinite power (factor 10 on acceptance)
-            q = 0.9 * np.array([e ** -0.2 if e else math.inf for e in err.tolist()])
+            # the step factor's power as Python rounds it; err == 0 stands for
+            # an infinite power (factor 10 on acceptance)
+            zero = err == 0.0
+            q = 0.9 * np.where(zero, math.inf, _ARRAYS.pow(np.where(zero, 1.0, err), -0.2))
             acc = (err <= 1.0) & (end < 0)
             gnew = (s1, i1)[stop] - level
             cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
@@ -351,30 +321,31 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
 
 # --- the route functions' twins ----------------------------------------------
 
-def _batch_quad(good, kind, lo, hi, beta, rho, psiv, total, err):
-    """Add the batched quadrature over [lo, hi] to *total* and *err* at the
-    nodes that are still *good*; clear *good* where it did not converge."""
+def _batch_quad(good, lo, hi, beta, rho, s_ref, i_ref, total, err, expm1):
+    """Add the batched quadrature over [lo, hi] from the reference points
+    (s_ref, i_ref) to *total* and *err* at the nodes that are still *good*;
+    clear *good* where it did not converge."""
     k = np.flatnonzero(good)
     status, value, e = _adaptive_gk_batch(
-        kind, lo[k], hi[k], beta, rho, psiv[k],
-        QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS,
+        lo[k], hi[k], beta, rho, s_ref[k], i_ref[k],
+        QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS, expm1,
     )
     total[k] += value
     err[k] += e
     good[k] = status == QUAD_OK
 
 
-def u_integral_batch(params: ModelParams, xs, ys):
-    """:func:`analytic.u_integral` at many nodes at once, with numpy.
-
-    Runs the same anchor solve and quadratures with the default tolerances,
-    in lock-step over the nodes. Returns (ok, value, err) arrays. A node is
-    ok when it lies in the interior of u's domain (x > 0, y >= mu, and not
-    y == mu with x <= rho), its anchor and quadratures succeeded, and its
-    pieces do not miss u (:func:`analytic._u_pieces`). Any other node needs
-    the scalar :func:`u_integral`, which returns the edge value or raises
-    the typed error there.
-    """
+def u_integral_batch(params: ModelParams, xs, ys, expm1=np.expm1):
+    """:func:`analytic.u_integral` at many nodes at once, with numpy: the
+    same anchor solve, far tail and quadratures, in lock-step over the
+    nodes, the integrand with *expm1*: numpy's, whose SIMD form differs from
+    math's in the last bit at about a tenth of the points, or
+    ``_ARRAYS.expm1``, which gives the scalar values bit for bit at a Python
+    call per point. Returns (ok, value, err) arrays. A node is ok when it
+    lies in the interior of u's domain (x > 0, y >= mu, and not y == mu
+    with x <= rho) and its quadratures converged; any other node needs the
+    scalar :func:`u_integral`, which returns the edge value or raises the
+    typed error there."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     rho, mu, beta = params.rho, params.mu, params.beta
@@ -383,28 +354,26 @@ def u_integral_batch(params: ModelParams, xs, ys):
     value = np.zeros(x.shape)
     err = np.zeros(x.shape)
     idx = np.flatnonzero(ok)
-    xi = x[idx]
-    # per-node logs and exps through math, as the scalar route takes them
-    log_x = _ARRAYS.log(xi)
-    psiv = xi + y[idx] - rho * log_x
-    # where a count or rate is near the float range, the anchor's error-free
-    # sums overflow and fall back to plain ones, as the scalar route does
+    xi, yi = x[idx], y[idx]
+    # logs and exps through math, as the scalar route takes them; where not
+    # taken, (x - rho)/rho and the deficit root's series can overflow
     with np.errstate(all="ignore"):
-        good, log_a = _anchor_log(rho, mu, psiv, _ARRAYS)
-    l_end, z_lo, lost = _u_pieces(params, xi, y[idx], log_a, log_x, _ARRAYS)
-    good &= ~lost
-    total = np.zeros(idx.size)
+        s_rho = _log_ratio(rho, xi, _ARRAYS)
+        tail, s_ref, i_ref, sig_hi = _u_pieces(params, xi, yi, s_rho, _ARRAYS)
+    good = np.isfinite(tail)
+    zero = np.zeros(idx.size)
     e = np.zeros(idx.size)
-    _batch_quad(good, 1, log_a, l_end, beta, rho, psiv, total, e)
-    _batch_quad(good, 0, z_lo, xi, beta, rho, psiv, total, e)
+    _batch_quad(good, zero, sig_hi, beta, rho, s_ref, i_ref, tail, e, expm1)
+    _batch_quad(good, s_rho, zero, beta, rho, xi, yi, tail, e, expm1)
     ok[idx] = good
-    value[idx] = np.maximum(total, 0.0)
+    value[idx] = np.maximum(tail, 0.0)
     err[idx] = e
     return ok, value, err
 
 
-def v_integral_batch(params: ModelParams, xs, ys):
-    """:func:`analytic.v_integral` at many nodes at once, with numpy.
+def v_integral_batch(params: ModelParams, xs, ys, expm1=np.expm1):
+    """:func:`analytic.v_integral` at many nodes at once, with numpy, the
+    integrand with *expm1* as in :func:`u_integral_batch`.
 
     Returns (ok, value, err) arrays. A node is ok when x > rho, y > 0 and
     its quadrature converged; any other node needs the scalar
@@ -416,8 +385,9 @@ def v_integral_batch(params: ModelParams, xs, ys):
     ok = (x > rho) & (y > 0.0) & np.isfinite(x) & np.isfinite(y)
     value = np.zeros(x.shape)
     err = np.zeros(x.shape)
-    psiv = x + y - rho * _ARRAYS.log(np.where(ok, x, 1.0))
-    _batch_quad(ok, 0, np.full(x.shape, rho), x, params.beta, rho, psiv, value, err)
+    with np.errstate(all="ignore"):
+        s_rho = _log_ratio(rho, np.where(ok, x, rho), _ARRAYS)
+    _batch_quad(ok, s_rho, np.zeros(x.shape), params.beta, rho, x, y, value, err, expm1)
     np.maximum(value, 0.0, out=value)
     return ok, value, err
 
@@ -510,7 +480,7 @@ def _hitting_times(params, xs, ys, row, config):
     return ok, values, errs
 
 
-def _node_rows(params, time_kind, method, nodes, config=None):
+def _node_rows(params, time_kind, method, nodes, config=None, expm1=np.expm1):
     """The rows at *nodes*, a list of (x, y) float pairs, by *method*'s route.
 
     Every node goes to the route's batch entry, which evaluates the nodes
@@ -520,13 +490,14 @@ def _node_rows(params, time_kind, method, nodes, config=None):
     route function, which validates the counts and applies the edge rules.
     The bound and asymptotic cells come the same way: at once where the
     scalar functions' rules hold, node by node through :func:`side_cells`
-    elsewhere. ``config`` applies to the ODE route only.
+    elsewhere. ``config`` applies to the ODE route only, and ``expm1`` to
+    the integral route only (see :func:`u_integral_batch`).
     """
     xs = [x for x, _ in nodes]
     ys = [y for _, y in nodes]
     if method == "integral":
         batch = u_integral_batch if time_kind == "u" else v_integral_batch
-        ok, values, errs = batch(params, xs, ys)
+        ok, values, errs = batch(params, xs, ys, expm1)
         tag = Method.INTEGRAL.value
     else:
         row = EV_I if time_kind == "u" else EV_S

@@ -17,9 +17,9 @@ The checks that sample states (v <= u, the equation residuals, and the
 vanishing peak time) evaluate all their states through the same batched
 evaluator, one call per kind and route: the ordering check its u and v
 states on the ODE route, the residual checks the stencil points of their
-h = 1e-3 study on the integral route. Their values equal the scalar
-per-state calls'. A state whose row failed makes its check fail, with the
-count in the detail.
+h = 1e-3 study on the integral route, with math's expm1. Their values equal
+the scalar per-state calls'. A state whose row failed makes its check
+fail, with the count in the detail.
 """
 
 import functools
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import asymptotic_u, asymptotic_v, solve_anchor, u_integral, v_integral
-from .batch import _node_rows
+from .batch import _ARRAYS, _node_rows
 from .core import ModelParams, exact_u_at_x0, psi
 from .gridrun import GridSpec, run_grid
 from .ode import hitting_time_u, integrate
@@ -95,10 +95,10 @@ def _outcome(name, passed, detail, **metrics):
 
 
 def _values(params, kind, method, states):
-    """The values of *kind* at *states*, a list of (x, y) pairs, by
-    *method*'s route in one :func:`_node_rows` call: None at a state whose
-    row is not ok."""
-    return [r.value for r in _node_rows(params, kind, method, states)]
+    """The values of *kind* at *states*, (x, y) pairs, by *method*'s route
+    in one :func:`_node_rows` call, with math's expm1 so that they equal
+    the scalar calls' bit for bit: None at a state whose row is not ok."""
+    return [r.value for r in _node_rows(params, kind, method, states, expm1=_ARRAYS.expm1)]
 
 
 def _failed_note(failed, n):

@@ -16,13 +16,13 @@ grids at once, live in :mod:`sirtimes.batch`.
 
 A kernel and its twin share every formula, written here once for floats and
 arrays: :func:`_field`, :func:`_stages`, :func:`_dense_coeffs`,
-:func:`_dense_eval`, and, given the operations of their kind (:data:`_FLOATS`
-by default, ``batch._ARRAYS``), the DP5 error norm :func:`_try_step`, the
-crossing refinement :func:`_locate` with its Illinois loop
+:func:`_dense_eval`, the integrand's I :func:`_orbit_i`, and, given the
+operations of their kind (:data:`_FLOATS` by default, ``batch._ARRAYS``),
+the first step :func:`_initial_step`, the DP5 error norm :func:`_try_step`,
+the crossing refinement :func:`_locate` with its Illinois loop
 :func:`_refine_crossing`, the GK15 rule and error finish :func:`_gk15_rule`,
-the stopping test :func:`_converged` and the anchor :func:`_anchor_log`. The
-twins differ only in control flow (the DP5 loop and its step-size
-controller, the adaptive bisection).
+the stopping test :func:`_converged` and the anchor (:func:`_anchor_log`,
+:func:`_anchor_offset`). The twins differ only in control flow.
 """
 
 import math
@@ -155,40 +155,6 @@ def _field(beta, gamma, s, i):
     return -beta * s * i, (beta * s - gamma) * i
 
 
-def _initial_step(beta, gamma, s, i, t_bound, rtol, atol):
-    # standard heuristic: match the scale of the first derivative, then
-    # sanity-check with an Euler probe
-    fs, fi = _field(beta, gamma, s, i)
-    ss = atol + rtol * abs(s)
-    si = atol + rtol * abs(i)
-    # plain products instead of ** so overflow saturates to inf on every path
-    r0s = s / ss
-    r0i = i / si
-    r1s = fs / ss
-    r1i = fi / si
-    d0 = math.sqrt(0.5 * (r0s * r0s + r0i * r0i))
-    d1 = math.sqrt(0.5 * (r1s * r1s + r1i * r1i))
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    f1s, f1i = _field(beta, gamma, s + h0 * fs, i + h0 * fi)
-    r2s = (f1s - fs) / ss
-    r2i = (f1i - fi) / si
-    # h0 is 0 when the field overflows (d1 = inf); the fallback below then
-    # takes over, and the run stalls with a typed error
-    d2 = math.sqrt(0.5 * (r2s * r2s + r2i * r2i)) / h0 if h0 > 0.0 else math.inf
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, t_bound)
-    if not (h > 0.0 and math.isfinite(h)):
-        # extreme tolerances can overflow the scale estimates
-        h = min(1e-6, t_bound)
-    return h
-
-
 def _stages(beta, gamma, s, i, h, k1s, k1i):
     """One Dormand-Prince 5(4) attempt of size h from (s, i), where the field
     is (k1s, k1i): floats, or arrays with a step per element. Returns (s1,
@@ -261,10 +227,11 @@ def _low(a, b):
 
 # The operations of the shared formulas for one kind of operand: _FLOATS,
 # and batch._ARRAYS, whose forms give the float results element for element:
-# math's functions, Python's max and min as high and low, np.where as pick,
-# and any, whether a condition holds anywhere (bool on floats).
-_Ops = namedtuple("_Ops", "log exp expm1 sqrt high low pick any")
-_FLOATS = _Ops(math.log, math.exp, math.expm1, math.sqrt, _high, _low, _pick, bool)
+# math's functions and Python's pow, Python's max and min as high and low,
+# np.where as pick, and any, whether a condition holds anywhere (bool on
+# floats).
+_Ops = namedtuple("_Ops", "log log1p exp expm1 pow sqrt high low pick any")
+_FLOATS = _Ops(math.log, math.log1p, math.exp, math.expm1, pow, math.sqrt, _high, _low, _pick, bool)
 
 
 def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops=_FLOATS):
@@ -280,6 +247,37 @@ def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops=_FLOATS):
     ri = ops.low(abs(ei / si), 1e150)
     err = ops.sqrt(0.5 * (rs * rs + ri * ri))
     return s1, i1, err, k
+
+
+def _initial_step(beta, gamma, s, i, t_bound, rtol, atol, ops=_FLOATS):
+    """The first step size from (s, i), floats or arrays: match the scale of
+    the first derivative, then sanity-check with an Euler probe."""
+    pick, high, low = ops.pick, ops.high, ops.low
+    fs, fi = _field(beta, gamma, s, i)
+    ss = atol + rtol * abs(s)
+    si = atol + rtol * abs(i)
+    # plain products instead of ** so overflow saturates to inf on every path
+    r0s = s / ss
+    r0i = i / si
+    r1s = fs / ss
+    r1i = fi / si
+    d0 = ops.sqrt(0.5 * (r0s * r0s + r0i * r0i))
+    d1 = ops.sqrt(0.5 * (r1s * r1s + r1i * r1i))
+    # a quotient not taken divides by 1, so that floats do not divide by 0
+    small = (d0 < 1e-5) | (d1 < 1e-5)
+    h0 = pick(small, 1e-6, 0.01 * d0 / pick(small, 1.0, d1))
+    f1s, f1i = _field(beta, gamma, s + h0 * fs, i + h0 * fi)
+    r2s = (f1s - fs) / ss
+    r2i = (f1i - fi) / si
+    # h0 is 0 when the field overflows (d1 = inf); the fallback below then
+    # takes over, and the run stalls with a typed error
+    pos = h0 > 0.0
+    d2 = pick(pos, ops.sqrt(0.5 * (r2s * r2s + r2i * r2i)) / pick(pos, h0, 1.0), math.inf)
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = pick(flat, high(1e-6, h0 * 1e-3), ops.pow(0.01 / pick(flat, 1.0, high(d1, d2)), 0.2))
+    h = low(low(100.0 * h0, h1), t_bound)
+    # extreme tolerances can overflow the scale estimates
+    return pick((h > 0.0) & (h < math.inf), h, low(1e-6, t_bound))
 
 
 def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta, ops=_FLOATS):
@@ -441,26 +439,10 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     return status, t, (ev_s, ev_i), ts, ys, ks
 
 
-def _quad_f(kind, z, beta, rho, psiv):
-    """Integrand of the time representations. kind 0: variable is the
-    susceptible level z, f = 1/(beta*z*(rho*ln z - z + psi)). kind 1: variable
-    is L = ln z, f = 1/(beta*(rho*L - e^L + psi)) (the 1/z cancels against the
-    Jacobian). Returns (value, ok); a denominator that underflows to 0 gives
-    an infinite value, as numpy's division does in
-    :func:`batch._quad_f_batch`."""
-    if kind == 0:
-        if z <= 0.0:
-            return 0.0, False
-        g = rho * math.log(z) - z + psiv
-        if g <= 0.0:
-            return 0.0, False
-        den = beta * z * g
-    else:
-        g = rho * z - math.exp(z) + psiv
-        if g <= 0.0:
-            return 0.0, False
-        den = beta * g
-    return (1.0 / den if den else math.inf), True
+def _orbit_i(sig, rho, s_ref, i_ref, expm1=math.expm1):
+    """I on the orbit through (s_ref, i_ref) at sig = ln(S/s_ref), exact at
+    sig = 0: floats, or arrays given an array expm1."""
+    return i_ref - s_ref * expm1(sig) + rho * sig
 
 
 def _gk15_rule(fv, hl, ops=_FLOATS):
@@ -497,19 +479,22 @@ def _gk15_rule(fv, hl, ops=_FLOATS):
     return resk * hl, ops.high(err, 50.0 * _EPS * (resabs * abs(hl)))
 
 
-def _gk15(kind, a, b, beta, rho, psiv):
+def _gk15(a, b, beta, rho, s_ref, i_ref):
     """Gauss-Kronrod 7/15 rule on [a, b] with a QUADPACK-style error
-    estimate. Returns (value, err, ok)."""
+    estimate, over the integrand of the time representations: 1/(beta*I) in
+    sig = ln S - s0, I by :func:`_orbit_i` from (s_ref, i_ref) at s0.
+    Returns (value, err, ok), ok false where I <= 0 at a node; a
+    denominator that underflows to 0 gives an infinite value, as numpy's
+    division does in the batch."""
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
-    fv = [0.0] * 15
-    fv[14], ok = _quad_f(kind, c, beta, rho, psiv)
-    for j in range(7):
-        dx = hl * _XGK[j]
-        fv[2 * j], o1 = _quad_f(kind, c - dx, beta, rho, psiv)
-        fv[2 * j + 1], o2 = _quad_f(kind, c + dx, beta, rho, psiv)
-        ok = ok and o1 and o2
-    return (*_gk15_rule(fv, hl), ok)
+    # I at c -/+ hl*_XGK[j] for fv[2j] and fv[2j+1], and at c for fv[14]
+    iv = [_orbit_i(c + d, rho, s_ref, i_ref) for xk in _XGK for d in (-(hl * xk), hl * xk)]
+    iv.append(_orbit_i(c, rho, s_ref, i_ref))
+    if not all(i > 0.0 for i in iv):
+        return 0.0, 0.0, False
+    den = [beta * i for i in iv]
+    return (*_gk15_rule([1.0 / d if d else math.inf for d in den], hl), True)
 
 
 def _converged(total, errtot, atol, rtol, ops=_FLOATS):
@@ -518,12 +503,12 @@ def _converged(total, errtot, atol, rtol, ops=_FLOATS):
     return errtot <= ops.high(atol, rtol * abs(total))
 
 
-def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
+def _adaptive_gk(lo, hi, beta, rho, s_ref, i_ref, atol, rtol, max_iv):
     """Globally adaptive quadrature: repeatedly bisect the interval with the
     largest error estimate. Returns (status, value, err)."""
     if hi <= lo:
         return QUAD_OK, 0.0, 0.0
-    v, e, ok = _gk15(kind, lo, hi, beta, rho, psiv)
+    v, e, ok = _gk15(lo, hi, beta, rho, s_ref, i_ref)
     if not ok:
         return QUAD_BADFUN, 0.0, 0.0
     al = [lo]
@@ -551,8 +536,8 @@ def _adaptive_gk(kind, lo, hi, beta, rho, psiv, atol, rtol, max_iv):
         if m <= a0 or m >= b0:
             # interval already at floating-point resolution
             return QUAD_NOCONV, total, errtot
-        v1, e1, ok1 = _gk15(kind, a0, m, beta, rho, psiv)
-        v2, e2, ok2 = _gk15(kind, m, b0, beta, rho, psiv)
+        v1, e1, ok1 = _gk15(a0, m, beta, rho, s_ref, i_ref)
+        v2, e2, ok2 = _gk15(m, b0, beta, rho, s_ref, i_ref)
         if not (ok1 and ok2):
             return QUAD_BADFUN, total, errtot
         bl[worst] = m
@@ -628,7 +613,7 @@ def _anchor_log(rho, mu, psiv, ops=_FLOATS):
 
     Both forms take expm1 and exp from math per element and run the same
     operations in the same order, so they give the same roots bit for bit."""
-    sqrt, expm1, exp, pick = ops.sqrt, ops.expm1, ops.exp, ops.pick
+    exp, pick = ops.exp, ops.pick
     lhi = math.log(rho)
     hhi, hhi_err = _h_sum(rho, mu, rho, lhi, psiv, ops)
     at_min = hhi >= 0.0
@@ -636,18 +621,51 @@ def _anchor_log(rho, mu, psiv, ops=_FLOATS):
     d = -(hhi + hhi_err) / rho
     # 0 at the branch point, and where only the rounding put psi above it
     d = pick(at_min | (d < 0.0), 0.0, d)
-    p = sqrt(2.0 * d)
-    c = 1.0 + d
-    t = pick(d < 2.0, -p * (1.0 + p * (1.0 / 6.0 + p / 36.0)), exp(-c) - c)
-    for _ in range(2):
-        em = expm1(t)
-        f = em - t - d
-        den = 2.0 * em * em - f * (em + 1.0)
-        flat = den == 0.0
-        t = t - pick(flat, 0.0, 2.0 * f * em / pick(flat, 1.0, den))
-    L = lhi + t
+    L = lhi + _deficit_root(d, ops)
     e = exp(L)
     newton = e <= 0.5 * rho
     hL, hL_err = _h_sum(e, mu, rho, L, psiv, ops)
     Ln = L - (hL + hL_err) / pick(newton, e - rho, 1.0)
     return ok, pick(at_min, lhi, pick(newton, Ln, L))
+
+
+def _deficit_root(d, ops):
+    """The root t <= 0 of expm1(t) - t = d >= 0, the anchor's offset from
+    the peak, as :func:`_anchor_log` describes."""
+    pick = ops.pick
+    p = ops.sqrt(2.0 * d)
+    c = 1.0 + d
+    t = pick(d < 2.0, -p * (1.0 + p * (1.0 / 6.0 + p / 36.0)), ops.exp(-c) - c)
+    for _ in range(2):
+        em = ops.expm1(t)
+        f = em - t - d
+        den = 2.0 * em * em - f * (em + 1.0)
+        flat = den == 0.0
+        t = t - pick(flat, 0.0, 2.0 * f * em / pick(flat, 1.0, den))
+    return t
+
+
+def _anchor_offset(rho, mu, x, y, s_rho, ops=_FLOATS):
+    """s* = ln(a/x) <= min(0, s_rho), s_rho = ln(rho/x): the root of y - mu
+    - x*expm1(s) + rho*s = 0 at x > 0, y >= mu; floats, or arrays given
+    ops=batch._ARRAYS. It starts from s_rho + t, t from :func:`_deficit_root`
+    with d = (y - mu - (rho - x) + rho*s_rho)/rho, or where x < rho and it
+    leaves a smaller residual from (mu - y)/(rho - x), Newton's step from 0,
+    which keeps the digits of an s* small against s_rho. One Newton step
+    ends the solve where the slope rho - a is positive and the step stays
+    within half the distance to s_rho, that is, away from the branch point."""
+    pick = ops.pick
+    dy = y - mu
+    top = dy - (rho - x) + rho * s_rho
+    s = s_rho + _deficit_root(pick(top > 0.0, top / rho, 0.0), ops)
+    f = _orbit_i(s, rho, x, dy, ops.expm1)
+    below = x < rho
+    s_lin = -dy / pick(below, rho - x, 1.0)
+    f_lin = _orbit_i(s_lin, rho, x, dy, ops.expm1)
+    lin = below & (abs(f_lin) < abs(f))
+    s = pick(lin, s_lin, s)
+    f = pick(lin, f_lin, f)
+    slope = rho - x * ops.exp(s)
+    step = f / pick(slope > 0.0, slope, 1.0)
+    s = pick((slope > 0.0) & (abs(step) <= 0.5 * abs(s - s_rho)), s - step, s)
+    return ops.low(s, ops.low(s_rho, 0.0))

@@ -122,31 +122,42 @@ def test_u_integral_domain(p23):
         u_integral(p23, 4.0, math.nan)
 
 
-# nodes where psi(x, y) cannot tell y from mu: the anchor rounds to x and
-# leaves both quadrature pieces empty, while u >= ln(y/mu)/gamma (76.8 to
-# 153.5 here) and each row's upper bound reads 76.8 to 460.5
+# nodes where psi(x, y) cannot tell y from mu, so that its anchor rounds to
+# x. The integral route solves for the anchor's offset from x instead; from
+# there I = mu + (rho - x)*sig to far within rounding, so that u =
+# ln(y/mu)/(beta*(rho - x)) (76.8 to 460.5 here), as the oracle file holds
+# too
 TINY_MU = ModelParams(2.0, 3.0, 1e-300)
 LOST_NODES = [(1.0, 1e-200), (1.0, 1e-100), (1e-300, 1e-200), (1e-300, 1e-100)]
 
 
+def _u_next_to_x(x, y):
+    return math.log(y / TINY_MU.mu) / (TINY_MU.beta * (TINY_MU.rho - x))
+
+
 @pytest.mark.parametrize("x, y", LOST_NODES)
 def test_u_integral_raises_where_the_anchor_rounds_to_x(x, y):
+    # the name is kept from when these nodes raised QuadratureFailure
     assert solve_anchor(TINY_MU, x, y).a == pytest.approx(x, rel=1e-13)
-    assert exact_u_at_x0(TINY_MU, y) > 76.0
-    with pytest.raises(QuadratureFailure):
-        u_integral(TINY_MU, x, y)
+    r = u_integral(TINY_MU, x, y)
+    assert r.method is Method.INTEGRAL
+    assert r.value == pytest.approx(_u_next_to_x(x, y), rel=1e-13)
 
 
-def test_grid_rows_where_the_anchor_rounds_to_x():
-    # the batch leaves these nodes to the per-node route, which raises
+def test_grid_rows_where_the_anchor_rounds_to_x(capsys):
+    # the batch takes these nodes, with the per-node route's values
     spec = GridSpec(1e-300, 1.0, 2, 1e-200, 1e-100, 2, spacing="log")
     rows = run_grid(TINY_MU, spec, "u", "integral").rows
     assert sorted((r.x, r.y) for r in rows) == sorted(LOST_NODES)
-    assert [(r.value, r.status) for r in rows] == [(None, "error:QuadratureFailure")] * 4
-    assert all(76.0 < r.upper for r in rows)
+    assert all(r.status == "ok" for r in rows)
+    for r in rows:
+        assert r.value == pytest.approx(u_integral(TINY_MU, r.x, r.y).value, rel=1e-13)
+        assert r.value == pytest.approx(_u_next_to_x(r.x, r.y), rel=1e-13)
+        assert r.lower <= r.value <= r.upper + r.err_estimate
     argv = ["compute", "--beta", "2", "--gamma", "3", "--mu", "1e-300",
             "--x", "1", "--y", "1e-200", "--time", "u", "--method", "integral"]
-    assert main(argv) == 3
+    assert main(argv) == 0
+    assert "230.258509299" in capsys.readouterr().out
 
 
 def test_v_integral_frozen(p23, p33):

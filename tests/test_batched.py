@@ -18,13 +18,13 @@ from sirtimes import (
     GridSpec,
     IntegratorConfig,
     ModelParams,
-    QuadratureFailure,
+    analytic,
     batch,
     kernels,
     ode,
     run_grid,
 )
-from sirtimes.analytic import SPLIT_Z, solve_anchor, u_integral
+from sirtimes.analytic import solve_anchor, u_integral
 from sirtimes.batch import _side_cells_batch, u_integral_batch, v_integral_batch
 from sirtimes.gridrun import GRID_FIELDS, build_row, side_cells
 
@@ -81,47 +81,66 @@ def test_anchor_near_the_float_range():
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok and want_ok and got == want
         assert math.isfinite(want) and want < math.log(rho)
-    # roots beyond 1e300 overflow the product of the Newton step on arrays;
-    # the grid route raises no RuntimeWarning and leaves the nodes to the
-    # scalar route's typed error
+    # the integral route solves for the anchor's offset from x instead, and
+    # its far tail, ln(I/mu)/gamma, carries u there: the grid route raises
+    # no RuntimeWarning and gives the scalar route's values
     params = ModelParams(1.0, 1.0)
     xs, ys = [1.0, 5.0], [1e301, 1e302]
-    ok, _, _ = u_integral_batch(params, xs, ys)
-    assert not ok.any()
-    for x, y in zip(xs, ys):
-        with pytest.raises(QuadratureFailure):
-            u_integral(params, x, y)
+    ok, values, _ = u_integral_batch(params, xs, ys)
+    assert ok.all()
+    for x, y, got in zip(xs, ys, values.tolist()):
+        want = u_integral(params, x, y).value
+        assert _rel(got, want) <= VALUE_REL
+        assert want == pytest.approx(math.log(y), rel=1e-15)
 
 
-def test_z_space_integrand_equals_scalar_where_it_loses_digits():
-    # g = rho*ln z - z + psi of order mu = 1e-6 against terms of order 1:
-    # a last-bit difference in ln z would show in f
+def test_integrand_batch_matches_scalar():
+    # GK15 panels from a reference point (S0, I0) next to the anchor, I0 =
+    # mu of 1e-6 against S0 of order 1, toward rho: with math's expm1 the
+    # batch gives the scalar values bit for bit; numpy's differs from math's in the last
+    # bit at about a tenth of the points, and no cancellation may magnify
+    # it beyond a few units in the last place of the panel's value
     rng = np.random.default_rng(3)
     rho, mu = 1.5, 1e-6
-    z = np.exp(rng.uniform(-15.0, 3.0, 100_000))
-    psiv = z - rho * np.log(z) + mu * rng.uniform(1.0, 10.0, z.size)
-    f, ok = batch._quad_f_batch(0, z, 2.0, rho, psiv)
-    for zk, pk, fk, okk in zip(z.tolist(), psiv.tolist(), f.tolist(), ok.tolist()):
-        assert (fk, okk) == kernels._quad_f(0, zk, 2.0, rho, pk)
+    s_ref = np.exp(rng.uniform(-15.0, 0.0, 5_000))
+    hi = np.log(rho / s_ref) * rng.uniform(0.0, 1.0, s_ref.size)
+    lo = hi * rng.uniform(0.0, 1.0, s_ref.size)
+    i_ref = np.full(s_ref.size, mu)
+    simd = batch._gk15_batch(lo, hi, 2.0, rho, s_ref, i_ref, np.expm1)
+    exact = batch._gk15_batch(lo, hi, 2.0, rho, s_ref, i_ref, batch._ARRAYS.expm1)
+    assert simd[2].all()
+    for k, want in enumerate(map(kernels._gk15, lo.tolist(), hi.tolist(), [2.0] * lo.size,
+                                 [rho] * lo.size, s_ref.tolist(), i_ref.tolist())):
+        # the error estimate's power is numpy's on arrays
+        assert (exact[0][k], exact[2][k]) == (want[0], want[2])
+        assert _rel(exact[1][k], want[1]) <= 1e-14
+        assert _rel(simd[0][k], want[0]) <= 2e-15
+
+
+# beta = 1 and rho = -1: with S0 = 0 the integrand is 1/(I0 - sig), and
+# with S0 = 1 it is 1/(I0 - expm1(sig) - sig)
+RHO_NEG = -1.0
 
 
 @pytest.mark.parametrize(
-    "kind, lo, hi, psiv, max_iv",
+    "s_ref, lo, hi, i_ref, max_iv",
     [
         (0, 0.5, 1.0, 2.0, 256),  # converges
-        (1, math.log(0.5), 0.0, 2.0, 256),  # converges, log space
+        (1, math.log(0.5), 0.0, 2.0, 256),  # converges, with the expm1 term
         (0, 1.0, 1.0, 2.0, 64),  # empty interval
         (0, 0.1, 0.3, 0.2, 64),  # integrand leaves its region
         (0, 0.5, 1.0, 1.0 - 1e-4, 64),  # bad at a split, after bisecting
-        (0, 0.5, 1.0, 2.0, 1),  # budget exhausted at once
-        (0, 1e-9, 1.0, 2.0 + 1e-9, 3),  # budget exhausted while bisecting
+        (0, 0.5, 1.0, 2.0, 1),  # converges on its one interval
+        (0, 1e-9, 1.0, 2.0 + 1e-9, 3),  # converges within a budget of 3
+        (0, 0.5, 1.0, 1.0 + 1e-9, 1),  # budget exhausted at once
+        (0, 0.5, 1.0, 1.0 + 1e-9, 3),  # budget exhausted while bisecting
     ],
 )
-def test_adaptive_batch_matches_scalar(kind, lo, hi, psiv, max_iv):
-    want = kernels._adaptive_gk(kind, lo, hi, 1.0, 0.0, psiv, 1e-13, 1e-13, max_iv)
+def test_adaptive_batch_matches_scalar(s_ref, lo, hi, i_ref, max_iv):
+    want = kernels._adaptive_gk(lo, hi, 1.0, RHO_NEG, s_ref, i_ref, 1e-13, 1e-13, max_iv)
     status, value, err = batch._adaptive_gk_batch(
-        kind, np.array([lo, lo]), np.array([hi, hi]), 1.0, 0.0,
-        np.array([psiv, psiv]), 1e-13, 1e-13, max_iv,
+        np.array([lo, lo]), np.array([hi, hi]), 1.0, RHO_NEG,
+        np.array([s_ref, s_ref], dtype=float), np.array([i_ref, i_ref]), 1e-13, 1e-13, max_iv,
     )
     for k in range(2):
         assert status[k] == want[0]
@@ -132,13 +151,14 @@ def test_adaptive_batch_matches_scalar(kind, lo, hi, psiv, max_iv):
 def test_adaptive_batch_mixed_rows_end_independently():
     # rows that end in different rounds and with different statuses
     lo = np.array([0.5, 0.1, 1e-6, 1.0, 0.5])
-    hi = np.array([1.0, 0.3, 1.0, 1.0, 1.9])
-    psiv = np.array([2.0, 0.2, 2.0, 2.0, 2.0])
+    hi = np.array([1.0, 0.3, 1.0, 1.0, 1.9999])
+    i_ref = np.array([2.0, 0.2, 2.0, 2.0, 2.0])
+    s_ref = np.zeros(lo.size)
     status, value, err = batch._adaptive_gk_batch(
-        0, lo, hi, 1.0, 0.0, psiv, 1e-13, 1e-13, 256
+        lo, hi, 1.0, RHO_NEG, s_ref, i_ref, 1e-13, 1e-13, 256
     )
     for k in range(lo.size):
-        want = kernels._adaptive_gk(0, lo[k], hi[k], 1.0, 0.0, psiv[k], 1e-13, 1e-13, 256)
+        want = kernels._adaptive_gk(lo[k], hi[k], 1.0, RHO_NEG, 0.0, i_ref[k], 1e-13, 1e-13, 256)
         assert status[k] == want[0]
         assert _rel(value[k], want[1]) <= VALUE_REL
 
@@ -149,11 +169,12 @@ def test_gk15_batch_in_chunks_equals_one_pass(monkeypatch):
     rng = np.random.default_rng(5)
     a = rng.uniform(0.1, 1.0, 50)
     b = a + rng.uniform(0.0, 1.0, 50)
-    psiv = rng.uniform(0.5, 3.0, 50)  # some intervals leave the integrand's region
-    whole = batch._gk15_batch(0, a, b, 2.0, 1.5, psiv)
+    s_ref = np.ones(50)
+    i_ref = rng.uniform(0.5, 3.0, 50)  # some intervals leave the integrand's region
+    whole = batch._gk15_batch(a, b, 2.0, 1.5, s_ref, i_ref)
     assert not whole[2].all() and whole[2].any()
     monkeypatch.setattr(batch, "_GK_CHUNK", 7)
-    for one, chunked in zip(whole, batch._gk15_batch(0, a, b, 2.0, 1.5, psiv)):
+    for one, chunked in zip(whole, batch._gk15_batch(a, b, 2.0, 1.5, s_ref, i_ref)):
         np.testing.assert_array_equal(chunked, one)
 
 
@@ -213,7 +234,9 @@ def test_grid_u_every_edge_branch(p23):
 def test_grid_u_log_space_left_piece(p23):
     spec = GridSpec(20.0, 60.0, 5, 1.0, 10.0, 4)
     rows = _assert_rows_match_build_row(p23, spec, "u")
-    deep = [r for r in rows if solve_anchor(p23, r.x, r.y).log_a < math.log(SPLIT_Z)]
+    # anchors below rho*2**-53, where the far tail carries the left piece
+    tail = math.log(p23.rho * 2.0**-53)
+    deep = [r for r in rows if solve_anchor(p23, r.x, r.y).log_a < tail]
     assert deep and all(r.method == "Integral" for r in deep)
 
 
@@ -237,13 +260,16 @@ def test_grid_small_mu():
         assert all(r.status == "ok" for r in rows)
 
 
-def test_grid_quadrature_failure_falls_back():
-    # at x = 18.91... the u quadrature exhausts its budget for this tiny mu;
-    # the batch gives the node up and the scalar route raises the typed error
+def test_grid_quadrature_failure_falls_back(monkeypatch):
+    # with a budget of 16 intervals the u quadrature fails on the boundary
+    # layer next to the anchor at y = mu (it takes about 30 there); the
+    # batch gives these nodes up and the scalar route raises the typed error
+    for module in (analytic, batch):
+        monkeypatch.setattr(module, "QUAD_MAX_INTERVALS", 16)
     params = ModelParams(2.0, 3.0, 1e-6)
     spec = GridSpec(18.91483218006351, 50.0, 2, 1e-7, 1e-6, 2, spacing="log")
     rows = _assert_rows_match_build_row(params, spec, "u")
-    assert [r.status for r in rows] == ["ok", "ok", "error:QuadratureFailure", "ok"]
+    assert [r.status for r in rows] == ["ok", "ok"] + ["error:QuadratureFailure"] * 2
 
 
 def test_grid_rows_the_batch_gives_up_go_through_build_row(p23, monkeypatch):

@@ -11,7 +11,7 @@ regenerated by
     PYTHONPATH=src python tests/test_golden.py
 
 The cases are subgrids of the two README surfaces and a grid of deep
-anchors (below ``SPLIT_Z``, so the log-space left piece runs). Together they
+anchors (below rho*2**-53, so the closed-form far tail runs). Together they
 cover x = 0, x = rho, and y = mu on both sides of rho. A stored u or v is
 the ``run_grid`` value at that node; None marks a row with no value.
 
@@ -37,7 +37,6 @@ from sirtimes import (
     v_integral,
 )
 from sirtimes import kernels, ode
-from sirtimes.analytic import SPLIT_Z
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_values.json")
 REL_TOL = 1e-12
@@ -177,7 +176,8 @@ def test_golden_covers_boundary_cases(golden):
     assert any(x == 1.0 for x, *_ in golden["v_surface"]["nodes"])  # rho of that surface
     deep = golden["deep_anchor"]["nodes"]
     params = ModelParams(2.0, 3.0, 1.0)
-    assert any(solve_anchor(params, x, y).log_a < math.log(SPLIT_Z) for x, y, *_ in deep)
+    tail = math.log(params.rho * 2.0**-53)
+    assert any(solve_anchor(params, x, y).log_a < tail for x, y, *_ in deep)
 
 
 def test_golden_integrate_events_and_samples(golden_file):

@@ -508,8 +508,8 @@ TABLE_OUTPUTS = [
         ['asymptotics', '--time', 'u', '--ray', 'x=y', '--r', '10:100:2'],
         (
             'r,x,y,exact,asymptotic,ratio\n'
-            '10,5,5,0.81870492465022959,0.76752836433134863,1.0666770932478367\n'
-            '100,50,50,1.5386223126117182,1.5350567286626973,1.002322770150734\n'
+            '10,5,5,0.81870492465022948,0.76752836433134863,1.0666770932478367\n'
+            '100,50,50,1.5386223126117184,1.5350567286626973,1.002322770150734\n'
         ),
         (
             '[\n'
@@ -517,7 +517,7 @@ TABLE_OUTPUTS = [
             '    "r": 10.0,\n'
             '    "x": 5.0,\n'
             '    "y": 5.0,\n'
-            '    "exact": 0.8187049246502296,\n'
+            '    "exact": 0.8187049246502295,\n'
             '    "asymptotic": 0.7675283643313486,\n'
             '    "ratio": 1.0666770932478367\n'
             '  },\n'
@@ -525,7 +525,7 @@ TABLE_OUTPUTS = [
             '    "r": 100.0,\n'
             '    "x": 50.0,\n'
             '    "y": 50.0,\n'
-            '    "exact": 1.5386223126117182,\n'
+            '    "exact": 1.5386223126117184,\n'
             '    "asymptotic": 1.5350567286626973,\n'
             '    "ratio": 1.002322770150734\n'
             '  }\n'
@@ -536,7 +536,7 @@ TABLE_OUTPUTS = [
         ['asymptotics', '--time', 'v', '--ray', 'y=1', '--r', '20'],
         (
             'r,x,y,exact,asymptotic,ratio\n'
-            '20,19,1,0.15167546209971527,0.14747958386871771,1.0284505700445468\n'
+            '20,19,1,0.1516754620997153,0.14747958386871771,1.028450570044547\n'
         ),
         (
             '[\n'
@@ -544,9 +544,9 @@ TABLE_OUTPUTS = [
             '    "r": 20.0,\n'
             '    "x": 19.0,\n'
             '    "y": 1.0,\n'
-            '    "exact": 0.15167546209971527,\n'
+            '    "exact": 0.1516754620997153,\n'
             '    "asymptotic": 0.1474795838687177,\n'
-            '    "ratio": 1.0284505700445468\n'
+            '    "ratio": 1.028450570044547\n'
             '  }\n'
             ']\n'
         ),
@@ -639,16 +639,16 @@ def test_table_to_csv_matches_the_cell_rule(header, table):
 # err_estimate cells set to those of surface_values.json
 SURFACE_DIGESTS = {
     ("u", "integral"): (
-        "f7ccd03adeb43739e4a5b04f280e4c8414c5a7ce09fb1acccf86cf33f5400b38",
-        "404333c2ce8e1f677b21018299fd5c77f2555f6685dad07b4c41d58a9b1ee2a7",
+        "2a8858467374a9d153040ee22b44e56cdf0eca11c5adbdebda1dc8ae29a0bd49",
+        "e52666526cc8a93a52ca9e8614226ccdc563d9d60728ead266fa1e64f91e644f",
     ),
     ("u", "ode"): (
         "5c54390ef5fb2746e8c465b507edf2a60b22471b5624c6ba95f0ca41141b507a",
         "c4cfc615592f07969c92814b5d5ed5b3d91ede43a112bf94106ff4d5caf8e355",
     ),
     ("v", "integral"): (
-        "a5063421383931091ff4862500dd0c81555e03a05d82d818b277a44bb3bfe7ba",
-        "389dc17ebce896c90360bac93d426d7524ed01e269b5abbbbbb72cbdf281a5b5",
+        "610c7310b74a503f02ab5781b849aade90cc9a4ad4c8924e85d470874bf0a860",
+        "8b11080cbba6989b4300bc09b1e910808c94bbe666e453ba0b0e70a0e96a8574",
     ),
     ("v", "ode"): (
         "22f22b285c3dab407c828679591fc45335dc67486dfb267fd960258c0088bed0",
@@ -719,9 +719,9 @@ ROW_OUTPUTS = [
         (
             'x,y,value,method,err_estimate,lower,upper,asymptotic,status\n'
             '4,2,0.73451078208705278,OdeEvent,1.0000000000000001e-09,0.29182291245129993,2,0.59725315640935162,ok\n'
-            '4,2,0.73451078210394471,Integral,2.6720534559348616e-13,0.29182291245129993,2,0.59725315640935162,ok\n'
+            '4,2,0.73451078210394483,Integral,3.2745049234754593e-14,0.29182291245129993,2,0.59725315640935162,ok\n'
             '4,2,0.18306071694057977,OdeEvent,1.0000000000000001e-09,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
-            '4,2,0.18306071690143094,Integral,3.6649591750399018e-14,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
+            '4,2,0.183060716901431,Integral,2.3784673623498969e-14,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
         ),
         (
             '[\n'
@@ -739,9 +739,9 @@ ROW_OUTPUTS = [
             '  {\n'
             '    "x": 4.0,\n'
             '    "y": 2.0,\n'
-            '    "value": 0.7345107821039447,\n'
+            '    "value": 0.7345107821039448,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 2.6720534559348616e-13,\n'
+            '    "err_estimate": 3.2745049234754593e-14,\n'
             '    "lower": 0.29182291245129993,\n'
             '    "upper": 2.0,\n'
             '    "asymptotic": 0.5972531564093516,\n'
@@ -761,9 +761,9 @@ ROW_OUTPUTS = [
             '  {\n'
             '    "x": 4.0,\n'
             '    "y": 2.0,\n'
-            '    "value": 0.18306071690143094,\n'
+            '    "value": 0.183060716901431,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 3.664959175039902e-14,\n'
+            '    "err_estimate": 2.378467362349897e-14,\n'
             '    "lower": 0.17312717978295,\n'
             '    "upper": 0.19141940994788387,\n'
             '    "asymptotic": 0.19908438546978388,\n'
@@ -816,8 +816,8 @@ ROW_OUTPUTS = [
             '1,0.5,0,BoundaryZero,0,,,0.1351550360360548,ok\n'
             '2,0.5,0,BoundaryZero,0,,,0.30543024395805168,ok\n'
             '0,2,0.23104906018664842,ExactX0,0,0,0.23104906018664842,0.23104906018664842,ok\n'
-            '1,2,0.37120243109885248,Integral,1.1952261410261939e-13,0.060773852264651533,0.69314718055994529,0.36620409622270328,ok\n'
-            '2,2,0.53450808088678115,Integral,1.8895338876155641e-14,0.15666787641524521,1.3333333333333333,0.46209812037329684,ok\n'
+            '1,2,0.37120243109885231,Integral,4.1211748580277915e-15,0.060773852264651533,0.69314718055994529,0.36620409622270328,ok\n'
+            '2,2,0.53450808088678103,Integral,1.1176105729631972e-13,0.15666787641524521,1.3333333333333333,0.46209812037329684,ok\n'
         ),
         (
             '[\n'
@@ -868,9 +868,9 @@ ROW_OUTPUTS = [
             '  {\n'
             '    "x": 1.0,\n'
             '    "y": 2.0,\n'
-            '    "value": 0.3712024310988525,\n'
+            '    "value": 0.3712024310988523,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 1.195226141026194e-13,\n'
+            '    "err_estimate": 4.1211748580277915e-15,\n'
             '    "lower": 0.06077385226465153,\n'
             '    "upper": 0.6931471805599453,\n'
             '    "asymptotic": 0.3662040962227033,\n'
@@ -879,9 +879,9 @@ ROW_OUTPUTS = [
             '  {\n'
             '    "x": 2.0,\n'
             '    "y": 2.0,\n'
-            '    "value": 0.5345080808867811,\n'
+            '    "value": 0.534508080886781,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 1.889533887615564e-14,\n'
+            '    "err_estimate": 1.1176105729631972e-13,\n'
             '    "lower": 0.1566678764152452,\n'
             '    "upper": 1.3333333333333333,\n'
             '    "asymptotic": 0.46209812037329684,\n'

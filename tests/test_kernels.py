@@ -15,8 +15,9 @@ import pytest
 
 from sirtimes import batch, kernels
 
-# int_{1/2}^{1} dz / (z*(2 - z)) = ln(3)/2, matching the z-space integrand
-# with beta=1, rho=0, psi=2
+# int_{1/2}^{1} dz / (z*(2 - z)) = ln(3)/2: the integrand in sig = ln(z/S0)
+# with beta=1, rho=0 and I = 2 - z, from the reference point (S0, I0) =
+# (1, 1) or (1/2, 3/2)
 LN3_OVER_2 = 0.54930614433405484570
 
 # anchor roots of e^L + mu - rho*L = psi at rho=1.5, mu=1, 50-digit values
@@ -32,42 +33,45 @@ LOG_A_1000_1000 = -1325.75891138768452961
 PSI_MIN = 1.5 + 1.0 - 1.5 * math.log(1.5)
 
 
-def test_quad_closed_form_z_space():
+def test_quad_closed_form_log_space():
+    # from the reference point at z = 1, over sig = ln z in [ln(1/2), 0]
     status, value, err = kernels._adaptive_gk(
-        0, 0.5, 1.0, 1.0, 0.0, 2.0, 1e-13, 1e-13, 256
+        math.log(0.5), 0.0, 1.0, 0.0, 1.0, 1.0, 1e-13, 1e-13, 256
     )
     assert status == kernels.QUAD_OK
     assert value == pytest.approx(LN3_OVER_2, abs=1e-13)
     assert abs(value - LN3_OVER_2) <= err + 1e-15
 
 
-def test_quad_closed_form_log_space():
-    # same integral after z = e^L
+def test_quad_closed_form_from_the_other_end():
+    # the same integral from the reference point at z = 1/2, over sig =
+    # ln(2z) in [0, ln 2]
     status, value, err = kernels._adaptive_gk(
-        1, math.log(0.5), 0.0, 1.0, 0.0, 2.0, 1e-13, 1e-13, 256
+        0.0, math.log(2.0), 1.0, 0.0, 0.5, 1.5, 1e-13, 1e-13, 256
     )
     assert status == kernels.QUAD_OK
     assert value == pytest.approx(LN3_OVER_2, abs=1e-13)
+    assert abs(value - LN3_OVER_2) <= err + 1e-15
 
 
 def test_quad_empty_interval():
     status, value, err = kernels._adaptive_gk(
-        0, 1.0, 1.0, 1.0, 0.0, 2.0, 1e-12, 1e-12, 64
+        1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 1e-12, 1e-12, 64
     )
     assert (status, value, err) == (kernels.QUAD_OK, 0.0, 0.0)
 
 
 def test_quad_bad_function():
-    # g = 0.2 - z changes sign inside [0.1, 0.3]
+    # I = 0.2 - sig changes sign inside [0.1, 0.3]
     status, value, err = kernels._adaptive_gk(
-        0, 0.1, 0.3, 1.0, 0.0, 0.2, 1e-12, 1e-12, 64
+        0.1, 0.3, 1.0, -1.0, 0.0, 0.2, 1e-12, 1e-12, 64
     )
     assert status == kernels.QUAD_BADFUN
 
 
 def test_quad_out_of_budget():
     status, value, err = kernels._adaptive_gk(
-        0, 0.5, 1.0, 1.0, 0.0, 2.0, 1e-30, 1e-30, 2
+        math.log(0.5), 0.0, 1.0, 0.0, 1.0, 1.0, 1e-30, 1e-30, 2
     )
     assert status == kernels.QUAD_NOCONV
     assert value == pytest.approx(LN3_OVER_2, rel=1e-10)
@@ -75,14 +79,15 @@ def test_quad_out_of_budget():
 
 
 def test_integrand_values():
-    v, ok = kernels._quad_f(0, 1.0, 2.0, 1.5, 2.0)
-    assert ok and v == pytest.approx(0.5, rel=1e-15)
-    _, ok = kernels._quad_f(0, 0.0, 1.0, 0.0, 2.0)
-    assert not ok
-    _, ok = kernels._quad_f(0, 3.0, 1.0, 0.0, 2.0)  # g = 2 - 3 < 0
-    assert not ok
-    v, ok = kernels._quad_f(1, 0.0, 1.0, 0.0, 2.0)  # L = 0: 1/(2 - 1)
-    assert ok and v == pytest.approx(1.0, rel=1e-15)
+    # I = i_ref - s_ref*expm1(sig) + rho*sig, exact at sig = 0
+    assert kernels._orbit_i(0.0, 1.5, 3.0, 1.0) == 1.0
+    assert kernels._orbit_i(math.log(2.0), 0.0, 1.0, 3.0) == pytest.approx(2.0, rel=1e-15)
+    # a panel over the constant 1/(beta*I) = 1/2, of length 0.5
+    value, err, ok = kernels._gk15(0.0, 0.5, 2.0, 0.0, 0.0, 1.0)
+    assert ok and value == pytest.approx(0.25, rel=1e-15)
+    # I = 1 - sig reaches 0 inside [0.5, 1.5], and 2 - expm1(sig) beyond ln 3
+    assert kernels._gk15(0.5, 1.5, 1.0, -1.0, 0.0, 1.0) == (0.0, 0.0, False)
+    assert kernels._gk15(1.0, 2.0, 1.0, 0.0, 1.0, 2.0) == (0.0, 0.0, False)
 
 
 def test_anchor_interior_root():
@@ -170,6 +175,33 @@ def test_anchor_where_e_to_the_minus_c_underflows(rho, mu):
         want_ok, want = kernels._anchor_log(rho, mu, p)
         assert got_ok and want_ok and got == want
         assert _ulp_error(want, (Fraction(mu) - Fraction(p)) / Fraction(rho)) <= 1.0
+
+
+# quartics 1 + theta*(q0 + theta*(q1 + theta*(q2 + theta*q3))) with one
+# root in (0, 1), refined to a bracket of 1e-3: the Illinois halving of the
+# retained end's value decides which bracket the loop ends on. theta moves
+# by 1e-4 or more where it halves by 0.25 instead: at the first four where
+# the right end's value does, at the last two where the left end's does
+ILLINOIS_BRACKETS = [
+    ((-3.7, -3.8, -0.3, -1.5), 0.21958501439000067, 0.00043081528888914977),
+    ((-2.1, -3.8, -1.4, -2.9), 0.29337803391668615, 1.8712210878096824e-05),
+    ((0.9, 1.9, -3.1, -1.3), 0.9318331601127886, 2.8139576719210524e-05),
+    ((-0.7, -3.1, 1.8, -2.1), 0.49128220326890915, 0.000372807501447886),
+    ((1.4, -3.2, -2.1, 2.7), 0.8488614785602293, 0.00016165914568594397),
+    ((-3.2, 1.6, 2.0, -2.2), 0.43258225346375234, 3.1110835889969213e-06),
+]
+
+
+def test_illinois_refinement_pins_its_brackets():
+    qs = np.array([q for q, _, _ in ILLINOIS_BRACKETS]).T
+    g1 = kernels._dense_eval(1.0, 1.0, *qs, 1.0)
+    ones = np.ones(g1.size)
+    arrays = kernels._refine_crossing(ones, 1.0, *qs, 0.0, ones, g1, 1e-3, batch._ARRAYS)
+    for k, (q, theta, half_width) in enumerate(ILLINOIS_BRACKETS):
+        got = kernels._refine_crossing(1.0, 1.0, *q, 0.0, 1.0, g1[k], 1e-3)
+        assert got == (arrays[0][k], arrays[1][k])
+        assert got[0] == pytest.approx(theta, rel=1e-12)
+        assert got[1] == pytest.approx(half_width, rel=1e-9)
 
 
 def test_dense_output_endpoints():
