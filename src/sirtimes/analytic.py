@@ -19,6 +19,15 @@ Below S_TAIL = rho*2**-53, e^s is below the rounding of rho and I is linear
 in s, so u's far tail from the anchor up to ln(S_TAIL/x) is ln(I/mu)/gamma
 in closed form, and the piece above it starts from that reference point.
 
+Each piece is integrated by GK15 panels on a fixed mesh
+(:func:`sirtimes.kernels._graded_gk`): the integrand is smooth apart from a
+boundary layer at an end where I is small, of width I/|rho - S| there, and
+the edges run geometrically from each such end to the midpoint; every panel
+is halved, at most twice, where the summed estimate misses the tolerance.
+The grid's twin (:mod:`sirtimes.batch`) places the same mesh, so only the
+DP5 step loop is still written twice. err_estimate is at least 8 units of
+2**-52 of the time: the rounding of the far tail and of the panel sums.
+
 The anchor offset s* solves y - mu - x*expm1(s) + rho*s = 0
 (:func:`sirtimes.kernels._anchor_offset`), in the closed form of the
 Kermack-McKendrick final-size relation: with c = (psi - mu)/rho + ln(rho),
@@ -55,10 +64,19 @@ __all__ = [
     "asymptotic_v",
 ]
 
-# quadrature controls; abs/rel tolerance and the subdivision budget
+# quadrature controls: absolute and relative tolerance
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-12
-QUAD_MAX_INTERVALS = 2048
+
+# err_estimate is at least this many units of 2**-52 relative: the rounding
+# of the far tail's logs and of the panel sums, which no GK15 estimate sees
+_ROUNDING_ULPS = 8.0
+
+
+def _err_floor(value, err, ops=kernels._FLOATS):
+    """err raised to the rounding floor of the time *value*: floats, or
+    arrays given ops=batch._ARRAYS."""
+    return ops.high(err, _ROUNDING_ULPS * 2.0**-52 * abs(value))
 
 
 @dataclass(frozen=True)
@@ -142,21 +160,21 @@ def _u_pieces(params, x, y, s_rho, ops=kernels._FLOATS):
 
 def _run_quads(params, value, *pieces):
     """*value* plus the quadratures over the pieces (lo, hi, s_ref, i_ref),
-    and their summed error. Raises QuadratureFailure, carrying both sums,
-    where a piece fails (the status codes rise with the failure's weight)."""
+    and their summed error, at least the rounding floor :func:`_err_floor`.
+    Raises QuadratureFailure, carrying both sums, where a piece fails (the
+    status codes rise with the failure's weight)."""
     err = 0.0
     worst = kernels.QUAD_OK
     for lo, hi, s_ref, i_ref in pieces:
-        status, v, e = kernels._adaptive_gk(
-            lo, hi, params.beta, params.rho, s_ref, i_ref,
-            QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS,
+        status, v, e = kernels._graded_gk(
+            lo, hi, params.beta, params.rho, s_ref, i_ref, QUAD_ABS_TOL, QUAD_REL_TOL
         )
         value, err, worst = value + v, err + e, max(worst, status)
     if worst == kernels.QUAD_BADFUN:
         raise QuadratureFailure(value, err, "integrand left its valid region (I <= 0 at a node)")
     if worst == kernels.QUAD_NOCONV:
         raise QuadratureFailure(value, err)
-    return value, err
+    return value, _err_floor(value, err)
 
 
 def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:

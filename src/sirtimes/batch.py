@@ -13,14 +13,17 @@ The functions here run the scalar algorithms of :mod:`sirtimes.kernels`,
 problems at once, in lock-step, with numpy arrays. Every formula comes from
 those modules, given :data:`_ARRAYS`: the field, DP5 stages, error norm,
 dense output and crossing refinement, the GK15 rule and error finish, the
-stopping test, the anchor, the u integral's pieces, and the bound,
-asymptotic, cap and event formulas. The twins differ only in control flow:
-each element leaves a loop or takes a branch on its own. Their per-node
-logs, exps and powers are math's and Python's per element
-(:func:`_math_each`), so the anchor, the DP5 loop, the crossing refinement
-and the side cells agree with the scalar kernels bit for bit (and
-:func:`_py_max`, :func:`_py_min` mirror max and min); the quadratures' I
-takes numpy's expm1 unless asked for math's, to a few units in the last place.
+graded mesh and stopping test, the anchor, the u integral's pieces and
+rounding floor, and the bound, asymptotic, cap and event formulas. The
+twins differ only in control flow: each element leaves a loop or takes a
+branch on its own. Only the DP5 step loop is still written twice
+(:func:`_dp5_batch`); the quadrature's fixed passes run every panel of a
+grid at once (:func:`_batch_quad`). Their per-node logs, exps and powers
+are math's and Python's per element (:func:`_math_each`), so the anchor,
+the DP5 loop, the crossing refinement, the quadrature's mesh and the side
+cells agree with the scalar kernels bit for bit (and :func:`_py_max`,
+:func:`_py_min` mirror max and min); the quadratures' I takes numpy's expm1
+unless asked for math's, to a few units in the last place.
 """
 
 import math
@@ -32,13 +35,13 @@ import numpy as np
 from .analytic import (
     _DEGENERATE_DEN,
     QUAD_ABS_TOL,
-    QUAD_MAX_INTERVALS,
     QUAD_REL_TOL,
     _asymptotic_u,
     _asymptotic_v,
     _bounds_u_terms,
     _bounds_v_args,
     _bounds_v_terms,
+    _err_floor,
     _log_ratio,
     _subcritical_u,
     _u_pieces,
@@ -52,14 +55,12 @@ from .kernels import (
     ODE_CAP,
     ODE_OK,
     ODE_STALL,
-    QUAD_BADFUN,
-    QUAD_NOCONV,
-    QUAD_OK,
     _converged,
     _dp5,
     _field,
     _gk15_rule,
     _initial_step,
+    _layers,
     _locate,
     _orbit_i,
     _Ops,
@@ -91,21 +92,21 @@ def _py_min(a, b):
 
 # kernels._Ops on arrays: math's log, log1p, exp and expm1 and Python's pow
 # per element (numpy's power differs from pow in the last bit on some CPUs),
-# and numpy's sqrt (correctly rounded, as math's is)
+# and numpy's frexp and sqrt (exact and correctly rounded, as math's are)
 _ARRAYS = _Ops(
     *(partial(_math_each, fn) for fn in (math.log, math.log1p, math.exp, math.expm1, pow)),
-    np.sqrt, _py_max, _py_min, np.where, np.any,
+    np.frexp, np.sqrt, _py_max, _py_min, np.where, np.any,
 )
 
 
-# intervals per numpy pass of _gk15_batch: the pass holds several
-# (intervals, 15) temporaries, which for a whole grid's first round would
-# otherwise take megabytes at once
+# panels per numpy pass of _gk15_batch: the pass holds several (panels, 15)
+# temporaries, which for a whole grid's first pass would otherwise take
+# megabytes at once
 _GK_CHUNK = 1024
 
 
 def _gk15_batch(a, b, beta, rho, s_ref, i_ref, expm1=np.expm1):
-    """:func:`kernels._gk15` on the intervals [a[k], b[k]], each with its
+    """:func:`kernels._gk15` on the panels [a[k], b[k]], each with its
     own reference point (s_ref[k], i_ref[k]), I by :func:`kernels._orbit_i`
     with *expm1*. Returns (value, err, ok) arrays."""
     if a.size > _GK_CHUNK:
@@ -131,94 +132,16 @@ def _gk15_batch(a, b, beta, rho, s_ref, i_ref, expm1=np.expm1):
         return (*_gk15_rule(fv.T, hl, _ARRAYS), ok.all(axis=1))
 
 
-def _adaptive_gk_batch(lo, hi, beta, rho, s_ref, i_ref, atol, rtol, max_iv, expm1=np.expm1):
-    """:func:`kernels._adaptive_gk` over the integrals on [lo[k], hi[k]] in
-    lock-step.
-
-    Each round takes every integral that is still running, applies the
-    scalar convergence test, and bisects that integral's own worst interval.
-    An integral leaves the round as soon as it ends, with the status, value
-    and error the scalar kernel would return (a non-finite total or error
-    ends it as QUAD_NOCONV). Returns (status, value, err) arrays.
-    """
-    n = lo.size
-    status = np.full(n, QUAD_OK)
-    value = np.zeros(n)
-    err = np.zeros(n)
-    run = np.flatnonzero(hi > lo)
-    if not run.size:
-        return status, value, err
-    v, e, ok = _gk15_batch(lo[run], hi[run], beta, rho, s_ref[run], i_ref[run], expm1)
-    status[run[~ok]] = QUAD_BADFUN
-    idx = run[ok]
-    sr, ir = s_ref[idx], i_ref[idx]
-    # one row per running integral, one column per interval; unused columns
-    # hold zeros, which change neither the sums nor the argmax
-    cap = min(8, max_iv)
-    al = np.zeros((idx.size, cap))
-    bl = np.zeros((idx.size, cap))
-    vl = np.zeros((idx.size, cap))
-    el = np.zeros((idx.size, cap))
-    al[:, 0] = lo[idx]
-    bl[:, 0] = hi[idx]
-    vl[:, 0] = v[ok]
-    el[:, 0] = e[ok]
-    cnt = np.ones(idx.size, dtype=np.int64)
-    while idx.size:
-        # cumsum adds left to right, as the scalar loop does
-        # copies of the last columns, so the (nodes, cap) sums can be freed
-        total = np.cumsum(vl, axis=1)[:, -1].copy()
-        errtot = np.cumsum(el, axis=1)[:, -1].copy()
-        rows = np.arange(idx.size)
-        worst = np.argmax(el, axis=1)
-        a0 = al[rows, worst]
-        b0 = bl[rows, worst]
-        m = 0.5 * (a0 + b0)
-        end = np.full(idx.size, -1)
-        end[(m <= a0) | (m >= b0)] = QUAD_NOCONV
-        end[cnt >= max_iv] = QUAD_NOCONV
-        end[_converged(total, errtot, atol, rtol, _ARRAYS)] = QUAD_OK
-        end[~(np.isfinite(total) & np.isfinite(errtot))] = QUAD_NOCONV
-        g = np.flatnonzero(end < 0)
-        if g.size:
-            k = g.size
-            vs, es, oks = _gk15_batch(
-                np.concatenate((a0[g], m[g])),
-                np.concatenate((m[g], b0[g])),
-                beta,
-                rho,
-                np.concatenate((sr[g], sr[g])),
-                np.concatenate((ir[g], ir[g])),
-                expm1,
-            )
-            bad = ~(oks[:k] & oks[k:])
-            end[g[bad]] = QUAD_BADFUN
-            keep = ~bad
-            g = g[keep]
-            w = worst[g]
-            c = cnt[g]
-            bl[g, w] = m[g]
-            vl[g, w] = vs[:k][keep]
-            el[g, w] = es[:k][keep]
-            al[g, c] = m[g]
-            bl[g, c] = b0[g]
-            vl[g, c] = vs[k:][keep]
-            el[g, c] = es[k:][keep]
-            cnt[g] += 1
-        done = end >= 0
-        if done.any():
-            out = idx[done]
-            status[out] = end[done]
-            value[out] = total[done]
-            err[out] = errtot[done]
-            live = ~done
-            idx, sr, ir, cnt = idx[live], sr[live], ir[live], cnt[live]
-            al, bl, vl, el = al[live], bl[live], vl[live], el[live]
-        if idx.size and cnt.max() >= cap:
-            grow = min(cap, max_iv - cap)
-            al, bl, vl, el = (np.pad(t, ((0, 0), (0, grow))) for t in (al, bl, vl, el))
-            cap += grow
-    return status, value, err
+def _run_sums(values, counts):
+    """The sums of consecutive runs along the last axis of *values*, run j
+    counts[j] long: each added left to right from 0.0, as the scalar
+    quadrature adds its panels."""
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(values.shape[:-1] + counts.shape)
+    for j in range(counts.max(initial=0)):
+        live = np.flatnonzero(counts > j)
+        sums[..., live] += values[..., starts[live] + j]
+    return sums
 
 
 # below this many nodes, _dp5_batch steps each node in the scalar loop
@@ -322,17 +245,50 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
 # --- the route functions' twins ----------------------------------------------
 
 def _batch_quad(good, lo, hi, beta, rho, s_ref, i_ref, total, err, expm1):
-    """Add the batched quadrature over [lo, hi] from the reference points
-    (s_ref, i_ref) to *total* and *err* at the nodes that are still *good*;
-    clear *good* where it did not converge."""
-    k = np.flatnonzero(good)
-    status, value, e = _adaptive_gk_batch(
-        lo[k], hi[k], beta, rho, s_ref[k], i_ref[k],
-        QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_INTERVALS, expm1,
-    )
-    total[k] += value
-    err[k] += e
-    good[k] = status == QUAD_OK
+    """:func:`kernels._graded_gk` over [lo, hi] from the reference points
+    (s_ref, i_ref) at the nodes that are still *good*, added to *total* and
+    *err*; *good* is cleared where it did not converge.
+
+    The panels of the running nodes are held flat, each node's in order, so
+    that memory follows the panels evaluated; a pass evaluates them all in
+    one :func:`_gk15_batch` call and sums each node's panels in order, and
+    the nodes that miss the stopping test have every panel halved for the
+    next pass. The mesh is the scalar one (:func:`kernels._layers` with
+    math's exp and expm1), so with ``expm1=_ARRAYS.expm1`` the sums are the
+    scalar kernel's bit for bit."""
+    k = np.flatnonzero(good & ~(hi <= lo))
+    lo, hi, s_ref, i_ref = lo[k], hi[k], s_ref[k], i_ref[k]
+    with np.errstate(all="ignore"):
+        half, w_lo, n_lo, w_hi, n_hi = _layers(lo, hi, rho, s_ref, i_ref, _ARRAYS)
+        # node j's edges at places q = 0 .. last: lo, lo + w_lo*2**(q-1) up to
+        # q = n_lo, the midpoint, hi - w_hi*2**(last-1-q) down to 2**0, and hi
+        last = n_lo + n_hi + 2
+        own = np.repeat(np.arange(k.size), last + 1)
+        q = np.arange(own.size) - np.repeat(np.cumsum(last + 1) - (last + 1), last + 1)
+        lo_q, hi_q, n_q, last_q = lo[own], hi[own], n_lo[own], last[own]
+        edges = np.select(
+            [q == 0, q <= n_q, q == n_q + 1, q < last_q],
+            [lo_q, lo_q + np.ldexp(w_lo[own], q - 1), lo_q + half[own],
+             hi_q - np.ldexp(w_hi[own], last_q - 1 - q)],
+            hi_q,
+        )
+        a, b, own = edges[q < last_q], edges[q > 0], own[q > 0]
+        for halving in range(3):
+            if halving:
+                mid = 0.5 * (a + b)
+                a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
+                own = np.repeat(own, 2)
+            v, e, ok = _gk15_batch(a, b, beta, rho, s_ref[own], i_ref[own], expm1)
+            count = np.bincount(own, minlength=k.size)
+            tot, et = _run_sums(np.stack((v, e)), count)
+            bad = np.bincount(own[~ok], minlength=k.size) > 0
+            conv = _converged(tot, et, QUAD_ABS_TOL, QUAD_REL_TOL, _ARRAYS) & ~bad
+            end = (count > 0) & (conv | bad | (halving == 2))
+            total[k[end]] += tot[end]
+            err[k[end]] += et[end]
+            good[k[end & ~conv]] = False
+            keep = ~end[own]
+            a, b, own = a[keep], b[keep], own[keep]
 
 
 def u_integral_batch(params: ModelParams, xs, ys, expm1=np.expm1):
@@ -367,7 +323,7 @@ def u_integral_batch(params: ModelParams, xs, ys, expm1=np.expm1):
     _batch_quad(good, s_rho, zero, beta, rho, xi, yi, tail, e, expm1)
     ok[idx] = good
     value[idx] = np.maximum(tail, 0.0)
-    err[idx] = e
+    err[idx] = _err_floor(tail, e, _ARRAYS)
     return ok, value, err
 
 
@@ -388,6 +344,7 @@ def v_integral_batch(params: ModelParams, xs, ys, expm1=np.expm1):
     with np.errstate(all="ignore"):
         s_rho = _log_ratio(rho, np.where(ok, x, rho), _ARRAYS)
     _batch_quad(ok, s_rho, np.zeros(x.shape), params.beta, rho, x, y, value, err, expm1)
+    err = _err_floor(value, err, _ARRAYS)
     np.maximum(value, 0.0, out=value)
     return ok, value, err
 

@@ -66,10 +66,12 @@ class TimeCapExceeded(SirTimesError):
 
 
 class QuadratureFailure(SirTimesError):
-    """Adaptive quadrature could not meet its tolerance.
+    """The integral route's quadrature could not meet its tolerance.
 
-    Carries the best estimate and its error bound so callers can inspect how
-    far the refinement got.
+    Raised where the graded Gauss-Kronrod rule still misses the tolerance
+    after halving every panel twice, or where the integrand leaves its valid
+    region (I <= 0 at a node). Carries the value and error bound the rule
+    reached so callers can inspect how far it got.
     """
 
     def __init__(self, value: float, err_estimate: float, message: str = ""):

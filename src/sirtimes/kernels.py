@@ -1,6 +1,6 @@
 """Scalar numerical kernels: Dormand-Prince 5(4) stepping with quartic dense
-output and event refinement, adaptive Gauss-Kronrod 7/15 quadrature for the
-time integrals, and the closed-form anchor root in log space.
+output and event refinement, Gauss-Kronrod 7/15 quadrature on a graded mesh
+for the time integrals, and the closed-form anchor root in log space.
 
 All ODE work goes through one stepping loop, :func:`_dp5`. It watches the
 first downward crossings of I through mu (u) and of S through rho (v), and
@@ -21,8 +21,11 @@ operations of their kind (:data:`_FLOATS` by default, ``batch._ARRAYS``),
 the first step :func:`_initial_step`, the DP5 error norm :func:`_try_step`,
 the crossing refinement :func:`_locate` with its Illinois loop
 :func:`_refine_crossing`, the GK15 rule and error finish :func:`_gk15_rule`,
-the stopping test :func:`_converged` and the anchor (:func:`_anchor_log`,
-:func:`_anchor_offset`). The twins differ only in control flow.
+the graded mesh :func:`_layers`, the stopping test :func:`_converged` and the
+anchor (:func:`_anchor_log`, :func:`_anchor_offset`). The twins differ only
+in control flow, and only the DP5 step loop is still written twice: the
+quadrature :func:`_graded_gk` has no loop but its fixed passes, which its
+twin runs over every panel of a grid at once.
 """
 
 import math
@@ -227,11 +230,13 @@ def _low(a, b):
 
 # The operations of the shared formulas for one kind of operand: _FLOATS,
 # and batch._ARRAYS, whose forms give the float results element for element:
-# math's functions and Python's pow, Python's max and min as high and low,
-# np.where as pick, and any, whether a condition holds anywhere (bool on
-# floats).
-_Ops = namedtuple("_Ops", "log log1p exp expm1 pow sqrt high low pick any")
-_FLOATS = _Ops(math.log, math.log1p, math.exp, math.expm1, pow, math.sqrt, _high, _low, _pick, bool)
+# math's functions and Python's pow, frexp (exact in numpy too), Python's max
+# and min as high and low, np.where as pick, and any, whether a condition
+# holds anywhere (bool on floats).
+_Ops = namedtuple("_Ops", "log log1p exp expm1 pow frexp sqrt high low pick any")
+_FLOATS = _Ops(
+    math.log, math.log1p, math.exp, math.expm1, pow, math.frexp, math.sqrt, _high, _low, _pick, bool
+)
 
 
 def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops=_FLOATS):
@@ -473,9 +478,10 @@ def _gk15_rule(fv, hl, ops=_FLOATS):
     resasc *= abs(hl)
     scaled = (resasc != 0.0) & (err != 0.0)
     # over resasc + 1 where resasc is 0, so that floats do not divide by 0;
-    # min(1, r) before the power, which on floats overflows for a huge r
-    r = 200.0 * err / (resasc + (resasc == 0.0))
-    err = ops.pick(scaled, resasc * ops.low(1.0, r) ** 1.5, err)
+    # min(1, r) before the power, which on floats overflows for a huge r,
+    # and the power 1.5 as m*sqrt(m), which rounds alike on floats and arrays
+    m = ops.low(1.0, 200.0 * err / (resasc + (resasc == 0.0)))
+    err = ops.pick(scaled, resasc * (m * ops.sqrt(m)), err)
     return resk * hl, ops.high(err, 50.0 * _EPS * (resabs * abs(hl)))
 
 
@@ -498,55 +504,66 @@ def _gk15(a, b, beta, rho, s_ref, i_ref):
 
 
 def _converged(total, errtot, atol, rtol, ops=_FLOATS):
-    """The adaptive quadrature's stopping test on the summed value and
-    error: floats, or arrays given ops=batch._ARRAYS."""
+    """The quadrature's stopping test on the summed value and error: floats,
+    or arrays given ops=batch._ARRAYS."""
     return errtot <= ops.high(atol, rtol * abs(total))
 
 
-def _adaptive_gk(lo, hi, beta, rho, s_ref, i_ref, atol, rtol, max_iv):
-    """Globally adaptive quadrature: repeatedly bisect the interval with the
-    largest error estimate. Returns (status, value, err)."""
+def _layers(lo, hi, rho, s_ref, i_ref, ops=_FLOATS):
+    """The graded mesh of the piece [lo, hi] of the time integrand, I from
+    (s_ref, i_ref): floats, or arrays given ops=batch._ARRAYS, whose exp and
+    expm1 are math's, so that both kinds place the same edges.
+
+    At an end e the integrand has a boundary layer of width w = I/|rho - S|
+    there, I over its slope in s. The graded edges from lo are lo +
+    w_lo*2**j for every j >= 0 with w_lo*2**j below half the length, counted
+    exactly from the binary exponents, and likewise hi - w_hi*2**j from hi.
+    An end grades only where w is positive and finite: the peak end, where
+    the slope is 0, does not, nor an end where I <= 0, I is NaN or w
+    underflows to 0. Returns (half, w_lo, n_lo, w_hi, n_hi): half the
+    length, and each end's width and count of graded edges."""
+    pick = ops.pick
+    half = 0.5 * (hi - lo)
+    mh, eh = ops.frexp(half)
+    ends = [half]
+    for end in (lo, hi):
+        slope = abs(rho - s_ref * ops.exp(end))
+        w = _orbit_i(end, rho, s_ref, i_ref, ops.expm1) / pick(slope > 0.0, slope, 1.0)
+        mw, ew = ops.frexp(w)
+        grade = (slope > 0.0) & (w > 0.0) & (w < math.inf)
+        ends += [w, pick(grade, ops.high(eh - ew + (mw < mh), 0), 0)]
+    return ends
+
+
+def _graded_gk(lo, hi, beta, rho, s_ref, i_ref, atol, rtol):
+    """GK15 quadrature of the time integrand over [lo, hi] on a fixed graded
+    mesh (Piessens et al., *QUADPACK*, 1983, 2.2; Davis & Rabinowitz,
+    *Methods of Numerical Integration*, 1984, on graded meshes at endpoint
+    singularities). The panel edges are lo, the graded edges of
+    :func:`_layers` from lo, the midpoint, those from hi, and hi. Where the
+    panels' summed estimate misses :func:`_converged`, every panel is
+    halved, at most twice, so a piece takes at most 7 times its first
+    panel count. Panels are summed in order. Returns (status, value, err):
+    QUAD_BADFUN with the sums before the panel where I <= 0 at a node, and
+    QUAD_NOCONV with the last sums after the second halving."""
     if hi <= lo:
         return QUAD_OK, 0.0, 0.0
-    v, e, ok = _gk15(lo, hi, beta, rho, s_ref, i_ref)
-    if not ok:
-        return QUAD_BADFUN, 0.0, 0.0
-    al = [lo]
-    bl = [hi]
-    vl = [v]
-    el = [e]
-    while True:
-        total = 0.0
-        errtot = 0.0
-        worst = 0
-        eworst = -1.0
-        for j in range(len(vl)):
-            total += vl[j]
-            errtot += el[j]
-            if el[j] > eworst:
-                eworst = el[j]
-                worst = j
+    half, w_lo, n_lo, w_hi, n_hi = _layers(lo, hi, rho, s_ref, i_ref)
+    edges = [lo, *(lo + math.ldexp(w_lo, j) for j in range(n_lo)), lo + half,
+             *(hi - math.ldexp(w_hi, j) for j in reversed(range(n_hi))), hi]
+    for halving in range(3):
+        if halving:
+            edges = [e for a, b in zip(edges, edges[1:]) for e in (a, 0.5 * (a + b))] + [hi]
+        total = errtot = 0.0
+        for a, b in zip(edges, edges[1:]):
+            v, e, ok = _gk15(a, b, beta, rho, s_ref, i_ref)
+            if not ok:
+                return QUAD_BADFUN, total, errtot
+            total += v
+            errtot += e
         if _converged(total, errtot, atol, rtol):
             return QUAD_OK, total, errtot
-        if len(vl) >= max_iv:
-            return QUAD_NOCONV, total, errtot
-        a0 = al[worst]
-        b0 = bl[worst]
-        m = 0.5 * (a0 + b0)
-        if m <= a0 or m >= b0:
-            # interval already at floating-point resolution
-            return QUAD_NOCONV, total, errtot
-        v1, e1, ok1 = _gk15(a0, m, beta, rho, s_ref, i_ref)
-        v2, e2, ok2 = _gk15(m, b0, beta, rho, s_ref, i_ref)
-        if not (ok1 and ok2):
-            return QUAD_BADFUN, total, errtot
-        bl[worst] = m
-        vl[worst] = v1
-        el[worst] = e1
-        al.append(m)
-        bl.append(b0)
-        vl.append(v2)
-        el.append(e2)
+    return QUAD_NOCONV, total, errtot
 
 
 def _two_sum(a, b):

@@ -196,7 +196,6 @@ def test_v_integral_domain(p23):
 def test_quadrature_budget_failure(p23, monkeypatch):
     monkeypatch.setattr(analytic, "QUAD_ABS_TOL", 1e-30)
     monkeypatch.setattr(analytic, "QUAD_REL_TOL", 1e-30)
-    monkeypatch.setattr(analytic, "QUAD_MAX_INTERVALS", 1)
     with pytest.raises(QuadratureFailure) as exc:
         u_integral(p23, 4.0, 2.0)
     # the failure still carries the best estimate so far

@@ -210,7 +210,7 @@ def test_sampled_checks_make_few_scalar_calls(monkeypatch):
     dp5 = _count_calls(monkeypatch, "_dp5")
     checks.check_ordering_v_le_u()
     assert len(dp5) == 0
-    gk = _count_calls(monkeypatch, "_adaptive_gk")
+    gk = _count_calls(monkeypatch, "_graded_gk")
     for check in (checks.check_pde_order_u, checks.check_pde_order_v, checks.check_vanishing_v):
         gk.clear()
         check()

@@ -1,8 +1,8 @@
-"""Direct checks of the numerical kernels: Gauss-Kronrod quadrature against
-a closed-form integral, the closed-form anchor in log space against 50-digit
-roots (a few inline, and the table in ``anchor_oracle.json`` that
-``make_anchor_oracle.py`` writes), and the dense-output polynomial
-endpoints."""
+"""Direct checks of the numerical kernels: Gauss-Kronrod quadrature on its
+graded mesh against a closed-form integral, with its work bounded, the
+closed-form anchor in log space against 50-digit roots (a few inline, and
+the table in ``anchor_oracle.json`` that ``make_anchor_oracle.py`` writes),
+and the dense-output polynomial endpoints."""
 
 import json
 import math
@@ -35,9 +35,7 @@ PSI_MIN = 1.5 + 1.0 - 1.5 * math.log(1.5)
 
 def test_quad_closed_form_log_space():
     # from the reference point at z = 1, over sig = ln z in [ln(1/2), 0]
-    status, value, err = kernels._adaptive_gk(
-        math.log(0.5), 0.0, 1.0, 0.0, 1.0, 1.0, 1e-13, 1e-13, 256
-    )
+    status, value, err = kernels._graded_gk(math.log(0.5), 0.0, 1.0, 0.0, 1.0, 1.0, 1e-13, 1e-13)
     assert status == kernels.QUAD_OK
     assert value == pytest.approx(LN3_OVER_2, abs=1e-13)
     assert abs(value - LN3_OVER_2) <= err + 1e-15
@@ -46,33 +44,26 @@ def test_quad_closed_form_log_space():
 def test_quad_closed_form_from_the_other_end():
     # the same integral from the reference point at z = 1/2, over sig =
     # ln(2z) in [0, ln 2]
-    status, value, err = kernels._adaptive_gk(
-        0.0, math.log(2.0), 1.0, 0.0, 0.5, 1.5, 1e-13, 1e-13, 256
-    )
+    status, value, err = kernels._graded_gk(0.0, math.log(2.0), 1.0, 0.0, 0.5, 1.5, 1e-13, 1e-13)
     assert status == kernels.QUAD_OK
     assert value == pytest.approx(LN3_OVER_2, abs=1e-13)
     assert abs(value - LN3_OVER_2) <= err + 1e-15
 
 
 def test_quad_empty_interval():
-    status, value, err = kernels._adaptive_gk(
-        1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 1e-12, 1e-12, 64
-    )
+    status, value, err = kernels._graded_gk(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 1e-12, 1e-12)
     assert (status, value, err) == (kernels.QUAD_OK, 0.0, 0.0)
 
 
 def test_quad_bad_function():
     # I = 0.2 - sig changes sign inside [0.1, 0.3]
-    status, value, err = kernels._adaptive_gk(
-        0.1, 0.3, 1.0, -1.0, 0.0, 0.2, 1e-12, 1e-12, 64
-    )
+    status, value, err = kernels._graded_gk(0.1, 0.3, 1.0, -1.0, 0.0, 0.2, 1e-12, 1e-12)
     assert status == kernels.QUAD_BADFUN
 
 
 def test_quad_out_of_budget():
-    status, value, err = kernels._adaptive_gk(
-        math.log(0.5), 0.0, 1.0, 0.0, 1.0, 1.0, 1e-30, 1e-30, 2
-    )
+    # no estimate meets 1e-30: the rule gives up after its two halvings
+    status, value, err = kernels._graded_gk(math.log(0.5), 0.0, 1.0, 0.0, 1.0, 1.0, 1e-30, 1e-30)
     assert status == kernels.QUAD_NOCONV
     assert value == pytest.approx(LN3_OVER_2, rel=1e-10)
     assert err > 0.0
@@ -88,6 +79,59 @@ def test_integrand_values():
     # I = 1 - sig reaches 0 inside [0.5, 1.5], and 2 - expm1(sig) beyond ln 3
     assert kernels._gk15(0.5, 1.5, 1.0, -1.0, 0.0, 1.0) == (0.0, 0.0, False)
     assert kernels._gk15(1.0, 2.0, 1.0, 0.0, 1.0, 2.0) == (0.0, 0.0, False)
+
+
+# pieces (lo, hi, rho, s_ref, i_ref) of the integrand 1/I, I = i_ref -
+# s_ref*expm1(sig) + rho*sig, with the graded edges that _layers counts from
+# each end: (n_lo, n_hi)
+LAYER_CASES = [
+    # next to an anchor, I = 1e-6 at lo over a slope of 1, up to the peak S =
+    # rho at hi: 1e-6*2**j < ln(3)/2 for j up to 19, and no grading at the peak
+    ((0.0, math.log(3.0), 1.5, 0.5, 1e-6), (20, 0)),
+    # I < 0 at hi, and a layer at lo wider than half the piece
+    ((0.1, 0.3, -1.0, 0.0, 0.2), (0, 0)),
+    # I = 0 at hi, and a layer at lo wider than half the piece
+    ((0.5, 1.0, -1.0, 0.0, 1.0), (0, 0)),
+    # I is NaN at both ends
+    ((0.0, 1.0, -1.0, 0.0, math.nan), (0, 0)),
+    # I/slope underflows to 0 at lo; I < 0 at hi
+    ((0.0, 1e-300, -1e10, 0.0, 5e-324), (0, 0)),
+    # the narrowest layer, 2**-1074 at lo: 2**(j-1074) < 2**-1 for j < 1073
+    ((0.0, 1.0, -1.0, 0.0, 5e-324), (1073, 0)),
+]
+
+
+@pytest.mark.parametrize("piece, counts", LAYER_CASES)
+def test_layers_grade_only_positive_finite_widths(piece, counts):
+    lo, hi, rho, s_ref, i_ref = piece
+    half, w_lo, n_lo, w_hi, n_hi = kernels._layers(*piece)
+    assert (n_lo, n_hi) == counts
+    # the last graded edge lies below half the length, the next one does not
+    for w, n in ((w_lo, n_lo), (w_hi, n_hi)):
+        if n:
+            assert math.ldexp(w, n - 1) < half <= math.ldexp(w, n)
+    # the same mesh on arrays, with math's exp and expm1 per element
+    with np.errstate(all="ignore"):
+        arrays = kernels._layers(*(np.array([v]) for v in piece), batch._ARRAYS)
+    np.testing.assert_array_equal(np.concatenate(arrays), [half, w_lo, n_lo, w_hi, n_hi])
+
+
+@pytest.mark.parametrize("piece, counts", LAYER_CASES)
+def test_graded_quadrature_work_is_bounded(monkeypatch, piece, counts):
+    # with a tolerance no estimate meets, a piece takes its first panels and
+    # two halvings of them, 7 times the first count of panels, and no more
+    calls = []
+    real = kernels._gk15
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_gk15", counted)
+    lo, hi, rho, s_ref, i_ref = piece
+    status, _, _ = kernels._graded_gk(lo, hi, 1.0, rho, s_ref, i_ref, 1e-30, 1e-30)
+    assert status in (kernels.QUAD_NOCONV, kernels.QUAD_BADFUN)
+    assert 0 < len(calls) <= 7 * (sum(counts) + 2)
 
 
 def test_anchor_interior_root():

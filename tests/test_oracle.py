@@ -7,14 +7,13 @@ psi's anchor rounds to x, and a few wide states. With each it holds the
 error of the integral route that wrote it, or null where that route raised.
 The per-node route and the grid's batch must finish at every state, with no
 error above the recorded one, or above the route's own tolerance where the
-recording route raised. Errors at the rounding level, within 4 units
-of 2**-52 relative, and below a thousandth of QUAD_ABS_TOL absolute, the
-tolerance that the route holds a time to, do not count as a rise: the
-second covers v at N = 1e10 to 1e12 (about 1e-11 there), where a single
-GK15 panel meets the absolute tolerance and the error reads 1e-10 to 1e-5
-relative in either integrand form (accuracy relative to the time itself is
-a later step).
-err_estimate is not held to the error here.
+recording route raised. Errors at the rounding level, within 4 units of
+2**-52 relative, do not count as a rise. v on the ray from N = 1e10, where
+the recording route was off by up to 8.7e-6 relative, must be within that
+rounding level. Every err_estimate must be at least the error, on both
+routes, except at the four u states next to the branch point, x within 1e-3
+of rho with y = mu + 1e-6 at (2, 3, 1), where it reads about 1e-14 relative
+against errors of up to 1.2e-13.
 """
 
 import json
@@ -36,12 +35,24 @@ ROUNDING = 4 * 2.0**-52
 
 
 def _allowed(state, exact):
-    """The recorded error with its floors, or the route's own tolerance
-    where the recording route raised."""
+    """The recorded error with its rounding floor, or the route's own
+    tolerance where the recording route raised; the rounding level alone
+    for v on the ray from N = 1e10."""
     recorded = state["route_error"]
+    if state["label"] == "ray" and state["kind"] == "v" and state["x"] + state["y"] >= 1e10:
+        return ROUNDING * abs(exact)
     if recorded is None:
         return max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(exact))
-    return max(abs(recorded), ROUNDING * abs(exact), 1e-3 * QUAD_ABS_TOL)
+    return max(abs(recorded), ROUNDING * abs(exact))
+
+
+def _estimate_exempt(state):
+    """The four u states next to the branch point whose err_estimate misses
+    the error."""
+    return (
+        state["label"] == "near-rho" and state["kind"] == "u"
+        and state["y"] == state["params"][2] + 1e-6
+    )
 
 
 def _error(value, exact):
@@ -63,19 +74,26 @@ def test_oracle_covers_its_states():
 @pytest.mark.parametrize("route", ["scalar", "batch"])
 def test_integral_route_against_the_oracle(route):
     risen = []
+    missed = []
     for s in ORACLE:
         params = ModelParams(*s["params"])
         exact = Fraction(Decimal(s["time"]))
         if route == "scalar":
-            value = (u_integral if s["kind"] == "u" else v_integral)(params, s["x"], s["y"]).value
+            result = (u_integral if s["kind"] == "u" else v_integral)(params, s["x"], s["y"])
+            value, estimate = result.value, result.err_estimate
         else:
             batch = u_integral_batch if s["kind"] == "u" else v_integral_batch
-            ok, values, _ = batch(params, np.array([s["x"]]), np.array([s["y"]]))
+            ok, values, errs = batch(params, np.array([s["x"]]), np.array([s["y"]]))
             assert ok[0], s
-            value = float(values[0])
-        if _error(value, exact) > _allowed(s, exact):
+            value, estimate = float(values[0]), float(errs[0])
+        error = _error(value, exact)
+        if error > _allowed(s, exact):
             risen.append((s, value))
+        if error > estimate and not _estimate_exempt(s):
+            missed.append((s, value, estimate))
     assert not risen
+    assert not missed
+    assert sum(map(_estimate_exempt, ORACLE)) == 4
 
 
 def test_the_anchor_at_x_nodes_return_their_values():
