@@ -18,12 +18,14 @@ rounding floor, and the bound, asymptotic, cap and event formulas. The
 twins differ only in control flow: each element leaves a loop or takes a
 branch on its own. Only the DP5 step loop is still written twice
 (:func:`_dp5_batch`); the quadrature's fixed passes run every panel of a
-grid at once (:func:`_batch_quad`). Their per-node logs, exps and powers
-are math's and Python's per element (:func:`_math_each`), so the anchor,
-the DP5 loop, the crossing refinement, the quadrature's mesh and the side
-cells agree with the scalar kernels bit for bit (and :func:`_py_max`,
-:func:`_py_min` mirror max and min); the quadratures' I takes numpy's expm1
-unless asked for math's, to a few units in the last place.
+grid at once (:func:`_batch_quad`). Their per-node logs and exps are math's
+per element (:func:`_math_each`), so the anchor, the crossing refinement,
+the quadrature's mesh and the side cells agree with the scalar kernels bit
+for bit (and :func:`_py_max`, :func:`_py_min` mirror max and min). Two
+things follow numpy's SIMD functions instead, to a few units in the last
+place: the quadratures' I takes numpy's expm1 unless asked for math's, and
+the DP5 loop's step sizes take numpy's power, so its crossing times match
+the scalar loop's to rounding rather than bit for bit.
 """
 
 import math
@@ -74,8 +76,8 @@ __all__ = ["u_integral_batch", "v_integral_batch"]
 # --- the kernels' twins ------------------------------------------------------
 
 def _math_each(fn, values, *args):
-    """*fn* from :mod:`math` (or Python's pow) applied to each element of
-    the array *values*, with any further arguments."""
+    """*fn*, a function of floats such as those of :mod:`math`, applied to
+    each element of the array *values*, with any further arguments."""
     flat = values.ravel().tolist()
     return np.fromiter(map(fn, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
 
@@ -90,12 +92,15 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-# kernels._Ops on arrays: math's log, log1p, exp and expm1 and Python's pow
-# per element (numpy's power differs from pow in the last bit on some CPUs),
-# and numpy's frexp and sqrt (exact and correctly rounded, as math's are)
+# kernels._Ops on arrays: math's log, log1p, exp and expm1 per element, on
+# which the anchor, the quadrature's mesh and the side cells rest bit for bit;
+# numpy's power, which only the DP5 loop's step sizes take and whose SIMD
+# form differs from libm's pow by 1 ulp at about 5% of arguments on AVX-512
+# CPUs (so ODE grid values match the scalar loop's to rounding); and numpy's
+# frexp and sqrt (exact and correctly rounded, as math's are)
 _ARRAYS = _Ops(
-    *(partial(_math_each, fn) for fn in (math.log, math.log1p, math.exp, math.expm1, pow)),
-    np.frexp, np.sqrt, _py_max, _py_min, np.where, np.any,
+    *(partial(_math_each, fn) for fn in (math.log, math.log1p, math.exp, math.expm1)),
+    np.power, np.frexp, np.sqrt, _py_max, _py_min, np.where, np.any,
 )
 
 
@@ -147,11 +152,12 @@ def _run_sums(values, counts):
 # below this many nodes, _dp5_batch steps each node in the scalar loop
 # instead. A lock-step round costs about 0.27 ms at small widths, against
 # about 10 us per scalar step, and every node stays in the rounds to its end:
-# whole batches of 2, 16 and 64 README u-surface states took 21x, 3.4x and
-# 1.1x the scalar loop's time (one pinned CPU, Python 3.11, numpy 2.4). The
-# bound sits at 16, below that break-even, so that grids of a few dozen
-# nodes, such as those of the ODE grid tests, still run in the loop.
-_LOCKSTEP_MIN = 16
+# whole batches of 16, 64, 72, 80 and 96 random README u-surface states took
+# 4.2x, 1.09x, 1.04x, 0.92x and 0.79x the scalar loop's time, and of v-surface
+# states 3.9x, 1.14x, 1.00x, 0.96x and 0.83x (median of 15, CPU time, one
+# pinned CPU of a shared 2-vCPU VM, Python 3.11, numpy 2.4). The bound sits at
+# that break-even
+_LOCKSTEP_MIN = 80
 
 
 def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
@@ -169,8 +175,14 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     coefficients in one pass. A batch of fewer than _LOCKSTEP_MIN nodes
     steps each node in :func:`_dp5` instead. Returns (status, t_event,
     half_width) arrays: the scalar kernel's status, and its crossing time
-    and half-width where the status is ODE_OK (0 elsewhere), equal to them
-    bit for bit.
+    and half-width where the status is ODE_OK (0 elsewhere).
+
+    The step factor's power is numpy's, which on AVX-512 CPUs differs from
+    the scalar loop's libm pow by 1 ulp at about 5% of arguments; a step
+    size an ulp apart moves the path by rounding, so the crossing times
+    match the scalar loop's to rounding (or to within the half-widths, where
+    one refinement ends on a bracket and the other on an exact hit). With
+    Python's pow in _ARRAYS they are the scalar loop's bit for bit.
     """
     n = s0.size
     status = np.full(n, ODE_OK)
@@ -201,10 +213,9 @@ def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             end = np.where(t >= cap, ODE_CAP, -1)
             end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
             s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, _ARRAYS)
-            # the step factor's power as Python rounds it; err == 0 stands for
-            # an infinite power (factor 10 on acceptance)
-            zero = err == 0.0
-            q = 0.9 * np.where(zero, math.inf, _ARRAYS.pow(np.where(zero, 1.0, err), -0.2))
+            # err == 0 gives an infinite power (factor 10 on acceptance), as
+            # the scalar loop's own test for 0 does
+            q = 0.9 * _ARRAYS.pow(err, -0.2)
             acc = (err <= 1.0) & (end < 0)
             gnew = (s1, i1)[stop] - level
             cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))

@@ -17,9 +17,11 @@ The checks that sample states (v <= u, the equation residuals, and the
 vanishing peak time) evaluate all their states through the same batched
 evaluator, one call per kind and route: the ordering check its u and v
 states on the ODE route, the residual checks the stencil points of their
-h = 1e-3 study on the integral route, with math's expm1. Their values equal
-the scalar per-state calls'. A state whose row failed makes its check
-fail, with the count in the detail.
+h = 1e-3 study on the integral route, with math's expm1. The integral
+values equal the scalar per-state calls' bit for bit; the ODE values match
+them to rounding, since the lock-step loop takes its step sizes' powers
+with numpy. A state whose row failed makes its check fail, with the count
+in the detail.
 """
 
 import functools
@@ -96,8 +98,10 @@ def _outcome(name, passed, detail, **metrics):
 
 def _values(params, kind, method, states):
     """The values of *kind* at *states*, (x, y) pairs, by *method*'s route
-    in one :func:`_node_rows` call, with math's expm1 so that they equal
-    the scalar calls' bit for bit: None at a state whose row is not ok."""
+    in one :func:`_node_rows` call: None at a state whose row is not ok.
+    The integral route takes math's expm1, so that its values equal the
+    scalar calls' bit for bit; the ODE route's match them to rounding (see
+    :func:`batch._dp5_batch`)."""
     return [r.value for r in _node_rows(params, kind, method, states, expm1=_ARRAYS.expm1)]
 
 

@@ -229,10 +229,10 @@ def _low(a, b):
 
 
 # The operations of the shared formulas for one kind of operand: _FLOATS,
-# and batch._ARRAYS, whose forms give the float results element for element:
-# math's functions and Python's pow, frexp (exact in numpy too), Python's max
-# and min as high and low, np.where as pick, and any, whether a condition
-# holds anywhere (bool on floats).
+# and batch._ARRAYS, whose forms give the float results element for element
+# (but pow, numpy's there, to an ulp): math's functions and Python's pow,
+# frexp (exact in numpy too), Python's max and min as high and low, np.where
+# as pick, and any, whether a condition holds anywhere (bool on floats).
 _Ops = namedtuple("_Ops", "log log1p exp expm1 pow frexp sqrt high low pick any")
 _FLOATS = _Ops(
     math.log, math.log1p, math.exp, math.expm1, pow, math.frexp, math.sqrt, _high, _low, _pick, bool
