@@ -29,18 +29,11 @@ DP5 step loop is still written twice. err_estimate is at least 8 units of
 2**-52 of the time: the rounding of the far tail and of the panel sums.
 
 The anchor offset s* solves y - mu - x*expm1(s) + rho*s = 0
-(:func:`sirtimes.kernels._anchor_offset`), in the closed form of the
-Kermack-McKendrick final-size relation: with c = (psi - mu)/rho + ln(rho),
-
-    ln a = ln(rho) - c - W0(-e^-c)
-
-on the principal branch W0 (Corless, Gonnet, Hare, Jeffrey & Knuth, "On the
-Lambert W function", Adv. Comput. Math. 5, 1996; Pakes, "Lambert's W meets
-Kermack-McKendrick epidemics", IMA J. Appl. Math. 80, 2015). Its branch
-point, W0 = -1, is psi's minimum over the threshold line, at a = rho.
-:func:`solve_anchor` gives a from psi (:func:`sirtimes.kernels._anchor_log`),
-where psi within a rounding slack of 1e-9 * max(1, |psi|) at or below that
-minimum gives a = rho.
+(:func:`sirtimes.kernels._anchor_offset`), from the closed form of the
+Kermack-McKendrick final-size relation through the principal branch W0 of
+the Lambert W function (:func:`sirtimes.kernels._deficit_root`), whose
+branch point, W0 = -1, is psi's minimum over the threshold line, at a =
+rho. :func:`solve_anchor` reports the same s* as ln a = ln x + s*.
 """
 
 import math
@@ -83,13 +76,11 @@ def _err_floor(value, err, ops=kernels._FLOATS):
 class AnchorResult:
     """Root a of g(a) = mu in (0, rho], with its log and defect.
 
-    ``log_a`` is ln(rho) - c - W0(-e^-c), c = (psi - mu)/rho + ln(rho), on
-    the principal branch of the Lambert W function (Corless et al. 1996;
-    Pakes 2015; the module docstring gives the full references); it is
-    rho's log at the branch point W0 = -1, where psi is at its minimum or
-    within 1e-9 * max(1, |psi|) below it.
-    ``a`` underflows to 0.0 for deep anchors; ``log_a`` is always finite and
-    is the faithful representation. ``residual`` is |psi(a, mu) - psi(x, y)|.
+    ``log_a`` is ln(x) + s*, s* = ln(a/x) the anchor offset that the
+    integral route integrates from (:func:`sirtimes.kernels._anchor_offset`).
+    ``a`` is x*e^s* (e^log_a where e^s* is subnormal), and underflows to
+    0.0 for deep anchors; ``log_a`` is always finite and is the faithful
+    representation. ``residual`` is |psi(a, mu) - psi(x, y)|.
     """
 
     a: float
@@ -101,12 +92,12 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     """Anchor susceptible level for the orbit through (x, y): the unique
     z <= rho at which the infected count equals mu.
 
-    Computed in closed form, as the Kermack-McKendrick final-size relation
-    ln a = ln(rho) - c - W0(-e^-c) with c = (psi - mu)/rho + ln(rho) and W0
-    the principal branch of the Lambert W function (Corless et al., Adv.
-    Comput. Math. 5, 1996; Pakes, IMA J. Appl. Math. 80, 2015). Where
-    psi(x, y) is at its minimum over the threshold line (the branch point
-    W0 = -1), or within 1e-9 * max(1, |psi|) below it, the anchor is rho.
+    Solved for the offset s* = ln(a/x), the root of y - mu - x*expm1(s) +
+    rho*s = 0 on s <= min(0, ln(rho/x)), in the closed form of the
+    Kermack-McKendrick final-size relation through the principal branch of
+    the Lambert W function (Corless et al., Adv. Comput. Math. 5, 1996;
+    Pakes, IMA J. Appl. Math. 80, 2015): the offset the integral route
+    integrates from, so that both report one anchor.
 
     Requires x > 0 and y >= mu.
     """
@@ -120,12 +111,13 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     if y == params.mu and x <= rho:
         # (x, y) already sits on the level g = mu at or left of the peak
         return AnchorResult(x, math.log(x), 0.0)
-    psiv = psi(params, x, y)
-    ok, log_a = kernels._anchor_log(rho, params.mu, psiv)
-    if not ok:
-        raise DomainError("level set does not meet the threshold line; inputs violate y >= mu")
-    a = math.exp(log_a)
-    residual = abs(a + params.mu - rho * log_a - psiv)
+    s = kernels._anchor_offset(rho, params.mu, x, y, _log_ratio(rho, x))
+    log_a = math.log(x) + s
+    # x*e^s is within two roundings of a, but an e^s below the normal range
+    # (s < -708.4) keeps too few bits; e^log_a is then off by |log_a| times
+    # log_a's relative rounding
+    a = x * math.exp(s) if s > -708.0 else math.exp(log_a)
+    residual = abs(a + params.mu - rho * log_a - psi(params, x, y))
     return AnchorResult(a, log_a, residual)
 
 

@@ -1,6 +1,6 @@
 """Scalar numerical kernels: Dormand-Prince 5(4) stepping with quartic dense
 output and event refinement, Gauss-Kronrod 7/15 quadrature on a graded mesh
-for the time integrals, and the closed-form anchor root in log space.
+for the time integrals, and the anchor's offset from x in closed form.
 
 All ODE work goes through one stepping loop, :func:`_dp5`. It watches the
 first downward crossings of I through mu (u) and of S through rho (v), and
@@ -22,7 +22,7 @@ the first step :func:`_initial_step`, the DP5 error norm :func:`_try_step`,
 the crossing refinement :func:`_locate` with its Illinois loop
 :func:`_refine_crossing`, the GK15 rule and error finish :func:`_gk15_rule`,
 the graded mesh :func:`_layers`, the stopping test :func:`_converged` and the
-anchor (:func:`_anchor_log`, :func:`_anchor_offset`). The twins differ only
+anchor offset :func:`_anchor_offset`. The twins differ only
 in control flow, and only the DP5 step loop is still written twice: the
 quadrature :func:`_graded_gk` has no loop but its fixed passes, which its
 twin runs over every panel of a grid at once.
@@ -566,89 +566,25 @@ def _graded_gk(lo, hi, beta, rho, s_ref, i_ref, atol, rtol):
     return QUAD_NOCONV, total, errtot
 
 
-def _two_sum(a, b):
-    """a + b as (s, err) with s + err exact (Knuth): floats, or arrays."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _split(a):
-    """a as hi + lo, each with at most 26 significant bits (Dekker)."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _h_sum(e, mu, rho, L, psiv, ops):
-    """The anchor's h(L) = e^L + mu - rho*L - psi from e = e^L, as (h, err):
-    h summed left to right as it rounds, and err the rounding errors of its
-    product and sums (Ogita, Rump & Oishi's Sum2; Dekker's product, as
-    Python has no fma before 3.13), so that h + err is h to about twice the
-    working precision. err is 0 where a term near the float range makes it
-    NaN or inf."""
-    rl = rho * L
-    rh, rlo = _split(rho)
-    lh, llo = _split(L)
-    rl_err = ((rh * lh - rl) + rh * llo + rlo * lh) + rlo * llo
-    s, q1 = _two_sum(e, mu)
-    s, q2 = _two_sum(s, -rl)
-    h, q3 = _two_sum(s, -psiv)
-    err = ((q1 + q2) + q3) - rl_err
-    return h, ops.pick(err - err == 0.0, err, 0.0)
-
-
-def _anchor_log(rho, mu, psiv, ops=_FLOATS):
-    """Solve h(L) = e^L + mu - rho*L - psi = 0 for the unique L <= ln(rho),
-    for a float psi, or elementwise for an array of psi with
-    ops=batch._ARRAYS. Returns (ok, L): floats, or arrays.
+def _deficit_root(d, ops):
+    """The root t <= 0 of expm1(t) - t = d >= 0: floats, or arrays given
+    ops=batch._ARRAYS. t = ln(a/rho) is the anchor's offset from the peak,
+    and d its deficit, (psi - psi_min)/rho: the orbit's psi above psi's
+    minimum over the threshold line, which sits at the branch point, a =
+    rho.
 
     The root is the Kermack-McKendrick final-size relation in closed form:
-    with c = (psi - mu)/rho + ln(rho) and W0 the principal branch of the
-    Lambert W function,
+    with c = 1 + d and W0 the principal branch of the Lambert W function,
 
-        L = ln(rho) - c - W0(-e^-c)
+        t = -c - W0(-e^-c)
 
     (Corless, Gonnet, Hare, Jeffrey & Knuth, "On the Lambert W function",
     Adv. Comput. Math. 5, 1996; Pakes, "Lambert's W meets Kermack-McKendrick
-    epidemics", IMA J. Appl. Math. 80, 2015). t = L - ln(rho) is the root
-    t <= 0 of expm1(t) - t = d, where d = c - 1 = -h(ln rho)/rho is psi's
-    height above its minimum, at the branch point W0 = -1. d comes from
-    h(ln rho) summed to twice the working precision, since c itself loses
-    d's digits there. Two Halley steps start from the branch-point series
-    -(p + p^2/6 + p^3/36), p = sqrt(2d), for d < 2, and beyond it from
-    e^-c - c (W0(z) ~ z), which is -c where e^-c underflows. Where
-    e^L <= rho/2, one Newton step on h itself, summed the same way, ends
-    the solve: it moves L by e^L's rounding over rho - e^L, less than the
-    rounding of ln(rho) + t that it replaces. Nearer the branch point that
-    quotient grows like 1/|t|, and L stays ln(rho) + t. A Halley step whose
-    denominator rounds to 0 (at the branch point) is skipped.
-
-    Where h(ln rho) >= 0 as it rounds, psi is at its minimum: within a
-    slack of 1e-9 * max(1, |psi|) the root is ln(rho), and beyond it there
-    is none (ok is false).
-
-    Both forms take expm1 and exp from math per element and run the same
-    operations in the same order, so they give the same roots bit for bit."""
-    exp, pick = ops.exp, ops.pick
-    lhi = math.log(rho)
-    hhi, hhi_err = _h_sum(rho, mu, rho, lhi, psiv, ops)
-    at_min = hhi >= 0.0
-    ok = pick(at_min, (hhi <= 1e-9) | (hhi <= 1e-9 * abs(psiv)), True)
-    d = -(hhi + hhi_err) / rho
-    # 0 at the branch point, and where only the rounding put psi above it
-    d = pick(at_min | (d < 0.0), 0.0, d)
-    L = lhi + _deficit_root(d, ops)
-    e = exp(L)
-    newton = e <= 0.5 * rho
-    hL, hL_err = _h_sum(e, mu, rho, L, psiv, ops)
-    Ln = L - (hL + hL_err) / pick(newton, e - rho, 1.0)
-    return ok, pick(at_min, lhi, pick(newton, Ln, L))
-
-
-def _deficit_root(d, ops):
-    """The root t <= 0 of expm1(t) - t = d >= 0, the anchor's offset from
-    the peak, as :func:`_anchor_log` describes."""
+    epidemics", IMA J. Appl. Math. 80, 2015), W0 = -1 at the branch point.
+    Two Halley steps start from the branch-point series -(p + p^2/6 +
+    p^3/36), p = sqrt(2d), for d < 2, and beyond it from e^-c - c (W0(z) ~
+    z), which is -c where e^-c underflows. A Halley step whose denominator
+    rounds to 0 (at the branch point) is skipped."""
     pick = ops.pick
     p = ops.sqrt(2.0 * d)
     c = 1.0 + d
@@ -665,19 +601,23 @@ def _deficit_root(d, ops):
 def _anchor_offset(rho, mu, x, y, s_rho, ops=_FLOATS):
     """s* = ln(a/x) <= min(0, s_rho), s_rho = ln(rho/x): the root of y - mu
     - x*expm1(s) + rho*s = 0 at x > 0, y >= mu; floats, or arrays given
-    ops=batch._ARRAYS. It starts from s_rho + t, t from :func:`_deficit_root`
-    with d = (y - mu - (rho - x) + rho*s_rho)/rho, or where x < rho and it
-    leaves a smaller residual from (mu - y)/(rho - x), Newton's step from 0,
-    which keeps the digits of an s* small against s_rho. One Newton step
-    ends the solve where the slope rho - a is positive and the step stays
-    within half the distance to s_rho, that is, away from the branch point."""
+    ops=batch._ARRAYS. Every such (x, y) has one: the deficit d = (y - mu -
+    (rho - x) + rho*s_rho)/rho is taken as 0 where it rounds below 0. The
+    solve starts from s_rho + t, t from :func:`_deficit_root`, or, where x
+    < rho and it leaves a smaller residual, from (mu - y)/(rho - x),
+    Newton's step from 0, which keeps the digits of an s* small against
+    s_rho. One Newton step ends the solve where the slope rho - a is
+    positive and the step stays within half the distance to s_rho, that is,
+    away from the branch point."""
     pick = ops.pick
     dy = y - mu
     top = dy - (rho - x) + rho * s_rho
     s = s_rho + _deficit_root(pick(top > 0.0, top / rho, 0.0), ops)
     f = _orbit_i(s, rho, x, dy, ops.expm1)
     below = x < rho
-    s_lin = -dy / pick(below, rho - x, 1.0)
+    # over inf where x >= rho, so that the quotient not taken is 0 and I
+    # there cannot overflow on arrays
+    s_lin = -dy / pick(below, rho - x, math.inf)
     f_lin = _orbit_i(s_lin, rho, x, dy, ops.expm1)
     lin = below & (abs(f_lin) < abs(f))
     s = pick(lin, s_lin, s)

@@ -20,6 +20,7 @@ from sirtimes import (
     exact_u_at_x0,
     hitting_time_u,
     hitting_time_v,
+    kernels,
     psi,
     run_grid,
     solve_anchor,
@@ -122,11 +123,11 @@ def test_u_integral_domain(p23):
         u_integral(p23, 4.0, math.nan)
 
 
-# nodes where psi(x, y) cannot tell y from mu, so that its anchor rounds to
-# x. The integral route solves for the anchor's offset from x instead; from
-# there I = mu + (rho - x)*sig to far within rounding, so that u =
-# ln(y/mu)/(beta*(rho - x)) (76.8 to 460.5 here), as the oracle file holds
-# too
+# nodes where y and mu lie below the rounding unit of psi(x, y), so that
+# the anchor lies within rounding of x: its offset from x is s* = -(y -
+# mu)/(rho - x) to far within rounding, and from there I = mu + (rho -
+# x)*sig, so that u = ln(y/mu)/(beta*(rho - x)) (76.8 to 460.5 here), as the
+# oracle file holds too
 TINY_MU = ModelParams(2.0, 3.0, 1e-300)
 LOST_NODES = [(1.0, 1e-200), (1.0, 1e-100), (1e-300, 1e-200), (1e-300, 1e-100)]
 
@@ -136,9 +137,13 @@ def _u_next_to_x(x, y):
 
 
 @pytest.mark.parametrize("x, y", LOST_NODES)
-def test_u_integral_raises_where_the_anchor_rounds_to_x(x, y):
-    # the name is kept from when these nodes raised QuadratureFailure
-    assert solve_anchor(TINY_MU, x, y).a == pytest.approx(x, rel=1e-13)
+def test_u_integral_where_the_anchor_rounds_to_x(x, y):
+    # solve_anchor reports the offset the route integrates from: ln a =
+    # -2e-200 and -2e-100 at x = 1
+    rho, mu = TINY_MU.rho, TINY_MU.mu
+    s = kernels._anchor_offset(rho, mu, x, y, analytic._log_ratio(rho, x))
+    assert s == pytest.approx(-(y - mu) / (rho - x), rel=1e-13, abs=0.0)
+    assert solve_anchor(TINY_MU, x, y).log_a == math.log(x) + s
     r = u_integral(TINY_MU, x, y)
     assert r.method is Method.INTEGRAL
     assert r.value == pytest.approx(_u_next_to_x(x, y), rel=1e-13)

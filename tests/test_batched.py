@@ -39,54 +39,59 @@ def _rel(a, b):
     return abs(a - b) / abs(b) if b else abs(a)
 
 
+def _assert_anchor_batch_is_scalar(rho, mu, x, y):
+    """The anchor offset on arrays equals the float one bit for bit, and
+    lies at or left of both x and the peak. Returns the float offsets."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    s_rho = analytic._log_ratio(rho, x, batch._ARRAYS)
+    arrays = kernels._anchor_offset(rho, mu, x, y, s_rho, batch._ARRAYS)
+    floats = []
+    for xi, yi, got in zip(x.tolist(), y.tolist(), arrays.tolist()):
+        want = kernels._anchor_offset(rho, mu, xi, yi, analytic._log_ratio(rho, xi))
+        assert got == want
+        assert math.isfinite(want) and want <= min(0.0, analytic._log_ratio(rho, xi))
+        floats.append(want)
+    return floats
+
+
 @pytest.mark.parametrize("rho, mu", [(1.5, 1.0), (1.0, 1e-6), (0.3, 1e-3)])
 def test_anchor_batch_equals_scalar_bitwise(rho, mu):
     rng = np.random.default_rng(7)
     x = 10.0 ** rng.uniform(-3, 3, 400)
     y = mu * 10.0 ** rng.uniform(0, 6, 400)
-    psiv = x + y - rho * np.log(x)
-    # psi at and just above its minimum over y = mu, and below it (no root)
-    psi_min = rho + mu - rho * math.log(rho)
-    psiv = np.concatenate((psiv, [psi_min, psi_min * (1 + 1e-12), psi_min - 1.0]))
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
-    for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
-        want_ok, want = kernels._anchor_log(rho, mu, p)
-        assert got_ok == want_ok
-        if want_ok:
-            assert got == want
+    # on the threshold line, left and right of the peak and at it
+    x = np.concatenate((x, [0.5 * rho, rho, 2.0 * rho]))
+    y = np.concatenate((y, [mu, mu, mu]))
+    _assert_anchor_batch_is_scalar(rho, mu, x, y)
 
 
 @pytest.mark.parametrize("rho, mu", [(1.5, 1.0), (1.0, 1e-6), (0.3, 1e-3), (2.5, 1e-3)])
 def test_anchor_next_to_the_branch_point(rho, mu):
-    # psi 1 to 64 ulps above its minimum over y = mu, where W0(-e^-c) is
-    # about -1 and e^t - 1 may round to 0, and just below it, within the
-    # slack: a finite root at or below ln(rho), equal in both forms. At
-    # (2.5, 1e-3) two of these psi lie above the minimum as h(ln rho)
-    # rounds and at or below it as its carried errors tell.
-    psi_min = rho + mu - rho * math.log(rho)
-    psiv = np.array([psi_min * (1 + k * 2.0**-52) for k in range(1, 65)] + [psi_min - 1e-12])
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
-    for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
-        want_ok, want = kernels._anchor_log(rho, mu, p)
-        assert got_ok and want_ok
-        assert got == want
-        assert math.isfinite(want) and want <= math.log(rho)
+    # the deficit 1 to 64 ulps above 0, where W0(-e^-c) is about -1 and e^t
+    # - 1 may round to 0: y above mu at x = rho, x above rho at y = mu, and
+    # x below rho with y above mu
+    k = np.arange(1.0, 65.0)
+    x = np.concatenate((np.full(64, rho), rho * (1.0 + k * 2.0**-52), rho * (1.0 - k * 2.0**-53)))
+    y = np.concatenate((mu * (1.0 + k * 2.0**-52), np.full(64, mu), mu * (1.0 + k * 2.0**-52)))
+    offsets = _assert_anchor_batch_is_scalar(rho, mu, x, y)
+    params = ModelParams(1.0, rho, mu)
+    for xi, yi, s in zip(x.tolist(), y.tolist(), offsets):
+        log_a = solve_anchor(params, xi, yi).log_a
+        assert log_a == math.log(xi) + s
+        assert log_a <= math.log(rho) + 2.0**-52 * abs(math.log(rho))
 
 
 def test_anchor_near_the_float_range():
-    # rho * (2**27 + 1) overflows in the error-free product, whose carried
-    # error is then dropped: the plain sums remain
+    # at rho = 1e303 the deficit's terms, rho - x and rho*ln(rho/x), come
+    # within a few decades of the float range
     rho, mu = 1e303, 1.0
-    psi_min = rho + mu - rho * math.log(rho)
-    psiv = psi_min + rho * np.array([1e-6, 1e-2, 1.0, 3.0, 1e2])
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
-    for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
-        want_ok, want = kernels._anchor_log(rho, mu, p)
-        assert got_ok and want_ok and got == want
-        assert math.isfinite(want) and want < math.log(rho)
-    # the integral route solves for the anchor's offset from x instead, and
-    # its far tail, ln(I/mu)/gamma, carries u there: the grid route raises
-    # no RuntimeWarning and gives the scalar route's values
+    d = np.array([1e-6, 1e-2, 1.0, 3.0, 1e2])
+    x = np.concatenate((np.full(5, rho), np.full(5, 2.0 * rho)))
+    y = mu + rho * np.tile(d, 2)
+    _assert_anchor_batch_is_scalar(rho, mu, x, y)
+    # counts near the float range on the integral route, where the far
+    # tail, ln(I/mu)/gamma, carries u: the grid route raises no
+    # RuntimeWarning and gives the scalar route's values
     params = ModelParams(1.0, 1.0)
     xs, ys = [1.0, 5.0], [1e301, 1e302]
     ok, values, _ = u_integral_batch(params, xs, ys)

@@ -639,16 +639,16 @@ def test_table_to_csv_matches_the_cell_rule(header, table):
 # surface_values.json
 SURFACE_DIGESTS = {
     ("u", "integral"): (
-        "b1ab2445dc8153c20c904733de71293c293e6ca0d24ad2a85707d503b8902fa9",
-        "84bae53fbd6eedde5e8af851a199e58dc47e7c2131d9e7b078b08915201cede0",
+        "bc12a865fbeeabf7a3379e15bd6d9fb2086d594ffadbd625f83555b1b1cafee7",
+        "7a51ba10d19e437e8ffecbaee4cd7bf66998d64a9f24ae3e198a24a4b8513ddc",
     ),
     ("u", "ode"): (
         "5c54390ef5fb2746e8c465b507edf2a60b22471b5624c6ba95f0ca41141b507a",
         "c4cfc615592f07969c92814b5d5ed5b3d91ede43a112bf94106ff4d5caf8e355",
     ),
     ("v", "integral"): (
-        "1e61b917d57ea255520ea2b2e51a072da349453f7774cb384dc15a4e2c316089",
-        "7a13904945e09e282c916fcf771ce53529356e7f0749f3f25be9bee68360fefd",
+        "97705660674ad7a3624ff5397700636d3d2448dfa1e91870745edfd6e356788c",
+        "562c16da7f319ed633bbd679e97790b13513abfda3841609c4749f5e76c1a230",
     ),
     ("v", "ode"): (
         "22f22b285c3dab407c828679591fc45335dc67486dfb267fd960258c0088bed0",
@@ -666,8 +666,8 @@ README_SURFACES = {
 # exp, whose last bits differ between CPU levels and numpy builds: across the
 # AVX-512, AVX2 and baseline levels of numpy 2.4 on one x86-64 host, values
 # moved by at most 3.6e-16 and err_estimate by at most 9.6e-5, relative. Its
-# values are those of the adaptive quadrature that the graded rule replaced;
-# the rule's own lie within 1.0e-14 of them. The ODE route's are the per-node
+# values are the graded rule's, within 2 ulps of the 40-digit oracle at its
+# 68 surface states (test_oracle.py). The ODE route's are the per-node
 # route's, which the lock-step loop matches to rounding: it takes its step
 # sizes' powers with numpy, whose SIMD power differs from libm's pow by 1 ulp
 # at about 5% of arguments on AVX-512 CPUs

@@ -1,8 +1,8 @@
 """Direct checks of the numerical kernels: Gauss-Kronrod quadrature on its
 graded mesh against a closed-form integral, with its work bounded, the
-closed-form anchor in log space against 50-digit roots (a few inline, and
-the table in ``anchor_oracle.json`` that ``make_anchor_oracle.py`` writes),
-and the dense-output polynomial endpoints."""
+anchor offset in closed form against 50-digit roots (a few inline, and the
+table in ``anchor_oracle.json`` that ``make_anchor_oracle.py`` writes) and
+by property, and the dense-output polynomial endpoints."""
 
 import json
 import math
@@ -12,25 +12,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sirtimes import batch, kernels
+from sirtimes import ModelParams, analytic, batch, kernels, psi, solve_anchor
 
 # int_{1/2}^{1} dz / (z*(2 - z)) = ln(3)/2: the integrand in sig = ln(z/S0)
 # with beta=1, rho=0 and I = 2 - z, from the reference point (S0, I0) =
 # (1, 1) or (1/2, 3/2)
 LN3_OVER_2 = 0.54930614433405484570
 
-# anchor roots of e^L + mu - rho*L = psi at rho=1.5, mu=1, 50-digit values
-PSI_4_2 = 3.92055845832016407175
+# anchors a, and their logs, of the orbits through (4, 2), (100, 100) and
+# (1000, 1000) at rho=1.5, mu=1, 50-digit values
 LOG_A_4_2 = -1.84129803243063199539
 A_4_2 = 0.158611409674216078658
-PSI_100_100 = 200.0 - 1.5 * math.log(100.0)
 LOG_A_100_100 = -128.061496480678575299
-PSI_1000_1000 = 2000.0 - 1.5 * math.log(1000.0)
 LOG_A_1000_1000 = -1325.75891138768452961
-
-# minimum of psi over the level y = mu sits at z = rho
-PSI_MIN = 1.5 + 1.0 - 1.5 * math.log(1.5)
+# anchors of the orbits through (7e12, 1) and (7.3e12, 1) at rho=1e10, mu=1,
+# 50-digit values
+A_7E12_1 = 6.90177358063183959969e-292
+A_73E11_1 = 6.73520890545914312421e-305
 
 
 def test_quad_closed_form_log_space():
@@ -134,55 +134,66 @@ def test_graded_quadrature_work_is_bounded(monkeypatch, piece, counts):
     assert 0 < len(calls) <= 7 * (sum(counts) + 2)
 
 
+def _offset(rho, mu, x, y, ops=kernels._FLOATS):
+    """The anchor offset s* = ln(a/x), as the integral route solves it."""
+    return kernels._anchor_offset(rho, mu, x, y, analytic._log_ratio(rho, x, ops), ops)
+
+
+def _log_a(rho, mu, x, y):
+    """solve_anchor's log_a, held to ln x plus the offset bit for bit."""
+    log_a = solve_anchor(ModelParams(1.0, rho, mu), x, y).log_a
+    assert log_a == math.log(x) + _offset(rho, mu, x, y)
+    return log_a
+
+
 def test_anchor_interior_root():
-    ok, log_a = kernels._anchor_log(1.5, 1.0, PSI_4_2)
-    assert ok
+    log_a = _log_a(1.5, 1.0, 4.0, 2.0)
     assert log_a == pytest.approx(LOG_A_4_2, rel=1e-13)
-    assert math.exp(log_a) == pytest.approx(A_4_2, rel=1e-13)
+    assert 4.0 * math.exp(_offset(1.5, 1.0, 4.0, 2.0)) == pytest.approx(A_4_2, rel=1e-13)
 
 
 def test_anchor_deep_root():
-    ok, log_a = kernels._anchor_log(1.5, 1.0, PSI_100_100)
-    assert ok
+    log_a = _log_a(1.5, 1.0, 100.0, 100.0)
     assert log_a == pytest.approx(LOG_A_100_100, rel=1e-13)
     # the e^L term still contributes; the root is not just the linear part
-    assert abs(log_a - (-PSI_100_100 / 1.5)) > 0.5
+    assert abs(log_a - (-psi(ModelParams(1.0, 1.5), 100.0, 100.0) / 1.5)) > 0.5
 
 
 def test_anchor_underflows_but_log_stays_finite():
-    ok, log_a = kernels._anchor_log(1.5, 1.0, PSI_1000_1000)
-    assert ok
+    log_a = _log_a(1.5, 1.0, 1000.0, 1000.0)
     assert log_a == pytest.approx(LOG_A_1000_1000, rel=1e-13)
-    assert math.exp(log_a) == 0.0
+    assert solve_anchor(ModelParams(1.0, 1.5), 1000.0, 1000.0).a == 0.0
+    # normal anchors far left of x: x*e^s* is a to rounding where e^s* is
+    # normal (s* = -700 at x = 7e12), but where it is subnormal (s* = -730
+    # at 7.3e12) it would be 1.8e-7 off, and e^log_a is a to 3e-14
+    params = ModelParams(1.0, 1e10)
+    for x, a, rel in ((7.0e12, A_7E12_1, 1e-15), (7.3e12, A_73E11_1, 1e-13)):
+        assert solve_anchor(params, x, 1.0).a == pytest.approx(a, rel=rel, abs=0.0)
 
 
 def test_anchor_at_level_minimum():
-    ok, log_a = kernels._anchor_log(1.5, 1.0, PSI_MIN)
-    assert ok
-    assert log_a == math.log(1.5)
-    # within rounding slack below the minimum: still the boundary root
-    ok, log_a = kernels._anchor_log(1.5, 1.0, PSI_MIN - 1e-12)
-    assert ok
-    assert log_a == math.log(1.5)
-
-
-def test_anchor_no_root():
-    ok, _ = kernels._anchor_log(1.5, 1.0, 1.5)
-    assert not ok
+    # at the peak on the threshold line, and one ulp right of it, the
+    # anchor is the peak to rounding: s* = 0 and -2.96e-16
+    for x in (1.5, math.nextafter(1.5, math.inf)):
+        s = _offset(1.5, 1.0, x, 1.0)
+        assert s <= 0.0 and abs(s) <= 2.0**-52
+        assert _log_a(1.5, 1.0, x, 1.0) == math.log(1.5)
 
 
 ORACLE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "anchor_oracle.json")
 
-# worst error, in ulps of the root, of the sign-bracket-and-bisection solver
-# that the closed form replaced, over the oracle states of each kind. Near
-# the branch point the root's error is psi's rounding over |e^L - rho|, so
-# it reads in millions of ulps there for any double-precision solver.
-BISECTION_WORST_ULP = {
-    "branch": 16408727.6,  # d = 1e-14 at rho = 1.5, mu = 1
-    "interior": 39.97,
-    "deep": 0.667,
-    "underflow": 1.352,
-    "scale": 32793.8,  # mu = 1e3 against rho = 1e-3
+# worst error of log_a, in ulps of the anchor's 50-digit log, over the
+# oracle states of each kind. Next to the branch point the offset's error
+# is the deficit's rounding over the flat slope rho - a, and log_a = ln x +
+# s* also carries ln x's rounding where it cancels against s* (a near 1:
+# the 5.99 there, and 3.64 at rho = 10, x = 20).
+ANCHOR_WORST_ULP = {
+    "branch": 6.0,  # y = 1.15 at x = rho = 1.5, mu = 1: ln a = -0.078
+    "interior": 1.3,
+    "deep": 0.73,
+    "underflow": 1.6,
+    "scale": 3.7,
+    "anchor-at-x": 0.21,
 }
 
 
@@ -191,34 +202,73 @@ def _ulp_error(value, exact):
     return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
 
 
-def test_anchor_against_the_oracle():
+def _oracle_table():
     with open(ORACLE_PATH) as f:
-        table = json.load(f)
-    assert len(table) >= 80
-    assert {s["kind"] for s in table} == set(BISECTION_WORST_ULP)
-    worst = max(BISECTION_WORST_ULP.values())
+        return json.load(f)
+
+
+def test_anchor_against_the_oracle():
+    table = _oracle_table()
+    assert len(table) >= 100
+    assert {s["kind"] for s in table} == set(ANCHOR_WORST_ULP)
     for s in table:
-        ok, log_a = kernels._anchor_log(s["rho"], s["mu"], s["psi"])
-        assert ok
-        err = _ulp_error(log_a, Fraction(Decimal(s["log_a"])))
-        assert err <= worst, s
-        assert err <= BISECTION_WORST_ULP[s["kind"]], s
-        if s["kind"] in ("interior", "scale"):
-            # well-conditioned roots land within an ulp (0.88 measured)
-            assert err <= 1.0, s
+        log_a = _log_a(s["rho"], s["mu"], s["x"], s["y"])
+        assert _ulp_error(log_a, Fraction(Decimal(s["log_a"]))) <= ANCHOR_WORST_ULP[s["kind"]], s
+
+
+def test_anchor_oracle_holds_the_generator_states():
+    # the file is regenerated whenever the generator's states change
+    pytest.importorskip("mpmath")
+    import make_anchor_oracle
+
+    held = [(s["kind"], s["rho"], s["mu"], s["x"], s["y"]) for s in _oracle_table()]
+    assert held == make_anchor_oracle.states()
+
+
+# worst error of the offset, in ulps, over the 140 states below (2.40
+# measured): the rounding of the deficit's terms and of one Newton step
+OFFSET_UNDERFLOW_ULP = 2.5
 
 
 @pytest.mark.parametrize("rho, mu", [(1.5, 1.0), (0.02, 3e-3), (1e-3, 1e3), (1e3, 1e-3)])
 def test_anchor_where_e_to_the_minus_c_underflows(rho, mu):
-    # c = (psi - mu)/rho + ln(rho) > 745: W0(-e^-c) lies below 1e-323, so
-    # the root is ln(rho) - c = (mu - psi)/rho to far within an ulp
-    psiv = mu + rho * (np.geomspace(760.0, 1e7, 40) - math.log(rho))
-    ok, logs = kernels._anchor_log(rho, mu, psiv, batch._ARRAYS)
-    for p, got_ok, got in zip(psiv.tolist(), ok.tolist(), logs.tolist()):
-        assert (p - mu) / rho + math.log(rho) > 745.0
-        want_ok, want = kernels._anchor_log(rho, mu, p)
-        assert got_ok and want_ok and got == want
-        assert _ulp_error(want, (Fraction(mu) - Fraction(p)) / Fraction(rho)) <= 1.0
+    # deficits d above 744: W0(-e^-c), c = 1 + d, lies below 1e-323, and
+    # the root is s* = (mu - y - x)/rho to far within an ulp
+    x = rho * np.repeat(np.geomspace(1e-3, 1e3, 7), 5)
+    y = mu + rho * np.tile(np.geomspace(760.0, 1e7, 5), 7)
+    arrays = _offset(rho, mu, x, y, batch._ARRAYS)
+    for xi, yi, got in zip(x.tolist(), y.tolist(), arrays.tolist()):
+        s_rho = analytic._log_ratio(rho, xi)
+        assert (yi - mu - (rho - xi) + rho * s_rho) / rho > 744.0
+        want = _offset(rho, mu, xi, yi)
+        assert got == want
+        exact = (Fraction(mu) - Fraction(yi) - Fraction(xi)) / Fraction(rho)
+        assert _ulp_error(want, exact) <= OFFSET_UNDERFLOW_ULP
+
+
+# the offset's residual, in units of 2**-52 of the sum of its terms'
+# magnitudes: 0.99 at worst over 400,000 log-uniform states of the
+# property test's domain, 15% of them at y = mu
+OFFSET_RESIDUAL_ULPS = 2.0
+
+# decades of the property test's inputs: rho, mu, x/rho and (y - mu)/mu
+_DECADES = st.floats(-6.0, 6.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rho=_DECADES, mu=_DECADES, x=_DECADES,
+       y=st.one_of(st.none(), _DECADES))
+def test_anchor_offset_property(rho, mu, x, y):
+    rho, mu = 10.0**rho, 10.0**mu
+    x = rho * 10.0**x
+    y = mu if y is None else mu + mu * 10.0**y
+    s = _offset(rho, mu, x, y)
+    assert _offset(rho, mu, np.array([x]), np.array([y]), batch._ARRAYS).tolist() == [s]
+    assert s <= min(0.0, analytic._log_ratio(rho, x))
+    terms = (y, mu, x * math.expm1(s), rho * s)
+    residual = y - mu - terms[2] + terms[3]
+    assert abs(residual) <= OFFSET_RESIDUAL_ULPS * 2.0**-52 * sum(map(abs, terms))
+    _log_a(rho, mu, x, y)
 
 
 # quartics 1 + theta*(q0 + theta*(q1 + theta*(q2 + theta*q3))) with one

@@ -3,20 +3,23 @@
 ``oracle_values.json``, written by ``make_oracle_values.py`` with mpmath,
 holds about 140 states: a sample of the two README surfaces, the ray x = y
 for N = 1e2 to 1e15, mu down to 1e-6, x within 1e-3 of rho, nodes where
-psi's anchor rounds to x, and a few wide states. With each it holds the
-error of the integral route that wrote it, or null where that route raised.
-The per-node route and the grid's batch must finish at every state, with no
-error above the recorded one, or above the route's own tolerance where the
-recording route raised. Errors at the rounding level, within 4 units of
+the anchor lies within rounding of x, and a few wide states. With each it
+holds the error of the integral route that wrote it, or null where that
+route raised. The per-node route and the grid's batch must finish at every
+state, with no error above the recorded one, or above the route's own
+tolerance where the recording route raised. Errors at the rounding level, within 4 units of
 2**-52 relative, do not count as a rise. v on the ray from N = 1e10, where
 the recording route was off by up to 8.7e-6 relative, must be within that
 rounding level. Every err_estimate must be at least the error, on both
 routes, except at the four u states next to the branch point, x within 1e-3
 of rho with y = mu + 1e-6 at (2, 3, 1), where it reads about 1e-14 relative
-against errors of up to 1.2e-13.
+against errors of up to 1.2e-13. The integral values that
+``surface_values.json`` holds for the README surfaces lie within 2 ulps of
+the oracle at its surface states.
 """
 
 import json
+import math
 import os
 from decimal import Decimal
 from fractions import Fraction
@@ -103,3 +106,22 @@ def test_the_anchor_at_x_nodes_return_their_values():
         exact = Fraction(Decimal(s["time"]))
         value = u_integral(ModelParams(*s["params"]), s["x"], s["y"]).value
         assert _error(value, exact) <= 1e-14 * float(exact)
+
+
+def test_held_surface_values_against_the_oracle():
+    # 1.79 ulps at worst, from the graded rule
+    from test_grid_cli import README_SURFACES, SURFACE_VALUES
+
+    checked = 0
+    for kind, (_, spec) in README_SURFACES.items():
+        xs = spec.xs().tolist()
+        cell = {(x, y): j * len(xs) + i for j, y in enumerate(spec.ys().tolist())
+                for i, x in enumerate(xs)}
+        held = SURFACE_VALUES[kind]["integral"]["value"]
+        for s in ORACLE:
+            if s["label"] == "surface" and s["kind"] == kind:
+                exact = Fraction(Decimal(s["time"]))
+                value = held[cell[s["x"], s["y"]]]
+                assert _error(value, exact) <= 2.0 * math.ulp(float(exact)), s
+                checked += 1
+    assert checked == 68
