@@ -99,7 +99,8 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     Pakes, IMA J. Appl. Math. 80, 2015): the offset the integral route
     integrates from, so that both report one anchor.
 
-    Requires x > 0 and y >= mu.
+    Requires x > 0 and y >= mu. Raises DomainError where the deficit y - mu
+    - (rho - x) + rho*ln(rho/x) overflows.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
@@ -111,7 +112,9 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     if y == params.mu and x <= rho:
         # (x, y) already sits on the level g = mu at or left of the peak
         return AnchorResult(x, math.log(x), 0.0)
-    s = kernels._anchor_offset(rho, params.mu, x, y, _log_ratio(rho, x))
+    s_rho = _log_ratio(rho, x)
+    _check_deficit(params, x, y, s_rho)
+    s = kernels._anchor_offset(rho, params.mu, x, y, s_rho)
     log_a = math.log(x) + s
     # x*e^s is within two roundings of a, but an e^s below the normal range
     # (s < -708.4) keeps too few bits; e^log_a is then off by |log_a| times
@@ -119,6 +122,16 @@ def solve_anchor(params: ModelParams, x: float, y: float) -> AnchorResult:
     a = x * math.exp(s) if s > -708.0 else math.exp(log_a)
     residual = abs(a + params.mu - rho * log_a - psi(params, x, y))
     return AnchorResult(a, log_a, residual)
+
+
+def _check_deficit(params, x, y, s_rho):
+    """DomainError where the anchor's deficit y - mu - (rho - x) + rho*s_rho
+    overflows, which leaves the offset undefined (NaN)."""
+    if not math.isfinite(y - params.mu - (params.rho - x) + params.rho * s_rho):
+        raise DomainError(
+            "the anchor's deficit y - mu - (rho - x) + rho*ln(rho/x) overflows"
+            f" at x={x!r}, y={y!r}"
+        )
 
 
 def _log_ratio(rho, x, ops=kernels._FLOATS):
@@ -177,7 +190,8 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     has the closed form ln(y/mu)/gamma (ExactX0). For y == mu with x > rho
     it is the positive continuation, where :func:`hitting_time_u` gives 0:
     the orbit rises above the threshold before it returns to it. Raises
-    QuadratureFailure where the quadrature fails.
+    DomainError where the anchor's deficit overflows (see
+    :func:`solve_anchor`), and QuadratureFailure where the quadrature fails.
     """
     x, y = _check_counts(x, y)
     rho = params.rho
@@ -186,6 +200,7 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     if x == 0.0:
         return CriticalTimeResult(exact_u_at_x0(params, y), Method.EXACT_X0, 0.0)
     s_rho = _log_ratio(rho, x)
+    _check_deficit(params, x, y, s_rho)
     tail, s_ref, i_ref, sig_hi = _u_pieces(params, x, y, s_rho)
     value, err = _run_quads(params, tail, (0.0, sig_hi, s_ref, i_ref), (s_rho, 0.0, x, y))
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)

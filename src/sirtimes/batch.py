@@ -29,6 +29,7 @@ the scalar loop's to rounding rather than bit for bit.
 """
 
 import math
+from collections import deque
 from functools import partial
 from itertools import repeat
 
@@ -49,7 +50,7 @@ from .analytic import (
     _u_pieces,
 )
 from .core import Method, ModelParams
-from .gridrun import STATUS_OK, GridRow, _evaluate, side_cells
+from .gridrun import GRID_FIELDS, STATUS_OK, GridRow, _evaluate, side_cells
 from .kernels import (
     _XGK,
     EV_I,
@@ -482,10 +483,12 @@ def _node_rows(params, time_kind, method, nodes, config=None, expm1=np.expm1):
     lower, upper, asym = lower.tolist(), upper.tolist(), asym.tolist()
     for j in np.flatnonzero(~inside).tolist():
         lower[j], upper[j], asym[j] = side_cells(params, time_kind, xs[j], ys[j])
-    return [
-        GridRow(*cells)
-        for cells in zip(xs, ys, values, tags, errs, lower, upper, asym, statuses)
-    ]
+    # each row's __dict__ takes all its fields in one update: the dict that
+    # GridRow's __init__ builds with one object.__setattr__ call per field
+    rows = list(map(object.__new__, repeat(GridRow, len(nodes))))
+    cells = zip(xs, ys, values, tags, errs, lower, upper, asym, statuses)
+    deque(map(dict.update, map(vars, rows), map(zip, repeat(GRID_FIELDS), cells)), maxlen=0)
+    return rows
 
 
 def _axis(lo, hi, n, spacing):

@@ -29,6 +29,8 @@ from .gridrun import (
     GridSpec,
     critical_time,
     row_records,
+    rows_to_csv,
+    rows_to_json,
     run_grid,
     side_cells,
     table_to_csv,
@@ -244,6 +246,11 @@ def _emit_table(settings, header, records, text_lines=None, key=None):
         text = table_to_json(payload)
     else:
         text = table_to_csv(header, ([rec.get(k) for k in header] for rec in records))
+    _write_text(settings, text)
+
+
+def _write_text(settings, text):
+    """Write *text* to --out, or to stdout."""
     if settings["out"]:
         with open(settings["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -293,7 +300,8 @@ def cmd_grid(args):
     y_lo, y_hi, ny = _parse_range(args.y)
     spec = GridSpec(x_lo, x_hi, nx, y_lo, y_hi, ny, args.spacing)
     result = run_grid(params, spec, args.time, args.method, icfg)
-    _emit_table(settings, GRID_FIELDS, row_records(result.rows))
+    write = rows_to_json if settings["format"] == "json" else rows_to_csv
+    _write_text(settings, write(result.rows))
     if result.failed:
         bad = sum(1 for r in result.rows if r.status != "ok")
         print(f"{bad} grid nodes failed; see the status column", file=sys.stderr)

@@ -6,12 +6,24 @@ quadrature, the ODE route by lock-step Dormand-Prince stepping, in
 :mod:`sirtimes.batch`, which is imported only when a grid is laid out or
 run. Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly.
+
+The writers turn a table into text a chunk of lines or records at a time,
+each run of lines with one tuple of cell types (CSV) or each chunk of
+records (JSON) through one template and one ``%``. :func:`rows_to_csv` and
+:func:`rows_to_json` write the same text as :func:`table_to_csv` and
+:func:`table_to_json` of the rows' cells, through the same templates, but
+with each row's x and y text put before its template: that text is written
+once per cell object and then reused. run_grid's rows share one float
+object per grid line, so a grid formats its nx + ny axis values once each.
+The text is kept by object, not by value, since equal values can be written
+differently (0.0 and -0.0).
 """
 
 import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .analytic import asymptotic_u, asymptotic_v, bounds_u, bounds_v, u_integral, v_integral
@@ -245,9 +257,52 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
+# Lines and records are written this many at a time, which bounds the
+# writers' temporaries
+_CHUNK = 256
+
 # the % conversion of a CSV cell of exactly these types, which writes what
-# _cell does; a line with a cell of any other type goes through _cell
+# _cell does
 _CSV_SPECS = {float: "%.17g", str: "%s", type(None): "%.0s"}
+
+
+def _cell_types(cells):
+    return tuple(map(type, cells))
+
+
+def _csv_template(kinds):
+    """(template, convert) of a CSV line whose cells have the types *kinds*:
+    convert is None, or _cell where a cell has a type outside _CSV_SPECS,
+    and then every cell of the line goes through it and %s."""
+    specs = [_CSV_SPECS.get(kind) for kind in kinds]
+    if None in specs:
+        return ",".join(["%s"] * len(kinds)), _cell
+    return ",".join(specs), None
+
+
+def _csv_lines(kinds, cells, leads, templates):
+    """Some lines of a CSV table, joined by newlines.
+
+    *kinds* holds each line's tuple of cell types, *cells* every cell of the
+    lines in one flat iterable, and *leads* the text that starts each line,
+    with any % doubled. Each run of lines with one tuple of cell types is
+    written through one template and one %; *templates* keeps the
+    templates by tuple of types.
+    """
+    cells, leads = iter(cells), iter(leads)
+    parts = []
+    for kind, run in groupby(kinds):
+        count = len(list(run))
+        try:
+            template, convert = templates[kind]
+        except KeyError:
+            template, convert = templates[kind] = _csv_template(kind)
+        values = islice(cells, count * len(kind))
+        if convert is not None:
+            values = map(convert, values)
+        layout = "\n".join(map(str.__add__, islice(leads, count), repeat(template, count)))
+        parts.append(layout % tuple(values))
+    return "\n".join(parts)
 
 
 def table_to_csv(header, table) -> str:
@@ -255,33 +310,46 @@ def table_to_csv(header, table) -> str:
     a sequence of cells in header order. A None cell is empty and a number
     has 17 significant digits.
 
-    Each line is written through a template for its tuple of cell types.
+    Each run of lines with one tuple of cell types is written through one
+    template for it.
     """
+    table = iter(table)
     templates = {}
-
-    def line(cells):
-        cells = tuple(cells)
-        kinds = tuple(map(type, cells))
-        try:
-            template = templates[kinds]
-        except KeyError:
-            specs = [_CSV_SPECS.get(kind) for kind in kinds]
-            template = templates[kinds] = None if None in specs else ",".join(specs)
-        if template is None:
-            return ",".join(map(_cell, cells))
-        return template % cells
-
-    lines = [",".join(header)]
-    lines.extend(map(line, table))
-    return "\n".join(lines) + "\n"
+    parts = [",".join(header)]
+    while chunk := list(map(tuple, islice(table, _CHUNK))):
+        kinds = map(_cell_types, chunk)
+        parts.append(_csv_lines(kinds, chain.from_iterable(chunk), repeat(""), templates))
+    return "\n".join(parts) + "\n"
 
 
-# Records are encoded this many at a time: their cells by the C encoder, in
-# one flat list split on _SEP, which an encoded string always escapes, and
-# then put into one template for the whole chunk
-_JSON_CHUNK = 256
+# Records are encoded by the C encoder, their cells in one flat list split
+# on _SEP, which an encoded string always escapes
 _SEP = "\x1f"
 _encode_cells = json.JSONEncoder(separators=(_SEP, ":")).encode
+
+
+def _json_key(key):
+    return encode_basestring_ascii(key).replace("%", "%%") + ": "
+
+
+def _json_records(leads, templates, values):
+    """Some records of a JSON array or object, joined: each record's lead
+    and then its template, whose %s cells take the JSON text of *values*, a
+    list of every record's cells in order."""
+    layout = ",\n  ".join(map(str.__add__, leads, templates))
+    cells = tuple(_encode_cells(values)[1:-1].split(_SEP)) if values else ()
+    return layout % cells
+
+
+def _json_text(brackets, chunks):
+    """The JSON text of an array or object (*brackets* "[]" or "{}") from
+    its records, in non-empty chunks of text."""
+    if not chunks:
+        return brackets + "\n"
+    # the brackets ride on the end chunks, so the text is joined only once
+    chunks[0] = f"{brackets[0]}\n  {chunks[0]}"
+    chunks[-1] = f"{chunks[-1]}\n{brackets[1]}\n"
+    return ",\n  ".join(chunks)
 
 
 def table_to_json(payload) -> str:
@@ -293,54 +361,114 @@ def table_to_json(payload) -> str:
     """
     if isinstance(payload, dict):
         brackets = "{}"
-        heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in payload]
+        heads = list(map(_json_key, payload))
         records = list(payload.values())
     else:
         brackets = "[]"
         records = list(payload)
         heads = [""] * len(records)
-    if not records:
-        return brackets + "\n"
     templates = {None: "null"}
 
     def template(rec):
         keys = None if rec is None else tuple(rec)
         text = templates.get(keys)
         if text is None:
-            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-            text = templates[keys] = "{\n    " + ",\n    ".join(fields) + "\n  }" if keys else "{}"
+            fields = ",\n    ".join(_json_key(k) + "%s" for k in keys)
+            text = templates[keys] = "{\n    " + fields + "\n  }" if keys else "{}"
         return text
 
     chunks = []
-    for start in range(0, len(records), _JSON_CHUNK):
-        end = start + _JSON_CHUNK
-        chunk = records[start:end]
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start : start + _CHUNK]
         values = [value for rec in chunk if rec for value in rec.values()]
-        cells = tuple(_encode_cells(values)[1:-1].split(_SEP)) if values else ()
-        layout = ",\n  ".join(map(str.__add__, heads[start:end], map(template, chunk)))
-        chunks.append(layout % cells)
-    # the brackets ride on the end chunks, so the text is joined only once
-    chunks[0] = f"{brackets[0]}\n  {chunks[0]}"
-    chunks[-1] = f"{chunks[-1]}\n{brackets[1]}\n"
-    return ",\n  ".join(chunks)
+        chunks.append(_json_records(heads[start : start + _CHUNK], map(template, chunk), values))
+    return _json_text(brackets, chunks)
 
 
-_row_cells = operator.attrgetter(*GRID_FIELDS)
+_row_x = operator.attrgetter("x")
+_row_y = operator.attrgetter("y")
+_row_rest = operator.attrgetter(*GRID_FIELDS[2:])
 
 
 def row_records(rows) -> list[dict]:
     """The rows as dicts keyed by :data:`GRID_FIELDS`."""
-    # a GridRow's __init__ sets every field into its __dict__, in the order
-    # of GRID_FIELDS, and the frozen row sets nothing after
+    # a GridRow's __dict__ holds every field, in the order of GRID_FIELDS,
+    # and the frozen row sets nothing after
     return [vars(r).copy() for r in rows]
 
 
+def _axis_texts(write):
+    """A function from some cells to the list of their texts, write(cell),
+    that writes each cell object once over all its calls.
+
+    The texts are kept by id(), and every cell written is held, so that an
+    id names that one object: 0.0 and -0.0, or 1 and 1.0, which are equal
+    but written differently, each get their own text.
+    """
+    known, held = {}, []
+
+    def texts(cells):
+        out = []
+        for cell in cells:
+            text = known.get(id(cell))
+            if text is None:
+                text = known[id(cell)] = write(cell)
+                held.append(cell)
+            out.append(text)
+        return out
+
+    return texts
+
+
+def _csv_axis(value):
+    return _cell(value).replace("%", "%%") + ","
+
+
 def rows_to_csv(rows) -> str:
-    return table_to_csv(GRID_FIELDS, map(_row_cells, rows))
+    """CSV text of the rows: ``table_to_csv`` of their cells, with the
+    :data:`GRID_FIELDS` header."""
+    rows = tuple(rows)
+    axis = _axis_texts(_csv_axis)
+    templates = {}
+    width = len(GRID_FIELDS) - 2
+    parts = [CSV_HEADER]
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start : start + _CHUNK]
+        leads = map(str.__add__, axis(map(_row_x, chunk)), axis(map(_row_y, chunk)))
+        cells = tuple(chain.from_iterable(map(_row_rest, chunk)))
+        # the cells' types, one line's worth at a time
+        kinds = zip(*[map(type, cells)] * width)
+        parts.append(_csv_lines(kinds, cells, leads, templates))
+    return "\n".join(parts) + "\n"
+
+
+def _json_cell(value):
+    return _encode_cells([value])[1:-1].replace("%", "%%")
+
+
+# the template of a row's record after its x and y cells
+_JSON_REST = ",\n    ".join(_json_key(k) + "%s" for k in GRID_FIELDS[2:]) + "\n  }"
+
+
+def _json_x_lead(x):
+    return "{\n    " + _json_key("x") + _json_cell(x) + ",\n    " + _json_key("y")
+
+
+def _json_y_lead(y):
+    return _json_cell(y) + ",\n    " + _JSON_REST
 
 
 def rows_to_json(rows) -> str:
-    return table_to_json(row_records(rows))
+    """JSON text of the rows: ``table_to_json(row_records(rows))``."""
+    rows = tuple(rows)
+    x_axis, y_axis = _axis_texts(_json_x_lead), _axis_texts(_json_y_lead)
+    chunks = []
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start : start + _CHUNK]
+        values = list(chain.from_iterable(map(_row_rest, chunk)))
+        # a record is its x lead, then its y lead and the rest's template
+        chunks.append(_json_records(x_axis(map(_row_x, chunk)), y_axis(map(_row_y, chunk)), values))
+    return _json_text("[]", chunks)
 
 
 def write_csv(rows, fh) -> None:

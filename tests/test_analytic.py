@@ -35,6 +35,7 @@ from sirtimes.errors import (
     SirTimesError,
     TimeCapExceeded,
 )
+from sirtimes.gridrun import build_row
 from sirtimes.cli import main
 
 # reference values computed at 50-digit precision on the exact
@@ -58,10 +59,10 @@ V33_1E6_1 = 9.21036812672686089958e-6
 
 def test_anchor_frozen(p23):
     r = solve_anchor(p23, 1.5, 2.0)
-    assert r.a == pytest.approx(ANCHOR_A_15_2, rel=1e-13)
-    assert r.log_a == pytest.approx(ANCHOR_LOG_15_2, rel=1e-13)
+    assert r.a == pytest.approx(ANCHOR_A_15_2, rel=1e-13, abs=0)
+    assert r.log_a == pytest.approx(ANCHOR_LOG_15_2, rel=1e-13, abs=0)
     assert r.residual <= 1e-12
-    assert solve_anchor(p23, 4.0, 2.0).a == pytest.approx(ANCHOR_A_4_2, rel=1e-13)
+    assert solve_anchor(p23, 4.0, 2.0).a == pytest.approx(ANCHOR_A_4_2, rel=1e-13, abs=0)
 
 
 def test_anchor_on_threshold_left_of_peak(p23):
@@ -84,6 +85,40 @@ def test_anchor_domain(p23):
         solve_anchor(p23, 2.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "beta, gamma, x, y",
+    [
+        # y - mu - (rho - x) overflows
+        (2.0, 3.0, 1e308, 1e308),
+        (2.0, 3.0, 1.7e308, 1e307),
+        (2.0, 3.0, 1e306, 1.79e308),
+        # rho*ln(rho/x) overflows
+        (1e-300, 1e7, 1e-300, 2.0),
+        (1e-306, 1.0, 1e-300, 1e300),
+    ],
+)
+def test_anchor_deficit_overflow_is_a_domain_error(beta, gamma, x, y):
+    # the deficit is inf there, and the offset would be NaN
+    p = ModelParams(beta, gamma)
+    for fn in (solve_anchor, u_integral):
+        with pytest.raises(DomainError, match="deficit .* overflows"):
+            fn(p, x, y)
+    assert build_row(p, "u", "integral", x, y).status == "error:DomainError"
+    edge = solve_anchor(ModelParams(2.0, 3.0), 1e307, 1e307)
+    assert math.isfinite(edge.a) and math.isfinite(edge.log_a)
+
+
+def test_grid_rows_where_the_deficit_overflows():
+    p = ModelParams(2.0, 3.0)
+    rows = run_grid(p, GridSpec(1e307, 1e308, 16, 1e307, 1e308, 16), "u", "integral").rows
+    for row in rows:
+        if math.isinf(row.y - p.mu - (p.rho - row.x)):
+            assert row.status == "error:DomainError" and row.value is None, row
+        else:
+            assert row.status == "ok" and math.isfinite(row.value), row
+    assert sum(row.status != "ok" for row in rows) == 10
+
+
 def test_u_integral_frozen(p23):
     for x, y, want in (
         (4.0, 2.0, U_4_2),
@@ -93,7 +128,7 @@ def test_u_integral_frozen(p23):
     ):
         r = u_integral(p23, x, y)
         assert r.method is Method.INTEGRAL
-        assert r.value == pytest.approx(want, rel=1e-13)
+        assert r.value == pytest.approx(want, rel=1e-13, abs=0)
         assert abs(r.value - want) <= r.err_estimate + 1e-15 * max(1.0, want)
 
 
@@ -174,12 +209,12 @@ def test_v_integral_frozen(p23, p33):
     ):
         r = v_integral(params, x, y)
         assert r.method is Method.INTEGRAL
-        assert r.value == pytest.approx(want, rel=1e-12)
+        assert r.value == pytest.approx(want, rel=1e-12, abs=0)
         assert abs(r.value - want) <= r.err_estimate + 1e-15 * max(1.0, want)
 
 
 def test_v_integral_large_mass(p33):
-    assert v_integral(p33, 1e6, 1.0).value == pytest.approx(V33_1E6_1, rel=1e-11)
+    assert v_integral(p33, 1e6, 1.0).value == pytest.approx(V33_1E6_1, rel=1e-11, abs=0)
 
 
 def test_v_integral_boundary_zero(p23):
@@ -211,18 +246,18 @@ def test_quadrature_budget_failure(p23, monkeypatch):
 def test_bounds_u_no_susceptibles(p23):
     y = math.e**3
     b = bounds_u(p23, 0.0, y)
-    assert b.lower == pytest.approx(math.log(y / 2.5) / 3.0, rel=1e-15)
-    assert b.crude_upper == pytest.approx(y / 3.0, rel=1e-15)
+    assert b.lower == pytest.approx(math.log(y / 2.5) / 3.0, rel=1e-15, abs=0)
+    assert b.crude_upper == pytest.approx(y / 3.0, rel=1e-15, abs=0)
     # with x = 0 the subcritical rate bound is exact
-    assert b.subcritical_upper == pytest.approx(exact_u_at_x0(p23, y), rel=1e-15)
+    assert b.subcritical_upper == pytest.approx(exact_u_at_x0(p23, y), rel=1e-15, abs=0)
     assert b.lower <= 1.0 <= b.subcritical_upper + 1e-15
 
 
 def test_bounds_u_supercritical(p23):
     b = bounds_u(p23, 3.0, 2.0)
     assert b.subcritical_upper is None
-    assert b.crude_upper == pytest.approx(5.0 / 3.0, rel=1e-15)
-    assert b.lower == pytest.approx(math.log(2.0) / 3.0, rel=1e-15)
+    assert b.crude_upper == pytest.approx(5.0 / 3.0, rel=1e-15, abs=0)
+    assert b.lower == pytest.approx(math.log(2.0) / 3.0, rel=1e-15, abs=0)
 
 
 def test_bounds_u_lower_clamped(p23):
@@ -250,7 +285,7 @@ def test_bounds_v_collapse_toward_peak(p23):
     assert 0.0 <= b.lower < 1e-5
     assert 0.0 <= b.upper < 1e-5
     assert 0.0 <= b.crude_upper < 1e-5
-    assert b.lower == pytest.approx(b.upper, rel=1e-6)
+    assert b.lower == pytest.approx(b.upper, rel=1e-6, abs=0)
 
 
 def test_bounds_v_degenerate(p23):
@@ -275,7 +310,7 @@ def test_bounds_v_domain(p23):
 
 
 def test_asymptotic_u_formula(p23):
-    assert asymptotic_u(p23, 3.0, 2.0) == pytest.approx(math.log(5.0) / 3.0, rel=1e-15)
+    assert asymptotic_u(p23, 3.0, 2.0) == pytest.approx(math.log(5.0) / 3.0, rel=1e-15, abs=0)
     with pytest.raises(DomainError):
         asymptotic_u(p23, -1.0, 2.0)
     with pytest.raises(DomainError):
@@ -293,7 +328,7 @@ def test_asymptotic_v_formula(p33):
     assert asymptotic_v(p33, 1.0, 3.0) == 0.0
     got = asymptotic_v(p33, 4.0, 2.0)
     want = math.log(4.0 * (3.0 / 2.0 + 1.0)) / (3.0 * (4.0 - 1.0 + 2.0))
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
     with pytest.raises(DomainError):
         asymptotic_v(p33, 0.5, 1.0)
     with pytest.raises(DomainError):

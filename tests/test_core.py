@@ -54,11 +54,11 @@ def test_psi_simple(p23):
 
 def test_psi_at_e():
     p = ModelParams(beta=1.0, gamma=1.0)
-    assert psi(p, math.e, 0.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert psi(p, math.e, 0.0) == pytest.approx(math.e - 1.0, rel=1e-15, abs=0)
 
 
 def test_psi_frozen(p23):
-    assert psi(p23, 4.0, 1.0) == pytest.approx(PSI_4_1, rel=1e-15)
+    assert psi(p23, 4.0, 1.0) == pytest.approx(PSI_4_1, rel=1e-15, abs=0)
 
 
 def test_psi_requires_positive_x(p23):
@@ -71,7 +71,7 @@ def test_psi_requires_positive_x(p23):
 
 
 def test_exact_x0_at_e_cubed(p23):
-    assert exact_u_at_x0(p23, math.e**3) == pytest.approx(1.0, rel=1e-15)
+    assert exact_u_at_x0(p23, math.e**3) == pytest.approx(1.0, rel=1e-15, abs=0)
 
 
 def test_exact_x0_at_threshold(p23):
@@ -80,7 +80,7 @@ def test_exact_x0_at_threshold(p23):
 
 def test_exact_x0_other_params():
     p = ModelParams(beta=1.0, gamma=0.5, mu=2.0)
-    assert exact_u_at_x0(p, 8.0) == pytest.approx(2.0 * math.log(4.0), rel=1e-15)
+    assert exact_u_at_x0(p, 8.0) == pytest.approx(2.0 * math.log(4.0), rel=1e-15, abs=0)
 
 
 def test_exact_x0_below_threshold(p23):

@@ -5,20 +5,23 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import sirtimes
 from sirtimes import (
     CSV_HEADER,
+    GridRow,
     GridSpec,
     Method,
     ModelParams,
+    gridrun,
     hitting_time_u,
     hitting_time_v,
     rows_to_csv,
@@ -100,7 +103,7 @@ def test_grid_exact_x0_tag(p23):
     assert (0.0, "ExactX0") in methods
     assert (2.0, "Integral") in methods
     x0 = [r for r in res.rows if r.x == 0.0 and r.y == 2.0][0]
-    assert x0.value == pytest.approx(math.log(2.0) / 3.0, rel=1e-12)
+    assert x0.value == pytest.approx(math.log(2.0) / 3.0, rel=1e-12, abs=0)
 
 
 def test_critical_time_dispatch(p23):
@@ -632,6 +635,78 @@ def _csv_cell(value):
 def test_table_to_csv_matches_the_cell_rule(header, table):
     lines = [",".join(header)] + [",".join(map(_csv_cell, cells)) for cells in table]
     assert table_to_csv(header, table) == "\n".join(lines) + "\n"
+
+
+_row_cells = operator.attrgetter(*GRID_FIELDS)
+# axis cells: equal values written differently (0.0 and -0.0; 1 and True),
+# the non-finite and subnormal floats, and any other cell
+_AXIS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1, True]), _CELLS
+)
+
+
+@given(
+    st.lists(_AXIS, max_size=4),
+    st.lists(_AXIS, max_size=3),
+    st.lists(st.tuples(*[_CELLS] * 7), min_size=12, max_size=12),
+)
+@example([0.0, -0.0, 1.0, 0.0], [-0.0, np.float64(-0.0), 0.0], [(None,) * 7] * 12)
+# axis text that the templates must take as it is
+@example(["%", "%s", 2.0], ["a%%", "%.17g"], [(1.5, "Integral", 0.0, None, None, None, "ok")] * 12)
+def test_grid_writers_match_the_generic_rule(xs, ys, rest):
+    # row-major, as run_grid lays rows out: the rows of a column share its x
+    # object and those of a line its y object
+    rows = [GridRow(x, y, *cells) for (x, y), cells in zip([(x, y) for y in ys for x in xs], rest)]
+    lines = [CSV_HEADER] + [",".join(map(_csv_cell, cells)) for cells in map(_row_cells, rows)]
+    assert rows_to_csv(rows) == "\n".join(lines) + "\n"
+    assert rows_to_json(rows) == json.dumps(row_records(rows), indent=2) + "\n"
+
+
+def test_grid_writers_write_each_axis_object_once(p23, monkeypatch):
+    # 30 x 20 rows span three chunks of the writers
+    rows = run_grid(p23, GridSpec(0.0, 6.0, 30, 1.0, 5.0, 20), "u", "integral").rows
+    texts = (rows_to_csv(rows), rows_to_json(rows))
+    calls = {}
+    for name in ("_csv_axis", "_json_x_lead", "_json_y_lead"):
+        def counted(value, write=getattr(gridrun, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return write(value)
+        monkeypatch.setattr(gridrun, name, counted)
+    assert (rows_to_csv(rows), rows_to_json(rows)) == texts
+    assert calls == {"_csv_axis": 30 + 20, "_json_x_lead": 30, "_json_y_lead": 20}
+
+
+class _MadeRow:
+    """A row whose x and y cells are new objects at each access."""
+
+    def __init__(self, row):
+        self._row = row
+
+    x = property(lambda self: self._row.x + 0.0)
+    y = property(lambda self: self._row.y + 0.0)
+
+    def __getattr__(self, name):
+        return getattr(self._row, name)
+
+
+def test_rows_to_csv_of_rows_that_make_their_cells_anew(p23):
+    # each x and y dies once written, and a later cell may take its id
+    rows = run_grid(p23, GridSpec(0.0, 6.0, 30, 1.0, 5.0, 20), "u", "integral").rows
+    assert rows_to_csv(list(map(_MadeRow, rows))) == rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("method", ["integral", "ode"])
+def test_run_grid_rows_behave_like_built_rows(p23, method):
+    rows = run_grid(p23, GridSpec(-1.0, 4.0, 6, 0.5, 3.0, 3), "u", method).rows
+    assert {row.status for row in rows} >= {"ok", "error:DomainError"}
+    for row in rows:
+        built = GridRow(*_row_cells(row))
+        assert row == built and hash(row) == hash(built) and repr(row) == repr(built)
+        assert list(vars(row)) == list(GRID_FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.value = 1.0
+        assert dataclasses.replace(row, value=2.0) == dataclasses.replace(built, value=2.0)
+        assert dataclasses.replace(row, value=2.0).value == 2.0
 
 
 # SHA-256 of rows_to_csv and rows_to_json on the two README surfaces, by

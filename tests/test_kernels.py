@@ -72,10 +72,10 @@ def test_quad_out_of_budget():
 def test_integrand_values():
     # I = i_ref - s_ref*expm1(sig) + rho*sig, exact at sig = 0
     assert kernels._orbit_i(0.0, 1.5, 3.0, 1.0) == 1.0
-    assert kernels._orbit_i(math.log(2.0), 0.0, 1.0, 3.0) == pytest.approx(2.0, rel=1e-15)
+    assert kernels._orbit_i(math.log(2.0), 0.0, 1.0, 3.0) == pytest.approx(2.0, rel=1e-15, abs=0)
     # a panel over the constant 1/(beta*I) = 1/2, of length 0.5
     value, err, ok = kernels._gk15(0.0, 0.5, 2.0, 0.0, 0.0, 1.0)
-    assert ok and value == pytest.approx(0.25, rel=1e-15)
+    assert ok and value == pytest.approx(0.25, rel=1e-15, abs=0)
     # I = 1 - sig reaches 0 inside [0.5, 1.5], and 2 - expm1(sig) beyond ln 3
     assert kernels._gk15(0.5, 1.5, 1.0, -1.0, 0.0, 1.0) == (0.0, 0.0, False)
     assert kernels._gk15(1.0, 2.0, 1.0, 0.0, 1.0, 2.0) == (0.0, 0.0, False)
@@ -148,8 +148,8 @@ def _log_a(rho, mu, x, y):
 
 def test_anchor_interior_root():
     log_a = _log_a(1.5, 1.0, 4.0, 2.0)
-    assert log_a == pytest.approx(LOG_A_4_2, rel=1e-13)
-    assert 4.0 * math.exp(_offset(1.5, 1.0, 4.0, 2.0)) == pytest.approx(A_4_2, rel=1e-13)
+    assert log_a == pytest.approx(LOG_A_4_2, rel=1e-13, abs=0)
+    assert 4.0 * math.exp(_offset(1.5, 1.0, 4.0, 2.0)) == pytest.approx(A_4_2, rel=1e-13, abs=0)
 
 
 def test_anchor_deep_root():
@@ -294,8 +294,8 @@ def test_illinois_refinement_pins_its_brackets():
     for k, (q, theta, half_width) in enumerate(ILLINOIS_BRACKETS):
         got = kernels._refine_crossing(1.0, 1.0, *q, 0.0, 1.0, g1[k], 1e-3)
         assert got == (arrays[0][k], arrays[1][k])
-        assert got[0] == pytest.approx(theta, rel=1e-12)
-        assert got[1] == pytest.approx(half_width, rel=1e-9)
+        assert got[0] == pytest.approx(theta, rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(half_width, rel=1e-9, abs=0)
 
 
 def test_dense_output_endpoints():
