@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -29,12 +30,12 @@ from .gridrun import (
     GridSpec,
     critical_time,
     row_records,
-    rows_to_csv,
-    rows_to_json,
     run_grid,
     side_cells,
     table_to_csv,
     table_to_json,
+    write_csv,
+    write_json,
 )
 from .ode import IntegratorConfig
 
@@ -249,13 +250,17 @@ def _emit_table(settings, header, records, text_lines=None, key=None):
     _write_text(settings, text)
 
 
+def _out_file(settings):
+    """The --out file opened for writing, or stdout, left open on exit."""
+    if settings["out"]:
+        return open(settings["out"], "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _write_text(settings, text):
     """Write *text* to --out, or to stdout."""
-    if settings["out"]:
-        with open(settings["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _out_file(settings) as fh:
+        fh.write(text)
 
 
 def cmd_compute(args):
@@ -300,8 +305,9 @@ def cmd_grid(args):
     y_lo, y_hi, ny = _parse_range(args.y)
     spec = GridSpec(x_lo, x_hi, nx, y_lo, y_hi, ny, args.spacing)
     result = run_grid(params, spec, args.time, args.method, icfg)
-    write = rows_to_json if settings["format"] == "json" else rows_to_csv
-    _write_text(settings, write(result.rows))
+    write = write_json if settings["format"] == "json" else write_csv
+    with _out_file(settings) as fh:
+        write(result.rows, fh)
     if result.failed:
         bad = sum(1 for r in result.rows if r.status != "ok")
         print(f"{bad} grid nodes failed; see the status column", file=sys.stderr)

@@ -26,6 +26,16 @@ anchor offset :func:`_anchor_offset`. The twins differ only
 in control flow, and only the DP5 step loop is still written twice: the
 quadrature :func:`_graded_gk` has no loop but its fixed passes, which its
 twin runs over every panel of a grid at once.
+
+Two formulas have a second, written-out copy on the scalar hot path: the
+field inside :func:`_stages` (for floats and arrays), and I on the orbit
+inside the scalar :func:`_gk15`. The six calls of :func:`_field` were about
+15% of a scalar DP5 attempt, and the 15 calls of :func:`_orbit_i` with
+three list passes about 15% of a panel. Each copy makes the same
+operations in the same order, and a test holds it to the bits of the
+original: ``test_stages_write_out_the_field_bit_for_bit`` in
+``tests/test_kernels.py``, and ``test_integrand_batch_matches_scalar`` in
+``tests/test_batched.py`` against the batch, which calls :func:`_orbit_i`.
 """
 
 import math
@@ -151,6 +161,8 @@ _WG = (
     0.381830050505118944950369775488975,
 )
 _WG_C = 0.417959183673469387755102040816327
+# the nodes of fv in _gk15_rule's order: -/+ _XGK[j], then the centre
+_GK_NODES = (*(x for xk in _XGK for x in (-xk, xk)), 0.0)
 
 
 def _field(beta, gamma, s, i):
@@ -163,31 +175,26 @@ def _stages(beta, gamma, s, i, h, k1s, k1i):
     is (k1s, k1i): floats, or arrays with a step per element. Returns (s1,
     i1, es, ei, k): the 5th-order state, each component's error estimate,
     and the seven stages as (S, I) pairs, the last being the field at (s1,
-    i1)."""
-    k2s, k2i = _field(beta, gamma, s + h * (_A21 * k1s), i + h * (_A21 * k1i))
-    k3s, k3i = _field(
-        beta, gamma,
-        s + h * (_A31 * k1s + _A32 * k2s),
-        i + h * (_A31 * k1i + _A32 * k2i),
-    )
-    k4s, k4i = _field(
-        beta, gamma,
-        s + h * (_A41 * k1s + _A42 * k2s + _A43 * k3s),
-        i + h * (_A41 * k1i + _A42 * k2i + _A43 * k3i),
-    )
-    k5s, k5i = _field(
-        beta, gamma,
-        s + h * (_A51 * k1s + _A52 * k2s + _A53 * k3s + _A54 * k4s),
-        i + h * (_A51 * k1i + _A52 * k2i + _A53 * k3i + _A54 * k4i),
-    )
-    k6s, k6i = _field(
-        beta, gamma,
-        s + h * (_A61 * k1s + _A62 * k2s + _A63 * k3s + _A64 * k4s + _A65 * k5s),
-        i + h * (_A61 * k1i + _A62 * k2i + _A63 * k3i + _A64 * k4i + _A65 * k5i),
-    )
+    i1). Each stage's field is :func:`_field`'s, written out (see the
+    module docstring)."""
+    a = s + h * (_A21 * k1s)
+    b = i + h * (_A21 * k1i)
+    k2s, k2i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (_A31 * k1s + _A32 * k2s)
+    b = i + h * (_A31 * k1i + _A32 * k2i)
+    k3s, k3i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (_A41 * k1s + _A42 * k2s + _A43 * k3s)
+    b = i + h * (_A41 * k1i + _A42 * k2i + _A43 * k3i)
+    k4s, k4i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (_A51 * k1s + _A52 * k2s + _A53 * k3s + _A54 * k4s)
+    b = i + h * (_A51 * k1i + _A52 * k2i + _A53 * k3i + _A54 * k4i)
+    k5s, k5i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (_A61 * k1s + _A62 * k2s + _A63 * k3s + _A64 * k4s + _A65 * k5s)
+    b = i + h * (_A61 * k1i + _A62 * k2i + _A63 * k3i + _A64 * k4i + _A65 * k5i)
+    k6s, k6i = -beta * a * b, (beta * a - gamma) * b
     s1 = s + h * (_B1 * k1s + _B3 * k3s + _B4 * k4s + _B5 * k5s + _B6 * k6s)
     i1 = i + h * (_B1 * k1i + _B3 * k3i + _B4 * k4i + _B5 * k5i + _B6 * k6i)
-    k7s, k7i = _field(beta, gamma, s1, i1)
+    k7s, k7i = -beta * s1 * i1, (beta * s1 - gamma) * i1
     es = h * (_E1 * k1s + _E3 * k3s + _E4 * k4s + _E5 * k5s + _E6 * k6s + _E7 * k7s)
     ei = h * (_E1 * k1i + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i)
     k = ((k1s, k1i), (k2s, k2i), (k3s, k3i), (k4s, k4i), (k5s, k5i), (k6s, k6i), (k7s, k7i))
@@ -491,16 +498,21 @@ def _gk15(a, b, beta, rho, s_ref, i_ref):
     sig = ln S - s0, I by :func:`_orbit_i` from (s_ref, i_ref) at s0.
     Returns (value, err, ok), ok false where I <= 0 at a node; a
     denominator that underflows to 0 gives an infinite value, as numpy's
-    division does in the batch."""
+    division does in the batch. Each node's I is :func:`_orbit_i`'s,
+    written out (see the module docstring), and the loop stops at the first
+    I <= 0."""
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
-    # I at c -/+ hl*_XGK[j] for fv[2j] and fv[2j+1], and at c for fv[14]
-    iv = [_orbit_i(c + d, rho, s_ref, i_ref) for xk in _XGK for d in (-(hl * xk), hl * xk)]
-    iv.append(_orbit_i(c, rho, s_ref, i_ref))
-    if not all(i > 0.0 for i in iv):
-        return 0.0, 0.0, False
-    den = [beta * i for i in iv]
-    return (*_gk15_rule([1.0 / d if d else math.inf for d in den], hl), True)
+    expm1 = math.expm1
+    fv = []
+    for xk in _GK_NODES:
+        sig = c + hl * xk
+        i = i_ref - s_ref * expm1(sig) + rho * sig
+        if not i > 0.0:
+            return 0.0, 0.0, False
+        den = beta * i
+        fv.append(1.0 / den if den else math.inf)
+    return (*_gk15_rule(fv, hl), True)
 
 
 def _converged(total, errtot, atol, rtol, ops=_FLOATS):

@@ -45,7 +45,8 @@ _CAP_SLACK = 1.0 + 1e-6
 class IntegratorConfig:
     """Tolerances for the adaptive integrator.
 
-    rel_tol/abs_tol control the per-step error. An event in the accepted
+    rel_tol/abs_tol control the per-step error; both must be finite and
+    positive. An event in the accepted
     step from t to t + h is refined to a width of 1e-12*max(1, t + h)
     (``kernels._EV_TOL``); the refinement nearly always ends on an exact hit
     of the level, and ``err_estimate`` is then the floor 10*rel_tol*max(1, T).
@@ -56,8 +57,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            value = float(getattr(self, name))
-            if math.isnan(value) or value <= 0.0:
+            value = _require_finite(name, getattr(self, name))
+            if value <= 0.0:
                 raise DomainError(f"{name} must be positive, got {value!r}")
             object.__setattr__(self, name, value)
 

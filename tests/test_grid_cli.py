@@ -271,6 +271,14 @@ def test_cli_tolerances_only_where_the_ode_route_runs(capsys, argv, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+def test_cli_non_finite_tolerances_are_bad_settings(capsys, flag, value):
+    # not a numerical failure of the run that an infinite tolerance starts
+    assert main(["compute", *P23, "--x", "4", "--y", "2", f"{flag}={value}"]) == 2
+    assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+
+
 def test_cli_grid_csv_to_file(tmp_path):
     out = tmp_path / "u.csv"
     code = main(["grid", *P23, "--x", "1:5:3", "--y", "2:4:2", "--time", "u",

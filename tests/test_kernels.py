@@ -298,6 +298,79 @@ def test_illinois_refinement_pins_its_brackets():
         assert got[1] == pytest.approx(half_width, rel=1e-9, abs=0)
 
 
+def _stages_through_field(beta, gamma, s, i, h, k1s, k1i):
+    """kernels._stages as it was before it wrote the field out: every stage
+    through kernels._field."""
+    K = kernels
+    k2s, k2i = K._field(beta, gamma, s + h * (K._A21 * k1s), i + h * (K._A21 * k1i))
+    k3s, k3i = K._field(
+        beta, gamma,
+        s + h * (K._A31 * k1s + K._A32 * k2s),
+        i + h * (K._A31 * k1i + K._A32 * k2i),
+    )
+    k4s, k4i = K._field(
+        beta, gamma,
+        s + h * (K._A41 * k1s + K._A42 * k2s + K._A43 * k3s),
+        i + h * (K._A41 * k1i + K._A42 * k2i + K._A43 * k3i),
+    )
+    k5s, k5i = K._field(
+        beta, gamma,
+        s + h * (K._A51 * k1s + K._A52 * k2s + K._A53 * k3s + K._A54 * k4s),
+        i + h * (K._A51 * k1i + K._A52 * k2i + K._A53 * k3i + K._A54 * k4i),
+    )
+    k6s, k6i = K._field(
+        beta, gamma,
+        s + h * (K._A61 * k1s + K._A62 * k2s + K._A63 * k3s + K._A64 * k4s + K._A65 * k5s),
+        i + h * (K._A61 * k1i + K._A62 * k2i + K._A63 * k3i + K._A64 * k4i + K._A65 * k5i),
+    )
+    s1 = s + h * (K._B1 * k1s + K._B3 * k3s + K._B4 * k4s + K._B5 * k5s + K._B6 * k6s)
+    i1 = i + h * (K._B1 * k1i + K._B3 * k3i + K._B4 * k4i + K._B5 * k5i + K._B6 * k6i)
+    k7s, k7i = K._field(beta, gamma, s1, i1)
+    es = h * (K._E1 * k1s + K._E3 * k3s + K._E4 * k4s + K._E5 * k5s + K._E6 * k6s
+              + K._E7 * k7s)
+    ei = h * (K._E1 * k1i + K._E3 * k3i + K._E4 * k4i + K._E5 * k5i + K._E6 * k6i
+              + K._E7 * k7i)
+    k = ((k1s, k1i), (k2s, k2i), (k3s, k3i), (k4s, k4i), (k5s, k5i), (k6s, k6i), (k7s, k7i))
+    return s1, i1, es, ei, k
+
+
+def _bits(value):
+    """The bytes of every float in a nest of tuples: NaN equals NaN, -0.0
+    differs from 0.0."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return np.asarray(value, dtype=float).tobytes()
+
+
+# (beta, gamma, s, i): a README state, one stiff in I, x = 0, and a state
+# whose field overflows (its stages are inf and NaN)
+STAGE_STATES = [(2.0, 3.0, 4.0, 2.0), (0.5, 0.02, 3e4, 2e5), (2.0, 3.0, 0.0, 5.0),
+                (2.0, 3.0, 1e300, 1e300)]
+
+
+def test_stages_write_out_the_field_bit_for_bit():
+    # kernels._stages writes the SIR field out at each stage, the only place
+    # where the field is written twice; it must give _field's bits, on
+    # floats and on arrays alike
+    steps = (1e-9, 1e-4, 0.01, 0.3)
+    for beta, gamma, s, i in STAGE_STATES:
+        k1 = kernels._field(beta, gamma, s, i)
+        for h in steps:
+            got = kernels._stages(beta, gamma, s, i, h, *k1)
+            assert _bits(got) == _bits(_stages_through_field(beta, gamma, s, i, h, *k1))
+    beta, gamma = 2.0, 3.0
+    s, i, h = (np.array([x for *_, x, _ in STAGE_STATES for _ in steps]),
+               np.array([y for *_, y in STAGE_STATES for _ in steps]),
+               np.array(steps * len(STAGE_STATES)))
+    with np.errstate(all="ignore"):
+        k1 = kernels._field(beta, gamma, s, i)
+        got = kernels._stages(beta, gamma, s, i, h, *k1)
+        want = _stages_through_field(beta, gamma, s, i, h, *k1)
+    assert _bits(got) == _bits(want)
+    # the overflowing state reaches both kinds of non-finite value
+    assert np.isinf(got[4][0][0]).any() and np.isnan(got[0]).any()
+
+
 def test_dense_output_endpoints():
     beta, gamma, s, i, h = 2.0, 3.0, 4.0, 2.0, 0.002
     k1s, k1i = kernels._field(beta, gamma, s, i)

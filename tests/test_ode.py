@@ -180,6 +180,10 @@ def test_integrator_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
         IntegratorConfig(abs_tol=-1e-12)
+    for name in ("rel_tol", "abs_tol"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                IntegratorConfig(**{name: bad})
 
 
 def test_stall_on_impossible_tolerances(p23):
