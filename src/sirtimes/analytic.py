@@ -24,8 +24,8 @@ Each piece is integrated by GK15 panels on a fixed mesh
 boundary layer at an end where I is small, of width I/|rho - S| there, and
 the edges run geometrically from each such end to the midpoint; every panel
 is halved, at most twice, where the summed estimate misses the tolerance.
-The grid's twin (:mod:`sirtimes.batch`) places the same mesh, so only the
-DP5 step loop is still written twice. err_estimate is at least 8 units of
+The grid's twin (:mod:`sirtimes.batch`) places the same mesh and halves it
+in a driver of its own. err_estimate is at least 8 units of
 2**-52 of the time: the rounding of the far tail and of the panel sums.
 
 The anchor offset s* solves y - mu - x*expm1(s) + rho*s = 0

@@ -14,18 +14,19 @@ problems at once, in lock-step, with numpy arrays. Every formula comes from
 those modules, given :data:`_ARRAYS`: the field, DP5 stages, error norm,
 dense output and crossing refinement, the GK15 rule and error finish, the
 graded mesh and stopping test, the anchor, the u integral's pieces and
-rounding floor, and the bound, asymptotic, cap and event formulas. The
-twins differ only in control flow: each element leaves a loop or takes a
-branch on its own. Only the DP5 step loop is still written twice
-(:func:`_dp5_batch`); the quadrature's fixed passes run every panel of a
-grid at once (:func:`_batch_quad`). Their per-node logs and exps are math's
-per element (:func:`_math_each`), so the anchor, the crossing refinement,
-the quadrature's mesh and the side cells agree with the scalar kernels bit
-for bit (and :func:`_py_max`, :func:`_py_min` mirror max and min). Two
+rounding floor, the bound, asymptotic, cap and event formulas, and the DP5
+step loop itself, which :func:`_dp5_batch` runs on arrays. The twins differ
+only in control flow: each element leaves a loop or takes a branch on its
+own. Only the quadrature's driver is still written twice: its fixed passes
+run every panel of a grid at once (:func:`_batch_quad`). Their per-node
+logs and exps are math's per element (:func:`_math_each`), so the anchor,
+the crossing refinement, the quadrature's mesh and the side cells agree
+with the scalar kernels bit for bit (and :func:`_py_max`, :func:`_py_min`
+mirror max and min). Two
 things follow numpy's SIMD functions instead, to a few units in the last
 place: the quadratures' I takes numpy's expm1 unless asked for math's, and
 the DP5 loop's step sizes take numpy's power, so its crossing times match
-the scalar loop's to rounding rather than bit for bit.
+the per-node ones to rounding rather than bit for bit.
 """
 
 import math
@@ -55,19 +56,13 @@ from .kernels import (
     _XGK,
     EV_I,
     EV_S,
-    ODE_CAP,
     ODE_OK,
-    ODE_STALL,
     _converged,
     _dp5,
-    _field,
     _gk15_rule,
-    _initial_step,
     _layers,
-    _locate,
     _orbit_i,
     _Ops,
-    _try_step,
 )
 from .ode import _CAP_SLACK, _DEFAULT_CONFIG, _cap_terms, _event_value
 
@@ -93,15 +88,32 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
+def _keep(live, *values):
+    """The values of the DP5 loop's runs that go on, where *live* holds:
+    arrays, or a step's stages, which come out as one (7, 2, runs) array."""
+    return tuple(v[live] if isinstance(v, np.ndarray) else np.array(v)[:, :, live] for v in values)
+
+
+def _join(records):
+    """The records of the DP5 loop's runs, tuples of arrays whose first is
+    the runs' places, put together column by column in run order."""
+    cols = [np.concatenate(col, axis=-1) for col in zip(*records)]
+    order = np.argsort(cols[0])
+    return tuple(c[..., order] for c in cols)
+
+
 # kernels._Ops on arrays: math's log, log1p, exp and expm1 per element, on
 # which the anchor, the quadrature's mesh and the side cells rest bit for bit;
 # numpy's power, which only the DP5 loop's step sizes take and whose SIMD
 # form differs from libm's pow by 1 ulp at about 5% of arguments on AVX-512
-# CPUs (so ODE grid values match the scalar loop's to rounding); and numpy's
-# frexp and sqrt (exact and correctly rounded, as math's are)
+# CPUs (so ODE grid values match the per-node ones to rounding); numpy's
+# frexp and sqrt (exact and correctly rounded, as math's are); any and all
+# as the arrays' own methods, at half the cost of np.any's and np.all's
+# wrappers; and the DP5 loop's runs numbered 0 to n - 1
 _ARRAYS = _Ops(
     *(partial(_math_each, fn) for fn in (math.log, math.log1p, math.exp, math.expm1)),
-    np.power, np.frexp, np.sqrt, _py_max, _py_min, np.where, np.any,
+    np.power, np.frexp, np.sqrt, _py_max, _py_min, np.where, np.ndarray.any, np.ndarray.all,
+    lambda values: np.arange(values.size), _keep, _join,
 )
 
 
@@ -150,11 +162,11 @@ def _run_sums(values, counts):
     return sums
 
 
-# below this many nodes, _dp5_batch steps each node in the scalar loop
-# instead. A lock-step round costs about 0.27 ms at small widths, against
-# about 10 us per scalar step, and every node stays in the rounds to its end:
-# whole batches of 16, 64, 72, 80 and 96 random README u-surface states took
-# 4.2x, 1.09x, 1.04x, 0.92x and 0.79x the scalar loop's time, and of v-surface
+# below this many nodes, _dp5_batch steps each node on floats instead. A
+# lock-step round costs about 0.27 ms at small widths, against about 10 us
+# per scalar step, and every node stays in the rounds to its end: whole
+# batches of 16, 64, 72, 80 and 96 random README u-surface states took 4.2x,
+# 1.09x, 1.04x, 0.92x and 0.79x the scalar loop's time, and of v-surface
 # states 3.9x, 1.14x, 1.00x, 0.96x and 0.83x (median of 15, CPU time, one
 # pinned CPU of a shared 2-vCPU VM, Python 3.11, numpy 2.4). The bound sits at
 # that break-even
@@ -163,95 +175,26 @@ _LOCKSTEP_MIN = 80
 
 def _dp5_batch(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     """:func:`kernels._dp5` in stop mode (stop is EV_I or EV_S) from every
-    state (s0[j], i0[j]), each with its own cap t_end[j], in lock-step.
+    state (s0[j], i0[j]), each with its own cap t_end[j]: in lock-step on
+    arrays from _LOCKSTEP_MIN nodes, node by node on floats below. Returns
+    (status, t, half_width) arrays, as the kernel returns them per node.
 
-    Each node keeps its own (t, S, I, h, first stage, level gap). A round
-    makes one step attempt at every live node, with the scalar kernel's
-    tableau, operation order, accept/reject rule and stall and cap tests,
-    and every node stays in the rounds until it crosses, stalls or reaches
-    its cap. A node whose crossing is bracketed leaves with what its
-    refinement reads: the step's start, size, stages, level gaps and the
-    watched component's value. These crossings are refined together at the
-    end by :func:`kernels._locate` on arrays, which takes all their dense
-    coefficients in one pass. A batch of fewer than _LOCKSTEP_MIN nodes
-    steps each node in :func:`_dp5` instead. Returns (status, t_event,
-    half_width) arrays: the scalar kernel's status, and its crossing time
-    and half-width where the status is ODE_OK (0 elsewhere).
-
-    The step factor's power is numpy's, which on AVX-512 CPUs differs from
-    the scalar loop's libm pow by 1 ulp at about 5% of arguments; a step
-    size an ulp apart moves the path by rounding, so the crossing times
-    match the scalar loop's to rounding (or to within the half-widths, where
+    The step factor's power is numpy's on arrays, which on AVX-512 CPUs
+    differs from the floats' libm pow by 1 ulp at about 5% of arguments; a
+    step size an ulp apart moves the path by rounding, so the crossing times
+    match the per-node ones to rounding (or to within the half-widths, where
     one refinement ends on a bracket and the other on an exact hit). With
-    Python's pow in _ARRAYS they are the scalar loop's bit for bit.
+    Python's pow in _ARRAYS they are the per-node ones bit for bit.
     """
-    n = s0.size
-    status = np.full(n, ODE_OK)
-    t_event = np.zeros(n)
-    half_width = np.zeros(n)
-    if n < _LOCKSTEP_MIN:
-        for j, (a, b, c) in enumerate(zip(s0.tolist(), i0.tolist(), t_end.tolist())):
-            st, _, crossings, _, _, _ = _dp5(beta, gamma, a, b, mu, rho, c, stop, rtol, atol)
-            status[j] = st
-            if st == ODE_OK:
-                t_event[j], half_width[j], _ = crossings[stop]
-        return status, t_event, half_width
-    level = mu if stop == EV_I else rho
-    idx = np.arange(n)
-    t = np.zeros(n)
-    s = np.array(s0, dtype=float)
-    i = np.array(i0, dtype=float)
-    with np.errstate(all="ignore"):
-        h = _initial_step(beta, gamma, s, i, t_end, rtol, atol, _ARRAYS)
-        k1s, k1i = _field(beta, gamma, s, i)
-    gap = (s, i)[stop] - level
-    cap = t_end
-    floor = _py_min(1.0, cap)
-    # per round, what the refinement of its crossings reads
-    found = []
-    while idx.size:
+    if s0.size >= _LOCKSTEP_MIN:
         with np.errstate(all="ignore"):
-            end = np.where(t >= cap, ODE_CAP, -1)
-            end[(end < 0) & (h < 1e-15 * _py_max(floor, np.abs(t)))] = ODE_STALL
-            s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, _ARRAYS)
-            # err == 0 gives an infinite power (factor 10 on acceptance), as
-            # the scalar loop's own test for 0 does
-            q = 0.9 * _ARRAYS.pow(err, -0.2)
-            acc = (err <= 1.0) & (end < 0)
-            gnew = (s1, i1)[stop] - level
-            cross = np.flatnonzero(acc & (gap > 0.0) & (gnew <= 0.0))
-            if cross.size:
-                end[cross] = ODE_OK
-                found.append((idx[cross], np.array(k)[:, :, cross], t[cross],
-                              (s, i)[stop][cross], h[cross], gap[cross], gnew[cross]))
-            step = acc & (end < 0)
-            t = np.where(step, t + h, t)
-            s = np.where(step, s1, s)
-            i = np.where(step, i1, i)
-            k1s = np.where(step, k[6][0], k1s)
-            k1i = np.where(step, k[6][1], k1i)
-            gap = np.where(step, gnew, gap)
-            # an accepted step has q >= 0.9, so the scalar loop's floor of 0.9
-            # on the growth factor never binds
-            h = np.where(
-                step,
-                h * _py_min(10.0, q),
-                np.where(end < 0, h * _py_max(0.2, q), h),
-            )
-        done = end >= 0
-        if done.any():
-            status[idx[done]] = end[done]
-            live = ~done
-            idx, t, s, i, h, k1s, k1i, gap, cap, floor = (
-                a[live] for a in (idx, t, s, i, h, k1s, k1i, gap, cap, floor)
-            )
-    if found:
-        nodes, kc, tc, yc, hc, g0, g1 = (np.concatenate(col, axis=-1) for col in zip(*found))
-        del found  # the per-round pieces, before the refinement's temporaries
-        with np.errstate(all="ignore"):
-            crossings = _locate(kc, tc, yc, hc, stop, level, g0, g1, _ARRAYS)
-        t_event[nodes], half_width[nodes], _ = crossings
-    return status, t_event, half_width
+            return _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, _ARRAYS)
+    status = np.full(s0.size, ODE_OK)
+    t = np.zeros(s0.size)
+    half_width = np.zeros(s0.size)
+    for j, (a, b, c) in enumerate(zip(s0.tolist(), i0.tolist(), t_end.tolist())):
+        status[j], t[j], half_width[j] = _dp5(beta, gamma, a, b, mu, rho, c, stop, rtol, atol)
+    return status, t, half_width
 
 
 # --- the route functions' twins ----------------------------------------------

@@ -101,7 +101,7 @@ def _values(params, kind, method, states):
     in one :func:`_node_rows` call: None at a state whose row is not ok.
     The integral route takes math's expm1, so that its values equal the
     scalar calls' bit for bit; the ODE route's match them to rounding (see
-    :func:`batch._dp5_batch`)."""
+    :func:`batch._dp5_batch`, which runs :func:`kernels._dp5` on arrays)."""
     return [r.value for r in _node_rows(params, kind, method, states, expm1=_ARRAYS.expm1)]
 
 

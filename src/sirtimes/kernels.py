@@ -2,11 +2,12 @@
 output and event refinement, Gauss-Kronrod 7/15 quadrature on a graded mesh
 for the time integrals, and the anchor's offset from x in closed form.
 
-All ODE work goes through one stepping loop, :func:`_dp5`. It watches the
-first downward crossings of I through mu (u) and of S through rho (v), and
-:func:`_locate` refines either one on the dense output. The caller picks a
-mode: stop at one crossing, with a time cap (the hitting times), or run to
-a fixed end and keep every step (trajectories).
+All ODE work goes through one stepping loop, :func:`_dp5`, for floats and
+arrays alike. The caller picks a mode: stop at the first downward crossing
+of I through mu (u) or of S through rho (v), with a time cap (the hitting
+times, per node or a grid's nodes at once), or run to a fixed end and keep
+every step (trajectories). :func:`_locate` refines a crossing on the dense
+output.
 
 The kernels are plain Python on floats, and this module imports no numpy;
 wrappers in :mod:`sirtimes.ode` and :mod:`sirtimes.analytic` validate inputs
@@ -20,12 +21,13 @@ arrays: :func:`_field`, :func:`_stages`, :func:`_dense_coeffs`,
 operations of their kind (:data:`_FLOATS` by default, ``batch._ARRAYS``),
 the first step :func:`_initial_step`, the DP5 error norm :func:`_try_step`,
 the crossing refinement :func:`_locate` with its Illinois loop
-:func:`_refine_crossing`, the GK15 rule and error finish :func:`_gk15_rule`,
-the graded mesh :func:`_layers`, the stopping test :func:`_converged` and the
-anchor offset :func:`_anchor_offset`. The twins differ only
-in control flow, and only the DP5 step loop is still written twice: the
-quadrature :func:`_graded_gk` has no loop but its fixed passes, which its
-twin runs over every panel of a grid at once.
+:func:`_refine_crossing`, the DP5 loop :func:`_dp5`, the GK15 rule and
+error finish :func:`_gk15_rule`, the graded mesh :func:`_layers`, the
+stopping test :func:`_converged` and the anchor offset
+:func:`_anchor_offset`. The twins differ only in control flow, and only the
+quadrature's driver is still written twice: :func:`_graded_gk` has no loop
+but its fixed passes, which its twin runs over every panel of a grid at
+once.
 
 Two formulas have a second, written-out copy on the scalar hot path: the
 field inside :func:`_stages` (for floats and arrays), and I on the orbit
@@ -40,6 +42,7 @@ original: ``test_stages_write_out_the_field_bit_for_bit`` in
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 # status codes for the ODE kernel
 ODE_OK = 0
@@ -239,10 +242,15 @@ def _low(a, b):
 # and batch._ARRAYS, whose forms give the float results element for element
 # (but pow, numpy's there, to an ulp): math's functions and Python's pow,
 # frexp (exact in numpy too), Python's max and min as high and low, np.where
-# as pick, and any, whether a condition holds anywhere (bool on floats).
-_Ops = namedtuple("_Ops", "log log1p exp expm1 pow frexp sqrt high low pick any")
+# as pick, and any and all, whether a condition holds anywhere and
+# everywhere (bool on floats). The DP5 loop's runs take three more: index,
+# each run's place (0 on floats); keep, the values of the runs that go on
+# (on floats, the one run's, which reaches it only as it ends); and join,
+# the records of the runs that ended, in run order (on floats, the one).
+_Ops = namedtuple("_Ops", "log log1p exp expm1 pow frexp sqrt high low pick any all index keep join")
 _FLOATS = _Ops(
-    math.log, math.log1p, math.exp, math.expm1, pow, math.frexp, math.sqrt, _high, _low, _pick, bool
+    math.log, math.log1p, math.exp, math.expm1, pow, math.frexp, math.sqrt, _high, _low, _pick,
+    bool, bool, lambda values: 0, lambda live, *values: values, itemgetter(0),
 )
 
 
@@ -357,98 +365,118 @@ def _locate(k, t, y0, h, comp, level, g0, g1, ops=_FLOATS):
     return t + theta * h, hw * h, theta
 
 
-def _with_state(crossing, k, s, i, h):
-    """A crossing (t, half-width, theta) from :func:`_locate` in the step of
-    size h from (s, i) with stages k, as (t, half-width, S, I): the state
-    there on the dense output."""
-    t, hw, theta = crossing
-    qs = _dense_coeffs(k, 0)
-    qi = _dense_coeffs(k, 1)
-    return t, hw, _dense_eval(s, h, *qs, theta), _dense_eval(i, h, *qi, theta)
+def _path_crossing(ts, ys, hs, ks, comp, level):
+    """The first downward crossing of component *comp* through *level* in a
+    path's accepted steps (times ts, states ys, sizes hs, stages ks), as (t,
+    half-width, S, I): :func:`_locate`'s crossing and the state there on the
+    dense output; None where there is none."""
+    for j, h in enumerate(hs):
+        g0, g1 = ys[j][comp] - level, ys[j + 1][comp] - level
+        if g0 > 0.0 and g1 <= 0.0:
+            k, (s, i) = ks[j], ys[j]
+            t, hw, theta = _locate(k, ts[j], ys[j][comp], h, comp, level, g0, g1)
+            qs = _dense_coeffs(k, 0)
+            qi = _dense_coeffs(k, 1)
+            return t, hw, _dense_eval(s, h, *qs, theta), _dense_eval(i, h, *qi, theta)
+    return None
 
 
-def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
-    """Integrate from (s0, i0) at t = 0, watching the first downward
-    crossing of I through mu (EV_I) and of S through rho (EV_S).
+def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
+    """Integrate from (s0, i0) at t = 0: on floats, or in stop mode, given
+    ops=batch._ARRAYS, one run from each (s0[j], i0[j]) with its own t_end[j].
 
-    stop = PATH runs to t_end, clips the last step to it, and keeps every
-    accepted step and its stages so callers can evaluate the dense
-    interpolant anywhere; t_end <= 0 returns the initial state alone.
-    stop = EV_I or EV_S watches that crossing only and returns at it; the
-    caller guarantees the component starts strictly above its level. t_end
-    is then a cap that ends the run with ODE_CAP, and steps are not clipped.
+    stop = EV_I or EV_S watches the first downward crossing of I through mu
+    or of S through rho and returns at it; the caller guarantees the
+    component starts strictly above its level. t_end is then a cap that ends
+    the run with ODE_CAP. Returns (status, t, half_width): ODE_OK and the
+    crossing as :func:`_locate` refines it, else the status, where the run
+    ended, and 0. stop = PATH (floats) runs to t_end, clipping the last step
+    to it (t_end <= 0 gives the initial state alone), and returns (status,
+    t_reached, (ev_s, ev_i), ts, ys, ks): both crossings by
+    :func:`_path_crossing`, and the accepted step times, (S, I) states and
+    stages, for the dense interpolant.
 
-    Returns (status, t_reached, (ev_s, ev_i), ts, ys, ks). ev_s and ev_i are
-    the crossings, or None where there is none: (t, half-width, theta) as
-    :func:`_locate` returns them in stop mode, and (t, half-width, S, I) in
-    path mode. t_reached is the event time when stop mode finds its event,
-    else where the run ended. ts, ys and ks are lists of the accepted step
-    times, (S, I) states and stages (the initial state alone in stop
-    mode)."""
+    A round makes one step attempt in every run still going. Each run leaves
+    on its own: at its cap or on a stall before an attempt, or at its
+    crossing, which on arrays drops it at the top of the next round. The
+    crossings are refined once every run has ended, on arrays all at once."""
+    high, low, pick, power, any_, all_ = ops.high, ops.low, ops.pick, ops.pow, ops.any, ops.all
     path = stop == PATH
-    ts = [0.0]
-    ys = [(s0, i0)]
-    ks = []
-    ev_s = ev_i = None
-    status = ODE_OK
-
-    t = 0.0
-    s = s0
-    i = i0
+    watch_i = stop == EV_I
+    # path mode watches no level, and nothing falls through -inf
+    level = -math.inf if path else mu if watch_i else rho
+    s, i, cap = s0, i0, t_end
     k1s, k1i = _field(beta, gamma, s, i)
-    gi_prev = i - mu
-    gs_prev = s - rho
-    h = _initial_step(beta, gamma, s, i, t_end, rtol, atol)
-    # a step below 1e-15*max(floor, |t|) is a stall; the floor follows a time
+    h = _initial_step(beta, gamma, s, i, cap, rtol, atol, ops)
+    gap = (i if watch_i else s) - level
+    # a step below 1e-15*max(floor, t) is a stall; the floor follows a time
     # cap below 1, so that a run whose cap lies below 1e-15 can step at all
-    floor = _low(1.0, t_end)
+    floor = 1e-15 * low(1.0, cap)
+    t = h - h  # 0.0 of h's kind: h is finite
+    runs = ops.index(s0)
+    ended = []  # (runs, status, t, half-width) of the runs that ended
+    found = []  # (runs, stages, t, y, h, g0, g1) of each crossing's step
+    if path:
+        ts, ys, hs, ks = [t], [(s, i)], [], []  # the accepted steps
+    crossed = False
     while True:
-        if t >= t_end:
-            if not path:
-                status = ODE_CAP
-            break
-        if h < 1e-15 * _high(floor, abs(t)):
-            status = ODE_STALL
-            break
-        last = path and t + h >= t_end
+        over = (t >= cap) | (h < floor) | (h < 1e-15 * t)
+        if any_(over | crossed):
+            left = over & (crossed == False)
+            if any_(left):
+                status = pick(t >= cap, ODE_OK if path else ODE_CAP, ODE_STALL)
+                ended.append(ops.keep(left, runs, status, t, 0.0 * status))
+            live = (over | crossed) == False
+            if not any_(live):
+                break
+            runs, t, s, i, h, k1s, k1i, gap, cap, floor = ops.keep(
+                live, runs, t, s, i, h, k1s, k1i, gap, cap, floor
+            )
+        last = path and t + h >= cap
         if last:
-            h = t_end - t
-        s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol)
-        if not (err <= 1.0):
-            h *= _high(0.2, 0.9 * err ** -0.2)
+            h = cap - t
+        s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops)
+        # 0.9*err**-0.2; err + 5e-324 keeps Python's pow off 0, and any err
+        # below 1e-290 reaches the growth cap of 10 either way
+        q = 0.9 * power(err + 5e-324, -0.2)
+        gnew = (i1 if watch_i else s1) - level
+        # accepted, and still above the level: no run crosses
+        if all_((err <= 1.0) & (gnew > 0.0)):
+            t = cap if last else t + h
+            if path:
+                ts.append(t)
+                ys.append((s1, i1))
+                hs.append(h)
+                ks.append(k)
+            s, i = s1, i1
+            k1s, k1i = k[6]
+            gap = gnew
+            h = h * low(10.0, q)
+            crossed = False
             continue
-
-        gi_new = i1 - mu
-        gs_new = s1 - rho
-        if stop != EV_S and ev_i is None and gi_prev > 0.0 and gi_new <= 0.0:
-            ev_i = _locate(k, t, i, h, EV_I, mu, gi_prev, gi_new)
-            if path:
-                ev_i = _with_state(ev_i, k, s, i, h)
-        if stop != EV_I and ev_s is None and gs_prev > 0.0 and gs_new <= 0.0:
-            ev_s = _locate(k, t, s, h, EV_S, rho, gs_prev, gs_new)
-            if path:
-                ev_s = _with_state(ev_s, k, s, i, h)
-        if not path and (ev_i is not None or ev_s is not None):
-            t = (ev_s, ev_i)[stop][0]
-            break
-
-        t = t_end if last else t + h
-        if path:
-            ks.append(k)
-            ts.append(t)
-            ys.append((s1, i1))
-        s = s1
-        i = i1
-        gi_prev = gi_new
-        gs_prev = gs_new
-        k1s, k1i = k[6]
-        if err == 0.0:
-            factor = 10.0
-        else:
-            factor = _low(10.0, _high(0.9, 0.9 * err ** -0.2))
-        h *= factor
-
-    return status, t, (ev_s, ev_i), ts, ys, ks
+        acc = err <= 1.0
+        crossed = acc & (gap > 0.0) & (gnew <= 0.0)
+        if any_(crossed):
+            found.append(ops.keep(crossed, runs, k, t, i if watch_i else s, h, gap, gnew))
+            if all_(crossed):
+                break
+        # a rejection on floats (path mode's only way here), a mixed round on arrays
+        t = pick(acc, t + h, t)
+        s = pick(acc, s1, s)
+        i = pick(acc, i1, i)
+        k1s = pick(acc, k[6][0], k1s)
+        k1i = pick(acc, k[6][1], k1i)
+        gap = pick(acc, gnew, gap)
+        h = h * pick(acc, low(10.0, q), high(0.2, q))
+    if path:
+        _, status, t, _ = ended[0]
+        crossings = (_path_crossing(ts, ys, hs, ks, EV_S, rho), _path_crossing(ts, ys, hs, ks, EV_I, mu))
+        return status, t, crossings, ts, ys, ks
+    if found:
+        runs, k, t, y, h, g0, g1 = ops.join(found)
+        t, hw, _ = _locate(k, t, y, h, stop, level, g0, g1, ops)
+        ended.append((runs, ODE_OK + 0 * runs, t, hw))
+    return ops.join(ended)[1:]
 
 
 def _orbit_i(sig, rho, s_ref, i_ref, expm1=math.expm1):

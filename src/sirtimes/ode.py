@@ -143,18 +143,8 @@ class Trajectory:
 
 def _run(params, x, y, t_end, stop, cfg):
     """The ODE kernel from (x, y) with *stop* as in :func:`kernels._dp5`."""
-    return kernels._dp5(
-        params.beta,
-        params.gamma,
-        x,
-        y,
-        params.mu,
-        params.rho,
-        t_end,
-        stop,
-        cfg.rel_tol,
-        cfg.abs_tol,
-    )
+    return kernels._dp5(params.beta, params.gamma, x, y, params.mu, params.rho, t_end, stop,
+                        cfg.rel_tol, cfg.abs_tol)
 
 
 def integrate(
@@ -222,12 +212,11 @@ def _hitting_time(params, x, y, row, config):
     cap = _time_cap(params, x, y, row)
     if cap is None:
         raise TimeCapExceeded(math.inf, 0.0)
-    status, t_reached, crossings, _, _, _ = _run(params, x, y, cap, row, cfg)
+    status, t, half_width = _run(params, x, y, cap, row, cfg)
     if status == kernels.ODE_STALL:
-        raise IntegrationStall(t_reached)
+        raise IntegrationStall(t)
     if status == kernels.ODE_CAP:
-        raise TimeCapExceeded(cap, t_reached)
-    t, half_width, _ = crossings[row]
+        raise TimeCapExceeded(cap, t)
     value, err = _event_value(t, half_width, cfg)
     return CriticalTimeResult(value, Method.ODE_EVENT, err)
 

@@ -5,9 +5,11 @@ The numpy kernels run the scalar algorithms in lock-step over many nodes;
 the per-node ``build_row``, on the integral route and on the ODE route.
 These tests hold both layers to the scalar reference: the kernels directly,
 and whole grid rows cell by cell on small grids that reach every branch of
-the edge rules. The ODE batch is held to the scalar loop bit for bit when
-it takes its step sizes' powers as the scalar loop does, through Python's
-pow, and to rounding with the numpy power it takes by default.
+the edge rules. The DP5 loop, one loop for floats and arrays, is held on
+both kinds and in both modes to a reference copy of the loop as it was
+written for floats alone: bit for bit on arrays when they take their step
+sizes' powers through Python's pow, as floats do, and to rounding with the
+numpy power they take by default.
 """
 
 import math
@@ -364,34 +366,127 @@ def _ode_states(params, stop, n, seed):
     return x, y, caps
 
 
-def _dp5_both(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
-    """(status, t_event, half_width) of _dp5_batch from the states, and the
-    scalar loop's (status, t_event, half_width) from each."""
-    args = (params.mu, params.rho)
-    tol = (cfg.rel_tol, cfg.abs_tol)
-    got = batch._dp5_batch(params.beta, params.gamma, x, y, *args, caps, stop, *tol)
+def _with_state(crossing, k, s, i, h):
+    t, hw, theta = crossing
+    qs = kernels._dense_coeffs(k, 0)
+    qi = kernels._dense_coeffs(k, 1)
+    return t, hw, kernels._dense_eval(s, h, *qs, theta), kernels._dense_eval(i, h, *qi, theta)
+
+
+def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
+    """The DP5 step loop as it was written for floats alone, before floats
+    and arrays shared one: its accept/reject rule, stall and cap tests, step
+    factors and crossing watch, on the shared stages, first step and
+    refinement. Returns (status, t_reached, (ev_s, ev_i), ts, ys, ks), the
+    crossings as _locate gives them in stop mode and as (t, half-width, S,
+    I) in path mode."""
+    high, low = kernels._high, kernels._low
+    path = stop == kernels.PATH
+    ts = [0.0]
+    ys = [(s0, i0)]
+    ks = []
+    ev_s = ev_i = None
+    status = kernels.ODE_OK
+
+    t = 0.0
+    s = s0
+    i = i0
+    k1s, k1i = kernels._field(beta, gamma, s, i)
+    gi_prev = i - mu
+    gs_prev = s - rho
+    h = kernels._initial_step(beta, gamma, s, i, t_end, rtol, atol)
+    floor = low(1.0, t_end)
+    while True:
+        if t >= t_end:
+            if not path:
+                status = kernels.ODE_CAP
+            break
+        if h < 1e-15 * high(floor, abs(t)):
+            status = kernels.ODE_STALL
+            break
+        last = path and t + h >= t_end
+        if last:
+            h = t_end - t
+        s1, i1, err, k = kernels._try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol)
+        if not (err <= 1.0):
+            h *= high(0.2, 0.9 * err ** -0.2)
+            continue
+
+        gi_new = i1 - mu
+        gs_new = s1 - rho
+        if stop != kernels.EV_S and ev_i is None and gi_prev > 0.0 and gi_new <= 0.0:
+            ev_i = kernels._locate(k, t, i, h, kernels.EV_I, mu, gi_prev, gi_new)
+            if path:
+                ev_i = _with_state(ev_i, k, s, i, h)
+        if stop != kernels.EV_I and ev_s is None and gs_prev > 0.0 and gs_new <= 0.0:
+            ev_s = kernels._locate(k, t, s, h, kernels.EV_S, rho, gs_prev, gs_new)
+            if path:
+                ev_s = _with_state(ev_s, k, s, i, h)
+        if not path and (ev_i is not None or ev_s is not None):
+            t = (ev_s, ev_i)[stop][0]
+            break
+
+        t = t_end if last else t + h
+        if path:
+            ks.append(k)
+            ts.append(t)
+            ys.append((s1, i1))
+        s = s1
+        i = i1
+        gi_prev = gi_new
+        gs_prev = gs_new
+        k1s, k1i = k[6]
+        if err == 0.0:
+            factor = 10.0
+        else:
+            factor = low(10.0, high(0.9, 0.9 * err ** -0.2))
+        h *= factor
+
+    return status, t, (ev_s, ev_i), ts, ys, ks
+
+
+def _reference_runs(params, x, y, caps, stop, cfg):
+    """(status, t, half_width) of the reference loop from each state, as
+    _dp5's stop mode returns them: the crossing's time and half-width, or
+    where the run ended and 0."""
     wants = []
     for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist()):
-        want = kernels._dp5(params.beta, params.gamma, a, b, *args, c, stop, *tol)
-        wants.append((want[0], *want[2][stop][:2]) if want[0] == kernels.ODE_OK else want[:1])
-    return got, wants
+        status, t, crossings, *_ = _dp5_reference(
+            params.beta, params.gamma, a, b, params.mu, params.rho, c, stop,
+            cfg.rel_tol, cfg.abs_tol,
+        )
+        wants.append((status, *crossings[stop][:2]) if status == kernels.ODE_OK else (status, t, 0.0))
+    return wants
 
 
-def _assert_dp5_batch_is_scalar(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
-    (status, t, hw), wants = _dp5_both(params, x, y, caps, stop, cfg)
-    for j, want in enumerate(wants):
-        assert status[j] == want[0]
-        if status[j] == kernels.ODE_OK:
-            assert (float.hex(t[j]), float.hex(hw[j])) == tuple(map(float.hex, want[1:]))
-    return status
+def _assert_dp5_is_reference(params, x, y, caps, stop, cfg=ode._DEFAULT_CONFIG):
+    """_dp5_batch from the states (on arrays from _LOCKSTEP_MIN of them),
+    and _dp5 on floats from each, against the reference loop: status,
+    time and half-width bit for bit. Returns the statuses."""
+    args = (params.beta, params.gamma, x, y, params.mu, params.rho, caps, stop,
+            cfg.rel_tol, cfg.abs_tol)
+    arrays = zip(*(col.tolist() for col in batch._dp5_batch(*args)))
+    floats = (
+        kernels._dp5(params.beta, params.gamma, a, b, params.mu, params.rho, c, stop,
+                     cfg.rel_tol, cfg.abs_tol)
+        for a, b, c in zip(x.tolist(), y.tolist(), caps.tolist())
+    )
+    wants = _reference_runs(params, x, y, caps, stop, cfg)
+    for j, (got, on_floats, want) in enumerate(zip(arrays, floats, wants)):
+        want = (want[0], *map(float.hex, want[1:]))
+        assert (got[0], *map(float.hex, got[1:])) == want, j
+        assert (on_floats[0], *map(float.hex, on_floats[1:])) == want, j
+    return np.array([w[0] for w in wants])
 
 
 def _assert_dp5_batch_near_scalar(params, x, y, caps, stop):
     # numpy's power moves a step size by an ulp, and the path by rounding;
     # a refinement that ends on a bracket rather than an exact hit moves its
     # time by up to its half-width (2e-13 of t at a half-width of 1e-12 seen)
-    (status, t, hw), wants = _dp5_both(params, x, y, caps, stop)
-    for j, want in enumerate(wants):
+    cfg = ode._DEFAULT_CONFIG
+    status, t, hw = batch._dp5_batch(params.beta, params.gamma, x, y, params.mu, params.rho,
+                                     caps, stop, cfg.rel_tol, cfg.abs_tol)
+    for j, want in enumerate(_reference_runs(params, x, y, caps, stop, cfg)):
         assert status[j] == want[0], j
         if status[j] == kernels.ODE_OK:
             t_want, hw_want = want[1:]
@@ -399,17 +494,13 @@ def _assert_dp5_batch_near_scalar(params, x, y, caps, stop):
     return status
 
 
-def _py_pow(a, b):
-    """a ** b on floats, as the scalar loop takes its step factor's power:
-    its test for err == 0 stands for an infinite power."""
-    return math.inf if a == 0.0 and b < 0.0 else a ** b
-
-
 @pytest.fixture
 def python_pow(monkeypatch):
-    """The lock-step loop with the scalar loop's powers: Python's, per
-    element, instead of numpy's, whose SIMD form differs in the last bit."""
-    pows = batch._ARRAYS._replace(pow=partial(batch._math_each, _py_pow))
+    """The DP5 loop on arrays with the powers it takes on floats: Python's,
+    per element, instead of numpy's, whose SIMD form differs in the last
+    bit. Its arguments are positive (err + 5e-324) or NaN, so the builtin
+    takes every one."""
+    pows = batch._ARRAYS._replace(pow=partial(batch._math_each, pow))
     monkeypatch.setattr(batch, "_ARRAYS", pows)
 
 
@@ -419,11 +510,11 @@ def test_dp5_batch_equals_scalar_bitwise(python_pow, params, stop):
     x, y, caps = _ode_states(params, stop, 150, seed=11)
     # every third node capped well before its crossing
     caps[::3] *= 0.05
-    status = _assert_dp5_batch_is_scalar(params, x, y, caps, stop)
+    status = _assert_dp5_is_reference(params, x, y, caps, stop)
     assert {kernels.ODE_OK, kernels.ODE_CAP} <= set(status.tolist())
     # a batch too small for the lock-step loop, stepped node by node
     n = batch._LOCKSTEP_MIN - 1
-    status = _assert_dp5_batch_is_scalar(params, x[:n], y[:n], caps[:n], stop)
+    status = _assert_dp5_is_reference(params, x[:n], y[:n], caps[:n], stop)
     assert {kernels.ODE_OK, kernels.ODE_CAP} <= set(status.tolist())
 
 
@@ -471,7 +562,7 @@ def test_dp5_batch_zero_error_norm_grows_the_step_tenfold(python_pow, p23):
     # is exactly 0 and each accepted step grows by the factor cap of 10
     x, y, caps = _ode_states(p23, kernels.EV_I, batch._LOCKSTEP_MIN, seed=2)
     cfg = IntegratorConfig(abs_tol=1e300)
-    status = _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I, cfg)
+    status = _assert_dp5_is_reference(p23, x, y, caps, kernels.EV_I, cfg)
     assert (status == kernels.ODE_OK).all()
 
 
@@ -483,7 +574,7 @@ def test_dp5_batch_nan_error_norms_shrink_the_step(python_pow, p23):
     x = np.append(np.full(n, 3.0), np.full(n, math.nan))
     y = np.append(np.linspace(1.5, 4.0, n), np.full(n, 2.0))
     caps = np.full(2 * n, 10.0)
-    status = _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I)
+    status = _assert_dp5_is_reference(p23, x, y, caps, kernels.EV_I)
     assert status.tolist() == [kernels.ODE_OK] * n + [kernels.ODE_STALL] * n
 
 
@@ -494,8 +585,50 @@ def test_dp5_batch_steps_a_long_path_alone(python_pow, p23):
     x = np.append(np.full(n, 3.0), 3000.0)
     y = np.append(np.linspace(1.5, 4.0, n), 2.0)
     caps = np.array([ode._time_cap(p23, a, b, kernels.EV_I) for a, b in zip(x, y)])
-    status = _assert_dp5_batch_is_scalar(p23, x, y, caps, kernels.EV_I)
+    status = _assert_dp5_is_reference(p23, x, y, caps, kernels.EV_I)
     assert (status == kernels.ODE_OK).all()
+
+
+def test_dp5_batch_stalls_like_the_reference(python_pow, p23):
+    # tolerances of 1e-300 shrink every step below the stall floor
+    x, y, caps = _ode_states(p23, kernels.EV_I, batch._LOCKSTEP_MIN, seed=3)
+    cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
+    status = _assert_dp5_is_reference(p23, x, y, caps, kernels.EV_I, cfg)
+    assert (status == kernels.ODE_STALL).all()
+
+
+@pytest.mark.parametrize("stop", [kernels.EV_I, kernels.EV_S])
+def test_dp5_batch_records_every_ending_at_its_place(python_pow, p23, stop):
+    # crossings, caps and stalls (from NaN states) in one lock-step run
+    x, y, caps = _ode_states(p23, stop, batch._LOCKSTEP_MIN + 10, seed=4)
+    caps[::3] *= 0.05
+    y[1::3] = math.nan
+    status = _assert_dp5_is_reference(p23, x, y, caps, stop)
+    assert set(status.tolist()) == {kernels.ODE_OK, kernels.ODE_CAP, kernels.ODE_STALL}
+
+
+def _nest_bits(value):
+    """Every float in a nest of tuples and lists as its hex text; None and
+    ints stay."""
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_nest_bits, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("x, y, t_end, tol, events", [
+    (4.0, 2.0, 2.0, (1e-10, 1e-12), 2),
+    (4.0, 2.0, 0.2, (1e-10, 1e-12), 1),  # the peak only
+    (1.0, 2.0, 5.0, (1e-10, 1e-12), 1),  # S starts below rho
+    (4.0, 2.0, 0.0, (1e-10, 1e-12), 0),  # the initial state alone
+    (3000.0, 2.0, 0.01, (1e-10, 1e-12), 1),  # stiff in I
+    (4.0, 2.0, 2.0, (1e-300, 1e-300), 0),  # a stall
+])
+def test_dp5_path_mode_is_the_reference(p23, x, y, t_end, tol, events):
+    # every accepted step, its stages, both crossings and how the run ended
+    args = (p23.beta, p23.gamma, x, y, p23.mu, p23.rho, t_end, kernels.PATH, *tol)
+    got = kernels._dp5(*args)
+    assert _nest_bits(got) == _nest_bits(_dp5_reference(*args))
+    assert sum(e is not None for e in got[2]) == events
 
 
 def _assert_ode_rows_are_build_row(params, spec, kind, config=None):
@@ -599,11 +732,12 @@ def test_ode_grid_steps_in_the_batch(monkeypatch):
     real = kernels._dp5
 
     def counted(*args):
+        # the loop's runs on floats; the lock-step run is one call on arrays
         nonlocal calls
-        calls += 1
+        calls += args[-1] is not batch._ARRAYS
         return real(*args)
 
-    # the scalar loop, called from its own module or from the array one
+    # the loop, called from its own module or from the array one
     for module in (kernels, batch):
         monkeypatch.setattr(module, "_dp5", counted)
     readme_u = GridSpec(0.0, 6.0, 61, 1.0, 5.0, 41)
@@ -615,9 +749,9 @@ def test_ode_grid_steps_in_the_batch(monkeypatch):
 # --- crossing refinement ----------------------------------------------------
 
 def _crossings(monkeypatch, params, stop, n, seed):
-    """The arguments of every scalar _locate call made while the scalar loop
-    runs from n log-uniform states, as columns: (k, t, y0, h, comp, level,
-    g0, g1)."""
+    """The arguments of every scalar _locate call made while the DP5 loop
+    runs on floats from n log-uniform states, as columns: (k, t, y0, h,
+    comp, level, g0, g1)."""
     calls = []
     real = kernels._locate
 

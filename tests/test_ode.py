@@ -2,6 +2,7 @@
 along solved paths, event accuracy, and agreement with the integral route."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +239,36 @@ def test_a_bad_sample_still_raises_at_integrate(p23, monkeypatch, item, index, b
     with pytest.raises(DomainError) as got:
         integrate(p23, 4.0, 2.0, 2.0)
     assert str(got.value) == str(want.value)
+
+
+def test_path_and_stop_mode_locate_the_same_crossings():
+    # integrate's steps are the hitting times' steps up to each crossing,
+    # and its events are refined from the same step, so their times are the
+    # hitting times bit for bit (rates over 10**+-1, mu 10**-2..10**-0.3 of
+    # rho, x above rho and y above mu). They start alike wherever the first
+    # step is not clipped to the hitting time's cap; where it is (v, at a
+    # few states), the paths differ and the times agree to the tolerance
+    rng = random.Random(27)
+    cfg = ode._DEFAULT_CONFIG
+    same = 0
+    for _ in range(300):
+        beta, gamma = 10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)
+        rho = gamma / beta
+        p = ModelParams(beta, gamma, rho * 10.0 ** rng.uniform(-2, -0.3))
+        x, y = rho * 10.0 ** rng.uniform(1e-3, 1), p.mu * 10.0 ** rng.uniform(1e-3, 2)
+        t_end = max(1.0, 1.5 * hitting_time_u(p, x, y).value)
+        events = {e.kind: e.t for e in integrate(p, x, y, t_end).events}
+        for kind, row, fn in ((EventKind.I_REACHES_MU, kernels.EV_I, hitting_time_u),
+                              (EventKind.S_REACHES_RHO, kernels.EV_S, hitting_time_v)):
+            t = fn(p, x, y).value
+            first = (kernels._initial_step(beta, gamma, x, y, bound, cfg.rel_tol, cfg.abs_tol)
+                     for bound in (ode._time_cap(p, x, y, row), t_end))
+            if next(first) == next(first):
+                assert events[kind].hex() == t.hex(), (p, x, y, kind)
+                same += 1
+            else:
+                assert events[kind] == pytest.approx(t, rel=1e-9, abs=0), (p, x, y, kind)
+    assert same >= 590
 
 
 def test_samples_are_built_on_first_access(p23):
