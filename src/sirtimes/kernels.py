@@ -409,8 +409,8 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
     k1s, k1i = _field(beta, gamma, s, i)
     h = _initial_step(beta, gamma, s, i, cap, rtol, atol, ops)
     gap = (i if watch_i else s) - level
-    # a step below 1e-15*max(floor, t) is a stall; the floor follows a time
-    # cap below 1, so that a run whose cap lies below 1e-15 can step at all
+    # a step below 1e-15*max(min(1, cap), t) is a stall, tested against each
+    # product; the cap's term lets a run whose cap lies below 1e-15 step at all
     floor = 1e-15 * low(1.0, cap)
     t = h - h  # 0.0 of h's kind: h is finite
     runs = ops.index(s0)
