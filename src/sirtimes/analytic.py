@@ -25,8 +25,13 @@ boundary layer at an end where I is small, of width I/|rho - S| there, and
 the edges run geometrically from each such end to the midpoint; every panel
 is halved, at most twice, where the summed estimate misses the tolerance.
 The grid's twin (:mod:`sirtimes.batch`) places the same mesh and halves it
-in a driver of its own. err_estimate is at least 8 units of
-2**-52 of the time: the rounding of the far tail and of the panel sums.
+in a driver of its own. Each panel's estimate comes from null rules on its
+15 values (Berntsen & Espelid, ACM TOMS 17, 1991), and is sharp enough
+that the first pass nearly always meets the tolerance. err_estimate adds
+the rounding the route makes: u = 2**-53 of each panel's value and of each
+partial sum, the far tail's logs, and the rounding of the limits, ln(rho/x)
+for v (:func:`_v_limit_err`) and the anchor offset for u
+(:func:`_u_pieces`), each times the integrand at the limit.
 
 The anchor offset s* solves y - mu - x*expm1(s) + rho*s = 0
 (:func:`sirtimes.kernels._anchor_offset`), from the closed form of the
@@ -61,15 +66,7 @@ __all__ = [
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-12
 
-# err_estimate is at least this many units of 2**-52 relative: the rounding
-# of the far tail's logs and of the panel sums, which no GK15 estimate sees
-_ROUNDING_ULPS = 8.0
-
-
-def _err_floor(value, err, ops=kernels._FLOATS):
-    """err raised to the rounding floor of the time *value*: floats, or
-    arrays given ops=batch._ARRAYS."""
-    return ops.high(err, _ROUNDING_ULPS * 2.0**-52 * abs(value))
+_U = kernels._U
 
 
 @dataclass(frozen=True)
@@ -147,39 +144,87 @@ def _log_ratio(rho, x, ops=kernels._FLOATS):
 _TAIL_DEPTH = 53.0 * math.log(2.0)
 
 
+def _top(params, x, y, s_rho, ops=kernels._FLOATS):
+    """The integrand 1/(beta*I) at s = min(s_rho, 0), where v starts and u's
+    two pieces meet (the peak, or x itself), and I's condition there: its
+    terms x*|expm1(s)| + rho*|s| over I, which is how far the terms'
+    rounding, rho's own included, grows in I toward that end."""
+    s = ops.low(s_rho, 0.0)
+    i = kernels._orbit_i(s, params.rho, x, y, ops.expm1)
+    return 1.0 / params.beta / i, (x * abs(ops.expm1(s)) + params.rho * abs(s)) / i
+
+
+def _rho_rounding(params):
+    """|rho - gamma/beta|/rho, exactly: 0 where the quotient is a float."""
+    (a, b), (c, d), (e, f) = (v.as_integer_ratio() for v in (params.rho, params.beta, params.gamma))
+    return abs(a * c * f - e * b * d) / (a * c * f)
+
+
+def _v_limit_err(params, x, y, s_rho, ops=kernels._FLOATS):
+    """The error that v takes from its limit s_rho = ln(rho/x) as
+    :func:`_log_ratio` rounds it, rho's own rounding included: the shift
+    of the limit times the integrand there. Returns it with I's condition
+    at the limit (:func:`_top`)."""
+    rho = params.rho
+    near = (x < 2.0 * rho) & (x > 0.5 * rho)
+    far = abs(math.log(rho)) + abs(ops.log(x)) + abs(s_rho)
+    ds = _rho_rounding(params) + _U * ops.pick(near, 2.0 * abs(s_rho), far)
+    f, kappa = _top(params, x, y, s_rho, ops)
+    return ds * f, kappa
+
+
 def _u_pieces(params, x, y, s_rho, ops=kernels._FLOATS):
     """u's far tail, and the reference point (s_ref, i_ref) and length
     sig_hi of its piece from the anchor, at x > 0, y >= mu with s_rho =
     ln(rho/x): the piece starts at s0 = min(0, max(s*, ln(S_TAIL/x))) and
     ends at min(s_rho, 0). The tail is 0 where s0 is the anchor, which is
-    then the reference (a, mu). Returns (tail, s_ref, i_ref, sig_hi)."""
+    then the reference (a, mu). Returns (tail, s_ref, i_ref, sig_hi, err,
+    kappa), kappa I's condition where the pieces meet (:func:`_top`).
+
+    err is the error that the offset s*, sig_hi and the tail take from
+    rounding. A shift of s* moves the orbit that the piece integrates, and u
+    by the integrand at the piece's top times the shift; s0's and sig_hi's
+    own rounding add theirs, and the tail's logs theirs."""
     rho, mu = params.rho, params.mu
     s_star = kernels._anchor_offset(rho, mu, x, y, s_rho, ops)
     s0 = ops.low(ops.high(s_star, s_rho - _TAIL_DEPTH), 0.0)
     depth = s0 - s_star
     s_ref = x * ops.exp(s0)
     i_ref = mu + (rho * depth + s_ref * ops.expm1(-depth))
-    tail = (ops.log(i_ref) - math.log(mu)) / params.gamma
-    return tail, s_ref, i_ref, ops.low(s_rho, 0.0) - s0
+    log_i, log_mu = ops.log(i_ref), math.log(mu)
+    tail = (log_i - log_mu) / params.gamma
+    sig_hi = ops.low(s_rho, 0.0) - s0
+    a = x * ops.exp(s_star)
+    # the rounding of the offset equation's terms y - mu, x*expm1(s*) and
+    # rho*s*, over the slope, or the spread sqrt(2*res/rho) of a double
+    # root; plus the least subnormal, so that floats do not divide by 0
+    res = _U * ((y - mu) + (x - a) + rho * abs(s_star))
+    slope = ops.high(rho - a, ops.sqrt(0.5 * res * rho)) + 5e-324
+    ds = res / slope + _U * (abs(sig_hi) + abs(s0))
+    f, kappa = _top(params, x, y, s_rho, ops)
+    err = ds * f + (depth > 0.0) * (2.0 * _U * (abs(log_i) + abs(log_mu)) / params.gamma)
+    return tail, s_ref, i_ref, sig_hi, err, kappa
 
 
-def _run_quads(params, value, *pieces):
+def _run_quads(params, value, err, kappa, *pieces):
     """*value* plus the quadratures over the pieces (lo, hi, s_ref, i_ref),
-    and their summed error, at least the rounding floor :func:`_err_floor`.
-    Raises QuadratureFailure, carrying both sums, where a piece fails (the
-    status codes rise with the failure's weight)."""
-    err = 0.0
+    and *err* plus their errors and the rounding of each addition, at most
+    u*|value| (u the unit roundoff), and u*kappa times the last piece, for
+    the rounding of I's terms on it, kappa their condition at its lower end
+    (:func:`_top`). Raises QuadratureFailure, carrying the sums, where a
+    piece fails (the status codes rise with the failure's weight)."""
     worst = kernels.QUAD_OK
     for lo, hi, s_ref, i_ref in pieces:
         status, v, e = kernels._graded_gk(
             lo, hi, params.beta, params.rho, s_ref, i_ref, QUAD_ABS_TOL, QUAD_REL_TOL
         )
-        value, err, worst = value + v, err + e, max(worst, status)
+        value += v
+        err, worst = err + e + _U * abs(value), max(worst, status)
     if worst == kernels.QUAD_BADFUN:
         raise QuadratureFailure(value, err, "integrand left its valid region (I <= 0 at a node)")
     if worst == kernels.QUAD_NOCONV:
         raise QuadratureFailure(value, err)
-    return value, _err_floor(value, err)
+    return value, err + _U * kappa * abs(v)
 
 
 def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
@@ -201,8 +246,8 @@ def u_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
         return CriticalTimeResult(exact_u_at_x0(params, y), Method.EXACT_X0, 0.0)
     s_rho = _log_ratio(rho, x)
     _check_deficit(params, x, y, s_rho)
-    tail, s_ref, i_ref, sig_hi = _u_pieces(params, x, y, s_rho)
-    value, err = _run_quads(params, tail, (0.0, sig_hi, s_ref, i_ref), (s_rho, 0.0, x, y))
+    tail, s_ref, i_ref, sig_hi, err, kappa = _u_pieces(params, x, y, s_rho)
+    value, err = _run_quads(params, tail, err, kappa, (0.0, sig_hi, s_ref, i_ref), (s_rho, 0.0, x, y))
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
 
 
@@ -217,7 +262,8 @@ def v_integral(params: ModelParams, x: float, y: float) -> CriticalTimeResult:
     edge = _v_edge(params, x, y)
     if edge is not None:
         return edge
-    value, err = _run_quads(params, 0.0, (_log_ratio(params.rho, x), 0.0, x, y))
+    s_rho = _log_ratio(params.rho, x)
+    value, err = _run_quads(params, 0.0, *_v_limit_err(params, x, y, s_rho), (s_rho, 0.0, x, y))
     return CriticalTimeResult(max(value, 0.0), Method.INTEGRAL, err)
 
 

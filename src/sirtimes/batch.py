@@ -12,12 +12,13 @@ The functions here run the scalar algorithms of :mod:`sirtimes.kernels`,
 :mod:`sirtimes.analytic` and :mod:`sirtimes.ode` over many independent
 problems at once, in lock-step, with numpy arrays. Every formula comes from
 those modules, given :data:`_ARRAYS`: the field, DP5 stages, error norm,
-dense output and crossing refinement, the GK15 rule and error finish, the
-graded mesh and stopping test, the anchor, the u integral's pieces and
-rounding floor, the bound, asymptotic, cap and event formulas, and the DP5
-step loop itself, which :func:`_dp5_batch` runs on arrays. The twins differ
-only in control flow: each element leaves a loop or takes a branch on its
-own. Only the quadrature's driver is still written twice: its fixed passes
+dense output and crossing refinement, the GK15 rule and its error
+estimate, the graded mesh and stopping test, the anchor, the u integral's
+pieces and the limits' rounding, the bound, asymptotic, cap and event
+formulas, and the DP5 step loop itself, which :func:`_dp5_batch` runs on
+arrays. The twins differ only in control flow: each element leaves a loop
+or takes a branch on its own. Only the quadrature's driver is still written
+twice: its fixed passes
 run every panel of a grid at once (:func:`_batch_quad`). Their per-node
 logs and exps are math's per element (:func:`_math_each`), so the anchor,
 the crossing refinement, the quadrature's mesh and the side cells agree
@@ -45,10 +46,10 @@ from .analytic import (
     _bounds_u_terms,
     _bounds_v_args,
     _bounds_v_terms,
-    _err_floor,
     _log_ratio,
     _subcritical_u,
     _u_pieces,
+    _v_limit_err,
 )
 from .core import Method, ModelParams
 from .gridrun import GRID_FIELDS, STATUS_OK, GridRow, _evaluate, side_cells
@@ -57,6 +58,7 @@ from .kernels import (
     EV_I,
     EV_S,
     ODE_OK,
+    _U,
     _converged,
     _dp5,
     _gk15_rule,
@@ -90,14 +92,18 @@ def _py_min(a, b):
 
 def _keep(live, *values):
     """The values of the DP5 loop's runs that go on, where *live* holds:
-    arrays, or a step's stages, which come out as one (7, 2, runs) array."""
-    return tuple(v[live] if isinstance(v, np.ndarray) else np.array(v)[:, :, live] for v in values)
+    arrays, or one component's seven stages, which come out as one (7,
+    runs) array."""
+    return tuple(v[live] if isinstance(v, np.ndarray) else np.array(v)[:, live] for v in values)
 
 
-def _join(records):
+def _join(records, ordered=False):
     """The records of the DP5 loop's runs, tuples of arrays whose first is
-    the runs' places, put together column by column in run order."""
+    the runs' places, put together column by column in record order, or in
+    run order if *ordered*."""
     cols = [np.concatenate(col, axis=-1) for col in zip(*records)]
+    if not ordered:
+        return cols
     order = np.argsort(cols[0])
     return tuple(c[..., order] for c in cols)
 
@@ -150,16 +156,18 @@ def _gk15_batch(a, b, beta, rho, s_ref, i_ref, expm1=np.expm1):
         return (*_gk15_rule(fv.T, hl, _ARRAYS), ok.all(axis=1))
 
 
-def _run_sums(values, counts):
-    """The sums of consecutive runs along the last axis of *values*, run j
-    counts[j] long: each added left to right from 0.0, as the scalar
-    quadrature adds its panels."""
+def _run_sums(v, e, counts):
+    """The sums of the panel values v and errors e over consecutive runs,
+    run j counts[j] long: each added left to right from 0.0, as
+    :func:`kernels._graded_gk` adds its panels, the errors' with the
+    rounding of the values' sum."""
     starts = np.cumsum(counts) - counts
-    sums = np.zeros(values.shape[:-1] + counts.shape)
+    tot, err = np.zeros((2, counts.size))
     for j in range(counts.max(initial=0)):
         live = np.flatnonzero(counts > j)
-        sums[..., live] += values[..., starts[live] + j]
-    return sums
+        tot[live] += v[starts[live] + j]
+        err[live] += e[starts[live] + j] + _U * abs(tot[live])
+    return tot, err
 
 
 # below this many nodes, _dp5_batch steps each node on floats instead. A
@@ -235,7 +243,7 @@ def _batch_quad(good, lo, hi, beta, rho, s_ref, i_ref, total, err, expm1):
                 own = np.repeat(own, 2)
             v, e, ok = _gk15_batch(a, b, beta, rho, s_ref[own], i_ref[own], expm1)
             count = np.bincount(own, minlength=k.size)
-            tot, et = _run_sums(np.stack((v, e)), count)
+            tot, et = _run_sums(v, e, count)
             bad = np.bincount(own[~ok], minlength=k.size) > 0
             conv = _converged(tot, et, QUAD_ABS_TOL, QUAD_REL_TOL, _ARRAYS) & ~bad
             end = (count > 0) & (conv | bad | (halving == 2))
@@ -270,15 +278,20 @@ def u_integral_batch(params: ModelParams, xs, ys, expm1=np.expm1):
     # taken, (x - rho)/rho and the deficit root's series can overflow
     with np.errstate(all="ignore"):
         s_rho = _log_ratio(rho, xi, _ARRAYS)
-        tail, s_ref, i_ref, sig_hi = _u_pieces(params, xi, yi, s_rho, _ARRAYS)
+        tail, s_ref, i_ref, sig_hi, e, kappa = _u_pieces(params, xi, yi, s_rho, _ARRAYS)
     good = np.isfinite(tail)
     zero = np.zeros(idx.size)
-    e = np.zeros(idx.size)
-    _batch_quad(good, zero, sig_hi, beta, rho, s_ref, i_ref, tail, e, expm1)
-    _batch_quad(good, s_rho, zero, beta, rho, xi, yi, tail, e, expm1)
+    # each piece's sum and error added, with the rounding of the addition,
+    # as _run_quads adds them
+    for lo, hi, s0, i0 in ((zero, sig_hi, s_ref, i_ref), (s_rho, zero, xi, yi)):
+        part, part_err = np.zeros((2, idx.size))
+        _batch_quad(good, lo, hi, beta, rho, s0, i0, part, part_err, expm1)
+        tail += part
+        e += part_err
+        e += _U * abs(tail)
     ok[idx] = good
     value[idx] = np.maximum(tail, 0.0)
-    err[idx] = _err_floor(tail, e, _ARRAYS)
+    err[idx] = e + _U * kappa * abs(part)
     return ok, value, err
 
 
@@ -295,11 +308,13 @@ def v_integral_batch(params: ModelParams, xs, ys, expm1=np.expm1):
     rho = params.rho
     ok = (x > rho) & (y > 0.0) & np.isfinite(x) & np.isfinite(y)
     value = np.zeros(x.shape)
-    err = np.zeros(x.shape)
     with np.errstate(all="ignore"):
-        s_rho = _log_ratio(rho, np.where(ok, x, rho), _ARRAYS)
+        at = np.where(ok, x, rho)
+        s_rho = _log_ratio(rho, at, _ARRAYS)
+        err, kappa = _v_limit_err(params, at, np.where(ok, y, 1.0), s_rho, _ARRAYS)
     _batch_quad(ok, s_rho, np.zeros(x.shape), params.beta, rho, x, y, value, err, expm1)
-    err = _err_floor(value, err, _ARRAYS)
+    err += _U * abs(value)
+    err += _U * kappa * abs(value)
     np.maximum(value, 0.0, out=value)
     return ok, value, err
 

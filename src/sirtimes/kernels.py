@@ -22,7 +22,7 @@ operations of their kind (:data:`_FLOATS` by default, ``batch._ARRAYS``),
 the first step :func:`_initial_step`, the DP5 error norm :func:`_try_step`,
 the crossing refinement :func:`_locate` with its Illinois loop
 :func:`_refine_crossing`, the DP5 loop :func:`_dp5`, the GK15 rule and
-error finish :func:`_gk15_rule`, the graded mesh :func:`_layers`, the
+its error estimate :func:`_gk15_rule`, the graded mesh :func:`_layers`, the
 stopping test :func:`_converged` and the anchor offset
 :func:`_anchor_offset`. The twins differ only in control flow, and only the
 quadrature's driver is still written twice: :func:`_graded_gk` has no loop
@@ -42,7 +42,6 @@ original: ``test_stages_write_out_the_field_bit_for_bit`` in
 
 import math
 from collections import namedtuple
-from operator import itemgetter
 
 # status codes for the ODE kernel
 ODE_OK = 0
@@ -60,7 +59,8 @@ QUAD_OK = 0
 QUAD_NOCONV = 1
 QUAD_BADFUN = 2
 
-_EPS = 2.220446049250313e-16
+# the unit roundoff of a float
+_U = 2.0**-53
 
 # width to which _locate refines a crossing time, relative above t = 1 and
 # absolute below it: the bracket closes within _EV_TOL * max(1, t + h) of it
@@ -138,7 +138,7 @@ _DENSE_P = (
     ),
 )
 
-# Gauss-Kronrod 7/15 nodes and weights (positive half; last node is 0)
+# Gauss-Kronrod 7/15 nodes (positive half; last node is 0)
 _XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
@@ -148,22 +148,21 @@ _XGK = (
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
 )
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
+# the Kronrod weights and the null rules of degrees 13, 12, 11 and 10 of
+# Berntsen & Espelid (ACM TOMS 17, 1991), printed by
+# tests/make_gk_error_rules.py: row j weighs the values at -/+ _XGK[j], the
+# Kronrod weight and the even rules (first, third) their sum, the odd rules
+# (second, fourth) their difference; _GK_CENTRE weighs the value at 0
+_GK_ROWS = (
+    (0.022935322010529224, 0.022921293882222405, 0.045457727476372896, 0.055963271522738556, 0.06311363824445987),
+    (0.06309209262997856, -0.06635226509449108, -0.12596989532086184, -0.1414112402532541, -0.13685133423333662),
+    (0.10479001032225019, 0.10472591670676057, 0.18117473072698015, 0.16276045502898784, 0.09507178146492047),
+    (0.14065325971552592, -0.13896708212217126, -0.20612790079906645, -0.1120083018885812, 0.04192416069764963),
+    (0.1690047266392679, 0.16890135682441784, 0.19801168644292635, 0.004511074525260409, -0.19045639589713587),
+    (0.19035057806478542, -0.19136235620336586, -0.15535037034108617, 0.12408562203224108, 0.2515011436147236),
+    (0.20443294007529889, 0.20430790099748694, 0.08491700766800017, -0.22624591930717078, -0.17540443525751265),
 )
-_WGK_C = 0.209482141084727828012999174891714
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-)
-_WG_C = 0.417959183673469387755102040816327
+_GK_CENTRE = (0.20948214108472782, -0.20834952998171916, 0.2646900766795564)
 # the nodes of fv in _gk15_rule's order: -/+ _XGK[j], then the centre
 _GK_NODES = (*(x for xk in _XGK for x in (-xk, xk)), 0.0)
 
@@ -204,14 +203,12 @@ def _stages(beta, gamma, s, i, h, k1s, k1i):
     return s1, i1, es, ei, k
 
 
-def _dense_coeffs(k, comp):
-    """Q_0..Q_3 of component *comp* from the stages k, read as k[row][comp]:
-    floats, or arrays with a step per element. Row 1's weights are all 0;
-    it is summed all the same, since 0 * inf is NaN and an infinite second
-    stage must show."""
+def _dense_coeffs(kc):
+    """Q_0..Q_3 of one component from its seven stages kc: floats, or arrays
+    with a step per element. Row 1's weights are all 0; it is summed all the
+    same, since 0 * inf is NaN and an infinite second stage must show."""
     q0 = q1 = q2 = q3 = 0.0
-    for row, (p0, p1, p2, p3) in enumerate(_DENSE_P):
-        v = k[row][comp]
+    for v, (p0, p1, p2, p3) in zip(kc, _DENSE_P):
         q0 = q0 + v * p0
         q1 = q1 + v * p1
         q2 = q2 + v * p2
@@ -246,11 +243,12 @@ def _low(a, b):
 # everywhere (bool on floats). The DP5 loop's runs take three more: index,
 # each run's place (0 on floats); keep, the values of the runs that go on
 # (on floats, the one run's, which reaches it only as it ends); and join,
-# the records of the runs that ended, in run order (on floats, the one).
+# the records of the runs that ended, in record order or, given ordered, in
+# run order (on floats, the one).
 _Ops = namedtuple("_Ops", "log log1p exp expm1 pow frexp sqrt high low pick any all index keep join")
 _FLOATS = _Ops(
     math.log, math.log1p, math.exp, math.expm1, pow, math.frexp, math.sqrt, _high, _low, _pick,
-    bool, bool, lambda values: 0, lambda live, *values: values, itemgetter(0),
+    bool, bool, lambda values: 0, lambda live, *values: values, lambda records, ordered=False: records[0],
 )
 
 
@@ -351,15 +349,15 @@ def _refine_crossing(y0, h, q0, q1, q2, q3, level, g0, g1, tol_theta, ops=_FLOAT
     return pick(hit, theta, 0.5 * (ta + tb)), pick(hit, zero, 0.5 * (tb - ta))
 
 
-def _locate(k, t, y0, h, comp, level, g0, g1, ops=_FLOATS):
-    """Refine the downward crossing of component *comp* through *level*
-    inside the accepted step of size h from time t, where the component is
-    y0 and the stages are k; g0 > 0 and g1 <= 0 are the component minus the
-    level at the step's ends. Only that component's dense output is built.
-    Floats, or arrays with a crossing per element given ops=batch._ARRAYS (k
-    then holds the stages as k[:, :, j]). Returns (t, time half-width,
-    theta) of the crossing, theta its place in the step as a fraction of h."""
-    q = _dense_coeffs(k, comp)
+def _locate(kc, t, y0, h, level, g0, g1, ops=_FLOATS):
+    """Refine the downward crossing of a component through *level* inside
+    the accepted step of size h from time t, where the component is y0 and
+    its seven stages are kc; g0 > 0 and g1 <= 0 are the component minus the
+    level at the step's ends. Floats, or arrays with a crossing per element
+    given ops=batch._ARRAYS (kc then holds the stages as kc[:, j]). Returns
+    (t, time half-width, theta) of the crossing, theta its place in the step
+    as a fraction of h."""
+    q = _dense_coeffs(kc)
     tol_t = _EV_TOL * ops.high(1.0, t + h)
     theta, hw = _refine_crossing(y0, h, *q, level, g0, g1, tol_t / h, ops)
     return t + theta * h, hw * h, theta
@@ -373,10 +371,11 @@ def _path_crossing(ts, ys, hs, ks, comp, level):
     for j, h in enumerate(hs):
         g0, g1 = ys[j][comp] - level, ys[j + 1][comp] - level
         if g0 > 0.0 and g1 <= 0.0:
-            k, (s, i) = ks[j], ys[j]
-            t, hw, theta = _locate(k, ts[j], ys[j][comp], h, comp, level, g0, g1)
-            qs = _dense_coeffs(k, 0)
-            qi = _dense_coeffs(k, 1)
+            ks_j, ki_j = zip(*ks[j])
+            t, hw, theta = _locate((ks_j, ki_j)[comp], ts[j], ys[j][comp], h, level, g0, g1)
+            s, i = ys[j]
+            qs = _dense_coeffs(ks_j)
+            qi = _dense_coeffs(ki_j)
             return t, hw, _dense_eval(s, h, *qs, theta), _dense_eval(i, h, *qi, theta)
     return None
 
@@ -392,9 +391,9 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
     crossing as :func:`_locate` refines it, else the status, where the run
     ended, and 0. stop = PATH (floats) runs to t_end, clipping the last step
     to it (t_end <= 0 gives the initial state alone), and returns (status,
-    t_reached, (ev_s, ev_i), ts, ys, ks): both crossings by
-    :func:`_path_crossing`, and the accepted step times, (S, I) states and
-    stages, for the dense interpolant.
+    t_reached, (ev_s, ev_i), ts, ys, hs, ks): both crossings by
+    :func:`_path_crossing`, and the accepted step times, (S, I) states,
+    sizes and stages, for the dense interpolant.
 
     A round makes one step attempt in every run still going. Each run leaves
     on its own: at its cap or on a stall before an attempt, or at its
@@ -415,7 +414,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
     t = h - h  # 0.0 of h's kind: h is finite
     runs = ops.index(s0)
     ended = []  # (runs, status, t, half-width) of the runs that ended
-    found = []  # (runs, stages, t, y, h, g0, g1) of each crossing's step
+    found = []  # (runs, watched stages, t, y, h, g0, g1) of each crossing's step
     if path:
         ts, ys, hs, ks = [t], [(s, i)], [], []  # the accepted steps
     crossed = False
@@ -457,7 +456,8 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
         acc = err <= 1.0
         crossed = acc & (gap > 0.0) & (gnew <= 0.0)
         if any_(crossed):
-            found.append(ops.keep(crossed, runs, k, t, i if watch_i else s, h, gap, gnew))
+            kc = [row[stop] for row in k]
+            found.append(ops.keep(crossed, runs, kc, t, i if watch_i else s, h, gap, gnew))
             if all_(crossed):
                 break
         # a rejection on floats (path mode's only way here), a mixed round on arrays
@@ -471,12 +471,12 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
     if path:
         _, status, t, _ = ended[0]
         crossings = (_path_crossing(ts, ys, hs, ks, EV_S, rho), _path_crossing(ts, ys, hs, ks, EV_I, mu))
-        return status, t, crossings, ts, ys, ks
+        return status, t, crossings, ts, ys, hs, ks
     if found:
-        runs, k, t, y, h, g0, g1 = ops.join(found)
-        t, hw, _ = _locate(k, t, y, h, stop, level, g0, g1, ops)
+        runs, kc, t, y, h, g0, g1 = ops.join(found)
+        t, hw, _ = _locate(kc, t, y, h, level, g0, g1, ops)
         ended.append((runs, ODE_OK + 0 * runs, t, hw))
-    return ops.join(ended)[1:]
+    return ops.join(ended, True)[1:]
 
 
 def _orbit_i(sig, rho, s_ref, i_ref, expm1=math.expm1):
@@ -489,41 +489,44 @@ def _gk15_rule(fv, hl, ops=_FLOATS):
     """The Gauss-Kronrod 7/15 rule over a panel of half-length hl, from the
     integrand values fv: fv[2j] and fv[2j+1] at the centre -/+ hl*_XGK[j],
     fv[14] at the centre; floats, or arrays with a panel per element given
-    ops=batch._ARRAYS. Returns (value, err): the Kronrod value and
-    QUADPACK's error estimate (Piessens et al., 1983). err = |Kronrod -
-    Gauss| becomes resasc * min(1, 200*err/resasc)**1.5 where it and resasc
-    (the integral of |f - mean|) are nonzero, a NaN ratio giving 1, and is
-    then at least 50*eps*resabs (the integral of |f|)."""
+    ops=batch._ARRAYS. Returns (value, err): the Kronrod value and an
+    estimate of its error from null rules (Berntsen & Espelid, ACM TOMS 17,
+    1991). e1, the larger of the rules of degrees 13 and 12, and e2, that of
+    degrees 11 and 10, measure the integrand's components of those degrees;
+    r = e1/e2 is their decay over two degrees, and the Kronrod rule's error
+    lies about five such steps below e1: err = e1*min(1, r**5/2), which is
+    e1 where the components do not decay, plus u*|value|, the rounding of
+    the rule's sum (u the unit roundoff). Where e2 lies below 20*u*|value|,
+    in the values' rounding, r is taken over that level instead, so that
+    rounding noise in the rules adds nothing."""
+    wk, n14, n12 = _GK_CENTRE
     fc = fv[14]
-    resk = _WGK_C * fc
-    resg = _WG_C * fc
-    resabs = _WGK_C * abs(fc)
-    for j in range(7):
-        f1 = fv[2 * j]
-        f2 = fv[2 * j + 1]
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * (f1 + f2)
-    reskh = 0.5 * resk
-    resasc = _WGK_C * abs(fc - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fv[2 * j] - reskh) + abs(fv[2 * j + 1] - reskh))
-    err = abs((resk - resg) * hl)
-    resasc *= abs(hl)
-    scaled = (resasc != 0.0) & (err != 0.0)
-    # over resasc + 1 where resasc is 0, so that floats do not divide by 0;
-    # min(1, r) before the power, which on floats overflows for a huge r,
-    # and the power 1.5 as m*sqrt(m), which rounds alike on floats and arrays
-    m = ops.low(1.0, 200.0 * err / (resasc + (resasc == 0.0)))
-    err = ops.pick(scaled, resasc * (m * ops.sqrt(m)), err)
-    return resk * hl, ops.high(err, 50.0 * _EPS * (resabs * abs(hl)))
+    resk = wk * fc
+    e14 = n14 * fc
+    e12 = n12 * fc
+    e13 = e11 = 0.0
+    pairs = iter(fv)
+    for (f1, f2), (wk, n14, n13, n12, n11) in zip(zip(pairs, pairs), _GK_ROWS):
+        add = f1 + f2
+        sub = f2 - f1
+        resk += wk * add
+        e14 += n14 * add
+        e13 += n13 * sub
+        e12 += n12 * add
+        e11 += n11 * sub
+    e1 = ops.high(abs(e14), abs(e13))
+    noise = _U * abs(resk)
+    # plus the least subnormal, so that floats do not divide by 0
+    r = e1 / (ops.high(ops.high(abs(e12), abs(e11)), 20.0 * noise) + 5e-324)
+    r2 = r * r
+    return resk * hl, (e1 * ops.low(1.0, 0.5 * (r2 * r2 * r)) + noise) * abs(hl)
 
 
 def _gk15(a, b, beta, rho, s_ref, i_ref):
-    """Gauss-Kronrod 7/15 rule on [a, b] with a QUADPACK-style error
-    estimate, over the integrand of the time representations: 1/(beta*I) in
-    sig = ln S - s0, I by :func:`_orbit_i` from (s_ref, i_ref) at s0.
+    """Gauss-Kronrod 7/15 rule on [a, b] with the error estimate of
+    :func:`_gk15_rule`, over the integrand of the time representations:
+    1/(beta*I) in sig = ln S - s0, I by :func:`_orbit_i` from (s_ref, i_ref)
+    at s0.
     Returns (value, err, ok), ok false where I <= 0 at a node; a
     denominator that underflows to 0 gives an infinite value, as numpy's
     division does in the batch. Each node's I is :func:`_orbit_i`'s,
@@ -583,7 +586,8 @@ def _graded_gk(lo, hi, beta, rho, s_ref, i_ref, atol, rtol):
     :func:`_layers` from lo, the midpoint, those from hi, and hi. Where the
     panels' summed estimate misses :func:`_converged`, every panel is
     halved, at most twice, so a piece takes at most 7 times its first
-    panel count. Panels are summed in order. Returns (status, value, err):
+    panel count. Panels are summed in order, and err holds their estimates
+    and each partial sum's rounding bound. Returns (status, value, err):
     QUAD_BADFUN with the sums before the panel where I <= 0 at a node, and
     QUAD_NOCONV with the last sums after the second halving."""
     if hi <= lo:
@@ -600,7 +604,8 @@ def _graded_gk(lo, hi, beta, rho, s_ref, i_ref, atol, rtol):
             if not ok:
                 return QUAD_BADFUN, total, errtot
             total += v
-            errtot += e
+            # the panel's error and the rounding of the sum, at most u*|total|
+            errtot += e + _U * abs(total)
         if _converged(total, errtot, atol, rtol):
             return QUAD_OK, total, errtot
     return QUAD_NOCONV, total, errtot

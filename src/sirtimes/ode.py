@@ -94,11 +94,12 @@ class Trajectory:
     I through mu and of S through rho, when they occur in the window.
     """
 
-    def __init__(self, params, initial, ts, states, stages, events):
+    def __init__(self, params, initial, ts, states, sizes, stages, events):
         self.params = params
         self.initial = initial
         self._ts = ts
         self._states = states
+        self._sizes = sizes
         self._stages = stages
         self.events = tuple(events)
         # every sample must be a valid state: the first that is not raises
@@ -128,14 +129,13 @@ class Trajectory:
         j = bisect.bisect_right(ts, t) - 1
         if j >= len(ts) - 1:
             j = len(ts) - 2
-        h = ts[j + 1] - ts[j]
+        # the step's own size: ts[j + 1] - ts[j] can differ from it by rounding
+        h = self._sizes[j]
         s0, i0 = self._states[j]
-        if h <= 0.0:
-            return SirState(s0, i0, t)
         theta = (t - ts[j]) / h
-        k = self._stages[j]
-        qs = kernels._dense_coeffs(k, 0)
-        qi = kernels._dense_coeffs(k, 1)
+        ks, ki = zip(*self._stages[j])
+        qs = kernels._dense_coeffs(ks)
+        qi = kernels._dense_coeffs(ki)
         s = kernels._dense_eval(s0, h, qs[0], qs[1], qs[2], qs[3], theta)
         i = kernels._dense_eval(i0, h, qi[0], qi[1], qi[2], qi[3], theta)
         return SirState(max(s, 0.0), max(i, 0.0), t)
@@ -159,7 +159,7 @@ def integrate(
     t_end = _require_finite("t_end", t_end)
     if t_end < 0.0:
         raise DomainError(f"t_end must be >= 0, got {t_end!r}")
-    status, t_reached, crossings, ts, states, stages = _run(
+    status, t_reached, crossings, ts, states, sizes, stages = _run(
         params, x, y, t_end, kernels.PATH, config or _DEFAULT_CONFIG
     )
     if status == kernels.ODE_STALL:
@@ -173,7 +173,7 @@ def integrate(
         if e is not None
     ]
     events.sort(key=lambda e: e.t)
-    return Trajectory(params, SirState(x, y, 0.0), ts, states, stages, events)
+    return Trajectory(params, SirState(x, y, 0.0), ts, states, sizes, stages, events)
 
 
 def _cap_terms(params, x, y, row, ops=kernels._FLOATS):

@@ -368,8 +368,8 @@ def _ode_states(params, stop, n, seed):
 
 def _with_state(crossing, k, s, i, h):
     t, hw, theta = crossing
-    qs = kernels._dense_coeffs(k, 0)
-    qi = kernels._dense_coeffs(k, 1)
+    qs = kernels._dense_coeffs([row[0] for row in k])
+    qi = kernels._dense_coeffs([row[1] for row in k])
     return t, hw, kernels._dense_eval(s, h, *qs, theta), kernels._dense_eval(i, h, *qi, theta)
 
 
@@ -377,13 +377,14 @@ def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     """The DP5 step loop as it was written for floats alone, before floats
     and arrays shared one: its accept/reject rule, stall and cap tests, step
     factors and crossing watch, on the shared stages, first step and
-    refinement. Returns (status, t_reached, (ev_s, ev_i), ts, ys, ks), the
+    refinement. Returns (status, t_reached, (ev_s, ev_i), ts, ys, hs, ks), the
     crossings as _locate gives them in stop mode and as (t, half-width, S,
     I) in path mode."""
     high, low = kernels._high, kernels._low
     path = stop == kernels.PATH
     ts = [0.0]
     ys = [(s0, i0)]
+    hs = []
     ks = []
     ev_s = ev_i = None
     status = kernels.ODE_OK
@@ -415,11 +416,11 @@ def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         gi_new = i1 - mu
         gs_new = s1 - rho
         if stop != kernels.EV_S and ev_i is None and gi_prev > 0.0 and gi_new <= 0.0:
-            ev_i = kernels._locate(k, t, i, h, kernels.EV_I, mu, gi_prev, gi_new)
+            ev_i = kernels._locate([row[1] for row in k], t, i, h, mu, gi_prev, gi_new)
             if path:
                 ev_i = _with_state(ev_i, k, s, i, h)
         if stop != kernels.EV_I and ev_s is None and gs_prev > 0.0 and gs_new <= 0.0:
-            ev_s = kernels._locate(k, t, s, h, kernels.EV_S, rho, gs_prev, gs_new)
+            ev_s = kernels._locate([row[0] for row in k], t, s, h, rho, gs_prev, gs_new)
             if path:
                 ev_s = _with_state(ev_s, k, s, i, h)
         if not path and (ev_i is not None or ev_s is not None):
@@ -429,6 +430,7 @@ def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         t = t_end if last else t + h
         if path:
             ks.append(k)
+            hs.append(h)
             ts.append(t)
             ys.append((s1, i1))
         s = s1
@@ -442,7 +444,7 @@ def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
             factor = low(10.0, high(0.9, 0.9 * err ** -0.2))
         h *= factor
 
-    return status, t, (ev_s, ev_i), ts, ys, ks
+    return status, t, (ev_s, ev_i), ts, ys, hs, ks
 
 
 def _reference_runs(params, x, y, caps, stop, cfg):
@@ -750,8 +752,8 @@ def test_ode_grid_steps_in_the_batch(monkeypatch):
 
 def _crossings(monkeypatch, params, stop, n, seed):
     """The arguments of every scalar _locate call made while the DP5 loop
-    runs on floats from n log-uniform states, as columns: (k, t, y0, h,
-    comp, level, g0, g1)."""
+    runs on floats from n log-uniform states, as columns: (kc, t, y0, h,
+    level, g0, g1), kc the watched component's stages."""
     calls = []
     real = kernels._locate
 
@@ -766,18 +768,18 @@ def _crossings(monkeypatch, params, stop, n, seed):
         kernels._dp5(params.beta, params.gamma, a, b, params.mu, params.rho, c, stop, *tol)
     monkeypatch.setattr(kernels, "_locate", real)
     k = np.stack([c[0] for c in calls], axis=-1)
-    t, y0, h, _, level, g0, g1 = (np.array([c[j] for c in calls]) for j in range(1, 8))
-    return k, t, y0, h, stop, level[0], g0, g1
+    t, y0, h, level, g0, g1 = (np.array([c[j] for c in calls]) for j in range(1, 7))
+    return k, t, y0, h, level[0], g0, g1
 
 
-def _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1):
+def _assert_locate_on_arrays_is_scalar(k, t, y0, h, level, g0, g1):
     """The (t, half_width, theta) arrays of _locate on arrays, each entry
     checked against the scalar _locate's tuple."""
     with np.errstate(all="ignore"):
-        t_ev, hw, theta = kernels._locate(k, t, y0, h, comp, level, g0, g1, batch._ARRAYS)
+        t_ev, hw, theta = kernels._locate(k, t, y0, h, level, g0, g1, batch._ARRAYS)
     for j in range(t.size):
-        want = kernels._locate(k[:, :, j].tolist(), float(t[j]), float(y0[j]), float(h[j]),
-                               comp, level, float(g0[j]), float(g1[j]))
+        want = kernels._locate(k[:, j].tolist(), float(t[j]), float(y0[j]), float(h[j]),
+                               level, float(g0[j]), float(g1[j]))
         got = (t_ev[j], hw[j], theta[j])
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want], j
     return t_ev, hw, theta
@@ -797,22 +799,22 @@ def test_locate_batch_equals_scalar_bitwise(monkeypatch, stop):
 
 
 def test_locate_batch_every_exit(monkeypatch, p23):
-    k, t, y0, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
+    k, t, y0, h, level, g0, g1 = _crossings(monkeypatch, p23, kernels.EV_I, 60, 8)
     # a loose tolerance: every bracket narrows to it, a nonzero half-width
     _set_ev_tol(monkeypatch, 1e-6)
-    _, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    _, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, level, g0, g1)
     assert (hw > 0.0).all()
     # a bracket of 1e-300 is never reached; near the root the dense output
     # moves by less than a unit in the last place of the level per step in
     # theta, so every loop ends on an exact hit fc == 0 inside the step
     _set_ev_tol(monkeypatch, 1e-300)
-    t_ev, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    t_ev, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, level, g0, g1)
     assert (hw == 0.0).all() and (t_ev < t + h).all()
     # g1 == 0 at every third crossing, in one batch with the others: the
     # crossing is the step's end
     monkeypatch.undo()
     g1[::3] = 0.0
-    t_ev, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    t_ev, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, y0, h, level, g0, g1)
     assert (t_ev[::3] == t[::3] + h[::3]).all() and (hw[::3] == 0.0).all()
     assert (t_ev[1::3] < t[1::3] + h[1::3]).all()
 
@@ -824,18 +826,18 @@ def test_locate_batch_runs_into_the_iteration_cap(monkeypatch):
     # 0.5 + 2**-53, no exact hit ends the loop, and with a tolerance of
     # 1e-300 every crossing runs the 200 iterations
     n = 20
-    k = np.empty((7, 2, n))
+    k = np.empty((7, n))
     k[:] = -1000.0 - np.arange(n)
     i = 500.5 + 0.25 * np.arange(n)
     t = np.zeros(n)
     h = np.ones(n)
     level = 0.5 + 2.0**-53
     g1 = np.array([
-        kernels._dense_eval(i[j], 1.0, *kernels._dense_coeffs(k[:, :, j], 1), 1.0)
+        kernels._dense_eval(i[j], 1.0, *kernels._dense_coeffs(k[:, j]), 1.0)
         for j in range(n)
     ]) - level
     _set_ev_tol(monkeypatch, 1e-300)
-    _, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, i, h, kernels.EV_I, level, i - level, g1)
+    _, hw, _ = _assert_locate_on_arrays_is_scalar(k, t, i, h, level, i - level, g1)
     assert (hw > 0.0).all()
 
 
@@ -847,7 +849,7 @@ def test_locate_width_follows_the_end_of_the_step(monkeypatch, p23, stop):
     # _EV_TOL * max(1, t + h) = 2h*_EV_TOL, for most crossings wider than
     # the _EV_TOL * max(1, t - h) = _EV_TOL it would close within if the
     # width followed the step's start
-    k, _, y0, h, comp, level, g0, g1 = _crossings(monkeypatch, p23, stop, 60, 8)
+    k, _, y0, h, level, g0, g1 = _crossings(monkeypatch, p23, stop, 60, 8)
     k = k / 2.0**13
     h = h * 2.0**13
     t = h.copy()
@@ -856,10 +858,10 @@ def test_locate_width_follows_the_end_of_the_step(monkeypatch, p23, stop):
     want = []
     narrower = 0
     for j, (tj, hj, yj, a, b) in enumerate(zip(*(v.tolist() for v in (t, h, y0, g0, g1)))):
-        args = (yj, hj, *kernels._dense_coeffs(k[:, :, j].tolist(), comp), level, a, b)
+        args = (yj, hj, *kernels._dense_coeffs(k[:, j].tolist()), level, a, b)
         theta, hw = kernels._refine_crossing(*args, tol * (tj + hj) / hj)
         want.append([float.hex(v) for v in (tj + theta * hj, hw * hj, theta)])
         narrower += kernels._refine_crossing(*args, tol / hj) != (theta, hw)
     assert narrower > t.size // 2
-    got = _assert_locate_on_arrays_is_scalar(k, t, y0, h, comp, level, g0, g1)
+    got = _assert_locate_on_arrays_is_scalar(k, t, y0, h, level, g0, g1)
     assert [[float.hex(v) for v in col] for col in zip(*got)] == want

@@ -197,7 +197,7 @@ def test_golden_integrate_samples_are_the_kernel_states(golden_file):
     for (pv, x, y, t_end), ref in zip(PATHS, golden_file["paths"]):
         params = ModelParams(*pv)
         traj = integrate(params, x, y, t_end)
-        _, _, _, ts, states, _ = ode._run(params, x, y, t_end, kernels.PATH, ode._DEFAULT_CONFIG)
+        _, _, _, ts, states, *_ = ode._run(params, x, y, t_end, kernels.PATH, ode._DEFAULT_CONFIG)
         want = [(float(states[j][0]), float(states[j][1]), float(ts[j])) for j in range(len(ts))]
         got = [(st.s, st.i, st.t) for st in traj.samples]
         assert len(got) == ref["samples"]

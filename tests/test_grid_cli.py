@@ -722,16 +722,16 @@ def test_run_grid_rows_behave_like_built_rows(p23, method):
 # surface_values.json
 SURFACE_DIGESTS = {
     ("u", "integral"): (
-        "bc12a865fbeeabf7a3379e15bd6d9fb2086d594ffadbd625f83555b1b1cafee7",
-        "7a51ba10d19e437e8ffecbaee4cd7bf66998d64a9f24ae3e198a24a4b8513ddc",
+        "4246f279e480721d854f7d74dc05441783d535254323b582d27ecc962b87bf15",
+        "178227972d334ee1d9906e8afb7200552442216e2e07f427a57d25b9cfaebbcc",
     ),
     ("u", "ode"): (
         "5c54390ef5fb2746e8c465b507edf2a60b22471b5624c6ba95f0ca41141b507a",
         "c4cfc615592f07969c92814b5d5ed5b3d91ede43a112bf94106ff4d5caf8e355",
     ),
     ("v", "integral"): (
-        "97705660674ad7a3624ff5397700636d3d2448dfa1e91870745edfd6e356788c",
-        "562c16da7f319ed633bbd679e97790b13513abfda3841609c4749f5e76c1a230",
+        "928ff060f972c9d77fcb87e436afbab85f3658a552dc07b994f413118084e5fe",
+        "8a4fdf986e98003081807a07ec56490a9f61d70cc178669e2ac474a19b332684",
     ),
     ("v", "ode"): (
         "22f22b285c3dab407c828679591fc45335dc67486dfb267fd960258c0088bed0",
@@ -806,9 +806,9 @@ ROW_OUTPUTS = [
         (
             'x,y,value,method,err_estimate,lower,upper,asymptotic,status\n'
             '4,2,0.73451078208705278,OdeEvent,1.0000000000000001e-09,0.29182291245129993,2,0.59725315640935162,ok\n'
-            '4,2,0.73451078210394483,Integral,4.553587856843846e-13,0.29182291245129993,2,0.59725315640935162,ok\n'
+            '4,2,0.73451078210394483,Integral,6.4337502373678266e-16,0.29182291245129993,2,0.59725315640935162,ok\n'
             '4,2,0.18306071694057977,OdeEvent,1.0000000000000001e-09,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
-            '4,2,0.183060716901431,Integral,2.3784673623498969e-14,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
+            '4,2,0.183060716901431,Integral,1.4768883864328453e-16,0.17312717978295,0.19141940994788387,0.19908438546978388,ok\n'
         ),
         (
             '[\n'
@@ -828,7 +828,7 @@ ROW_OUTPUTS = [
             '    "y": 2.0,\n'
             '    "value": 0.7345107821039448,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 4.553587856843846e-13,\n'
+            '    "err_estimate": 6.433750237367827e-16,\n'
             '    "lower": 0.29182291245129993,\n'
             '    "upper": 2.0,\n'
             '    "asymptotic": 0.5972531564093516,\n'
@@ -850,7 +850,7 @@ ROW_OUTPUTS = [
             '    "y": 2.0,\n'
             '    "value": 0.183060716901431,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 2.378467362349897e-14,\n'
+            '    "err_estimate": 1.4768883864328453e-16,\n'
             '    "lower": 0.17312717978295,\n'
             '    "upper": 0.19141940994788387,\n'
             '    "asymptotic": 0.19908438546978388,\n'
@@ -903,8 +903,8 @@ ROW_OUTPUTS = [
             '1,0.5,0,BoundaryZero,0,,,0.1351550360360548,ok\n'
             '2,0.5,0,BoundaryZero,0,,,0.30543024395805168,ok\n'
             '0,2,0.23104906018664842,ExactX0,0,0,0.23104906018664842,0.23104906018664842,ok\n'
-            '1,2,0.37120243109885231,Integral,4.1211748580277915e-15,0.060773852264651533,0.69314718055994529,0.36620409622270328,ok\n'
-            '2,2,0.53450808088678115,Integral,1.1176105729631971e-13,0.15666787641524521,1.3333333333333333,0.46209812037329684,ok\n'
+            '1,2,0.37120243109885231,Integral,3.3001312705322492e-16,0.060773852264651533,0.69314718055994529,0.36620409622270328,ok\n'
+            '2,2,0.53450808088678115,Integral,4.7810730292600923e-16,0.15666787641524521,1.3333333333333333,0.46209812037329684,ok\n'
         ),
         (
             '[\n'
@@ -957,7 +957,7 @@ ROW_OUTPUTS = [
             '    "y": 2.0,\n'
             '    "value": 0.3712024310988523,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 4.1211748580277915e-15,\n'
+            '    "err_estimate": 3.300131270532249e-16,\n'
             '    "lower": 0.06077385226465153,\n'
             '    "upper": 0.6931471805599453,\n'
             '    "asymptotic": 0.3662040962227033,\n'
@@ -968,7 +968,7 @@ ROW_OUTPUTS = [
             '    "y": 2.0,\n'
             '    "value": 0.5345080808867811,\n'
             '    "method": "Integral",\n'
-            '    "err_estimate": 1.1176105729631971e-13,\n'
+            '    "err_estimate": 4.781073029260092e-16,\n'
             '    "lower": 0.1566678764152452,\n'
             '    "upper": 1.3333333333333333,\n'
             '    "asymptotic": 0.46209812037329684,\n'

@@ -69,6 +69,44 @@ def test_quad_out_of_budget():
     assert err > 0.0
 
 
+def test_gk_error_rules_are_their_generators_null_rules():
+    # the constants are those make_gk_error_rules.py derives with mpmath,
+    # from nodes that are kernels._XGK; each null rule sends the monomials
+    # up to its degree to 0 on the 15 nodes, and not the next, and the
+    # Kronrod weights integrate the monomials up to degree 22
+    mp = pytest.importorskip("mpmath")
+    import make_gk_error_rules
+
+    assert make_gk_error_rules.tables() == (kernels._GK_ROWS, kernels._GK_CENTRE)
+    nodes, _ = make_gk_error_rules.kronrod_nodes()
+    assert tuple(float(x) for x in reversed(nodes[8:])) == kernels._XGK
+
+    # (column, centre's weight or None where the rule takes differences,
+    # degree): the Kronrod weights, then q_14, q_13, q_12 and q_11
+    columns = [(1, kernels._GK_CENTRE[1], 13), (2, None, 12),
+               (3, kernels._GK_CENTRE[2], 11), (4, None, 10)]
+
+    def rule(col, centre, d):
+        """The rule in column col applied to x**d, and the sum of its terms' sizes."""
+        sign = 1 if centre is not None else -1
+        terms = [mp.mpf(row[col]) * (mp.mpf(xk) ** d + sign * mp.mpf(-xk) ** d)
+                 for row, xk in zip(kernels._GK_ROWS, kernels._XGK)]
+        if centre is not None:
+            terms.append(mp.mpf(centre) * mp.mpf(0) ** d)
+        return mp.fsum(terms), mp.fsum(map(abs, terms))
+
+    with mp.workdps(40):
+        for col, centre, degree in columns:
+            for d in range(degree + 1):
+                value, size = rule(col, centre, d)
+                assert abs(value) <= 1e-15 * size, (col, d)
+            value, size = rule(col, centre, degree + 1)
+            assert abs(value) > 1e-3 * size, col
+        for d in range(0, 23, 2):
+            value, _ = rule(0, kernels._GK_CENTRE[0], d)
+            assert abs(value - mp.mpf(2) / (d + 1)) <= 1e-15, d
+
+
 def test_integrand_values():
     # I = i_ref - s_ref*expm1(sig) + rho*sig, exact at sig = 0
     assert kernels._orbit_i(0.0, 1.5, 3.0, 1.0) == 1.0
@@ -376,8 +414,8 @@ def test_dense_output_endpoints():
     k1s, k1i = kernels._field(beta, gamma, s, i)
     s1, i1, err, k = kernels._try_step(beta, gamma, s, i, h, k1s, k1i, 1e-10, 1e-12)
     assert err <= 1.0
-    qs = kernels._dense_coeffs(k, 0)
-    qi = kernels._dense_coeffs(k, 1)
+    qs = kernels._dense_coeffs([row[0] for row in k])
+    qi = kernels._dense_coeffs([row[1] for row in k])
     assert kernels._dense_eval(s, h, *qs, 0.0) == s
     assert kernels._dense_eval(i, h, *qi, 0.0) == i
     assert kernels._dense_eval(s, h, *qs, 1.0) == pytest.approx(s1, rel=1e-12)

@@ -233,12 +233,31 @@ def test_a_bad_sample_still_raises_at_integrate(p23, monkeypatch, item, index, b
         return out
 
     monkeypatch.setattr(kernels, "_dp5", corrupt)
-    _, _, _, ts, states, _ = ode._run(p23, 4.0, 2.0, 2.0, kernels.PATH, ode._DEFAULT_CONFIG)
+    _, _, _, ts, states, *_ = ode._run(p23, 4.0, 2.0, 2.0, kernels.PATH, ode._DEFAULT_CONFIG)
     with pytest.raises(DomainError) as want:
         SirState(*states[3], ts[3])
     with pytest.raises(DomainError) as got:
         integrate(p23, 4.0, 2.0, 2.0)
     assert str(got.value) == str(want.value)
+
+
+def test_eval_takes_each_step_at_its_recorded_size(p23):
+    # ts[j + 1] is t + h rounded, so ts[j + 1] - ts[j] can differ from the
+    # step's h; the dense output between samples is the step's own, with h
+    _, _, _, ts, states, hs, ks = ode._run(p23, 4.0, 2.0, 2.0, kernels.PATH, ode._DEFAULT_CONFIG)
+    traj = integrate(p23, 4.0, 2.0, 2.0)
+    steps = [j for j, h in enumerate(hs) if ts[j + 1] - ts[j] != h]
+    assert len(steps) >= 5
+    for j in steps:
+        h = hs[j]
+        for t in (ts[j] + 0.3 * h, ts[j] + 0.7 * h):
+            theta = (t - ts[j]) / h
+            want = [
+                max(kernels._dense_eval(y0, h, *kernels._dense_coeffs([r[c] for r in ks[j]]), theta), 0.0)
+                for c, y0 in enumerate(states[j])
+            ]
+            got = traj.eval(t)
+            assert [got.s.hex(), got.i.hex()] == [v.hex() for v in want], (j, t)
 
 
 def test_path_and_stop_mode_locate_the_same_crossings():
