@@ -16,12 +16,13 @@ of raising. Their numpy twins, which run the same algorithms over whole
 grids at once, live in :mod:`sirtimes.batch`.
 
 A kernel and its twin share every formula, written here once for floats and
-arrays: :func:`_field`, :func:`_stages`, :func:`_dense_coeffs`,
+arrays: :func:`_field`, :func:`_stages` (which gives the seven S stages
+and the seven I stages as a tuple each), :func:`_dense_coeffs`,
 :func:`_dense_eval`, the integrand's I :func:`_orbit_i`, and, given the
 operations of their kind (:data:`_FLOATS` by default, ``batch._ARRAYS``),
-the first step :func:`_initial_step`, the DP5 error norm :func:`_try_step`,
-the crossing refinement :func:`_locate` with its Illinois loop
-:func:`_refine_crossing`, the DP5 loop :func:`_dp5`, the GK15 rule and
+the first step :func:`_initial_step`, the crossing refinement
+:func:`_locate` with its Illinois loop :func:`_refine_crossing`, the DP5
+loop :func:`_dp5` with its 5(4) error norm, the GK15 rule and
 its error estimate :func:`_gk15_rule`, the graded mesh :func:`_layers`, the
 stopping test :func:`_converged` and the anchor offset
 :func:`_anchor_offset`. The twins differ only in control flow, and only the
@@ -33,7 +34,9 @@ Two formulas have a second, written-out copy on the scalar hot path: the
 field inside :func:`_stages` (for floats and arrays), and I on the orbit
 inside the scalar :func:`_gk15`. The six calls of :func:`_field` were about
 15% of a scalar DP5 attempt, and the 15 calls of :func:`_orbit_i` with
-three list passes about 15% of a panel. Each copy makes the same
+three list passes about 15% of a panel. (The stages' layout, a tuple per
+component, and the error norm in the loop's body save a scalar attempt
+about 11% more in tuples and calls.) Each copy makes the same
 operations in the same order, and a test holds it to the bits of the
 original: ``test_stages_write_out_the_field_bit_for_bit`` in
 ``tests/test_kernels.py``, and ``test_integrand_batch_matches_scalar`` in
@@ -175,10 +178,10 @@ def _field(beta, gamma, s, i):
 def _stages(beta, gamma, s, i, h, k1s, k1i):
     """One Dormand-Prince 5(4) attempt of size h from (s, i), where the field
     is (k1s, k1i): floats, or arrays with a step per element. Returns (s1,
-    i1, es, ei, k): the 5th-order state, each component's error estimate,
-    and the seven stages as (S, I) pairs, the last being the field at (s1,
-    i1). Each stage's field is :func:`_field`'s, written out (see the
-    module docstring)."""
+    i1, es, ei, ks, ki): the 5th-order state, each component's error
+    estimate, and the seven S stages and the seven I stages as a tuple
+    each, the last being the field at (s1, i1). Each stage's field is
+    :func:`_field`'s, written out (see the module docstring)."""
     a = s + h * (_A21 * k1s)
     b = i + h * (_A21 * k1i)
     k2s, k2i = -beta * a * b, (beta * a - gamma) * b
@@ -199,8 +202,7 @@ def _stages(beta, gamma, s, i, h, k1s, k1i):
     k7s, k7i = -beta * s1 * i1, (beta * s1 - gamma) * i1
     es = h * (_E1 * k1s + _E3 * k3s + _E4 * k4s + _E5 * k5s + _E6 * k6s + _E7 * k7s)
     ei = h * (_E1 * k1i + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i)
-    k = ((k1s, k1i), (k2s, k2i), (k3s, k3i), (k4s, k4i), (k5s, k5i), (k6s, k6i), (k7s, k7i))
-    return s1, i1, es, ei, k
+    return s1, i1, es, ei, (k1s, k2s, k3s, k4s, k5s, k6s, k7s), (k1i, k2i, k3i, k4i, k5i, k6i, k7i)
 
 
 def _dense_coeffs(kc):
@@ -250,21 +252,6 @@ _FLOATS = _Ops(
     math.log, math.log1p, math.exp, math.expm1, pow, math.frexp, math.sqrt, _high, _low, _pick,
     bool, bool, lambda values: 0, lambda live, *values: values, lambda records, ordered=False: records[0],
 )
-
-
-def _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops=_FLOATS):
-    """One 5(4) attempt from (s, i), where the field is (k1s, k1i): floats,
-    or arrays with ops=batch._ARRAYS. Returns (s_new, i_new, err_norm,
-    stages), the stages as in :func:`_stages`."""
-    s1, i1, es, ei, k = _stages(beta, gamma, s, i, h, k1s, k1i)
-    ss = atol + rtol * ops.high(abs(s), abs(s1))
-    si = atol + rtol * ops.high(abs(i), abs(i1))
-    # clamp the scaled defects so squaring cannot overflow; anything this
-    # large is an unconditional rejection regardless of the exact norm
-    rs = ops.low(abs(es / ss), 1e150)
-    ri = ops.low(abs(ei / si), 1e150)
-    err = ops.sqrt(0.5 * (rs * rs + ri * ri))
-    return s1, i1, err, k
 
 
 def _initial_step(beta, gamma, s, i, t_bound, rtol, atol, ops=_FLOATS):
@@ -363,19 +350,19 @@ def _locate(kc, t, y0, h, level, g0, g1, ops=_FLOATS):
     return t + theta * h, hw * h, theta
 
 
-def _path_crossing(ts, ys, hs, ks, comp, level):
+def _path_crossing(ts, ys, hs, stages, comp, level):
     """The first downward crossing of component *comp* through *level* in a
-    path's accepted steps (times ts, states ys, sizes hs, stages ks), as (t,
-    half-width, S, I): :func:`_locate`'s crossing and the state there on the
-    dense output; None where there is none."""
+    path's accepted steps (times ts, states ys, sizes hs, and stages as
+    (S stages, I stages)), as (t, half-width, S, I): :func:`_locate`'s
+    crossing and the state there on the dense output; None where there is
+    none."""
     for j, h in enumerate(hs):
         g0, g1 = ys[j][comp] - level, ys[j + 1][comp] - level
         if g0 > 0.0 and g1 <= 0.0:
-            ks_j, ki_j = zip(*ks[j])
-            t, hw, theta = _locate((ks_j, ki_j)[comp], ts[j], ys[j][comp], h, level, g0, g1)
+            t, hw, theta = _locate(stages[j][comp], ts[j], ys[j][comp], h, level, g0, g1)
             s, i = ys[j]
-            qs = _dense_coeffs(ks_j)
-            qi = _dense_coeffs(ki_j)
+            qs = _dense_coeffs(stages[j][0])
+            qi = _dense_coeffs(stages[j][1])
             return t, hw, _dense_eval(s, h, *qs, theta), _dense_eval(i, h, *qi, theta)
     return None
 
@@ -391,15 +378,17 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
     crossing as :func:`_locate` refines it, else the status, where the run
     ended, and 0. stop = PATH (floats) runs to t_end, clipping the last step
     to it (t_end <= 0 gives the initial state alone), and returns (status,
-    t_reached, (ev_s, ev_i), ts, ys, hs, ks): both crossings by
+    t_reached, (ev_s, ev_i), ts, ys, hs, stages): both crossings by
     :func:`_path_crossing`, and the accepted step times, (S, I) states,
-    sizes and stages, for the dense interpolant.
+    sizes and stages, as :func:`_stages`' (ks, ki), for the dense
+    interpolant.
 
     A round makes one step attempt in every run still going. Each run leaves
     on its own: at its cap or on a stall before an attempt, or at its
     crossing, which on arrays drops it at the top of the next round. The
     crossings are refined once every run has ended, on arrays all at once."""
-    high, low, pick, power, any_, all_ = ops.high, ops.low, ops.pick, ops.pow, ops.any, ops.all
+    high, low, pick, power, sqrt = ops.high, ops.low, ops.pick, ops.pow, ops.sqrt
+    any_, all_ = ops.any, ops.all
     path = stop == PATH
     watch_i = stop == EV_I
     # path mode watches no level, and nothing falls through -inf
@@ -416,7 +405,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
     ended = []  # (runs, status, t, half-width) of the runs that ended
     found = []  # (runs, watched stages, t, y, h, g0, g1) of each crossing's step
     if path:
-        ts, ys, hs, ks = [t], [(s, i)], [], []  # the accepted steps
+        ts, ys, hs, stages = [t], [(s, i)], [], []  # the accepted steps
     crossed = False
     while True:
         over = (t >= cap) | (h < floor) | (h < 1e-15 * t)
@@ -434,7 +423,12 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
         last = path and t + h >= cap
         if last:
             h = cap - t
-        s1, i1, err, k = _try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol, ops)
+        s1, i1, es, ei, ks, ki = _stages(beta, gamma, s, i, h, k1s, k1i)
+        # the 5(4) error norm; the scaled defects are clamped so that
+        # squaring cannot overflow, and anything this large is a rejection
+        rs = low(abs(es / (atol + rtol * high(abs(s), abs(s1)))), 1e150)
+        ri = low(abs(ei / (atol + rtol * high(abs(i), abs(i1)))), 1e150)
+        err = sqrt(0.5 * (rs * rs + ri * ri))
         # 0.9*err**-0.2; err + 5e-324 keeps Python's pow off 0, and any err
         # below 1e-290 reaches the growth cap of 10 either way
         q = 0.9 * power(err + 5e-324, -0.2)
@@ -446,9 +440,9 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
                 ts.append(t)
                 ys.append((s1, i1))
                 hs.append(h)
-                ks.append(k)
+                stages.append((ks, ki))
             s, i = s1, i1
-            k1s, k1i = k[6]
+            k1s, k1i = ks[6], ki[6]
             gap = gnew
             h = h * low(10.0, q)
             crossed = False
@@ -456,7 +450,7 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
         acc = err <= 1.0
         crossed = acc & (gap > 0.0) & (gnew <= 0.0)
         if any_(crossed):
-            kc = [row[stop] for row in k]
+            kc = ki if watch_i else ks
             found.append(ops.keep(crossed, runs, kc, t, i if watch_i else s, h, gap, gnew))
             if all_(crossed):
                 break
@@ -464,14 +458,15 @@ def _dp5(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol, ops=_FLOATS):
         t = pick(acc, t + h, t)
         s = pick(acc, s1, s)
         i = pick(acc, i1, i)
-        k1s = pick(acc, k[6][0], k1s)
-        k1i = pick(acc, k[6][1], k1i)
+        k1s = pick(acc, ks[6], k1s)
+        k1i = pick(acc, ki[6], k1i)
         gap = pick(acc, gnew, gap)
         h = h * pick(acc, low(10.0, q), high(0.2, q))
     if path:
         _, status, t, _ = ended[0]
-        crossings = (_path_crossing(ts, ys, hs, ks, EV_S, rho), _path_crossing(ts, ys, hs, ks, EV_I, mu))
-        return status, t, crossings, ts, ys, hs, ks
+        crossings = (_path_crossing(ts, ys, hs, stages, EV_S, rho),
+                     _path_crossing(ts, ys, hs, stages, EV_I, mu))
+        return status, t, crossings, ts, ys, hs, stages
     if found:
         runs, kc, t, y, h, g0, g1 = ops.join(found)
         t, hw, _ = _locate(kc, t, y, h, level, g0, g1, ops)

@@ -133,7 +133,7 @@ class Trajectory:
         h = self._sizes[j]
         s0, i0 = self._states[j]
         theta = (t - ts[j]) / h
-        ks, ki = zip(*self._stages[j])
+        ks, ki = self._stages[j]
         qs = kernels._dense_coeffs(ks)
         qi = kernels._dense_coeffs(ki)
         s = kernels._dense_eval(s0, h, qs[0], qs[1], qs[2], qs[3], theta)

@@ -373,13 +373,47 @@ def _with_state(crossing, k, s, i, h):
     return t, hw, kernels._dense_eval(s, h, *qs, theta), kernels._dense_eval(i, h, *qi, theta)
 
 
+def _attempt_reference(beta, gamma, s, i, h, k1s, k1i, rtol, atol):
+    """One DP5 attempt on floats as it was written before the loop took the
+    stages as one tuple per component and the error norm in line: the seven
+    stages as (S, I) pairs, and the 5(4) norm. Returns (s1, i1, err, k)."""
+    K = kernels
+    a = s + h * (K._A21 * k1s)
+    b = i + h * (K._A21 * k1i)
+    k2s, k2i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (K._A31 * k1s + K._A32 * k2s)
+    b = i + h * (K._A31 * k1i + K._A32 * k2i)
+    k3s, k3i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (K._A41 * k1s + K._A42 * k2s + K._A43 * k3s)
+    b = i + h * (K._A41 * k1i + K._A42 * k2i + K._A43 * k3i)
+    k4s, k4i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (K._A51 * k1s + K._A52 * k2s + K._A53 * k3s + K._A54 * k4s)
+    b = i + h * (K._A51 * k1i + K._A52 * k2i + K._A53 * k3i + K._A54 * k4i)
+    k5s, k5i = -beta * a * b, (beta * a - gamma) * b
+    a = s + h * (K._A61 * k1s + K._A62 * k2s + K._A63 * k3s + K._A64 * k4s + K._A65 * k5s)
+    b = i + h * (K._A61 * k1i + K._A62 * k2i + K._A63 * k3i + K._A64 * k4i + K._A65 * k5i)
+    k6s, k6i = -beta * a * b, (beta * a - gamma) * b
+    s1 = s + h * (K._B1 * k1s + K._B3 * k3s + K._B4 * k4s + K._B5 * k5s + K._B6 * k6s)
+    i1 = i + h * (K._B1 * k1i + K._B3 * k3i + K._B4 * k4i + K._B5 * k5i + K._B6 * k6i)
+    k7s, k7i = -beta * s1 * i1, (beta * s1 - gamma) * i1
+    es = h * (K._E1 * k1s + K._E3 * k3s + K._E4 * k4s + K._E5 * k5s + K._E6 * k6s + K._E7 * k7s)
+    ei = h * (K._E1 * k1i + K._E3 * k3i + K._E4 * k4i + K._E5 * k5i + K._E6 * k6i + K._E7 * k7i)
+    k = ((k1s, k1i), (k2s, k2i), (k3s, k3i), (k4s, k4i), (k5s, k5i), (k6s, k6i), (k7s, k7i))
+    ss = atol + rtol * max(abs(s), abs(s1))
+    si = atol + rtol * max(abs(i), abs(i1))
+    rs = min(abs(es / ss), 1e150)
+    ri = min(abs(ei / si), 1e150)
+    return s1, i1, math.sqrt(0.5 * (rs * rs + ri * ri)), k
+
+
 def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
     """The DP5 step loop as it was written for floats alone, before floats
     and arrays shared one: its accept/reject rule, stall and cap tests, step
-    factors and crossing watch, on the shared stages, first step and
-    refinement. Returns (status, t_reached, (ev_s, ev_i), ts, ys, hs, ks), the
-    crossings as _locate gives them in stop mode and as (t, half-width, S,
-    I) in path mode."""
+    factors and crossing watch, on its own attempt and the shared first step
+    and refinement. Returns (status, t_reached, (ev_s, ev_i), ts, ys, hs,
+    ks), the crossings as _locate gives them in stop mode and as (t,
+    half-width, S, I) in path mode, and each step's stages in the path
+    mode's layout, (S stages, I stages)."""
     high, low = kernels._high, kernels._low
     path = stop == kernels.PATH
     ts = [0.0]
@@ -408,7 +442,7 @@ def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
         last = path and t + h >= t_end
         if last:
             h = t_end - t
-        s1, i1, err, k = kernels._try_step(beta, gamma, s, i, h, k1s, k1i, rtol, atol)
+        s1, i1, err, k = _attempt_reference(beta, gamma, s, i, h, k1s, k1i, rtol, atol)
         if not (err <= 1.0):
             h *= high(0.2, 0.9 * err ** -0.2)
             continue
@@ -429,7 +463,7 @@ def _dp5_reference(beta, gamma, s0, i0, mu, rho, t_end, stop, rtol, atol):
 
         t = t_end if last else t + h
         if path:
-            ks.append(k)
+            ks.append(tuple(zip(*k)))
             hs.append(h)
             ts.append(t)
             ys.append((s1, i1))

@@ -368,8 +368,7 @@ def _stages_through_field(beta, gamma, s, i, h, k1s, k1i):
               + K._E7 * k7s)
     ei = h * (K._E1 * k1i + K._E3 * k3i + K._E4 * k4i + K._E5 * k5i + K._E6 * k6i
               + K._E7 * k7i)
-    k = ((k1s, k1i), (k2s, k2i), (k3s, k3i), (k4s, k4i), (k5s, k5i), (k6s, k6i), (k7s, k7i))
-    return s1, i1, es, ei, k
+    return s1, i1, es, ei, (k1s, k2s, k3s, k4s, k5s, k6s, k7s), (k1i, k2i, k3i, k4i, k5i, k6i, k7i)
 
 
 def _bits(value):
@@ -406,16 +405,36 @@ def test_stages_write_out_the_field_bit_for_bit():
         want = _stages_through_field(beta, gamma, s, i, h, *k1)
     assert _bits(got) == _bits(want)
     # the overflowing state reaches both kinds of non-finite value
-    assert np.isinf(got[4][0][0]).any() and np.isnan(got[0]).any()
+    assert np.isinf(got[4][0]).any() and np.isnan(got[0]).any()
+
+
+DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=DECADES, gamma=DECADES, states=st.lists(
+    st.tuples(st.one_of(st.just(0.0), DECADES), DECADES, DECADES), min_size=1, max_size=8))
+def test_stages_on_floats_and_arrays_are_bit_identical(beta, gamma, states):
+    # (s, i, h) over +-6 decades and s = 0: each element of the arrays'
+    # stages is the floats' at its state, overflowing stages and NaN signs
+    # included
+    s, i, h = (np.array(col) for col in zip(*states))
+    with np.errstate(all="ignore"):
+        arrays = kernels._stages(beta, gamma, s, i, h, *kernels._field(beta, gamma, s, i))
+    for j, (sj, ij, hj) in enumerate(states):
+        floats = kernels._stages(beta, gamma, sj, ij, hj, *kernels._field(beta, gamma, sj, ij))
+        got = (*(v[j] for v in arrays[:4]), *(tuple(v[j] for v in k) for k in arrays[4:]))
+        assert _bits(got) == _bits(floats), j
 
 
 def test_dense_output_endpoints():
     beta, gamma, s, i, h = 2.0, 3.0, 4.0, 2.0, 0.002
     k1s, k1i = kernels._field(beta, gamma, s, i)
-    s1, i1, err, k = kernels._try_step(beta, gamma, s, i, h, k1s, k1i, 1e-10, 1e-12)
-    assert err <= 1.0
-    qs = kernels._dense_coeffs([row[0] for row in k])
-    qi = kernels._dense_coeffs([row[1] for row in k])
+    s1, i1, es, ei, ks, ki = kernels._stages(beta, gamma, s, i, h, k1s, k1i)
+    # each component within its tolerance, so the step is accepted
+    assert abs(es) <= 1e-12 + 1e-10 * s1 and abs(ei) <= 1e-12 + 1e-10 * i1
+    qs = kernels._dense_coeffs(ks)
+    qi = kernels._dense_coeffs(ki)
     assert kernels._dense_eval(s, h, *qs, 0.0) == s
     assert kernels._dense_eval(i, h, *qi, 0.0) == i
     assert kernels._dense_eval(s, h, *qs, 1.0) == pytest.approx(s1, rel=1e-12)

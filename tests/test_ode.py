@@ -253,7 +253,7 @@ def test_eval_takes_each_step_at_its_recorded_size(p23):
         for t in (ts[j] + 0.3 * h, ts[j] + 0.7 * h):
             theta = (t - ts[j]) / h
             want = [
-                max(kernels._dense_eval(y0, h, *kernels._dense_coeffs([r[c] for r in ks[j]]), theta), 0.0)
+                max(kernels._dense_eval(y0, h, *kernels._dense_coeffs(ks[j][c]), theta), 0.0)
                 for c, y0 in enumerate(states[j])
             ]
             got = traj.eval(t)
