@@ -53,24 +53,6 @@ from .analytic import (
     u_integral,
     v_integral,
 )
-from .pde import (
-    ResidualReport,
-    check_boundary_u,
-    check_boundary_v,
-    check_characteristic_identity,
-    pde_residual,
-)
-from .gridrun import (
-    CSV_HEADER,
-    GridResult,
-    GridRow,
-    GridSpec,
-    rows_to_csv,
-    rows_to_json,
-    run_grid,
-    write_csv,
-    write_json,
-)
 
 __version__ = "0.1.0"
 
@@ -127,3 +109,30 @@ __all__ = [
     "write_csv",
     "write_json",
 ]
+
+# The grid and PDE layers (and json, which the grid writers use) load on the
+# first read of one of their names (PEP 562), so that a per-node script or a
+# one-state CLI run neither compiles nor runs them.
+_LAZY = dict.fromkeys(
+    ("gridrun", "GridSpec", "GridRow", "GridResult", "CSV_HEADER", "run_grid", "rows_to_csv",
+     "rows_to_json", "write_csv", "write_json"),
+    "gridrun",
+) | dict.fromkeys(
+    ("pde", "ResidualReport", "pde_residual", "check_boundary_u", "check_boundary_v",
+     "check_characteristic_identity"),
+    "pde",
+)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

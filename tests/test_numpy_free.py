@@ -1,7 +1,9 @@
 """numpy stays out of the per-node path: importing the package, every
 per-node entry point and the one-state subcommands run without loading it,
-and only a grid loads the array module. Each case runs in a fresh
-interpreter, since this one has numpy loaded already."""
+and only a grid loads the array module. The grid and PDE modules (and json)
+stay out of it too: the package loads them on the first read of one of their
+names. Each case runs in a fresh interpreter, since this one has them all
+loaded already."""
 
 import os
 import subprocess
@@ -76,6 +78,55 @@ assert "numpy" in sys.modules
 """
 
 
+# The package's names that live in the grid and PDE modules, each read only
+# after the per-node calls.
+LAZY = {
+    "sirtimes.gridrun": ("GridSpec", "GridRow", "GridResult", "CSV_HEADER", "run_grid",
+                         "rows_to_csv", "rows_to_json", "write_csv", "write_json"),
+    "sirtimes.pde": ("ResidualReport", "pde_residual", "check_boundary_u", "check_boundary_v",
+                     "check_characteristic_identity"),
+}
+
+PER_NODE_LAZY = f"""
+import sys
+
+lazy = {LAZY!r}
+late = [*lazy] + ([] if "json" in sys.modules else ["json"])
+
+
+def unloaded(after):
+    loaded = [name for name in late if name in sys.modules]
+    assert not loaded, f"{{loaded}} loaded by {{after}}"
+
+
+import sirtimes
+
+unloaded("import sirtimes")
+p = sirtimes.ModelParams(2.0, 3.0, 1.0)
+for name in ("hitting_time_u", "hitting_time_v", "u_integral", "v_integral", "bounds_u",
+             "bounds_v", "asymptotic_u", "asymptotic_v", "solve_anchor", "psi"):
+    getattr(sirtimes, name)(p, 4.0, 2.0)
+    unloaded(name)
+sirtimes.exact_u_at_x0(p, 2.0)
+sirtimes.vector_field(p, sirtimes.SirState(4.0, 2.0))
+sirtimes.integrate(p, 4.0, 2.0, 3.0).eval(1.3)
+unloaded("integrate")
+# hasattr is false only on AttributeError, and lets any other error through
+assert not hasattr(sirtimes, "no_such_name")
+assert set(sirtimes.__all__) <= set(dir(sirtimes))
+unloaded("unknown names and dir()")
+
+star = {{}}
+exec("from sirtimes import *", star)
+assert set(sirtimes.__all__) <= star.keys(), set(sirtimes.__all__) - star.keys()
+for module, names in lazy.items():
+    home = sys.modules[module]
+    assert getattr(sirtimes, module.rpartition(".")[2]) is home
+    for name in names:
+        assert star[name] is getattr(sirtimes, name) is getattr(home, name), name
+"""
+
+
 def _child(code):
     """The standard output of *code* run in a fresh interpreter with the
     package's sources on its path."""
@@ -103,3 +154,7 @@ def test_a_grid_loads_numpy_and_gives_the_same_rows():
         for method in ("integral", "ode")
     )
     assert _child(GRID_ROWS) == want
+
+
+def test_per_node_calls_leave_the_grid_and_pde_modules_unloaded():
+    _child(PER_NODE_LAZY)
